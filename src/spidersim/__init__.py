@@ -32,6 +32,7 @@ from .capabilities import (
     apply_capability,
     built_in_registry,
     compose_strategy,
+    deploy_strategy,
     evaluate_preconditions,
     register_capability,
 )

@@ -11,13 +11,23 @@ reproducibility): exactly two uniform draws on the main path (success,
 then detection), plus one draw per defense override present on the target
 (honeypot first, then shocktrap), regardless of whether the draw changes
 the outcome.
+
+Action enumeration (``applicable_capabilities``) binds ``target`` over the
+whole node domain, and binds ``source`` only over the nodes the
+capability's own preconditions leave open: the target's in-neighbours
+under ``edge_exists`` from source to target, the actor's footholds under
+``actor_has_foothold`` on source. A round therefore costs one
+precondition check per (capability, target) plus one per candidate
+source; for the built-in set those are the footholds with an edge into
+the target, so the source checks are bounded by the edge count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import (
     DuplicateId,
@@ -30,7 +40,7 @@ from .errors import (
     UnknownNode,
     UnsupportedInterfaceVersion,
 )
-from .model import AccessRequirement, NetworkTopology, NodeClass, Privilege
+from .model import AccessRequirement, NetworkTopology, NodeClass, Privilege, index_by_id
 from .state import DefenseKind, SimulationState
 
 INTERFACE_VERSION = "cap-1"
@@ -170,14 +180,18 @@ class CapabilityRegistry:
     def ids(self) -> Tuple[str, ...]:
         return tuple(cap.id for cap in self._caps)
 
+    @cached_property
+    def _by_id(self) -> Dict[str, AtomicCapability]:
+        return index_by_id(self._caps)
+
     def get(self, cap_id: str) -> AtomicCapability:
-        for cap in self._caps:
-            if cap.id == cap_id:
-                return cap
-        raise UnknownCapability(f"no capability with id {cap_id!r}")
+        cap = self._by_id.get(cap_id)
+        if cap is None:
+            raise UnknownCapability(f"no capability with id {cap_id!r}")
+        return cap
 
     def has(self, cap_id: str) -> bool:
-        return any(cap.id == cap_id for cap in self._caps)
+        return cap_id in self._by_id
 
     def by_kind(self, kind: CapabilityKind) -> Tuple[AtomicCapability, ...]:
         return tuple(cap for cap in self._caps if cap.kind == kind)
@@ -349,15 +363,6 @@ def _bound(binding: Dict[str, str], slot: str, cap_id: str) -> str:
     return binding[slot]
 
 
-def _edge_exists(topology: NetworkTopology, src: str, dst: str) -> bool:
-    for edge in topology.edges:
-        if edge.src == src and edge.dst == dst:
-            return True
-        if edge.bidirectional and edge.src == dst and edge.dst == src:
-            return True
-    return False
-
-
 def matching_vulnerabilities(topology: NetworkTopology, node_id: str,
                              level: AccessRequirement):
     """Vulnerabilities on a node exploitable at the given access level,
@@ -381,7 +386,7 @@ def _eval_predicate(pred: Predicate, state: SimulationState,
         return node_id in state.footholds and state.has_privilege(node_id, pred.min_privilege)
     if pred.kind == PredicateKind.EDGE_EXISTS:
         src = _bound(binding, pred.src_slot, cap_id)
-        return _edge_exists(topo, src, node_id)
+        return src in topo.in_neighbours(node_id)
     if pred.kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
         return bool(matching_vulnerabilities(topo, node_id, pred.access))
     if pred.kind == PredicateKind.CREDENTIAL_HELD:
@@ -436,6 +441,21 @@ def _apply_effect(state: SimulationState, eff: Effect, binding: Dict[str, str],
     if eff.kind == EffectKind.REVEAL_VULNERABILITIES:
         return state.with_defense(node_id, DefenseKind.SCANNER)
     raise AssertionError(f"unreachable effect kind {eff.kind!r}")
+
+
+def deploy_strategy(state: SimulationState, strategy: DefenseStrategy,
+                    registry: CapabilityRegistry) -> SimulationState:
+    """Round-0 deployment: apply every placement's effects to the state.
+
+    Deployment is unconditional, since strategy composition already
+    checked validity, and consumes no rng draws.
+    """
+    for placement in strategy.capability_placements:
+        cap = registry.get(placement.capability_id)
+        binding = {"target": placement.target_node}
+        for eff in cap.effects:
+            state = _apply_effect(state, eff, binding, cap.id, None)
+    return state
 
 
 def effective_success_prob(cap: AtomicCapability, state: SimulationState,
@@ -521,34 +541,60 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     )
 
 
+def _candidate_bindings(cap: AtomicCapability, state: SimulationState,
+                        domain: List[str]) -> Iterator[Dict[str, str]]:
+    """Bindings of ``cap`` worth checking, in (target, source) order.
+
+    ``domain`` is sorted and free of repeats. ``source`` skips only nodes
+    for which one of the capability's own preconditions must fail (see
+    the module docstring), and never equals ``target``.
+    """
+    if "source" not in cap.slots():
+        for target in domain:
+            yield {"target": target}
+        return
+    by_edge = any(
+        p.kind == PredicateKind.EDGE_EXISTS and p.slot == "target" and p.src_slot == "source"
+        for p in cap.preconditions
+    )
+    sources = set(domain)
+    if any(p.kind == PredicateKind.ACTOR_HAS_FOOTHOLD and p.slot == "source"
+           for p in cap.preconditions):
+        sources &= state.footholds
+    every_source = sorted(sources)
+    for target in domain:
+        if by_edge:
+            candidates = sorted(sources & state.topology.in_neighbours(target))
+        else:
+            candidates = every_source
+        for source in candidates:
+            if source != target:
+                yield {"target": target, "source": source}
+
+
 def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState,
                             actor: str, binding_domain: Iterable[str]
                             ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
     """Every (capability, binding) whose preconditions hold, in the
     engine-wide tie-break order: cost ascending, then capability id, then
-    target id, then source id."""
+    target id, then source id.
+
+    ``target`` ranges over ``binding_domain``; ``source`` ranges over the
+    domain nodes that the capability's ``edge_exists`` (source to target)
+    and ``actor_has_foothold`` (on source) preconditions allow, or over
+    the whole domain when it has neither, and never equals ``target``.
+    Each such binding is checked with ``evaluate_preconditions``. The
+    cost is one check per (capability, target) plus one per candidate
+    source: for an edge-bound capability, one per edge into the target
+    from a foothold.
+    """
     kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
     domain = sorted(set(binding_domain))
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
-    caps = sorted(registry.by_kind(kind), key=lambda c: (c.cost_units, c.id))
-    for cap in caps:
-        needs_source = "source" in cap.slots()
-        for target in domain:
-            if needs_source:
-                for source in domain:
-                    if source == target:
-                        continue
-                    binding = {"target": target, "source": source}
-                    if evaluate_preconditions(cap, state, binding).holds:
-                        out.append((cap, binding))
-            else:
-                binding = {"target": target}
-                if evaluate_preconditions(cap, state, binding).holds:
-                    out.append((cap, binding))
-    out.sort(key=lambda item: (
-        item[0].cost_units, item[0].id,
-        item[1]["target"], item[1].get("source", ""),
-    ))
+    for cap in sorted(registry.by_kind(kind), key=lambda c: (c.cost_units, c.id)):
+        for binding in _candidate_bindings(cap, state, domain):
+            if evaluate_preconditions(cap, state, binding).holds:
+                out.append((cap, binding))
     return out
 
 

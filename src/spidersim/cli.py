@@ -30,7 +30,7 @@ from .engine import (
     resolve_topology,
     run_simulation,
 )
-from .errors import GenerationFailed, SpiderSimError
+from .errors import SpiderSimError
 from .exports import (
     export_dot,
     export_trace,
@@ -64,10 +64,26 @@ def _emit(payload: str, out: Optional[str]) -> None:
 def _parse_selector(text: str) -> TargetSelector:
     """SEL syntax: "class:<node_class>" or "node:<id>" (bare id accepted)."""
     if text.startswith("class:"):
-        return TargetSelector(node_class=NodeClass(text[len("class:"):]))
+        name = text[len("class:"):]
+        try:
+            return TargetSelector(node_class=NodeClass(name))
+        except ValueError:
+            allowed = ", ".join(cls.value for cls in NodeClass)
+            raise argparse.ArgumentTypeError(
+                f"unknown node class {name!r} (expected one of: {allowed})")
     if text.startswith("node:"):
         return TargetSelector(node_id=text[len("node:"):])
     return TargetSelector(node_id=text)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _load_registry(capability_files: List[str]) -> CapabilityRegistry:
@@ -97,9 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="enumerate attack paths")
     p.add_argument("--scenario", required=True)
     p.add_argument("--entry", action="append", required=True)
-    p.add_argument("--target", required=True,
+    p.add_argument("--target", required=True, type=_parse_selector,
                    help='target selector: "class:<node_class>" or "node:<id>"')
-    p.add_argument("-k", type=int, default=10)
+    p.add_argument("-k", type=_positive_int, default=10)
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for recipe-based scenarios")
@@ -190,7 +206,7 @@ def _cmd_paths(args) -> int:
     topology = resolve_topology(spec, registry, args.seed)
     query = PathQuery(
         entries=tuple(args.entry),
-        target=_parse_selector(args.target),
+        target=args.target,
         k=args.k,
         max_len=args.max_len,
     )
@@ -291,9 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code else 0
     try:
         return _COMMANDS[args.subcommand](args)
-    except GenerationFailed as exc:
-        sys.stderr.write(f"{exc.code}: {exc.message}\n")
-        return 1
     except SpiderSimError as exc:
         sys.stderr.write(f"{exc.code}: {exc.message}\n")
         return 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -19,9 +19,9 @@ from .capabilities import (
     CapabilityOutcome,
     CapabilityRegistry,
     DefenseStrategy,
-    EffectKind,
     apply_capability,
     applicable_capabilities,
+    deploy_strategy,
 )
 from .errors import InvalidScenario, InvalidStrategy, RoundLimitExceeded
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     ObjectiveKind,
     ScenarioSpec,
     build_topology,
+    scenario_node_ids,
     serialize_scenario,
     validate_spec,
 )
@@ -122,19 +123,6 @@ def resolve_topology(spec: ScenarioSpec, registry: CapabilityRegistry,
     return build_topology(spec.scenario_parameters.recipe, registry, seed)
 
 
-def _deploy_strategy(state: SimulationState, strategy: DefenseStrategy,
-                     registry: CapabilityRegistry) -> SimulationState:
-    # Round-0 deployment is unconditional: strategy composition already
-    # checked validity, and deployment consumes no rng draws.
-    from .capabilities import _apply_effect  # intra-package use
-    for placement in strategy.capability_placements:
-        cap = registry.get(placement.capability_id)
-        binding = {"target": placement.target_node}
-        for eff in cap.effects:
-            state = _apply_effect(state, eff, binding, cap.id, None)
-    return state
-
-
 def _matching_nodes(topology: NetworkTopology, objective: Objective) -> List[str]:
     return [n.id for n in topology.nodes if objective.target.matches(n)]
 
@@ -155,8 +143,8 @@ def _objective_met_now(state: SimulationState, objective: Objective,
 
 
 def step_round(state: SimulationState, topology: NetworkTopology,
-               registry: CapabilityRegistry, strategy: DefenseStrategy,
-               config: SimulationConfig, rng) -> Tuple[SimulationState, List[SimEvent]]:
+               registry: CapabilityRegistry, config: SimulationConfig,
+               rng) -> Tuple[SimulationState, List[SimEvent]]:
     """Advance the simulation by exactly one round.
 
     Order within the round: (1) reactive defender actions, (2) one
@@ -222,18 +210,17 @@ def step_round(state: SimulationState, topology: NetworkTopology,
     return state, events
 
 
-def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
-                   registry: CapabilityRegistry, config: SimulationConfig
-                   ) -> Tuple[SimulationTrace, Metrics]:
-    """Run one seeded simulation; identical inputs yield identical traces."""
+def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
+                  registry: CapabilityRegistry) -> str:
+    """The checks that hold for every seed of a run; returns the scenario
+    digest. Placements are checked against the scenario's node ids, which
+    no seed changes."""
     report = validate_spec(spec, registry)
     if report.errors:
         raise InvalidScenario(
             "; ".join(f"{f.code}: {f.message}" for f in report.errors)
         )
-    topology = resolve_topology(spec, registry, config.seed)
-
-    node_ids = {n.id for n in topology.nodes}
+    node_ids = scenario_node_ids(spec)
     for placement in strategy.capability_placements:
         if not registry.has(placement.capability_id):
             raise InvalidStrategy(f"unknown capability {placement.capability_id!r}")
@@ -241,8 +228,23 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
             raise InvalidStrategy(f"{placement.capability_id!r} is not a defense")
         if placement.target_node not in node_ids:
             raise InvalidStrategy(f"no node {placement.target_node!r} in topology")
+    return scenario_digest(spec)
 
-    state = _deploy_strategy(fresh_state(topology), strategy, registry)
+
+def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
+                   registry: CapabilityRegistry, config: SimulationConfig,
+                   *, digest: Optional[str] = None
+                   ) -> Tuple[SimulationTrace, Metrics]:
+    """Run one seeded simulation; identical inputs yield identical traces.
+
+    ``digest`` is for ``batch_run``, which checks the inputs once per
+    batch and passes the scenario digest that check returned; without it
+    the inputs are checked here.
+    """
+    if digest is None:
+        digest = _check_inputs(spec, strategy, registry)
+    topology = resolve_topology(spec, registry, config.seed)
+    state = deploy_strategy(fresh_state(topology), strategy, registry)
     rng = substream(config.seed, "simulation")
 
     attacker_objectives = [
@@ -254,7 +256,7 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
 
     for _ in range(config.max_rounds):
         trapped = state.trapped_until > state.round + 1
-        state, round_events = step_round(state, topology, registry, strategy, config, rng)
+        state, round_events = step_round(state, topology, registry, config, rng)
         events.extend(round_events)
         attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
         detected_any = detected_any or any(
@@ -274,7 +276,7 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
 
     trace = SimulationTrace(
         config=config,
-        scenario_digest=scenario_digest(spec),
+        scenario_digest=digest,
         events=tuple(events),
         final_state=state,
     )
@@ -380,6 +382,7 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
     """Run n independent simulations with seeds config.seed + i (mod 2^64)."""
     if n < 1:
         raise InvalidScenario("batch size must be >= 1")
+    digest = _check_inputs(spec, strategy, registry)
     per_seed: List[Metrics] = []
     successes = 0
     for i in range(n):
@@ -389,7 +392,7 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
             attacker_policy=config.attacker_policy,
             defender_policy=config.defender_policy,
         )
-        _, metrics = run_simulation(spec, strategy, registry, run_config)
+        _, metrics = run_simulation(spec, strategy, registry, run_config, digest=digest)
         per_seed.append(metrics)
         if metrics.any_attacker_objective_met(spec.objectives):
             successes += 1

@@ -15,7 +15,7 @@ role_overrides=...)``, as long as it writes only the slots that role owns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     EmptyRecipe,
@@ -125,8 +126,20 @@ class Credential:
     grants_access_to: Tuple[str, ...]
 
 
+def index_by_id(items: Iterable) -> dict:
+    """Index items by ``id``; where ids repeat, the first item wins."""
+    index: dict = {}
+    for item in items:
+        index.setdefault(item.id, item)
+    return index
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
+    """A concrete network. Lookups go through indexes built on first use
+    and kept on the instance (the value is immutable, so they never go
+    stale)."""
+
     nodes: Tuple[Node, ...]
     edges: Tuple[Edge, ...]
     zones: Tuple[str, ...]
@@ -135,23 +148,41 @@ class NetworkTopology:
     vulnerabilities: Tuple[Vulnerability, ...] = ()
     credentials: Tuple[Credential, ...] = ()
 
+    @cached_property
+    def _nodes_by_id(self) -> Dict[str, Node]:
+        return index_by_id(self.nodes)
+
+    @cached_property
+    def _vulnerabilities_by_id(self) -> Dict[str, Vulnerability]:
+        return index_by_id(self.vulnerabilities)
+
+    @cached_property
+    def _credentials_by_id(self) -> Dict[str, Credential]:
+        return index_by_id(self.credentials)
+
+    @cached_property
+    def _in_neighbours(self) -> Dict[str, FrozenSet[str]]:
+        index: Dict[str, Set[str]] = {}
+        for edge in self.edges:
+            index.setdefault(edge.dst, set()).add(edge.src)
+            if edge.bidirectional:
+                index.setdefault(edge.src, set()).add(edge.dst)
+        return {node_id: frozenset(srcs) for node_id, srcs in index.items()}
+
     def node_by_id(self, node_id: str) -> Optional[Node]:
-        for node in self.nodes:
-            if node.id == node_id:
-                return node
-        return None
+        return self._nodes_by_id.get(node_id)
 
     def vulnerability_by_id(self, vuln_id: str) -> Optional[Vulnerability]:
-        for vuln in self.vulnerabilities:
-            if vuln.id == vuln_id:
-                return vuln
-        return None
+        return self._vulnerabilities_by_id.get(vuln_id)
 
     def credential_by_id(self, cred_id: str) -> Optional[Credential]:
-        for cred in self.credentials:
-            if cred.id == cred_id:
-                return cred
-        return None
+        return self._credentials_by_id.get(cred_id)
+
+    def in_neighbours(self, node_id: str) -> FrozenSet[str]:
+        """Every ``src`` with an edge ``src -> node_id``: a bidirectional
+        edge counts in both directions, a directed one only from its
+        ``src``."""
+        return self._in_neighbours.get(node_id, frozenset())
 
 
 @dataclass(frozen=True)
@@ -781,6 +812,15 @@ def _recipe_node_ids(recipe: TopologyRecipe):
             yield f"{cls.value}-{i}", cls
 
 
+def scenario_node_ids(spec: ScenarioSpec) -> Set[str]:
+    """Node ids of the scenario's topology. A recipe's ids follow from its
+    node counts alone, so every seed expands it to the same ids."""
+    topo = spec.scenario_parameters.explicit_topology
+    if topo is not None:
+        return {n.id for n in topo.nodes}
+    return {nid for nid, _ in _recipe_node_ids(spec.scenario_parameters.recipe)}
+
+
 def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
     """Cross-check a spec against a capability registry.
 
@@ -800,11 +840,10 @@ def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
         errors.extend(check_topology(topo))
         if not _is_connected(topo):
             warnings.append(Finding("DisconnectedTopology", "topology is not weakly connected", "scenario_parameters.explicit_topology"))
-        node_ids = {n.id for n in topo.nodes}
         classes = {n.node_class for n in topo.nodes}
     else:
-        node_ids = {nid for nid, _ in _recipe_node_ids(recipe)}
         classes = {cls for cls, n in recipe.node_counts if n > 0}
+    node_ids = scenario_node_ids(spec)
 
     for i, obj in enumerate(spec.objectives):
         loc = f"objectives[{i}]"

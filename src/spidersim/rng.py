@@ -23,19 +23,3 @@ def derive_seed(seed: int, name: str) -> int:
 def substream(seed: int, name: str) -> random.Random:
     """A fresh generator for one named substream of the master seed."""
     return random.Random(derive_seed(seed, name))
-
-
-class CountingRandom:
-    """random.Random wrapper that counts uniform draws.
-
-    Used by tests to audit the documented per-operation draw budget. Only
-    ``random()`` is exposed: every draw in the engine goes through it.
-    """
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-        self.draws = 0
-
-    def random(self) -> float:
-        self.draws += 1
-        return self._rng.random()

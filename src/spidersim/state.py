@@ -6,7 +6,7 @@ carries its topology so predicate evaluation needs no extra arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, FrozenSet, Optional, Tuple
 

@@ -11,11 +11,13 @@ import math
 import random
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from spidersim import (
     AccessRequirement,
     Actor,
+    AtomicCapability,
+    CapabilityKind,
     Credential,
     Edge,
     NetworkTopology,
@@ -28,12 +30,30 @@ from spidersim import (
     TargetSelector,
     Vulnerability,
     built_in_registry,
+    evaluate_preconditions,
 )
 from spidersim.capabilities import CapabilityRegistry
+from spidersim.state import SimulationState
 from spidersim.model import DomainContext, Elements, ScenarioParameters, SubProblem
 
 EXTERNAL = "EXTERNAL"
 PHISHABLE = {NodeClass.WORKSTATION, NodeClass.MAINTENANCE_ENDPOINT}
+
+
+class CountingRandom:
+    """random.Random wrapper that counts uniform draws.
+
+    Audits the documented per-operation draw budget. Only ``random()`` is
+    exposed: every draw in the engine goes through it.
+    """
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self._rng.random()
 
 
 @lru_cache(maxsize=1)
@@ -162,6 +182,18 @@ def random_topology(rng: random.Random, max_nodes: int = 8,
                            vulnerabilities=tuple(vulns), credentials=tuple(creds))
 
 
+def with_directed_edges(topology: NetworkTopology, rng: random.Random,
+                        count: int = 3) -> NetworkTopology:
+    """The topology plus ``count`` random one-way edges and a self-loop
+    edge, neither of which ``random_topology`` makes."""
+    ids = [n.id for n in topology.nodes]
+    directed = tuple(Edge(*rng.sample(ids, 2), bidirectional=False)
+                     for _ in range(count if len(ids) >= 2 else 0))
+    loop = rng.choice(ids)
+    return replace(topology, edges=topology.edges + directed
+                   + (Edge(src=loop, dst=loop),))
+
+
 def spec_around(topology: NetworkTopology,
                 objectives: Optional[Tuple[Objective, ...]] = None) -> ScenarioSpec:
     """Wrap a topology into a minimal valid scenario."""
@@ -268,3 +300,39 @@ def path_to_oracle_steps(path) -> Tuple[OracleStep, ...]:
         (s.source, s.capability_id, s.target, s.step_prob, s.step_cost)
         for s in path.steps
     )
+
+
+# ---------------------------------------------------------------------------
+# exhaustive action-enumeration oracle
+# ---------------------------------------------------------------------------
+
+def oracle_applicable_capabilities(registry: CapabilityRegistry,
+                                   state: SimulationState, actor: str,
+                                   binding_domain: Iterable[str]
+                                   ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
+    """Every (capability, binding) whose preconditions hold, found by
+    trying every (source, target) pair of the domain, sorted by cost,
+    capability id, target id, then source id."""
+    kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
+    domain = sorted(set(binding_domain))
+    out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
+    caps = sorted(registry.by_kind(kind), key=lambda c: (c.cost_units, c.id))
+    for cap in caps:
+        needs_source = "source" in cap.slots()
+        for target in domain:
+            if needs_source:
+                for source in domain:
+                    if source == target:
+                        continue
+                    binding = {"target": target, "source": source}
+                    if evaluate_preconditions(cap, state, binding).holds:
+                        out.append((cap, binding))
+            else:
+                binding = {"target": target}
+                if evaluate_preconditions(cap, state, binding).holds:
+                    out.append((cap, binding))
+    out.sort(key=lambda item: (
+        item[0].cost_units, item[0].id,
+        item[1]["target"], item[1].get("source", ""),
+    ))
+    return out

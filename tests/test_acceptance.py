@@ -12,10 +12,10 @@ import pytest
 import spidersim as ss
 from spidersim.engine import STALL_ROUNDS
 from spidersim.exports import export_dot, export_trace
-from spidersim.rng import CountingRandom
 from spidersim.state import fresh_state
 
 from helpers import (
+    CountingRandom,
     builtin_reg,
     make_topology,
     oracle_paths,
@@ -287,8 +287,7 @@ def test_criterion_6_invariant_suites(marine_requirement):
         cfg = ss.SimulationConfig(max_rounds=6, seed=seed)
         seen = frozenset()
         for _ in range(6):
-            state, _ = step_round(state, topo, registry, ss.DefenseStrategy(),
-                                  cfg, sim_rng)
+            state, _ = step_round(state, topo, registry, cfg, sim_rng)
             if not seen <= state.compromised_nodes():
                 failures.append(f"conservation seed {seed}")
                 break

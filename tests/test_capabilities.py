@@ -25,10 +25,53 @@ from spidersim.errors import (
     UnknownNode,
     UnsupportedInterfaceVersion,
 )
-from spidersim.rng import CountingRandom
 from spidersim.state import DefenseKind, fresh_state
 
-from helpers import chain_topology, make_topology, make_vuln
+from helpers import (
+    CountingRandom,
+    chain_topology,
+    make_topology,
+    make_vuln,
+    oracle_applicable_capabilities,
+    random_topology,
+    with_directed_edges,
+)
+
+
+THIRD_PARTY = (
+    ss.AtomicCapability(
+        id="reverse_pivot", kind=ss.CapabilityKind.ATTACK, name="Reverse pivot",
+        technique_tag="T1572",
+        preconditions=(
+            ss.Predicate(ss.PredicateKind.EDGE_EXISTS, slot="source", src_slot="target"),
+            ss.Predicate(ss.PredicateKind.NODE_NOT_COMPROMISED),
+        ),
+        effects=(ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.USER),),
+        base_success_prob=0.6, detection_prob=0.3, cost_units=2,
+    ),
+    ss.AtomicCapability(
+        id="beacon", kind=ss.CapabilityKind.ATTACK, name="Beacon",
+        technique_tag="T1071",
+        preconditions=(
+            ss.Predicate(ss.PredicateKind.ACTOR_HAS_FOOTHOLD, slot="source",
+                         min_privilege=ss.Privilege.ADMIN),
+            ss.Predicate(ss.PredicateKind.NODE_NOT_COMPROMISED),
+        ),
+        effects=(ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.ADMIN),),
+        base_success_prob=0.5, detection_prob=0.2, cost_units=1,
+    ),
+    ss.AtomicCapability(
+        id="paired_watch", kind=ss.CapabilityKind.DEFENSE, name="Paired watch",
+        technique_tag="D3-NTA",
+        preconditions=(
+            ss.Predicate(ss.PredicateKind.NODE_ASSET_VALUE_AT_LEAST, slot="source",
+                         min_asset_value=50),
+            ss.Predicate(ss.PredicateKind.DEFENSE_ABSENT, defense=DefenseKind.SCANNER),
+        ),
+        effects=(ss.Effect(ss.EffectKind.REVEAL_VULNERABILITIES),),
+        base_success_prob=1.0, detection_prob=0.0, cost_units=1,
+    ),
+)
 
 
 def bare_attack(prob=0.5, detection=0.0, cap_id="probe"):
@@ -288,6 +331,35 @@ class TestApplicableAndStrategy:
                 for cap, b in entries]
         assert len(set(keys)) == len(keys)
         assert keys == sorted(keys)
+
+    def test_matches_exhaustive_oracle(self, registry):
+        """Same ordered list as trying every (source, target) pair, on
+        random topologies with directed edges and a self-loop, in states
+        reached by random capability applications, with third-party
+        capabilities whose edge runs target->source or that bind source
+        through neither an edge nor a foothold."""
+        for cap in THIRD_PARTY:
+            registry = ss.register_capability(registry, cap)
+        found = set()
+        for seed in range(150):
+            rng = random.Random(seed)
+            topo = with_directed_edges(
+                random_topology(rng, max_nodes=8, max_edges=16), rng)
+            ids = [n.id for n in topo.nodes]
+            # Stolen credentials make lateral movement reachable in a few steps.
+            state = fresh_state(topo).with_credentials(
+                c.id for c in topo.credentials if rng.random() < 0.5)
+            for step in range(8):
+                actor = rng.choice(["attacker", "defender"])
+                domain = ids if step % 2 == 0 else rng.sample(ids, rng.randint(1, len(ids)))
+                want = oracle_applicable_capabilities(registry, state, actor, domain)
+                assert ss.applicable_capabilities(registry, state, actor, domain) == want
+                found.update(cap.id for cap, _ in want)
+                if want:
+                    cap, binding = rng.choice(want)
+                    state, _ = ss.apply_capability(state, cap, binding, rng)
+        assert {"exploit_vuln", "lateral_move_with_cred"} <= found
+        assert {cap.id for cap in THIRD_PARTY} <= found
 
     def test_compose_strategy_example(self, registry, marine_topology):
         strategy = ss.compose_strategy(

@@ -82,6 +82,21 @@ class TestPaths:
         assert code == 0
         assert json.loads(out)["paths"]
 
+    def test_unknown_target_class_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "paths", "--scenario", SCENARIO,
+                             "--entry", "maint-0", "--target", "class:bogus")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "unknown node class 'bogus'" in err
+
+    def test_k_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "paths", "--scenario", SCENARIO,
+                             "--entry", "maint-0", "--target",
+                             "class:controller", "-k", "0")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "TargetSelectorEmpty" not in err
+
     def test_bad_entry_exits_one(self, capsys):
         code, _, err = run(capsys, "paths", "--scenario", SCENARIO,
                            "--entry", "ghost", "--target", "class:controller")

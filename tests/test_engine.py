@@ -10,10 +10,11 @@ import spidersim as ss
 from spidersim.engine import STALL_ROUNDS, scenario_digest, step_round
 from spidersim.errors import InvalidScenario, InvalidStrategy, RoundLimitExceeded
 from spidersim.exports import export_trace
-from spidersim.rng import CountingRandom, substream
+from spidersim.rng import substream
 from spidersim.state import DefenseKind, fresh_state
 
 from helpers import (
+    CountingRandom,
     builtin_reg,
     chain_topology,
     make_topology,
@@ -99,7 +100,7 @@ class TestRunSimulation:
         seen = frozenset()
         for _ in range(12):
             state, _ = step_round(state, marine_topology, registry,
-                                  ss.DefenseStrategy(), config(seed=3), rng)
+                                  config(seed=3), rng)
             assert seen <= state.compromised_nodes()
             seen = state.compromised_nodes()
 
@@ -124,7 +125,7 @@ class TestStepRound:
     def test_round_limit(self, marine_topology, registry):
         state = fresh_state(marine_topology).with_round(5)
         with pytest.raises(RoundLimitExceeded):
-            step_round(state, marine_topology, registry, ss.DefenseStrategy(),
+            step_round(state, marine_topology, registry,
                        config(max_rounds=5), random.Random(0))
 
     def test_uniform_random_uses_one_selection_draw(self, registry):
@@ -132,8 +133,7 @@ class TestStepRound:
         state = fresh_state(topo)
         rng = CountingRandom(0)
         cfg = config(attacker_policy=ss.AttackerPolicy.UNIFORM_RANDOM)
-        _, events = step_round(state, topo, registry, ss.DefenseStrategy(),
-                               cfg, rng)
+        _, events = step_round(state, topo, registry, cfg, rng)
         assert len(events) == 1
         assert rng.draws == 3  # selection + success + detection
 
@@ -143,7 +143,7 @@ class TestStepRound:
                    ("w1", ss.NodeClass.WORKSTATION)],
             edges=[], values={"w0": 10, "w1": 90})
         _, events = step_round(fresh_state(topo), topo, registry,
-                               ss.DefenseStrategy(), config(), random.Random(0))
+                               config(), random.Random(0))
         assert events[0].target == "w1"
 
     def test_cheapest_step_follows_tie_break(self, registry):
@@ -153,15 +153,14 @@ class TestStepRound:
             edges=[], values={"w0": 10, "w1": 90})
         cfg = config(attacker_policy=ss.AttackerPolicy.CHEAPEST_STEP)
         _, events = step_round(fresh_state(topo), topo, registry,
-                               ss.DefenseStrategy(), cfg, random.Random(0))
+                               cfg, random.Random(0))
         assert events[0].target == "w0"
 
     def test_reactive_defender_patches_after_alarm(self, registry):
         topo = chain_topology()
         state = fresh_state(topo).with_round(1).with_alarm("a")
         cfg = config(defender_policy=ss.DefenderPolicy.REACTIVE)
-        new_state, events = step_round(state, topo, registry,
-                                       ss.DefenseStrategy(), cfg,
+        new_state, events = step_round(state, topo, registry, cfg,
                                        random.Random(0))
         defender_events = [e for e in events if e.actor == ss.Actor.DEFENDER]
         assert len(defender_events) == 1

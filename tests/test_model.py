@@ -18,7 +18,14 @@ from spidersim.errors import (
 )
 from spidersim.model import Finding, check_topology
 
-from helpers import builtin_reg, make_topology, make_vuln, random_topology, spec_around
+from helpers import (
+    builtin_reg,
+    make_topology,
+    make_vuln,
+    random_topology,
+    spec_around,
+    with_directed_edges,
+)
 
 
 def recipe(counts, zone_count=1, density=0.5, gateways=0,
@@ -137,6 +144,29 @@ class TestCheckTopology:
         topo = ss.NetworkTopology(nodes=topo.nodes * 2, edges=(),
                                   zones=("z0",))
         assert "DuplicateNodeId" in self.codes(topo)
+
+    def test_lookups_return_first_of_repeated_ids(self):
+        first = ss.Node(id="a", node_class=ss.NodeClass.SENSOR, zone="z0")
+        second = ss.Node(id="a", node_class=ss.NodeClass.CONTROLLER, zone="z0")
+        vulns = (make_vuln("a", 0.3), make_vuln("a", 0.9))
+        creds = (ss.Credential(id="c", stored_on="a", grants_access_to=("a",)),
+                 ss.Credential(id="c", stored_on="a", grants_access_to=("b",)))
+        topo = ss.NetworkTopology(nodes=(first, second), edges=(), zones=("z0",),
+                                  vulnerabilities=vulns, credentials=creds)
+        assert topo.node_by_id("a") is first
+        assert topo.vulnerability_by_id("vuln-a") is vulns[0]
+        assert topo.credential_by_id("c") is creds[0]
+        assert topo.node_by_id("b") is None
+
+    def test_in_neighbours_follow_edge_direction(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            topo = with_directed_edges(random_topology(rng), rng)
+            for node_id in [n.id for n in topo.nodes] + ["ghost"]:
+                want = {e.src for e in topo.edges if e.dst == node_id}
+                want |= {e.dst for e in topo.edges
+                         if e.bidirectional and e.src == node_id}
+                assert topo.in_neighbours(node_id) == want
 
     def test_dangling_edge(self):
         topo = make_topology(nodes=[("a", ss.NodeClass.SENSOR)],
