@@ -11,14 +11,16 @@ path starts there.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .capabilities import (
     AtomicCapability,
     CapabilityKind,
     CapabilityRegistry,
+    PredicateKind,
     matching_vulnerabilities,
 )
 from .errors import NonContiguousPath, TargetSelectorEmpty, UnknownEntryNode
@@ -56,44 +58,85 @@ class PathQuery:
             raise TargetSelectorEmpty("query needs at least one entry node")
         if self.k is not None and self.k < 1:
             raise TargetSelectorEmpty("k must be >= 1")
+        # An entry listed twice would start the same paths twice.
+        object.__setattr__(self, "entries", tuple(dict.fromkeys(self.entries)))
 
 
-def _adjacency(topology: NetworkTopology) -> Dict[str, Set[str]]:
-    adj: Dict[str, Set[str]] = {n.id: set() for n in topology.nodes}
-    for edge in topology.edges:
-        if edge.src in adj and edge.dst in adj:
-            adj[edge.src].add(edge.dst)
-            if edge.bidirectional:
-                adj[edge.dst].add(edge.src)
-    return adj
+def _cheapest_attack(registry: CapabilityRegistry,
+                     accepts: Callable[[AtomicCapability], bool]
+                     ) -> Optional[AtomicCapability]:
+    """The attack capability ``accepts`` takes with the lowest (cost, id)."""
+    return min((cap for cap in registry.by_kind(CapabilityKind.ATTACK) if accepts(cap)),
+               key=lambda c: (c.cost_units, c.id), default=None)
 
 
-def _lateral_capability(registry: CapabilityRegistry) -> Optional[AtomicCapability]:
-    from .capabilities import PredicateKind
-    candidates = [
-        cap for cap in registry.by_kind(CapabilityKind.ATTACK)
-        if any(p.kind == PredicateKind.CREDENTIAL_HELD for p in cap.preconditions)
-    ]
-    candidates.sort(key=lambda c: (c.cost_units, c.id))
-    return candidates[0] if candidates else None
+class _HopTable:
+    """The hop rule of one (topology, registry) pair. The exploit, lateral
+    and entry capabilities and the set of credential-granted nodes are
+    resolved once; the option for each target and the steps out of each
+    node are memoised on first use."""
 
+    def __init__(self, topology: NetworkTopology, registry: CapabilityRegistry):
+        self._topology = topology
+        self._exploit = _cheapest_attack(
+            registry, lambda cap: cap.vuln_access_requirement() is not None)
+        self._lateral = _cheapest_attack(
+            registry, lambda cap: any(p.kind == PredicateKind.CREDENTIAL_HELD
+                                      for p in cap.preconditions))
+        self._entry = _cheapest_attack(
+            registry, lambda cap: cap.is_entry_capability() and bool(cap.entry_classes()))
+        self._granted = frozenset(target for cred in topology.credentials
+                                  for target in cred.grants_access_to)
+        self._options: Dict[str, Optional[Tuple[str, float, int]]] = {}
+        self._steps: Dict[str, Tuple[AttackStep, ...]] = {}
 
-def _exploit_capability(registry: CapabilityRegistry) -> Optional[AtomicCapability]:
-    candidates = [
-        cap for cap in registry.by_kind(CapabilityKind.ATTACK)
-        if cap.vuln_access_requirement() is not None
-    ]
-    candidates.sort(key=lambda c: (c.cost_units, c.id))
-    return candidates[0] if candidates else None
+    def option(self, target: str) -> Optional[Tuple[str, float, int]]:
+        if target not in self._options:
+            self._options[target] = self._resolve(target)
+        return self._options[target]
 
+    def _resolve(self, target: str) -> Optional[Tuple[str, float, int]]:
+        options: List[Tuple[float, int, str]] = []
+        exploit = self._exploit
+        if exploit is not None:
+            matches = matching_vulnerabilities(self._topology, target,
+                                               exploit.vuln_access_requirement())
+            if matches:
+                best = max(matches, key=lambda v: (v.success_prob, v.id))
+                options.append((best.success_prob, exploit.cost_units, exploit.id))
+        lateral = self._lateral
+        if lateral is not None and target in self._granted:
+            options.append((lateral.base_success_prob, lateral.cost_units, lateral.id))
+        if not options:
+            return None
+        prob, cost, cap_id = min(options, key=lambda o: (-o[0], o[1], o[2]))
+        return cap_id, prob, cost
 
-def _entry_capability(registry: CapabilityRegistry) -> Optional[AtomicCapability]:
-    candidates = [
-        cap for cap in registry.by_kind(CapabilityKind.ATTACK)
-        if cap.is_entry_capability() and cap.entry_classes()
-    ]
-    candidates.sort(key=lambda c: (c.cost_units, c.id))
-    return candidates[0] if candidates else None
+    def steps_from(self, node: str) -> Tuple[AttackStep, ...]:
+        """The realizable hops out of ``node`` onto other nodes of the
+        topology, in target-id order."""
+        if node not in self._steps:
+            steps = []
+            for nbr in self._topology.out_neighbours(node):
+                option = None if self._topology.node_by_id(nbr) is None else self.option(nbr)
+                if option is not None:
+                    cap_id, prob, cost = option
+                    steps.append(AttackStep(source=node, capability_id=cap_id, target=nbr,
+                                            step_prob=prob, step_cost=cost))
+            self._steps[node] = tuple(steps)
+        return self._steps[node]
+
+    def entry_step(self, entry: str) -> Optional[AttackStep]:
+        cap = self._entry
+        if cap is None:
+            return None
+        node = self._topology.node_by_id(entry)
+        if node is None or node.node_class not in cap.entry_classes():
+            return None
+        return AttackStep(
+            source=EXTERNAL, capability_id=cap.id, target=entry,
+            step_prob=cap.base_success_prob, step_cost=cap.cost_units,
+        )
 
 
 def hop_option(topology: NetworkTopology, registry: CapabilityRegistry,
@@ -102,36 +145,12 @@ def hop_option(topology: NetworkTopology, registry: CapabilityRegistry,
     from an adjacent foothold, or None. Ties between exploit and lateral
     movement go to the higher step probability, then lower cost, then
     capability id."""
-    options: List[Tuple[float, int, str]] = []
-    exploit = _exploit_capability(registry)
-    if exploit is not None:
-        matches = matching_vulnerabilities(topology, target, exploit.vuln_access_requirement())
-        if matches:
-            best = max(matches, key=lambda v: (v.success_prob, v.id))
-            options.append((best.success_prob, exploit.cost_units, exploit.id))
-    lateral = _lateral_capability(registry)
-    if lateral is not None:
-        if any(target in cred.grants_access_to for cred in topology.credentials):
-            options.append((lateral.base_success_prob, lateral.cost_units, lateral.id))
-    if not options:
-        return None
-    options.sort(key=lambda o: (-o[0], o[1], o[2]))
-    prob, cost, cap_id = options[0]
-    return cap_id, prob, cost
+    return _HopTable(topology, registry).option(target)
 
 
 def entry_option(topology: NetworkTopology, registry: CapabilityRegistry,
                  entry: str) -> Optional[AttackStep]:
-    cap = _entry_capability(registry)
-    if cap is None:
-        return None
-    node = topology.node_by_id(entry)
-    if node is None or node.node_class not in cap.entry_classes():
-        return None
-    return AttackStep(
-        source=EXTERNAL, capability_id=cap.id, target=entry,
-        step_prob=cap.base_success_prob, step_cost=cap.cost_units,
-    )
+    return _HopTable(topology, registry).entry_step(entry)
 
 
 def _resolve_targets(topology: NetworkTopology, selector: TargetSelector) -> Set[str]:
@@ -141,56 +160,56 @@ def _resolve_targets(topology: NetworkTopology, selector: TargetSelector) -> Set
     return matched
 
 
+def _check_entries(topology: NetworkTopology, entries: Iterable[str]) -> None:
+    for entry in entries:
+        if topology.node_by_id(entry) is None:
+            raise UnknownEntryNode(f"no node {entry!r} in topology")
+
+
 def enumerate_attack_paths(topology: NetworkTopology, registry: CapabilityRegistry,
                            query: PathQuery) -> List[AttackPath]:
-    """All simple attack paths from the query entries to the target
-    selector, sorted by success probability descending (ties: shorter
-    path first, then lexicographic target-id sequence), truncated to k.
+    """The simple attack paths from the query entries to the target
+    selector of at most ``max_len`` steps, best first, the first k of them
+    (all when k is None).
+
+    The order is total: success probability descending, then fewer steps,
+    then the target-id sequence, then the entry node. A best-first search
+    over partial paths yields them in exactly that order. Every step
+    probability lies in [0, 1] and a path's probability is the product of
+    its steps taken left to right (as ``math.prod`` does), so extending a
+    partial path never makes its key smaller; a path is therefore final
+    when it is popped, and the search stops once it has k of them.
     """
-    node_ids = {n.id for n in topology.nodes}
-    for entry in query.entries:
-        if entry not in node_ids:
-            raise UnknownEntryNode(f"no node {entry!r} in topology")
+    _check_entries(topology, query.entries)
     targets = _resolve_targets(topology, query.target)
-    adjacency = _adjacency(topology)
+    table = _HopTable(topology, registry)
+
+    # (-prob, steps taken, target ids, entry, prob, steps). An entry and
+    # its target ids fix a partial path's steps, so the first four fields
+    # already differ between any two items and the steps are never compared.
+    heap = []
+    for entry in query.entries:
+        first = table.entry_step(entry)
+        steps = () if first is None else (first,)
+        prob = math.prod(s.step_prob for s in steps)
+        heap.append((-prob, len(steps), tuple(s.target for s in steps), entry, prob, steps))
+    heapq.heapify(heap)
 
     found: List[AttackPath] = []
-
-    def record(steps: List[AttackStep]) -> None:
-        prob = math.prod(s.step_prob for s in steps)
-        cost = sum(s.step_cost for s in steps)
-        found.append(AttackPath(steps=tuple(steps), success_prob=prob, total_cost=cost))
-
-    def dfs(node: str, steps: List[AttackStep], visited: Set[str]) -> None:
+    while heap and len(found) != query.k:
+        _, length, path_targets, entry, prob, steps = heapq.heappop(heap)
+        node = path_targets[-1] if path_targets else entry
         if steps and node in targets:
-            record(steps)
-        if len(steps) >= query.max_len:
-            return
-        for nbr in sorted(adjacency[node]):
-            if nbr in visited:
+            found.append(AttackPath(steps=steps, success_prob=prob,
+                                    total_cost=sum(s.step_cost for s in steps)))
+        if length >= query.max_len:
+            continue
+        for step in table.steps_from(node):
+            if step.target == entry or step.target in path_targets:
                 continue
-            option = hop_option(topology, registry, nbr)
-            if option is None:
-                continue
-            cap_id, prob, cost = option
-            step = AttackStep(source=node, capability_id=cap_id, target=nbr,
-                              step_prob=prob, step_cost=cost)
-            dfs(nbr, steps + [step], visited | {nbr})
-
-    for entry in sorted(query.entries):
-        first = entry_option(topology, registry, entry)
-        if first is not None:
-            dfs(entry, [first], {entry})
-        else:
-            dfs(entry, [], {entry})
-
-    found.sort(key=lambda p: (
-        -p.success_prob,
-        len(p.steps),
-        tuple(s.target for s in p.steps),
-    ))
-    if query.k is not None:
-        return found[:query.k]
+            extended = prob * step.step_prob
+            heapq.heappush(heap, (-extended, length + 1, path_targets + (step.target,),
+                                  entry, extended, steps + (step,)))
     return found
 
 
@@ -211,22 +230,16 @@ def reachable_set(topology: NetworkTopology, registry: CapabilityRegistry,
                   entries: Iterable[str]) -> Set[str]:
     """All nodes reachable by realizable attack hops from the entries,
     including the entries themselves."""
-    node_ids = {n.id for n in topology.nodes}
     entries = set(entries)
-    for entry in entries:
-        if entry not in node_ids:
-            raise UnknownEntryNode(f"no node {entry!r} in topology")
-    adjacency = _adjacency(topology)
+    _check_entries(topology, entries)
+    table = _HopTable(topology, registry)
     reached = set(entries)
     frontier = list(entries)
     while frontier:
-        node = frontier.pop()
-        for nbr in adjacency[node]:
-            if nbr in reached:
-                continue
-            if hop_option(topology, registry, nbr) is not None:
-                reached.add(nbr)
-                frontier.append(nbr)
+        for step in table.steps_from(frontier.pop()):
+            if step.target not in reached:
+                reached.add(step.target)
+                frontier.append(step.target)
     return reached
 
 

@@ -33,6 +33,7 @@ from .errors import (
     MissingConsumedSlot,
     NoHintsAvailable,
     SlotOwnershipViolation,
+    SpiderSimError,
 )
 from .model import (
     AccessRequirement,
@@ -300,7 +301,8 @@ def _top_paths(topology: NetworkTopology, registry: CapabilityRegistry,
             PathQuery(entries=tuple(entries), target=target,
                       k=k, max_len=max(1, len(topology.nodes))),
         )
-    except Exception:
+    except SpiderSimError:
+        # a draft whose target class is missing has no path yet
         return []
 
 

@@ -169,6 +169,17 @@ class NetworkTopology:
                 index.setdefault(edge.src, set()).add(edge.dst)
         return {node_id: frozenset(srcs) for node_id, srcs in index.items()}
 
+    @cached_property
+    def _out_neighbours(self) -> Dict[str, Tuple[str, ...]]:
+        # Sorted tuples: the path search walks them in id order, and a
+        # tuple takes a fraction of a frozenset's memory.
+        index: Dict[str, Set[str]] = {}
+        for edge in self.edges:
+            index.setdefault(edge.src, set()).add(edge.dst)
+            if edge.bidirectional:
+                index.setdefault(edge.dst, set()).add(edge.src)
+        return {node_id: tuple(sorted(dsts)) for node_id, dsts in index.items()}
+
     def node_by_id(self, node_id: str) -> Optional[Node]:
         return self._nodes_by_id.get(node_id)
 
@@ -183,6 +194,11 @@ class NetworkTopology:
         edge counts in both directions, a directed one only from its
         ``src``."""
         return self._in_neighbours.get(node_id, frozenset())
+
+    def out_neighbours(self, node_id: str) -> Tuple[str, ...]:
+        """Every ``dst`` with an edge ``node_id -> dst``, under the same
+        direction rule as ``in_neighbours``, in id order."""
+        return self._out_neighbours.get(node_id, ())
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,11 @@ def diamond_topology() -> NetworkTopology:
 
 
 def random_topology(rng: random.Random, max_nodes: int = 8,
-                    max_edges: int = 16) -> NetworkTopology:
-    """A random small topology for oracle and property tests."""
+                    max_edges: int = 16,
+                    probs: Sequence[float] = (0.2, 0.35, 0.5, 0.65, 0.8, 0.95)
+                    ) -> NetworkTopology:
+    """A random small topology for oracle and property tests; vulnerability
+    success probabilities are drawn from ``probs``."""
     n = rng.randint(1, max_nodes)
     ids = [f"n{i}" for i in range(n)]
     classes = [rng.choice(list(NodeClass)) for _ in range(n)]
@@ -153,7 +156,7 @@ def random_topology(rng: random.Random, max_nodes: int = 8,
         if rng.random() < 0.6:
             v = make_vuln(
                 nid,
-                rng.choice([0.2, 0.35, 0.5, 0.65, 0.8, 0.95]),
+                rng.choice(probs),
                 access=rng.choice(list(AccessRequirement)),
                 privilege=rng.choice([Privilege.USER, Privilege.ADMIN]),
             )

@@ -1,6 +1,7 @@
 """Attack path enumeration, scoring, and defense placement."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +29,22 @@ from helpers import (
 )
 
 
+# Vulnerability probabilities for tie-heavy oracle cases: 0.4 equals the
+# built-in phishing probability and 0.5 and 1.0 multiply exactly, so many
+# paths share a probability and a length.
+TIE_PROBS = (0.4, 0.5, 1.0)
+
+
 def query(entries, target, **kwargs):
     return ss.PathQuery(entries=tuple(entries), target=target, **kwargs)
+
+
+def path_key(path):
+    """The documented total order of enumerate_attack_paths."""
+    first = path.steps[0]
+    entry = first.target if first.source == ss.EXTERNAL else first.source
+    return (-path.success_prob, len(path.steps),
+            tuple(s.target for s in path.steps), entry)
 
 
 class TestExamples:
@@ -82,6 +97,48 @@ class TestExamples:
         cap_id, prob, cost = hop_option(topo, builtin_reg(), "t")
         assert (cap_id, prob, cost) == ("lateral_move_with_cred", 0.9, 1)
 
+    def test_duplicate_entries_list_each_path_once(self):
+        twice = query(["a", "a"], ss.TargetSelector(node_id="c"))
+        assert twice.entries == ("a",)
+        paths = ss.enumerate_attack_paths(chain_topology(), sure_entry_reg(), twice)
+        assert len(paths) == 1
+
+    def test_entry_breaks_ties(self):
+        """Phishing a (0.4) and hopping x -> a (0.4) reach b along the same
+        target sequence with the same probability: entry a comes first,
+        whatever the order of the query's entries."""
+        topo = make_topology(
+            nodes=[("x", ss.NodeClass.GATEWAY), ("a", ss.NodeClass.WORKSTATION),
+                   ("b", ss.NodeClass.CONTROLLER)],
+            edges=[("x", "a"), ("a", "b")],
+            vulns=[make_vuln("a", 0.4), make_vuln("b", 0.5)])
+        for entries in (["x", "a"], ["a", "x"]):
+            paths = ss.enumerate_attack_paths(
+                topo, builtin_reg(), query(entries, ss.TargetSelector(node_id="b")))
+            assert [p.steps[0].source for p in paths] == [ss.EXTERNAL, "x"]
+            assert paths[0].success_prob == paths[1].success_prob
+
+    def test_long_chain_needs_no_recursion(self):
+        ids = [f"n{i:04d}" for i in range(1200)]
+        topo = make_topology(
+            nodes=[(i, ss.NodeClass.DATA_SERVER) for i in ids],
+            edges=list(zip(ids, ids[1:])),
+            vulns=[make_vuln(i, 1.0) for i in ids[1:]])
+        paths = ss.enumerate_attack_paths(
+            topo, builtin_reg(),
+            query([ids[0]], ss.TargetSelector(node_id=ids[-1]), k=1, max_len=len(ids)))
+        assert len(paths) == 1
+        assert [s.target for s in paths[0].steps] == ids[1:]
+
+    def test_dangling_edges_are_not_followed(self):
+        topo = make_topology(
+            nodes=[("a", ss.NodeClass.GATEWAY), ("c", ss.NodeClass.CONTROLLER)],
+            edges=[("a", "ghost"), ("ghost", "c")],
+            creds=[ss.Credential(id="k", stored_on="a", grants_access_to=("ghost", "c"))])
+        assert ss.enumerate_attack_paths(
+            topo, builtin_reg(), query(["a"], ss.TargetSelector(node_id="c"))) == []
+        assert ss.reachable_set(topo, builtin_reg(), ["a"]) == {"a"}
+
     def test_entry_option_only_for_phishable_classes(self):
         topo = chain_topology()
         assert entry_option(topo, builtin_reg(), "a") is not None
@@ -115,11 +172,18 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_score_monotone_k_simplicity_reachability(self, seed):
         rng = random.Random(seed)
-        topo = random_topology(rng)
-        entries = [topo.nodes[0].id]
+        topo = random_topology(rng, probs=TIE_PROBS)
+        ids = [n.id for n in topo.nodes]
+        entries = rng.sample(ids, min(len(ids), 3))
+        # one phishable entry and, whenever there are two, one that is not
+        classes = {entries[-1]: ss.NodeClass.GATEWAY,
+                   entries[0]: ss.NodeClass.WORKSTATION}
+        topo = replace(topo, nodes=tuple(
+            replace(n, node_class=classes.get(n.id, n.node_class)) for n in topo.nodes))
         target = ss.TargetSelector(node_class=topo.nodes[-1].node_class)
+        max_len = len(topo.nodes)
         full = ss.enumerate_attack_paths(topo, builtin_reg(),
-                                         query(entries, target))
+                                         query(entries, target, max_len=max_len))
         reachable = ss.reachable_set(topo, builtin_reg(), entries)
         for path in full:
             prob, cost = ss.score_path(path.steps, builtin_reg())
@@ -128,9 +192,19 @@ class TestProperties:
             targets = [s.target for s in path.steps]
             assert len(set(targets)) == len(targets)
             assert targets[-1] in reachable
+        keys = [path_key(p) for p in full]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        target_ids = {n.id for n in topo.nodes if target.matches(n)}
+        assert sorted(path_to_oracle_steps(p) for p in full) == sorted(
+            oracle_paths(topo, entries, target_ids, max_len=max_len))
         for k in range(1, len(full) + 2):
             assert ss.enumerate_attack_paths(
-                topo, builtin_reg(), query(entries, target, k=k)) == full[:k]
+                topo, builtin_reg(),
+                query(entries, target, k=k, max_len=max_len)) == full[:k]
+        short = rng.randint(1, max_len)
+        assert ss.enumerate_attack_paths(
+            topo, builtin_reg(), query(entries, target, max_len=short)
+        ) == [p for p in full if len(p.steps) <= short]
 
     def test_score_path_rejects_gaps(self):
         paths = ss.enumerate_attack_paths(

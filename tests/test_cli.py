@@ -97,6 +97,13 @@ class TestPaths:
         assert out == ""
         assert "usage:" in err and "TargetSelectorEmpty" not in err
 
+    def test_repeated_entry_lists_each_path_once(self, capsys):
+        args = ["paths", "--scenario", SCENARIO, "--target", "class:controller"]
+        _, once, _ = run(capsys, *args, "--entry", "maint-0")
+        code, twice, _ = run(capsys, *args, "--entry", "maint-0", "--entry", "maint-0")
+        assert code == 0
+        assert twice == once
+
     def test_bad_entry_exits_one(self, capsys):
         code, _, err = run(capsys, "paths", "--scenario", SCENARIO,
                            "--entry", "ghost", "--target", "class:controller")

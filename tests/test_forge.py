@@ -95,6 +95,17 @@ class TestPipeline:
                         attacker_profile=AttackerProfile.TARGETED,
                         target_class=ss.NodeClass.CONTROLLER)
 
+    def test_path_search_bug_propagates(self, marine_requirement, registry,
+                                        monkeypatch):
+        import spidersim.forge as forge
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("path search bug")
+
+        monkeypatch.setattr(forge, "enumerate_attack_paths", broken)
+        with pytest.raises(RuntimeError, match="path search bug"):
+            ss.run_pipeline(marine_requirement, registry, seed=7)
+
     def test_refinement_monotonicity(self, marine_requirement, registry):
         # the marine run needs refinement; hints only ever grow the topology
         _, report = ss.run_pipeline(marine_requirement, registry, seed=7)

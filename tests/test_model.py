@@ -167,6 +167,10 @@ class TestCheckTopology:
                 want |= {e.dst for e in topo.edges
                          if e.bidirectional and e.src == node_id}
                 assert topo.in_neighbours(node_id) == want
+                want_out = {e.dst for e in topo.edges if e.src == node_id}
+                want_out |= {e.src for e in topo.edges
+                             if e.bidirectional and e.dst == node_id}
+                assert topo.out_neighbours(node_id) == tuple(sorted(want_out))
 
     def test_dangling_edge(self):
         topo = make_topology(nodes=[("a", ss.NodeClass.SENSOR)],
