@@ -23,7 +23,12 @@ from .capabilities import (
     PredicateKind,
     matching_vulnerabilities,
 )
-from .errors import NonContiguousPath, TargetSelectorEmpty, UnknownEntryNode
+from .errors import (
+    InvalidQueryBound,
+    NonContiguousPath,
+    TargetSelectorEmpty,
+    UnknownEntryNode,
+)
 from .model import NetworkTopology, TargetSelector
 from .state import DefenseKind
 
@@ -57,7 +62,9 @@ class PathQuery:
         if not self.entries:
             raise TargetSelectorEmpty("query needs at least one entry node")
         if self.k is not None and self.k < 1:
-            raise TargetSelectorEmpty("k must be >= 1")
+            raise InvalidQueryBound("k must be >= 1")
+        if self.max_len < 1:
+            raise InvalidQueryBound("max_len must be >= 1")
         # An entry listed twice would start the same paths twice.
         object.__setattr__(self, "entries", tuple(dict.fromkeys(self.entries)))
 

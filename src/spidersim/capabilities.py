@@ -12,14 +12,19 @@ then detection), plus one draw per defense override present on the target
 (honeypot first, then shocktrap), regardless of whether the draw changes
 the outcome.
 
-Action enumeration (``applicable_capabilities``) binds ``target`` over the
-whole node domain, and binds ``source`` only over the nodes the
-capability's own preconditions leave open: the target's in-neighbours
-under ``edge_exists`` from source to target, the actor's footholds under
-``actor_has_foothold`` on source. A round therefore costs one
-precondition check per (capability, target) plus one per candidate
-source; for the built-in set those are the footholds with an edge into
-the target, so the source checks are bounded by the edge count.
+Action enumeration (``applicable_capabilities``) binds each slot only
+over the nodes the capability's own preconditions leave open. ``target``
+is narrowed to the actor's footholds by ``actor_has_foothold`` on target,
+to the nodes of the allowed classes by ``node_class_is`` on target, and to
+the out-neighbours of the footholds by ``edge_exists`` from source to
+target together with ``actor_has_foothold`` on source. ``source`` is
+narrowed to the target's in-neighbours by ``edge_exists`` from source to
+target and to the footholds by ``actor_has_foothold`` on source. The rules
+are read from the registry once; every binding left is checked with
+``evaluate_preconditions``. A round of the built-in attack set therefore
+costs one check per entry-class node (phishing), two per foothold
+(credential theft, exfiltration) and two per edge out of a foothold
+(exploit, lateral movement).
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .errors import (
     DuplicateId,
@@ -171,6 +176,41 @@ class PreconditionResult:
 
 
 @dataclass(frozen=True)
+class _BindingRule:
+    """What a capability's own preconditions say about its bindings,
+    read once per registry (see ``applicable_capabilities``)."""
+
+    cap: AtomicCapability
+    binds_source: bool
+    # actor_has_foothold on target / on source
+    target_footholds: bool
+    source_footholds: bool
+    # The classes every node_class_is on target allows, or None without one.
+    target_classes: Optional[FrozenSet[NodeClass]]
+    # edge_exists from source to target
+    source_edge: bool
+
+
+def _binding_rule(cap: AtomicCapability) -> _BindingRule:
+    def on(kind: PredicateKind, slot: str) -> List[Predicate]:
+        return [p for p in cap.preconditions if p.kind == kind and p.slot == slot]
+
+    target_classes = None
+    for pred in on(PredicateKind.NODE_CLASS_IS, "target"):
+        classes = frozenset(pred.node_classes or ())
+        target_classes = classes if target_classes is None else target_classes & classes
+    return _BindingRule(
+        cap=cap,
+        binds_source="source" in cap.slots(),
+        target_footholds=bool(on(PredicateKind.ACTOR_HAS_FOOTHOLD, "target")),
+        source_footholds=bool(on(PredicateKind.ACTOR_HAS_FOOTHOLD, "source")),
+        target_classes=target_classes,
+        source_edge=any(p.src_slot == "source"
+                        for p in on(PredicateKind.EDGE_EXISTS, "target")),
+    )
+
+
+@dataclass(frozen=True)
 class CapabilityRegistry:
     _caps: Tuple[AtomicCapability, ...] = ()
 
@@ -183,6 +223,14 @@ class CapabilityRegistry:
     @cached_property
     def _by_id(self) -> Dict[str, AtomicCapability]:
         return index_by_id(self._caps)
+
+    @cached_property
+    def _binding_rules(self) -> Dict[CapabilityKind, Tuple[_BindingRule, ...]]:
+        """Attack and defense capabilities in (cost, id) order, each with
+        its binding rule."""
+        ordered = sorted(self._caps, key=lambda c: (c.cost_units, c.id))
+        return {kind: tuple(_binding_rule(c) for c in ordered if c.kind == kind)
+                for kind in CapabilityKind}
 
     def get(self, cap_id: str) -> AtomicCapability:
         cap = self._by_id.get(cap_id)
@@ -541,30 +589,36 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     )
 
 
-def _candidate_bindings(cap: AtomicCapability, state: SimulationState,
-                        domain: List[str]) -> Iterator[Dict[str, str]]:
-    """Bindings of ``cap`` worth checking, in (target, source) order.
+def _candidate_bindings(rule: _BindingRule, topology: NetworkTopology,
+                        domain: Tuple[str, ...], in_domain: Set[str],
+                        footholds: Set[str]) -> Iterator[Dict[str, str]]:
+    """Bindings of ``rule.cap`` worth checking, in (target, source) order.
 
-    ``domain`` is sorted and free of repeats. ``source`` skips only nodes
-    for which one of the capability's own preconditions must fail (see
-    the module docstring), and never equals ``target``.
+    ``domain`` is sorted and free of repeats, ``in_domain`` holds the same
+    ids, and ``footholds`` the actor's footholds among them. A node is
+    skipped only where one of the capability's own preconditions must fail
+    on it (see ``applicable_capabilities``); ``source`` never equals
+    ``target``.
     """
-    if "source" not in cap.slots():
-        for target in domain:
+    sources = footholds if rule.source_footholds else in_domain
+    targets: Optional[Set[str]] = None  # None: the whole domain
+    if rule.target_footholds:
+        targets = footholds
+    if rule.target_classes is not None:
+        targets = (in_domain if targets is None else targets).intersection(
+            nid for cls in rule.target_classes for nid in topology.node_ids_of_class(cls))
+    if rule.source_edge and rule.source_footholds:
+        targets = (in_domain if targets is None else targets).intersection(
+            nid for src in footholds for nid in topology.out_neighbours(src))
+    ordered = domain if targets is None else sorted(targets)
+    if not rule.binds_source:
+        for target in ordered:
             yield {"target": target}
         return
-    by_edge = any(
-        p.kind == PredicateKind.EDGE_EXISTS and p.slot == "target" and p.src_slot == "source"
-        for p in cap.preconditions
-    )
-    sources = set(domain)
-    if any(p.kind == PredicateKind.ACTOR_HAS_FOOTHOLD and p.slot == "source"
-           for p in cap.preconditions):
-        sources &= state.footholds
     every_source = sorted(sources)
-    for target in domain:
-        if by_edge:
-            candidates = sorted(sources & state.topology.in_neighbours(target))
+    for target in ordered:
+        if rule.source_edge:
+            candidates = sorted(sources & topology.in_neighbours(target))
         else:
             candidates = every_source
         for source in candidates:
@@ -573,28 +627,43 @@ def _candidate_bindings(cap: AtomicCapability, state: SimulationState,
 
 
 def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState,
-                            actor: str, binding_domain: Iterable[str]
+                            actor: str, binding_domain: Optional[Iterable[str]] = None
                             ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
     """Every (capability, binding) whose preconditions hold, in the
     engine-wide tie-break order: cost ascending, then capability id, then
     target id, then source id.
 
-    ``target`` ranges over ``binding_domain``; ``source`` ranges over the
-    domain nodes that the capability's ``edge_exists`` (source to target)
-    and ``actor_has_foothold`` (on source) preconditions allow, or over
-    the whole domain when it has neither, and never equals ``target``.
-    Each such binding is checked with ``evaluate_preconditions``. The
-    cost is one check per (capability, target) plus one per candidate
-    source: for an edge-bound capability, one per edge into the target
-    from a foothold.
+    Bindings range over ``binding_domain``, by default every node of the
+    state's topology. The capability's own preconditions narrow them:
+
+    - ``target``: to the actor's footholds under ``actor_has_foothold`` on
+      target; to the nodes of the allowed classes under ``node_class_is``
+      on target; to the out-neighbours of the footholds under
+      ``edge_exists`` from source to target together with
+      ``actor_has_foothold`` on source. Otherwise the whole domain.
+    - ``source``: to the target's in-neighbours under ``edge_exists`` from
+      source to target, and to the footholds under ``actor_has_foothold``
+      on source; otherwise the whole domain. Never equal to ``target``.
+
+    Each binding left is checked with ``evaluate_preconditions``. The
+    rules are read once per registry and the default domain once per
+    topology, so a round costs one check per binding left: for the
+    built-in attack set, one per entry-class node, two per foothold and
+    two per edge out of a foothold.
     """
     kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
-    domain = sorted(set(binding_domain))
+    topology = state.topology
+    if binding_domain is None:
+        domain = topology.node_ids
+    else:
+        domain = tuple(sorted(set(binding_domain)))
+    in_domain = set(domain)
+    footholds = state.footholds & in_domain
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
-    for cap in sorted(registry.by_kind(kind), key=lambda c: (c.cost_units, c.id)):
-        for binding in _candidate_bindings(cap, state, domain):
-            if evaluate_preconditions(cap, state, binding).holds:
-                out.append((cap, binding))
+    for rule in registry._binding_rules[kind]:
+        for binding in _candidate_bindings(rule, topology, domain, in_domain, footholds):
+            if evaluate_preconditions(rule.cap, state, binding).holds:
+                out.append((rule.cap, binding))
     return out
 
 

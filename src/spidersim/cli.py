@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, type=_parse_selector,
                    help='target selector: "class:<node_class>" or "node:<id>"')
     p.add_argument("-k", type=_positive_int, default=10)
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=_positive_int, default=8)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for recipe-based scenarios")
     p.add_argument("--dot", help="also write a DOT render of the paths")
@@ -158,10 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strategy_from_args(args, registry, topology) -> DefenseStrategy:
-    if not getattr(args, "strategy", None):
+def _strategy_from_args(args, registry) -> DefenseStrategy:
+    """The --strategy placements; the engine checks them against the
+    scenario's node ids, so no topology is built here."""
+    if not args.strategy:
         return DefenseStrategy()
-    return compose_strategy(registry, parse_strategy(_read(args.strategy)), topology)
+    return compose_strategy(registry, parse_strategy(_read(args.strategy)))
 
 
 def _cmd_generate(args) -> int:
@@ -229,8 +231,7 @@ def _sim_config(args) -> SimulationConfig:
 def _cmd_simulate(args) -> int:
     registry = built_in_registry()
     spec = parse_scenario(_read(args.scenario))
-    topology = resolve_topology(spec, registry, args.seed)
-    strategy = _strategy_from_args(args, registry, topology)
+    strategy = _strategy_from_args(args, registry)
     trace, metrics = run_simulation(spec, strategy, registry, _sim_config(args))
     payload = export_trace(trace)
     if args.trace:
@@ -248,8 +249,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_batch(args) -> int:
     registry = built_in_registry()
     spec = parse_scenario(_read(args.scenario))
-    topology = resolve_topology(spec, registry, args.seed)
-    strategy = _strategy_from_args(args, registry, topology)
+    strategy = _strategy_from_args(args, registry)
     result = batch_run(spec, strategy, registry, _sim_config(args), args.n)
     doc = {
         "runs": args.n,

@@ -180,8 +180,7 @@ def step_round(state: SimulationState, topology: NetworkTopology,
     if state.trapped_until > round_number:
         return state, events
 
-    domain = [n.id for n in topology.nodes]
-    applicable = applicable_capabilities(registry, state, "attacker", domain)
+    applicable = applicable_capabilities(registry, state, "attacker")
     if not applicable:
         return state, events
 
@@ -211,10 +210,9 @@ def step_round(state: SimulationState, topology: NetworkTopology,
 
 
 def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
-                  registry: CapabilityRegistry) -> str:
-    """The checks that hold for every seed of a run; returns the scenario
-    digest. Placements are checked against the scenario's node ids, which
-    no seed changes."""
+                  registry: CapabilityRegistry) -> None:
+    """The checks that hold for every seed of a run. Placements are
+    checked against the scenario's node ids, which no seed changes."""
     report = validate_spec(spec, registry)
     if report.errors:
         raise InvalidScenario(
@@ -228,21 +226,13 @@ def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
             raise InvalidStrategy(f"{placement.capability_id!r} is not a defense")
         if placement.target_node not in node_ids:
             raise InvalidStrategy(f"no node {placement.target_node!r} in topology")
-    return scenario_digest(spec)
 
 
-def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
-                   registry: CapabilityRegistry, config: SimulationConfig,
-                   *, digest: Optional[str] = None
-                   ) -> Tuple[SimulationTrace, Metrics]:
-    """Run one seeded simulation; identical inputs yield identical traces.
-
-    ``digest`` is for ``batch_run``, which checks the inputs once per
-    batch and passes the scenario digest that check returned; without it
-    the inputs are checked here.
-    """
-    if digest is None:
-        digest = _check_inputs(spec, strategy, registry)
+def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
+          registry: CapabilityRegistry, config: SimulationConfig
+          ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
+    """The rounds of one seeded run on checked inputs: its events and its
+    final state."""
     topology = resolve_topology(spec, registry, config.seed)
     state = deploy_strategy(fresh_state(topology), strategy, registry)
     rng = substream(config.seed, "simulation")
@@ -273,12 +263,25 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
             _objective_met_now(state, o, detected_any) for o in attacker_objectives
         ):
             break
+    return tuple(events), state
 
+
+def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
+                   registry: CapabilityRegistry, config: SimulationConfig
+                   ) -> Tuple[SimulationTrace, Metrics]:
+    """Run one seeded simulation; identical inputs yield identical traces.
+
+    The inputs are checked first. The trace carries the scenario digest,
+    and this is the one function that computes it: ``batch_run`` keeps no
+    traces.
+    """
+    _check_inputs(spec, strategy, registry)
+    events, final_state = _play(spec, strategy, registry, config)
     trace = SimulationTrace(
         config=config,
-        scenario_digest=digest,
-        events=tuple(events),
-        final_state=state,
+        scenario_digest=scenario_digest(spec),
+        events=events,
+        final_state=final_state,
     )
     return trace, compute_metrics(trace, spec.objectives, registry)
 
@@ -379,10 +382,15 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
 def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
               registry: CapabilityRegistry, config: SimulationConfig,
               n: int) -> BatchResult:
-    """Run n independent simulations with seeds config.seed + i (mod 2^64)."""
+    """Run n independent simulations with seeds config.seed + i (mod 2^64).
+
+    The inputs are checked once per batch. Each run's metrics equal those
+    ``run_simulation`` returns for its seed, but no scenario digest is
+    computed: the batch keeps no traces, and the digest lives only in one.
+    """
     if n < 1:
         raise InvalidScenario("batch size must be >= 1")
-    digest = _check_inputs(spec, strategy, registry)
+    _check_inputs(spec, strategy, registry)
     per_seed: List[Metrics] = []
     successes = 0
     for i in range(n):
@@ -392,7 +400,10 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
             attacker_policy=config.attacker_policy,
             defender_policy=config.defender_policy,
         )
-        _, metrics = run_simulation(spec, strategy, registry, run_config, digest=digest)
+        events, final_state = _play(spec, strategy, registry, run_config)
+        undigested = SimulationTrace(config=run_config, scenario_digest="",
+                                     events=events, final_state=final_state)
+        metrics = compute_metrics(undigested, spec.objectives, registry)
         per_seed.append(metrics)
         if metrics.any_attacker_objective_met(spec.objectives):
             successes += 1

@@ -114,6 +114,10 @@ class TargetSelectorEmpty(SpiderSimError):
     code = "TargetSelectorEmpty"
 
 
+class InvalidQueryBound(SpiderSimError):
+    code = "InvalidQueryBound"
+
+
 class NonContiguousPath(SpiderSimError):
     code = "NonContiguousPath"
 

@@ -32,7 +32,6 @@ from .engine import (
 )
 from .errors import (
     InvariantViolation,
-    MalformedDocument,
     UnknownField,
     UnknownPathNode,
     UnsupportedInterfaceVersion,
@@ -54,6 +53,7 @@ from .model import (
     _parse_enum,
     _reject_unknown,
     _require,
+    load_json_object,
 )
 from .state import DefenseKind, SimulationState
 
@@ -169,12 +169,7 @@ def export_trace(trace: SimulationTrace) -> str:
 # ---------------------------------------------------------------------------
 
 def parse_requirement(document: str) -> Requirement:
-    try:
-        raw = json.loads(document)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise MalformedDocument("top level must be an object")
+    raw = load_json_object(document)
     _reject_unknown(raw, {"domain_tag", "narrative", "constraints"}, "")
     cd = _expect_dict(_require(raw, "constraints", ""), "constraints")
     _reject_unknown(cd, {"max_nodes", "required_classes", "attacker_profile",
@@ -281,12 +276,7 @@ def _parse_effect(raw, path: str) -> Effect:
 
 
 def parse_capability(document: str) -> AtomicCapability:
-    try:
-        raw = json.loads(document)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise MalformedDocument("top level must be an object")
+    raw = load_json_object(document)
     allowed = {"id", "kind", "name", "technique_tag", "preconditions", "effects",
                "base_success_prob", "detection_prob", "cost_units", "interface_version"}
     _reject_unknown(raw, allowed, "")
@@ -322,12 +312,7 @@ def parse_capability(document: str) -> AtomicCapability:
 def parse_strategy(document: str) -> List[Tuple[str, str]]:
     """Strategy file: {"capability_placements": [{"capability_id", "target_node"}]}.
     Returns raw pairs; callers run compose_strategy for validation."""
-    try:
-        raw = json.loads(document)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise MalformedDocument("top level must be an object")
+    raw = load_json_object(document)
     _reject_unknown(raw, {"capability_placements"}, "")
     pairs: List[Tuple[str, str]] = []
     for i, item in enumerate(_expect_list(_require(raw, "capability_placements", ""), "capability_placements")):
@@ -375,12 +360,7 @@ def serialize_paths(paths: Iterable[AttackPath]) -> str:
 
 
 def parse_paths(document: str) -> List[AttackPath]:
-    try:
-        raw = json.loads(document)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise MalformedDocument("top level must be an object")
+    raw = load_json_object(document)
     _reject_unknown(raw, {"paths"}, "")
     paths: List[AttackPath] = []
     for i, item in enumerate(_expect_list(_require(raw, "paths", ""), "paths")):

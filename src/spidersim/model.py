@@ -161,6 +161,18 @@ class NetworkTopology:
         return index_by_id(self.credentials)
 
     @cached_property
+    def node_ids(self) -> Tuple[str, ...]:
+        """Every node id once, in id order."""
+        return tuple(sorted(self._nodes_by_id))
+
+    @cached_property
+    def _node_ids_by_class(self) -> Dict[NodeClass, Tuple[str, ...]]:
+        index: Dict[NodeClass, List[str]] = {}
+        for node_id in self.node_ids:
+            index.setdefault(self._nodes_by_id[node_id].node_class, []).append(node_id)
+        return {cls: tuple(ids) for cls, ids in index.items()}
+
+    @cached_property
     def _in_neighbours(self) -> Dict[str, FrozenSet[str]]:
         index: Dict[str, Set[str]] = {}
         for edge in self.edges:
@@ -188,6 +200,11 @@ class NetworkTopology:
 
     def credential_by_id(self, cred_id: str) -> Optional[Credential]:
         return self._credentials_by_id.get(cred_id)
+
+    def node_ids_of_class(self, node_class: NodeClass) -> Tuple[str, ...]:
+        """Ids of the nodes of one class, in id order (where ids repeat,
+        the class of the first node with the id)."""
+        return self._node_ids_by_class.get(node_class, ())
 
     def in_neighbours(self, node_id: str) -> FrozenSet[str]:
         """Every ``src`` with an edge ``src -> node_id``: a bidirectional
@@ -355,6 +372,17 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
+
+def load_json_object(document: str) -> dict:
+    """The JSON object a document holds; anything else is MalformedDocument."""
+    try:
+        raw = json.loads(document)
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise MalformedDocument("top level must be an object")
+    return raw
+
 
 def _check_identifier(value, path: str) -> str:
     if not isinstance(value, str) or not value or any(ch.isspace() for ch in value):
@@ -559,12 +587,7 @@ def parse_scenario(document: str) -> ScenarioSpec:
 
     Unknown fields anywhere in the document are rejected with UnknownField.
     """
-    try:
-        raw = json.loads(document)
-    except (json.JSONDecodeError, TypeError) as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise MalformedDocument("top level must be an object")
+    raw = load_json_object(document)
     sections = ("schema_version", "domain_context", "problem_decomposition",
                 "scenario_parameters", "objectives", "elements")
     _reject_unknown(raw, set(sections), "")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import spidersim as ss
 from spidersim.attackgraph import entry_option, hop_option
 from spidersim.errors import (
+    InvalidQueryBound,
     NonContiguousPath,
     TargetSelectorEmpty,
     UnknownEntryNode,
@@ -87,6 +88,12 @@ class TestExamples:
             ss.enumerate_attack_paths(
                 chain_topology(), builtin_reg(),
                 query(["a"], ss.TargetSelector(node_id="nope")))
+
+    @pytest.mark.parametrize("bounds", [{"k": 0}, {"k": -1},
+                                        {"max_len": 0}, {"max_len": -3}])
+    def test_query_bound_below_one(self, bounds):
+        with pytest.raises(InvalidQueryBound):
+            query(["a"], ss.TargetSelector(node_id="c"), **bounds)
 
     def test_hop_prefers_higher_probability(self):
         topo = make_topology(

@@ -71,6 +71,41 @@ THIRD_PARTY = (
         effects=(ss.Effect(ss.EffectKind.REVEAL_VULNERABILITIES),),
         base_success_prob=1.0, detection_prob=0.0, cost_units=1,
     ),
+    ss.AtomicCapability(
+        id="escalate", kind=ss.CapabilityKind.ATTACK, name="Escalate",
+        technique_tag="T1068",
+        preconditions=(
+            ss.Predicate(ss.PredicateKind.NODE_CLASS_IS, node_classes=(
+                ss.NodeClass.WORKSTATION, ss.NodeClass.SENSOR, ss.NodeClass.GATEWAY)),
+            ss.Predicate(ss.PredicateKind.ACTOR_HAS_FOOTHOLD),
+            ss.Predicate(ss.PredicateKind.NODE_CLASS_IS, node_classes=(
+                ss.NodeClass.SENSOR, ss.NodeClass.WORKSTATION,
+                ss.NodeClass.MAINTENANCE_ENDPOINT)),
+        ),
+        effects=(ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.ADMIN),),
+        base_success_prob=0.7, detection_prob=0.2, cost_units=1,
+    ),
+    ss.AtomicCapability(
+        id="decoy_from_desk", kind=ss.CapabilityKind.DEFENSE, name="Decoy from desk",
+        technique_tag="D3-DE",
+        preconditions=(
+            ss.Predicate(ss.PredicateKind.NODE_CLASS_IS, slot="source", node_classes=(
+                ss.NodeClass.WORKSTATION, ss.NodeClass.MAINTENANCE_ENDPOINT)),
+            ss.Predicate(ss.PredicateKind.DEFENSE_ABSENT, defense=DefenseKind.HONEYPOT),
+        ),
+        effects=(ss.Effect(ss.EffectKind.DEPLOY, defense=DefenseKind.HONEYPOT),),
+        base_success_prob=1.0, detection_prob=0.0, cost_units=2,
+    ),
+    ss.AtomicCapability(
+        id="link_encrypt", kind=ss.CapabilityKind.DEFENSE, name="Link encryption",
+        technique_tag="D3-ET",
+        preconditions=(
+            ss.Predicate(ss.PredicateKind.EDGE_EXISTS, slot="target", src_slot="source"),
+            ss.Predicate(ss.PredicateKind.DEFENSE_ABSENT, defense=DefenseKind.ENCRYPTION),
+        ),
+        effects=(ss.Effect(ss.EffectKind.NULLIFY_CREDENTIAL_THEFT),),
+        base_success_prob=1.0, detection_prob=0.0, cost_units=2,
+    ),
 )
 
 
@@ -333,11 +368,14 @@ class TestApplicableAndStrategy:
         assert keys == sorted(keys)
 
     def test_matches_exhaustive_oracle(self, registry):
-        """Same ordered list as trying every (source, target) pair, on
-        random topologies with directed edges and a self-loop, in states
-        reached by random capability applications, with third-party
-        capabilities whose edge runs target->source or that bind source
-        through neither an edge nor a foothold."""
+        """Same ordered list as trying every (source, target) pair, for
+        the attacker and the defender, on random topologies with directed
+        edges and a self-loop, in states reached by random capability
+        applications, over the default, the full and a partial domain.
+        Third-party capabilities: an edge running target->source; source
+        bound through neither an edge nor a foothold, or only through a
+        class; an edge from a source without a foothold predicate; a
+        foothold and two overlapping class predicates on target."""
         for cap in THIRD_PARTY:
             registry = ss.register_capability(registry, cap)
         found = set()
@@ -350,11 +388,16 @@ class TestApplicableAndStrategy:
             state = fresh_state(topo).with_credentials(
                 c.id for c in topo.credentials if rng.random() < 0.5)
             for step in range(8):
-                actor = rng.choice(["attacker", "defender"])
                 domain = ids if step % 2 == 0 else rng.sample(ids, rng.randint(1, len(ids)))
-                want = oracle_applicable_capabilities(registry, state, actor, domain)
-                assert ss.applicable_capabilities(registry, state, actor, domain) == want
-                found.update(cap.id for cap, _ in want)
+                wants = []
+                for actor in ("attacker", "defender"):
+                    want = oracle_applicable_capabilities(registry, state, actor, domain)
+                    assert ss.applicable_capabilities(registry, state, actor, domain) == want
+                    if domain is ids:
+                        assert ss.applicable_capabilities(registry, state, actor) == want
+                    found.update(cap.id for cap, _ in want)
+                    wants.append(want)
+                want = rng.choice(wants)
                 if want:
                     cap, binding = rng.choice(want)
                     state, _ = ss.apply_capability(state, cap, binding, rng)

@@ -27,6 +27,20 @@ def broken_scenario(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def recipe_scenario(tmp_path):
+    """The bundled scenario with its topology given as a recipe."""
+    data = json.loads(marine_ranch_scenario_path().read_text())
+    data["scenario_parameters"] = {"recipe": {
+        "node_counts": {cls: 2 for cls in data["elements"]["asset_classes"]},
+        "zone_count": 1, "intra_zone_density": 0.5, "inter_zone_gateways": 0,
+        "vuln_rate": 0.5, "credential_rate": 0.3,
+    }}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 class TestValidate:
     def test_bundled_scenario_is_valid(self, capsys):
         code, out, err = run(capsys, "validate", "--scenario", SCENARIO)
@@ -97,6 +111,14 @@ class TestPaths:
         assert out == ""
         assert "usage:" in err and "TargetSelectorEmpty" not in err
 
+    def test_max_len_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "paths", "--scenario", SCENARIO,
+                             "--entry", "maint-0", "--target",
+                             "class:controller", "--max-len", "0")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "--max-len" in err
+
     def test_repeated_entry_lists_each_path_once(self, capsys):
         args = ["paths", "--scenario", SCENARIO, "--target", "class:controller"]
         _, once, _ = run(capsys, *args, "--entry", "maint-0")
@@ -145,6 +167,30 @@ class TestSimulateAndBatch:
         doc = json.loads(out)
         assert doc["runs"] == 20
         assert 0.0 <= doc["attacker_success_rate"] <= 1.0
+
+
+    def test_recipe_expanded_once_per_run(self, capsys, monkeypatch, tmp_path,
+                                          recipe_scenario):
+        import spidersim.engine as engine
+        calls = []
+        build = engine.build_topology
+        monkeypatch.setattr(engine, "build_topology",
+                            lambda *args: calls.append(args) or build(*args))
+        args = ["--scenario", recipe_scenario, "--seed", "4"]
+        assert run(capsys, "simulate", *args)[0] == 0
+        assert len(calls) == 1
+        assert run(capsys, "batch", *args, "-n", "3")[0] == 0
+        assert len(calls) == 4
+        # A bad placement still exits 1, before any expansion.
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"capability_placements": [
+            {"capability_id": "honeypot", "target_node": "ghost"}]}))
+        for command in (["simulate"], ["batch", "-n", "3"]):
+            code, out, err = run(capsys, *command, *args, "--strategy", str(strategy))
+            assert code == 1
+            assert out == ""
+            assert "InvalidStrategy: no node 'ghost' in topology" in err
+        assert len(calls) == 4
 
 
 class TestGenerate:

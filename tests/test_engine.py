@@ -253,6 +253,21 @@ class TestBatch:
                                            registry, config(seed=100 + i))
             assert batch.per_seed[i] == metrics
 
+    def test_batch_computes_no_digest(self, marine_spec, marine_topology,
+                                      registry, monkeypatch):
+        import spidersim.engine as engine
+        strategy = marine_strategy(registry, marine_topology)
+        want = tuple(
+            ss.run_simulation(marine_spec, strategy, registry, config(seed=40 + i))[1]
+            for i in range(4))
+
+        def no_digest(spec):
+            raise AssertionError("batch_run computed a scenario digest")
+
+        monkeypatch.setattr(engine, "scenario_digest", no_digest)
+        batch = ss.batch_run(marine_spec, strategy, registry, config(seed=40), 4)
+        assert batch.per_seed == want
+
     def test_zero_probability_registry(self, marine_spec):
         from dataclasses import replace
         from spidersim.capabilities import CapabilityRegistry

@@ -16,6 +16,7 @@ from spidersim.exports import (
     export_trace,
     parse_capability,
     parse_paths,
+    parse_requirement,
     parse_strategy,
     serialize_paths,
     serialize_strategy,
@@ -150,6 +151,20 @@ class TestCapabilityFiles:
     def test_not_json(self):
         with pytest.raises(MalformedDocument):
             parse_capability("nope")
+
+
+@pytest.mark.parametrize("parse", [ss.parse_scenario, parse_requirement,
+                                   parse_capability, parse_strategy, parse_paths])
+@pytest.mark.parametrize("document, message", [
+    ("nope", "not valid JSON: "),
+    ("[1, 2]", "top level must be an object"),
+    (None, "not valid JSON: "),
+])
+def test_every_parser_wants_a_json_object(parse, document, message):
+    with pytest.raises(MalformedDocument) as caught:
+        parse(document)
+    assert caught.value.code == "MalformedDocument"
+    assert caught.value.message.startswith(message)
 
 
 class TestStrategyFiles:

@@ -157,6 +157,9 @@ class TestCheckTopology:
         assert topo.vulnerability_by_id("vuln-a") is vulns[0]
         assert topo.credential_by_id("c") is creds[0]
         assert topo.node_by_id("b") is None
+        assert topo.node_ids == ("a",)
+        assert topo.node_ids_of_class(ss.NodeClass.SENSOR) == ("a",)
+        assert topo.node_ids_of_class(ss.NodeClass.CONTROLLER) == ()
 
     def test_in_neighbours_follow_edge_direction(self):
         for seed in range(100):
