@@ -12,6 +12,14 @@ then detection), plus one draw per defense override present on the target
 (honeypot first, then shocktrap), regardless of whether the draw changes
 the outcome.
 
+Each capability is compiled once, on first use, and keeps the result
+(``functools.cached_property`` on the capability, so every registry that
+holds it shares it): each precondition becomes a check of (state,
+binding) with its slot and operands already read, and its binding rule
+is read from its preconditions. ``evaluate_preconditions`` runs the
+checks in declaration order; it is the one place a precondition is
+evaluated.
+
 Action enumeration (``applicable_capabilities``) binds each slot only
 over the nodes the capability's own preconditions leave open. ``target``
 is narrowed to the actor's footholds by ``actor_has_foothold`` on target,
@@ -19,12 +27,11 @@ to the nodes of the allowed classes by ``node_class_is`` on target, and to
 the out-neighbours of the footholds by ``edge_exists`` from source to
 target together with ``actor_has_foothold`` on source. ``source`` is
 narrowed to the target's in-neighbours by ``edge_exists`` from source to
-target and to the footholds by ``actor_has_foothold`` on source. The rules
-are read from the registry once; every binding left is checked with
-``evaluate_preconditions``. A round of the built-in attack set therefore
-costs one check per entry-class node (phishing), two per foothold
-(credential theft, exfiltration) and two per edge out of a foothold
-(exploit, lateral movement).
+target and to the footholds by ``actor_has_foothold`` on source. Every
+binding left is checked with ``evaluate_preconditions``. A round of the
+built-in attack set therefore costs one check per entry-class node
+(phishing), two per foothold (credential theft, exfiltration) and two per
+edge out of a foothold (exploit, lateral movement).
 """
 
 from __future__ import annotations
@@ -32,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from .errors import (
     DuplicateId,
@@ -45,8 +54,10 @@ from .errors import (
     UnknownNode,
     UnsupportedInterfaceVersion,
 )
-from .model import AccessRequirement, NetworkTopology, NodeClass, Privilege, index_by_id
-from .state import DefenseKind, SimulationState
+from .model import (
+    AccessRequirement, NetworkTopology, NodeClass, Privilege, Vulnerability, index_by_id,
+)
+from .state import _PRIV_RANK, DefenseKind, SimulationState
 
 INTERFACE_VERSION = "cap-1"
 
@@ -149,6 +160,15 @@ class AtomicCapability:
                 return pred.node_classes
         return ()
 
+    @cached_property
+    def _checks(self) -> Tuple[Tuple[Predicate, Callable[..., bool]], ...]:
+        """Each precondition with its compiled check, in declaration order."""
+        return tuple((pred, _compile_predicate(pred)) for pred in self.preconditions)
+
+    @cached_property
+    def _binding_rule(self) -> "_BindingRule":
+        return _read_binding_rule(self)
+
 
 @dataclass(frozen=True)
 class CapabilityOutcome:
@@ -178,7 +198,7 @@ class PreconditionResult:
 @dataclass(frozen=True)
 class _BindingRule:
     """What a capability's own preconditions say about its bindings,
-    read once per registry (see ``applicable_capabilities``)."""
+    read once per capability (see ``applicable_capabilities``)."""
 
     cap: AtomicCapability
     binds_source: bool
@@ -191,7 +211,7 @@ class _BindingRule:
     source_edge: bool
 
 
-def _binding_rule(cap: AtomicCapability) -> _BindingRule:
+def _read_binding_rule(cap: AtomicCapability) -> _BindingRule:
     def on(kind: PredicateKind, slot: str) -> List[Predicate]:
         return [p for p in cap.preconditions if p.kind == kind and p.slot == slot]
 
@@ -229,7 +249,7 @@ class CapabilityRegistry:
         """Attack and defense capabilities in (cost, id) order, each with
         its binding rule."""
         ordered = sorted(self._caps, key=lambda c: (c.cost_units, c.id))
-        return {kind: tuple(_binding_rule(c) for c in ordered if c.kind == kind)
+        return {kind: tuple(c._binding_rule for c in ordered if c.kind == kind)
                 for kind in CapabilityKind}
 
     def get(self, cap_id: str) -> AtomicCapability:
@@ -426,45 +446,88 @@ def matching_vulnerabilities(topology: NetworkTopology, node_id: str,
     return out
 
 
-def _eval_predicate(pred: Predicate, state: SimulationState,
-                    binding: Dict[str, str], cap_id: str) -> bool:
-    topo = state.topology
-    node_id = _bound(binding, pred.slot, cap_id)
-    if pred.kind == PredicateKind.ACTOR_HAS_FOOTHOLD:
-        return node_id in state.footholds and state.has_privilege(node_id, pred.min_privilege)
-    if pred.kind == PredicateKind.EDGE_EXISTS:
-        src = _bound(binding, pred.src_slot, cap_id)
-        return src in topo.in_neighbours(node_id)
-    if pred.kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
-        return bool(matching_vulnerabilities(topo, node_id, pred.access))
-    if pred.kind == PredicateKind.CREDENTIAL_HELD:
-        for cred_id in state.credentials_held:
-            cred = topo.credential_by_id(cred_id)
-            if cred is not None and node_id in cred.grants_access_to:
-                return True
-        return False
-    if pred.kind == PredicateKind.DEFENSE_ABSENT:
-        return pred.defense not in state.defenses_on(node_id)
-    if pred.kind == PredicateKind.DEFENSE_PRESENT:
-        return pred.defense in state.defenses_on(node_id)
-    if pred.kind == PredicateKind.NODE_CLASS_IS:
-        node = topo.node_by_id(node_id)
-        return node is not None and node.node_class in (pred.node_classes or ())
-    if pred.kind == PredicateKind.NODE_NOT_COMPROMISED:
-        return state.privilege_on(node_id) is None
-    if pred.kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
-        node = topo.node_by_id(node_id)
-        return node is not None and node.asset_value >= pred.min_asset_value
-    raise AssertionError(f"unreachable predicate kind {pred.kind!r}")
+def _compile_predicate(pred: Predicate) -> Callable[[SimulationState, Mapping[str, str]], bool]:
+    """One precondition as a check of (state, binding), with its slot and
+    operands read here, once. A check indexes the binding before it reads
+    anything else, ``slot`` before ``src_slot``, so a slot the binding
+    lacks surfaces as a KeyError naming it."""
+    slot = pred.slot
+    kind = pred.kind
+    if kind == PredicateKind.ACTOR_HAS_FOOTHOLD:
+        minimum = _PRIV_RANK[pred.min_privilege]
+
+        def check(state, binding):
+            node_id = binding[slot]
+            return (node_id in state.footholds
+                    and _PRIV_RANK[state.compromise.get(node_id)] >= minimum)
+    elif kind == PredicateKind.EDGE_EXISTS:
+        src_slot = pred.src_slot
+
+        def check(state, binding):
+            node_id = binding[slot]
+            return binding[src_slot] in state.topology.in_neighbours(node_id)
+    elif kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
+        access = pred.access
+
+        def check(state, binding):
+            return bool(matching_vulnerabilities(state.topology, binding[slot], access))
+    elif kind == PredicateKind.CREDENTIAL_HELD:
+        def check(state, binding):
+            return binding[slot] in state.credential_targets
+    elif kind == PredicateKind.DEFENSE_ABSENT:
+        defense = pred.defense
+
+        def check(state, binding):
+            return defense not in state.deployed.get(binding[slot], ())
+    elif kind == PredicateKind.DEFENSE_PRESENT:
+        defense = pred.defense
+
+        def check(state, binding):
+            return defense in state.deployed.get(binding[slot], ())
+    elif kind == PredicateKind.NODE_CLASS_IS:
+        classes = pred.node_classes or ()
+
+        def check(state, binding):
+            node = state.topology.node_by_id(binding[slot])
+            return node is not None and node.node_class in classes
+    elif kind == PredicateKind.NODE_NOT_COMPROMISED:
+        def check(state, binding):
+            return state.compromise.get(binding[slot]) is None
+    elif kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
+        threshold = pred.min_asset_value
+
+        def check(state, binding):
+            node = state.topology.node_by_id(binding[slot])
+            return node is not None and node.asset_value >= threshold
+    else:
+        raise AssertionError(f"unreachable predicate kind {kind!r}")
+    return check
+
+
+_HOLDS = PreconditionResult(holds=True)
 
 
 def evaluate_preconditions(cap: AtomicCapability, state: SimulationState,
                            binding: Dict[str, str]) -> PreconditionResult:
-    """Evaluate preconditions in declaration order; report the first failure."""
-    for pred in cap.preconditions:
-        if not _eval_predicate(pred, state, binding, cap.id):
-            return PreconditionResult(holds=False, first_failed=pred)
-    return PreconditionResult(holds=True)
+    """Evaluate preconditions in declaration order; report the first failure.
+
+    Runs the capability's compiled checks. A slot the binding lacks raises
+    ``UnboundSlot`` when the first predicate that reads it is reached.
+    Every result that holds is the same shared value.
+    """
+    checks = cap._checks
+    try:
+        for pred, check in checks:
+            if not check(state, binding):
+                return PreconditionResult(False, pred)
+    except KeyError as exc:
+        # Only a slot this predicate reads and the binding lacks is unbound;
+        # any other KeyError is not about the binding.
+        slot = exc.args[0]
+        if isinstance(slot, str) and slot in (pred.slot, pred.src_slot) and slot not in binding:
+            raise UnboundSlot(f"capability {cap.id!r}: slot {slot!r} not bound") from None
+        raise
+    return _HOLDS
 
 
 def _apply_effect(state: SimulationState, eff: Effect, binding: Dict[str, str],
@@ -506,28 +569,26 @@ def deploy_strategy(state: SimulationState, strategy: DefenseStrategy,
     return state
 
 
-def effective_success_prob(cap: AtomicCapability, state: SimulationState,
-                           binding: Dict[str, str]) -> float:
-    """Vulnerability-backed capabilities take the vulnerability's own
-    success probability (lexicographically first match); everything else
-    uses the capability's base probability."""
-    level = cap.vuln_access_requirement()
-    if level is not None:
-        target = _bound(binding, "target", cap.id)
-        matches = matching_vulnerabilities(state.topology, target, level)
-        if matches:
-            return matches[0].success_prob
-    return cap.base_success_prob
-
-
-def _matched_privilege(cap: AtomicCapability, state: SimulationState,
-                       binding: Dict[str, str]) -> Optional[Privilege]:
+def _matched_vulnerability(cap: AtomicCapability, state: SimulationState,
+                           binding: Dict[str, str]) -> Optional[Vulnerability]:
+    """The vulnerability a vulnerability-backed capability uses on its
+    target: the lexicographically first match. None for any other
+    capability, or where nothing matches."""
     level = cap.vuln_access_requirement()
     if level is None:
         return None
     target = _bound(binding, "target", cap.id)
     matches = matching_vulnerabilities(state.topology, target, level)
-    return matches[0].gained_privilege if matches else None
+    return matches[0] if matches else None
+
+
+def effective_success_prob(cap: AtomicCapability, state: SimulationState,
+                           binding: Dict[str, str]) -> float:
+    """Vulnerability-backed capabilities take the vulnerability's own
+    success probability (lexicographically first match); everything else
+    uses the capability's base probability."""
+    vuln = _matched_vulnerability(cap, state, binding)
+    return cap.base_success_prob if vuln is None else vuln.success_prob
 
 
 def apply_capability(state: SimulationState, cap: AtomicCapability,
@@ -544,8 +605,9 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
             f"capability {cap.id!r}: {result.first_failed.kind.value} does not hold"
         )
     target = _bound(binding, "target", cap.id)
+    vuln = _matched_vulnerability(cap, state, binding)
 
-    success = rng.random() < effective_success_prob(cap, state, binding)
+    success = rng.random() < (cap.base_success_prob if vuln is None else vuln.success_prob)
     detected = rng.random() < cap.detection_prob
 
     defenses = state.defenses_on(target)
@@ -571,7 +633,7 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
             success = False
 
     if success and not honeypot and not shocktrap:
-        privilege_override = _matched_privilege(cap, new_state, binding)
+        privilege_override = None if vuln is None else vuln.gained_privilege
         for eff in cap.effects:
             new_state = _apply_effect(new_state, eff, binding, cap.id, privilege_override)
             applied.append(eff)

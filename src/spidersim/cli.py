@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a scenario from a requirement file")
     p.add_argument("--requirement", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iterations", type=int, default=5)
+    p.add_argument("--max-iterations", type=_positive_int, default=5)
     p.add_argument("--out")
 
     p = sub.add_parser("validate", help="validate a scenario file")
@@ -126,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--strategy")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--rounds", type=_positive_int, default=20)
     p.add_argument("--attacker", default="greedy_value",
                    choices=[pol.value for pol in AttackerPolicy])
     p.add_argument("--defender", default="static",
@@ -137,12 +137,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--strategy")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rounds", type=int, default=20)
+    p.add_argument("--rounds", type=_positive_int, default=20)
     p.add_argument("--attacker", default="greedy_value",
                    choices=[pol.value for pol in AttackerPolicy])
     p.add_argument("--defender", default="static",
                    choices=[pol.value for pol in DefenderPolicy])
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--out")
 
     p = sub.add_parser("capabilities", help="inspect or extend the registry")

@@ -128,13 +128,14 @@ def _matching_nodes(topology: NetworkTopology, objective: Objective) -> List[str
 
 
 def _objective_met_now(state: SimulationState, objective: Objective,
-                       detected_any: bool) -> bool:
-    matching = _matching_nodes(state.topology, objective)
+                       matching: List[str], detected_any: bool) -> bool:
+    """Whether ``objective``, whose target matches the nodes ``matching``,
+    holds in ``state``."""
     if objective.kind == ObjectiveKind.DETECT:
         return detected_any
     if not matching:
         return objective.kind == ObjectiveKind.PROTECT
-    compromised = state.compromised_nodes()
+    compromised = state.compromise
     hit = sum(1 for nid in matching if nid in compromised)
     if objective.kind == ObjectiveKind.COMPROMISE:
         return hit / len(matching) >= objective.threshold
@@ -185,11 +186,11 @@ def step_round(state: SimulationState, topology: NetworkTopology,
         return state, events
 
     if config.attacker_policy == AttackerPolicy.GREEDY_VALUE:
-        asset_value = {n.id: n.asset_value for n in topology.nodes}
+        node_by_id = topology.node_by_id
         pick = applicable[0]
-        best = asset_value[pick[1]["target"]]
+        best = node_by_id(pick[1]["target"]).asset_value
         for entry in applicable[1:]:
-            value = asset_value[entry[1]["target"]]
+            value = node_by_id(entry[1]["target"]).asset_value
             if value > best:
                 pick, best = entry, value
     elif config.attacker_policy == AttackerPolicy.CHEAPEST_STEP:
@@ -238,7 +239,8 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
     rng = substream(config.seed, "simulation")
 
     attacker_objectives = [
-        o for o in spec.objectives if o.actor == Actor.ATTACKER
+        (o, _matching_nodes(topology, o)) for o in spec.objectives
+        if o.actor == Actor.ATTACKER
     ]
     events: List[SimEvent] = []
     idle_rounds = 0
@@ -260,7 +262,8 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
             if idle_rounds >= STALL_ROUNDS:
                 break
         if attacker_objectives and all(
-            _objective_met_now(state, o, detected_any) for o in attacker_objectives
+            _objective_met_now(state, o, matching, detected_any)
+            for o, matching in attacker_objectives
         ):
             break
     return tuple(events), state

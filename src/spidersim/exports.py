@@ -123,10 +123,10 @@ def export_dot(topology: NetworkTopology,
 def _state_to_dict(state: SimulationState) -> dict:
     return {
         "round": state.round,
-        "compromise": {nid: priv.value for nid, priv in sorted(state.compromise)},
+        "compromise": {nid: priv.value for nid, priv in sorted(state.compromise.items())},
         "footholds": sorted(state.footholds),
         "deployed": {
-            nid: [k.value for k in kinds] for nid, kinds in sorted(state.deployed)
+            nid: sorted(k.value for k in kinds) for nid, kinds in sorted(state.deployed.items())
         },
         "credentials_held": sorted(state.credentials_held),
         "trapped_until": state.trapped_until,

@@ -385,7 +385,9 @@ def load_json_object(document: str) -> dict:
 
 
 def _check_identifier(value, path: str) -> str:
-    if not isinstance(value, str) or not value or any(ch.isspace() for ch in value):
+    # str.split() cuts at exactly the characters str.isspace() accepts, so
+    # a non-empty string without whitespace is the one piece it returns.
+    if not isinstance(value, str) or value.split() != [value]:
         raise InvariantViolation(path, "must be a non-empty identifier")
     return value
 

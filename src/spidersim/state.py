@@ -2,13 +2,25 @@
 
 State values are immutable; every update returns a new value. The state
 carries its topology so predicate evaluation needs no extra arguments.
+
+Lookups by node are dict lookups: ``compromise`` maps a node to the
+privilege held on it and ``deployed`` maps a node to the set of defenses
+on it, both as read-only mappings. Their order carries no meaning (the
+trace export sorts). An update copies the fields and changes only what
+it names, without running the constructor. The nodes the held
+credentials grant access to (``credential_targets``) are derived once
+per state, on first use, whether the state came from an update or was
+built directly. Two states are equal when their fields are, and equal
+states hash alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Optional, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import FrozenSet, Mapping, Optional, Tuple
 
 from .model import NetworkTopology, Privilege
 
@@ -26,71 +38,99 @@ _PRIV_RANK = {None: 0, Privilege.USER: 1, Privilege.ADMIN: 2}
 
 @dataclass(frozen=True)
 class SimulationState:
+    """``compromise`` and ``deployed`` accept any mapping or iterable of
+    (node, value) pairs; the stored values are read-only mappings, with
+    each node's defenses as a frozenset."""
+
     topology: NetworkTopology
     round: int = 0
-    compromise: Tuple[Tuple[str, Privilege], ...] = ()
+    compromise: Mapping[str, Privilege] = field(default_factory=dict)
     footholds: FrozenSet[str] = frozenset()
-    deployed: Tuple[Tuple[str, Tuple[DefenseKind, ...]], ...] = ()
+    deployed: Mapping[str, FrozenSet[DefenseKind]] = field(default_factory=dict)
     credentials_held: FrozenSet[str] = frozenset()
     trapped_until: int = 0
     alarms: Tuple[Tuple[int, str], ...] = ()
 
-    def privilege_on(self, node_id: str) -> Optional[Privilege]:
-        for nid, priv in self.compromise:
-            if nid == node_id:
-                return priv
-        return None
+    def __post_init__(self):
+        canonical = {
+            "compromise": MappingProxyType(dict(self.compromise)),
+            "deployed": MappingProxyType(
+                {nid: frozenset(kinds) for nid, kinds in dict(self.deployed).items()}),
+            "footholds": frozenset(self.footholds),
+            "credentials_held": frozenset(self.credentials_held),
+            "alarms": tuple(self.alarms),
+        }
+        self.__dict__.update(canonical)
 
-    def defenses_on(self, node_id: str) -> Tuple[DefenseKind, ...]:
-        for nid, kinds in self.deployed:
-            if nid == node_id:
-                return kinds
-        return ()
+    def __hash__(self) -> int:
+        return hash((self.topology, self.round, frozenset(self.compromise.items()),
+                     self.footholds, frozenset(self.deployed.items()),
+                     self.credentials_held, self.trapped_until, self.alarms))
+
+    def __reduce__(self):
+        # A read-only mapping does not pickle or deep-copy; rebuild the
+        # state from plain dicts instead.
+        return (SimulationState, (self.topology, self.round, dict(self.compromise),
+                                  self.footholds, dict(self.deployed), self.credentials_held,
+                                  self.trapped_until, self.alarms))
+
+    def _evolve(self, **changes) -> "SimulationState":
+        """A copy with ``changes`` (already in stored form), built without
+        the constructor. The derived ``credential_targets`` is kept unless
+        the credentials change."""
+        new = object.__new__(SimulationState)
+        attrs = new.__dict__
+        attrs.update(self.__dict__)
+        attrs.update(changes)
+        if "credentials_held" in changes:
+            attrs.pop("credential_targets", None)
+        return new
+
+    @cached_property
+    def credential_targets(self) -> FrozenSet[str]:
+        """Every node some held credential grants access to."""
+        targets = set()
+        for cred_id in self.credentials_held:
+            cred = self.topology.credential_by_id(cred_id)
+            if cred is not None:
+                targets.update(cred.grants_access_to)
+        return frozenset(targets)
+
+    def privilege_on(self, node_id: str) -> Optional[Privilege]:
+        return self.compromise.get(node_id)
+
+    def defenses_on(self, node_id: str) -> FrozenSet[DefenseKind]:
+        return self.deployed.get(node_id, frozenset())
 
     def has_privilege(self, node_id: str, minimum: Privilege) -> bool:
-        return _PRIV_RANK[self.privilege_on(node_id)] >= _PRIV_RANK[minimum]
+        return _PRIV_RANK[self.compromise.get(node_id)] >= _PRIV_RANK[minimum]
 
     def with_compromise(self, node_id: str, privilege: Privilege) -> "SimulationState":
-        current = self.privilege_on(node_id)
-        if _PRIV_RANK[current] >= _PRIV_RANK[privilege]:
-            new_priv = current
-        else:
-            new_priv = privilege
+        current = self.compromise.get(node_id)
         entries = dict(self.compromise)
-        entries[node_id] = new_priv
-        return replace(
-            self,
-            compromise=tuple(sorted(entries.items())),
-            footholds=self.footholds | {node_id},
-        )
+        entries[node_id] = current if _PRIV_RANK[current] >= _PRIV_RANK[privilege] else privilege
+        return self._evolve(compromise=MappingProxyType(entries),
+                            footholds=self.footholds | {node_id})
 
     def with_defense(self, node_id: str, kind: DefenseKind) -> "SimulationState":
-        entries = {nid: set(kinds) for nid, kinds in self.deployed}
-        entries.setdefault(node_id, set()).add(kind)
-        return replace(
-            self,
-            deployed=tuple(sorted(
-                (nid, tuple(sorted(kinds, key=lambda k: k.value)))
-                for nid, kinds in entries.items()
-            )),
-        )
+        entries = dict(self.deployed)
+        entries[node_id] = entries.get(node_id, frozenset()) | {kind}
+        return self._evolve(deployed=MappingProxyType(entries))
 
     def with_credentials(self, cred_ids) -> "SimulationState":
-        return replace(self, credentials_held=self.credentials_held | set(cred_ids))
+        return self._evolve(credentials_held=self.credentials_held | set(cred_ids))
 
     def with_alarm(self, node_id: str) -> "SimulationState":
-        return replace(self, alarms=self.alarms + ((self.round, node_id),))
+        return self._evolve(alarms=self.alarms + ((self.round, node_id),))
 
     def with_trap(self, duration_rounds: int) -> "SimulationState":
-        return replace(
-            self, trapped_until=max(self.trapped_until, self.round + duration_rounds)
-        )
+        return self._evolve(trapped_until=max(self.trapped_until, self.round + duration_rounds))
 
     def with_round(self, round_number: int) -> "SimulationState":
-        return replace(self, round=round_number)
+        return self._evolve(round=round_number)
 
     def compromised_nodes(self) -> FrozenSet[str]:
-        return frozenset(nid for nid, _ in self.compromise)
+        return frozenset(self.compromise)
 
 
 def fresh_state(topology: NetworkTopology) -> SimulationState:

@@ -30,9 +30,14 @@ from spidersim import (
     TargetSelector,
     Vulnerability,
     built_in_registry,
-    evaluate_preconditions,
 )
-from spidersim.capabilities import CapabilityRegistry
+from spidersim.capabilities import (
+    CapabilityRegistry,
+    Predicate,
+    PredicateKind,
+    PreconditionResult,
+)
+from spidersim.errors import UnboundSlot
 from spidersim.state import SimulationState
 from spidersim.model import DomainContext, Elements, ScenarioParameters, SubProblem
 
@@ -306,6 +311,73 @@ def path_to_oracle_steps(path) -> Tuple[OracleStep, ...]:
 
 
 # ---------------------------------------------------------------------------
+# reference predicate interpreter
+# ---------------------------------------------------------------------------
+
+_ACCESS_ORDER = {AccessRequirement.NETWORK: 0, AccessRequirement.ADJACENT: 1,
+                 AccessRequirement.LOCAL: 2}
+
+
+def _bound(binding: Dict[str, str], slot: str, cap_id: str) -> str:
+    if slot not in binding:
+        raise UnboundSlot(f"capability {cap_id!r}: slot {slot!r} not bound")
+    return binding[slot]
+
+
+def _reference_predicate(pred: Predicate, state: SimulationState,
+                         binding: Dict[str, str], cap_id: str) -> bool:
+    """One predicate, dispatched on its kind at every call and read from
+    the state's public lookups: no compiled check, no derived
+    credential set."""
+    topo = state.topology
+    node_id = _bound(binding, pred.slot, cap_id)
+    if pred.kind == PredicateKind.ACTOR_HAS_FOOTHOLD:
+        return node_id in state.footholds and state.has_privilege(node_id, pred.min_privilege)
+    if pred.kind == PredicateKind.EDGE_EXISTS:
+        src = _bound(binding, pred.src_slot, cap_id)
+        return any(
+            (e.src == src and e.dst == node_id)
+            or (e.bidirectional and e.src == node_id and e.dst == src)
+            for e in topo.edges)
+    if pred.kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
+        node = topo.node_by_id(node_id)
+        vulns = [topo.vulnerability_by_id(vid) for vid in node.vulnerability_ids] if node else []
+        return any(
+            v is not None and _ACCESS_ORDER[v.access_requirement] <= _ACCESS_ORDER[pred.access]
+            for v in vulns)
+    if pred.kind == PredicateKind.CREDENTIAL_HELD:
+        for cred_id in state.credentials_held:
+            cred = topo.credential_by_id(cred_id)
+            if cred is not None and node_id in cred.grants_access_to:
+                return True
+        return False
+    if pred.kind == PredicateKind.DEFENSE_ABSENT:
+        return pred.defense not in state.defenses_on(node_id)
+    if pred.kind == PredicateKind.DEFENSE_PRESENT:
+        return pred.defense in state.defenses_on(node_id)
+    if pred.kind == PredicateKind.NODE_CLASS_IS:
+        node = topo.node_by_id(node_id)
+        return node is not None and node.node_class in (pred.node_classes or ())
+    if pred.kind == PredicateKind.NODE_NOT_COMPROMISED:
+        return state.privilege_on(node_id) is None
+    if pred.kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
+        node = topo.node_by_id(node_id)
+        return node is not None and node.asset_value >= pred.min_asset_value
+    raise AssertionError(f"unreachable predicate kind {pred.kind!r}")
+
+
+def reference_evaluate_preconditions(cap: AtomicCapability, state: SimulationState,
+                                     binding: Dict[str, str]) -> PreconditionResult:
+    """What ``evaluate_preconditions`` must return: the preconditions in
+    declaration order, the first that fails reported, and ``UnboundSlot``
+    for a slot the binding lacks once a predicate reading it is reached."""
+    for pred in cap.preconditions:
+        if not _reference_predicate(pred, state, binding, cap.id):
+            return PreconditionResult(holds=False, first_failed=pred)
+    return PreconditionResult(holds=True)
+
+
+# ---------------------------------------------------------------------------
 # exhaustive action-enumeration oracle
 # ---------------------------------------------------------------------------
 
@@ -314,8 +386,9 @@ def oracle_applicable_capabilities(registry: CapabilityRegistry,
                                    binding_domain: Iterable[str]
                                    ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
     """Every (capability, binding) whose preconditions hold, found by
-    trying every (source, target) pair of the domain, sorted by cost,
-    capability id, target id, then source id."""
+    trying every (source, target) pair of the domain with the reference
+    interpreter, sorted by cost, capability id, target id, then source
+    id."""
     kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
     domain = sorted(set(binding_domain))
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
@@ -328,11 +401,11 @@ def oracle_applicable_capabilities(registry: CapabilityRegistry,
                     if source == target:
                         continue
                     binding = {"target": target, "source": source}
-                    if evaluate_preconditions(cap, state, binding).holds:
+                    if reference_evaluate_preconditions(cap, state, binding).holds:
                         out.append((cap, binding))
             else:
                 binding = {"target": target}
-                if evaluate_preconditions(cap, state, binding).holds:
+                if reference_evaluate_preconditions(cap, state, binding).holds:
                     out.append((cap, binding))
     out.sort(key=lambda item: (
         item[0].cost_units, item[0].id,

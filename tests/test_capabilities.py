@@ -1,5 +1,7 @@
 """Capability registry, precondition evaluation, probabilistic application."""
 
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -15,17 +17,19 @@ from spidersim.capabilities import (
     effective_success_prob,
     matching_vulnerabilities,
 )
+from spidersim.engine import step_round
 from spidersim.errors import (
     DuplicateId,
     DuplicatePlacement,
     KindEffectMismatch,
     KindMismatch,
     PreconditionViolated,
+    UnboundSlot,
     UnknownCapability,
     UnknownNode,
     UnsupportedInterfaceVersion,
 )
-from spidersim.state import DefenseKind, fresh_state
+from spidersim.state import DefenseKind, SimulationState, fresh_state
 
 from helpers import (
     CountingRandom,
@@ -34,6 +38,7 @@ from helpers import (
     make_vuln,
     oracle_applicable_capabilities,
     random_topology,
+    reference_evaluate_preconditions,
     with_directed_edges,
 )
 
@@ -193,6 +198,154 @@ class TestPreconditions:
         admin = fresh_state(topo).with_compromise("a", ss.Privilege.ADMIN)
         assert not ss.evaluate_preconditions(cap, user, {"target": "a"}).holds
         assert ss.evaluate_preconditions(cap, admin, {"target": "a"}).holds
+
+
+def random_predicate(rng: random.Random) -> ss.Predicate:
+    """Any of the nine predicate kinds, on target, source or a slot no
+    enumeration binds, with random operands (rarely a vulnerability
+    predicate without an access level, which no parsed one lacks)."""
+    kind = rng.choice(list(ss.PredicateKind))
+    slots = ("target", "source", "pivot")
+    return ss.Predicate(
+        kind, slot=rng.choice(slots),
+        src_slot=rng.choice(slots) if kind == ss.PredicateKind.EDGE_EXISTS else None,
+        access=rng.choice(list(ss.AccessRequirement) * 4 + [None]),
+        defense=rng.choice(list(DefenseKind)),
+        node_classes=tuple(rng.sample(list(ss.NodeClass), rng.randint(0, 3))),
+        min_privilege=rng.choice([ss.Privilege.USER, ss.Privilege.ADMIN]),
+        min_asset_value=rng.randint(0, 100),
+    )
+
+
+def random_state(rng: random.Random, topo) -> SimulationState:
+    """A state built directly, not through updates: footholds apart from
+    the compromised nodes, unknown ids among them, random defenses and
+    credentials (one unknown)."""
+    ids = [n.id for n in topo.nodes] + ["ghost"]
+    return SimulationState(
+        topology=topo,
+        compromise={nid: rng.choice([ss.Privilege.USER, ss.Privilege.ADMIN])
+                    for nid in rng.sample(ids, rng.randint(0, len(ids)))},
+        footholds=frozenset(rng.sample(ids, rng.randint(0, len(ids)))),
+        deployed={nid: frozenset(rng.sample(list(DefenseKind), rng.randint(1, 3)))
+                  for nid in rng.sample(ids, rng.randint(0, len(ids)))},
+        credentials_held=frozenset(
+            [c.id for c in topo.credentials if rng.random() < 0.6] + ["cred-ghost"]),
+    )
+
+
+class TestCompiledChecks:
+    def test_match_reference_interpreter(self):
+        """``evaluate_preconditions`` against the reference interpreter in
+        tests/helpers.py: same ``holds``, same ``first_failed``, and
+        ``UnboundSlot`` (same message) for the same inputs, and a KeyError
+        that is not about the binding stays a KeyError. Random
+        capabilities of one to four predicates over all nine kinds, each
+        evaluated on several random states and bindings, some of which
+        leave a slot unbound or name an unknown node."""
+        held = {kind: set() for kind in ss.PredicateKind}
+        errors = {"UnboundSlot": 0, "KeyError": 0}
+        for seed in range(400):
+            rng = random.Random(seed)
+            topo = with_directed_edges(random_topology(rng, max_nodes=6, max_edges=10), rng)
+            ids = [n.id for n in topo.nodes] + ["ghost"]
+            cap = ss.AtomicCapability(
+                id=f"random-{seed}", kind=rng.choice(list(ss.CapabilityKind)),
+                name="Random", technique_tag="T0000",
+                preconditions=tuple(random_predicate(rng) for _ in range(rng.randint(1, 4))),
+                effects=(), base_success_prob=0.5, detection_prob=0.5, cost_units=1,
+            )
+            for _ in range(6):
+                state = random_state(rng, topo)
+                binding = {slot: rng.choice(ids) for slot in ("target", "source", "pivot")
+                           if rng.random() < 0.85}
+                outcomes = []
+                for evaluate in (ss.evaluate_preconditions, reference_evaluate_preconditions):
+                    try:
+                        outcomes.append(evaluate(cap, state, binding))
+                    except UnboundSlot as exc:
+                        outcomes.append(("UnboundSlot", exc.message))
+                    except KeyError:
+                        outcomes.append(("KeyError",))
+                assert outcomes[0] == outcomes[1], (seed, cap.preconditions, binding)
+                want = outcomes[1]
+                if isinstance(want, tuple):
+                    errors[want[0]] += 1
+                    continue
+                # Record, per kind, the truth values seen on the predicates
+                # the evaluation reached.
+                reached = cap.preconditions
+                if not want.holds:
+                    reached = reached[:reached.index(want.first_failed) + 1]
+                for pred in reached:
+                    held[pred.kind].add(pred is not want.first_failed)
+        assert all(values == {True, False} for values in held.values()), held
+        assert all(errors.values()), errors
+
+    def test_built_in_and_third_party_match_reference(self, registry):
+        """The same comparison for every built-in and third-party
+        capability on every (target, source) pair of random states."""
+        caps = registry.capabilities() + THIRD_PARTY
+        for seed in range(60):
+            rng = random.Random(seed)
+            topo = with_directed_edges(random_topology(rng, max_nodes=6, max_edges=10), rng)
+            ids = [n.id for n in topo.nodes] + ["ghost"]
+            state = random_state(rng, topo)
+            for cap in caps:
+                for target in ids:
+                    for source in ids:
+                        binding = {"target": target, "source": source}
+                        assert (ss.evaluate_preconditions(cap, state, binding)
+                                == reference_evaluate_preconditions(cap, state, binding))
+
+    def test_state_built_directly_derives_credential_targets(self, registry):
+        """Lateral movement binds through credentials given to the
+        constructor, not only through ``with_credentials``."""
+        topo = make_topology(
+            nodes=[("a", ss.NodeClass.WORKSTATION), ("b", ss.NodeClass.DATA_SERVER),
+                   ("c", ss.NodeClass.CONTROLLER)],
+            edges=[("a", "b"), ("a", "c")],
+            creds=[ss.Credential(id="cred-b", stored_on="a", grants_access_to=("b",))],
+        )
+        state = SimulationState(topology=topo, compromise={"a": ss.Privilege.USER},
+                                footholds=frozenset({"a"}),
+                                credentials_held=frozenset({"cred-b"}))
+        found = ss.applicable_capabilities(registry, state, "attacker")
+        lateral = [b for cap, b in found if cap.id == "lateral_move_with_cred"]
+        assert lateral == [{"target": "b", "source": "a"}]
+        assert found == oracle_applicable_capabilities(registry, state, "attacker", "abc")
+        assert state == fresh_state(topo).with_credentials(["cred-b"]).with_compromise(
+            "a", ss.Privilege.USER)
+
+    def test_states_are_immutable_values(self):
+        """Equal states compare and hash alike, whatever the order of the
+        updates that made them (a lower privilege never replaces a higher
+        one) or the form given to the constructor;
+        neither a field nor a mapping of one can be changed; they pickle
+        and deep-copy."""
+        topo = chain_topology()
+        one = (fresh_state(topo).with_compromise("a", ss.Privilege.USER)
+               .with_defense("b", DefenseKind.PATCH).with_defense("b", DefenseKind.HONEYPOT)
+               .with_compromise("a", ss.Privilege.ADMIN).with_credentials(["x"]))
+        two = (fresh_state(topo).with_credentials(["x"])
+               .with_defense("b", DefenseKind.HONEYPOT)
+               .with_compromise("a", ss.Privilege.ADMIN).with_defense("b", DefenseKind.PATCH)
+               .with_compromise("a", ss.Privilege.USER))
+        built = SimulationState(
+            topology=topo, compromise=(("a", ss.Privilege.ADMIN),), footholds={"a"},
+            deployed={"b": (DefenseKind.PATCH, DefenseKind.HONEYPOT)}, credentials_held={"x"})
+        assert one == two == built
+        assert len({one, two, built}) == 1
+        assert one != one.with_round(1) and one.with_round(1) == two.with_round(1)
+        assert hash(one.with_alarm("a")) == hash(two.with_alarm("a"))
+        with pytest.raises(AttributeError):
+            one.round = 3
+        with pytest.raises(TypeError):
+            one.compromise["b"] = ss.Privilege.USER
+        with pytest.raises(TypeError):
+            one.deployed["a"] = frozenset()
+        assert one.privilege_on("b") is None and one.defenses_on("a") == frozenset()
+        assert pickle.loads(pickle.dumps(one)) == copy.deepcopy(one) == one
 
 
 class TestVulnerabilityMatching:
@@ -403,6 +556,42 @@ class TestApplicableAndStrategy:
                     state, _ = ss.apply_capability(state, cap, binding, rng)
         assert {"exploit_vuln", "lateral_move_with_cred"} <= found
         assert {cap.id for cap in THIRD_PARTY} <= found
+
+    @pytest.mark.parametrize("policy", list(ss.AttackerPolicy))
+    def test_matches_oracle_every_round(self, registry, policy):
+        """Runs driven by ``step_round`` under each attacker policy and the
+        reactive defender, from random round-0 deployments and one admin
+        foothold: after every round the list equals the oracle's for both
+        actors. The runs
+        raise alarms, patch nodes, trap the attacker and steal
+        credentials mid-run."""
+        seen = {"alarm": 0, "patch": 0, "trap": 0, "credentials": 0}
+        for seed in range(40):
+            rng = random.Random(seed)
+            topo = with_directed_edges(random_topology(rng, max_nodes=8, max_edges=16), rng)
+            ids = [n.id for n in topo.nodes]
+            placements = [(cap_id, nid) for cap_id in ("honeypot", "shocktrap", "data_encryption")
+                          for nid in ids if rng.random() < 0.2]
+            state = ss.deploy_strategy(fresh_state(topo),
+                                       ss.compose_strategy(registry, placements, topo), registry)
+            # An admin foothold where credentials are stored lets them be
+            # stolen mid-run.
+            holders = [n.id for n in topo.nodes if n.credential_ids] or ids
+            state = state.with_compromise(rng.choice(holders), ss.Privilege.ADMIN)
+            config = ss.SimulationConfig(max_rounds=12, seed=seed, attacker_policy=policy,
+                                         defender_policy=ss.DefenderPolicy.REACTIVE)
+            sim_rng = random.Random(seed)
+            for _ in range(config.max_rounds):
+                before = state
+                state, events = step_round(state, topo, registry, config, sim_rng)
+                for actor in ("attacker", "defender"):
+                    assert (ss.applicable_capabilities(registry, state, actor)
+                            == oracle_applicable_capabilities(registry, state, actor, ids))
+                seen["alarm"] += len(state.alarms) > len(before.alarms)
+                seen["patch"] += any(e.capability_id == "patch" for e in events)
+                seen["trap"] += state.trapped_until > before.trapped_until
+                seen["credentials"] += state.credentials_held != before.credentials_held
+        assert all(seen.values()), seen
 
     def test_compose_strategy_example(self, registry, marine_topology):
         strategy = ss.compose_strategy(

@@ -193,6 +193,18 @@ class TestSimulateAndBatch:
         assert len(calls) == 4
 
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "-n", "0"], ["batch", "-n", "-3"], ["batch", "-n", "2", "--rounds", "0"],
+        ["simulate", "--rounds", "0"], ["simulate", "--rounds", "x"],
+    ])
+    def test_count_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, argv[0], "--scenario", SCENARIO, "--seed", "1",
+                             *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "InvalidScenario" not in err
+
+
 class TestGenerate:
     def test_generate_bundled_requirement(self, capsys, tmp_path):
         out_file = tmp_path / "generated.json"
@@ -221,6 +233,14 @@ class TestGenerate:
                            "--seed", "1")
         assert code == 1
         assert "GenerationFailed" in err
+
+
+    def test_max_iterations_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "generate", "--requirement", REQUIREMENT,
+                             "--seed", "1", "--max-iterations", "0")
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "GenerationFailed" not in err
 
 
 class TestCapabilities:

@@ -68,6 +68,27 @@ class TestRunSimulation:
         assert metrics.time_to_first_objective == 1
         assert metrics.compromised_fraction == 1.0
 
+    def test_run_ends_in_the_round_the_objective_is_met(self, registry):
+        """A run whose attacker objective is met (a share of the nodes of
+        the topology's most common class) ends in the round the metrics
+        give for it, under every attacker policy."""
+        ended = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            topo = random_topology(rng, max_nodes=8)
+            classes = [n.node_class for n in topo.nodes]
+            target = max(set(classes), key=lambda c: (classes.count(c), c.value))
+            spec = spec_around(topo, objectives=(
+                ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                             ss.TargetSelector(node_class=target), rng.choice([0.3, 0.5, 0.7])),
+            ))
+            cfg = config(seed=seed, attacker_policy=rng.choice(list(ss.AttackerPolicy)))
+            trace, metrics = ss.run_simulation(spec, ss.DefenseStrategy(), registry, cfg)
+            if metrics.objective_met(0):
+                assert trace.final_state.round == metrics.time_to_first_objective
+                ended += classes.count(target) > 1
+        assert ended >= 10
+
     def test_stall_rule_exactly_three_idle_rounds(self, registry):
         # sensors are not phishable and carry no vulnerabilities: the
         # attacker can never act
