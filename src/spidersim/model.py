@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import (
     EmptyRecipe,
@@ -62,15 +62,22 @@ class Privilege(str, Enum):
     ADMIN = "admin"
 
 
-# Default service and asset value per node class, used by build_topology.
-_CLASS_SERVICES: Dict[NodeClass, Tuple[str, int]] = {
-    NodeClass.SENSOR: ("telemetry", 9000),
-    NodeClass.CONTROLLER: ("modbus", 502),
-    NodeClass.GATEWAY: ("routing", 443),
-    NodeClass.CAMERA_SERVER: ("rtsp", 554),
-    NodeClass.MAINTENANCE_ENDPOINT: ("ssh", 22),
-    NodeClass.WORKSTATION: ("smb", 445),
-    NodeClass.DATA_SERVER: ("db", 5432),
+@dataclass(frozen=True)
+class Service:
+    name: str
+    port: int
+
+
+# Default services and asset value per node class, used by build_topology.
+# Every node of a class shares its class's services tuple.
+_CLASS_SERVICES: Dict[NodeClass, Tuple[Service, ...]] = {
+    NodeClass.SENSOR: (Service("telemetry", 9000),),
+    NodeClass.CONTROLLER: (Service("modbus", 502),),
+    NodeClass.GATEWAY: (Service("routing", 443),),
+    NodeClass.CAMERA_SERVER: (Service("rtsp", 554),),
+    NodeClass.MAINTENANCE_ENDPOINT: (Service("ssh", 22),),
+    NodeClass.WORKSTATION: (Service("smb", 445),),
+    NodeClass.DATA_SERVER: (Service("db", 5432),),
 }
 
 _CLASS_ASSET_VALUE: Dict[NodeClass, int] = {
@@ -82,12 +89,6 @@ _CLASS_ASSET_VALUE: Dict[NodeClass, int] = {
     NodeClass.WORKSTATION: 30,
     NodeClass.DATA_SERVER: 80,
 }
-
-
-@dataclass(frozen=True)
-class Service:
-    name: str
-    port: int
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,20 @@ class NetworkTopology:
         return tuple(sorted(self._nodes_by_id))
 
     @cached_property
+    def node_id_set(self) -> FrozenSet[str]:
+        """Every node id, as a set."""
+        return frozenset(self._nodes_by_id)
+
+    @cached_property
     def _node_ids_by_class(self) -> Dict[NodeClass, Tuple[str, ...]]:
         index: Dict[NodeClass, List[str]] = {}
         for node_id in self.node_ids:
             index.setdefault(self._nodes_by_id[node_id].node_class, []).append(node_id)
         return {cls: tuple(ids) for cls, ids in index.items()}
+
+    @cached_property
+    def _node_ids_by_classes(self) -> Dict[FrozenSet[NodeClass], FrozenSet[str]]:
+        return {}
 
     @cached_property
     def _in_neighbours(self) -> Dict[str, FrozenSet[str]]:
@@ -205,6 +215,15 @@ class NetworkTopology:
         """Ids of the nodes of one class, in id order (where ids repeat,
         the class of the first node with the id)."""
         return self._node_ids_by_class.get(node_class, ())
+
+    def node_ids_of_classes(self, classes: FrozenSet[NodeClass]) -> FrozenSet[str]:
+        """Ids of the nodes of any of ``classes`` (under the same rule as
+        ``node_ids_of_class``), kept per set of classes asked for."""
+        found = self._node_ids_by_classes.get(classes)
+        if found is None:
+            found = frozenset(nid for cls in classes for nid in self.node_ids_of_class(cls))
+            self._node_ids_by_classes[classes] = found
+        return found
 
     def in_neighbours(self, node_id: str) -> FrozenSet[str]:
         """Every ``src`` with an edge ``src -> node_id``: a bidirectional
@@ -250,6 +269,25 @@ class Objective:
 
 
 @dataclass(frozen=True)
+class RecipeLayout:
+    """Where each node of a recipe goes, which no seed changes.
+
+    ``placements`` holds (id, class, zone) in creation order: NodeClass
+    declaration order, then index, node k in zone ``k mod zone_count``.
+    ``by_id`` holds (id, class, zone, position) in id order, where
+    ``members[zone][position]`` is the node itself; ``members`` maps each
+    zone with nodes to its ids in id order.
+    """
+
+    zones: Tuple[str, ...]
+    placements: Tuple[Tuple[str, NodeClass, str], ...]
+    by_id: Tuple[Tuple[str, NodeClass, str, int], ...]
+    ids: Tuple[str, ...]
+    members: Dict[str, Tuple[str, ...]]
+    id_set: FrozenSet[str]
+
+
+@dataclass(frozen=True)
 class TopologyRecipe:
     node_counts: Tuple[Tuple[NodeClass, int], ...]
     zone_count: int
@@ -284,6 +322,38 @@ class TopologyRecipe:
 
     def total_nodes(self) -> int:
         return sum(n for _, n in self.node_counts)
+
+    @cached_property
+    def layout(self) -> RecipeLayout:
+        """The recipe's node placement, worked out on first use and kept on
+        the instance. It is derived from the fields, so it is left out of
+        equality, hash, repr, serialization and pickles."""
+        zones = tuple(f"zone-{i}" for i in range(self.zone_count))
+        placements: List[Tuple[str, NodeClass, str]] = []
+        for cls in NodeClass:
+            prefix = cls.value
+            for i in range(self.count(cls)):
+                placements.append((f"{prefix}-{i}", cls, zones[len(placements) % self.zone_count]))
+        members: Dict[str, List[str]] = {}
+        by_id = []
+        for nid, cls, zone in sorted(placements, key=lambda placement: placement[0]):
+            zone_ids = members.setdefault(zone, [])
+            by_id.append((nid, cls, zone, len(zone_ids)))
+            zone_ids.append(nid)
+        ids = tuple(nid for nid, _, _, _ in by_id)
+        return RecipeLayout(
+            zones=zones,
+            placements=tuple(placements),
+            by_id=tuple(by_id),
+            ids=ids,
+            members={zone: tuple(zone_ids) for zone, zone_ids in members.items()},
+            id_set=frozenset(ids),
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("layout", None)
+        return state
 
 
 @dataclass(frozen=True)
@@ -847,19 +917,13 @@ def _is_connected(topo: NetworkTopology) -> bool:
     return len(seen) == len(topo.nodes)
 
 
-def _recipe_node_ids(recipe: TopologyRecipe):
-    for cls in NodeClass:
-        for i in range(recipe.count(cls)):
-            yield f"{cls.value}-{i}", cls
-
-
-def scenario_node_ids(spec: ScenarioSpec) -> Set[str]:
+def scenario_node_ids(spec: ScenarioSpec) -> AbstractSet[str]:
     """Node ids of the scenario's topology. A recipe's ids follow from its
     node counts alone, so every seed expands it to the same ids."""
     topo = spec.scenario_parameters.explicit_topology
     if topo is not None:
         return {n.id for n in topo.nodes}
-    return {nid for nid, _ in _recipe_node_ids(spec.scenario_parameters.recipe)}
+    return spec.scenario_parameters.recipe.layout.id_set
 
 
 def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
@@ -904,24 +968,30 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     """Deterministically expand a recipe into a concrete topology.
 
     Expansion order (each stage draws from its own named substream of
-    ``seed``, so later stages never perturb earlier ones):
+    ``seed``, so later stages never perturb earlier ones). The placement
+    of stage 1 is the recipe's ``layout``, made once per recipe; every
+    other stage costs what it draws and what it builds.
 
     1. Nodes: for each class in NodeClass declaration order, ``count``
        nodes named ``<class>-<i>``; node k in creation order joins zone
        ``zone-(k mod zone_count)``.
-    2. Intra-zone edges ("edges" substream): candidate unordered pairs in
-       lexicographic (u, v) order, one uniform draw each; the edge exists
-       iff draw < intra_zone_density.
+    2. Intra-zone edges ("edges" substream): candidate unordered pairs of
+       same-zone nodes in lexicographic (u, v) order, one uniform draw
+       each; the edge exists iff draw < intra_zone_density. Cost: one draw
+       per same-zone pair, nothing for the pairs across zones.
     3. Inter-zone links (no draws): for zone pair number p (lexicographic)
        and link number t, gateway ``gateways[(p * inter_zone_gateways + t)
        mod len(gateways)]`` connects to node ``t mod len(peers)`` of the
        zone on the other side (both sides when the gateway sits in a third
-       zone).
+       zone); a link already made is not made again. Cost: one step per
+       link, over every pair of zones, whether they hold nodes or not.
     4. Vulnerabilities ("vulns" substream): per non-gateway node in id
        order, draws: gate (< vuln_rate), technique-tag index, success
        probability (0.4 + 0.5*u, 2 decimals), privilege (admin iff u < 0.3).
+       Cost: one to four draws per node.
     5. Credentials ("credentials" substream): per node in id order, draws:
-       gate (< credential_rate), grant-target index over the other nodes.
+       gate (< credential_rate), grant-target index over the other nodes
+       in id order. Cost: one or two draws per node.
     """
     if recipe.total_nodes() < 1:
         raise EmptyRecipe("recipe places no nodes")
@@ -930,103 +1000,75 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
         raise InsufficientGateways(
             "inter-zone links requested but the recipe places no gateways"
         )
-
-    zones = tuple(f"zone-{i}" for i in range(recipe.zone_count))
-    placements: List[Tuple[str, NodeClass, str]] = []
-    for k, (node_id, cls) in enumerate(_recipe_node_ids(recipe)):
-        placements.append((node_id, cls, zones[k % recipe.zone_count]))
-
-    zone_of = {nid: zone for nid, _, zone in placements}
-    class_of = {nid: cls for nid, cls, _ in placements}
-    all_ids = sorted(zone_of)
+    layout = recipe.layout
+    members = layout.members
 
     edges: List[Edge] = []
-    edge_keys = set()
+    draw = substream(seed, "edges").random
+    density = recipe.intra_zone_density
+    for u, _, zone, position in layout.by_id:
+        for v in members[zone][position + 1:]:
+            if draw() < density:
+                edges.append(Edge(u, v, "tcp", True))
 
-    def add_edge(src: str, dst: str, protocol: str = "tcp") -> None:
-        if (src, dst, protocol) in edge_keys or (dst, src, protocol) in edge_keys:
-            return
-        edge_keys.add((src, dst, protocol))
-        edges.append(Edge(src=src, dst=dst, protocol_tag=protocol, bidirectional=True))
-
-    edge_rng = substream(seed, "edges")
-    for i, u in enumerate(all_ids):
-        for v in all_ids[i + 1:]:
-            if zone_of[u] != zone_of[v]:
-                continue
-            if edge_rng.random() < recipe.intra_zone_density:
-                add_edge(u, v)
-
-    gateways = sorted(nid for nid in all_ids if class_of[nid] == NodeClass.GATEWAY)
-    if recipe.zone_count > 1 and recipe.inter_zone_gateways > 0 and gateways:
+    # A link joins two zones, so it can only repeat another link.
+    links = recipe.inter_zone_gateways
+    gateways = [(nid, zone) for nid, cls, zone, _ in layout.by_id if cls is NodeClass.GATEWAY]
+    if recipe.zone_count > 1 and links > 0 and gateways:
+        linked = set()
+        zones = layout.zones
         pair_index = 0
         for i, za in enumerate(zones):
             for zb in zones[i + 1:]:
-                for t in range(recipe.inter_zone_gateways):
-                    g = gateways[(pair_index * recipe.inter_zone_gateways + t) % len(gateways)]
-                    sides = []
-                    if zone_of[g] != za:
-                        sides.append(za)
-                    if zone_of[g] != zb:
-                        sides.append(zb)
-                    for side in sides:
-                        peers = sorted(nid for nid in all_ids if zone_of[nid] == side and nid != g)
+                for t in range(links):
+                    g, g_zone = gateways[(pair_index * links + t) % len(gateways)]
+                    for side in (za, zb):
+                        peers = members.get(side) if side != g_zone else None
                         if peers:
-                            add_edge(g, peers[t % len(peers)])
+                            peer = peers[t % len(peers)]
+                            if (g, peer) not in linked and (peer, g) not in linked:
+                                linked.add((g, peer))
+                                edges.append(Edge(g, peer, "tcp", True))
                 pair_index += 1
 
     tags = sorted({cap.technique_tag for cap in registry.capabilities()
                    if cap.kind.value == "attack"}) or ["T0000"]
     vulnerabilities: List[Vulnerability] = []
     vuln_on: Dict[str, Tuple[str, ...]] = {}
-    vuln_rng = substream(seed, "vulns")
-    for nid in all_ids:
-        if class_of[nid] == NodeClass.GATEWAY:
+    draw = substream(seed, "vulns").random
+    for nid, cls, _, _ in layout.by_id:
+        if cls is NodeClass.GATEWAY:
             continue
-        if vuln_rng.random() < recipe.vuln_rate:
-            tag = tags[min(int(vuln_rng.random() * len(tags)), len(tags) - 1)]
-            success = round(0.4 + 0.5 * vuln_rng.random(), 2)
-            privilege = Privilege.ADMIN if vuln_rng.random() < 0.3 else Privilege.USER
-            vuln = Vulnerability(
-                id=f"vuln-{nid}",
-                technique_tag=tag,
-                access_requirement=AccessRequirement.ADJACENT,
-                success_prob=success,
-                detection_prob=0.2,
-                gained_privilege=privilege,
-            )
-            vulnerabilities.append(vuln)
-            vuln_on[nid] = (vuln.id,)
+        if draw() < recipe.vuln_rate:
+            tag = tags[min(int(draw() * len(tags)), len(tags) - 1)]
+            success = round(0.4 + 0.5 * draw(), 2)
+            privilege = Privilege.ADMIN if draw() < 0.3 else Privilege.USER
+            vuln_id = f"vuln-{nid}"
+            vulnerabilities.append(Vulnerability(
+                vuln_id, tag, AccessRequirement.ADJACENT, success, 0.2, privilege))
+            vuln_on[nid] = (vuln_id,)
 
     credentials: List[Credential] = []
     cred_on: Dict[str, Tuple[str, ...]] = {}
-    cred_rng = substream(seed, "credentials")
-    for nid in all_ids:
-        if cred_rng.random() < recipe.credential_rate:
-            others = [o for o in all_ids if o != nid]
-            if not others:
-                continue
-            target = others[min(int(cred_rng.random() * len(others)), len(others) - 1)]
-            cred = Credential(id=f"cred-{nid}", stored_on=nid, grants_access_to=(target,))
-            credentials.append(cred)
-            cred_on[nid] = (cred.id,)
+    draw = substream(seed, "credentials").random
+    ids = layout.ids
+    others = len(ids) - 1
+    for pos, nid in enumerate(ids):
+        if draw() < recipe.credential_rate and others:
+            j = min(int(draw() * others), others - 1)
+            cred_id = f"cred-{nid}"
+            credentials.append(Credential(cred_id, nid, (ids[j if j < pos else j + 1],)))
+            cred_on[nid] = (cred_id,)
 
     nodes = tuple(
-        Node(
-            id=nid,
-            node_class=cls,
-            zone=zone,
-            services=(Service(*_CLASS_SERVICES[cls]),),
-            vulnerability_ids=vuln_on.get(nid, ()),
-            credential_ids=cred_on.get(nid, ()),
-            asset_value=_CLASS_ASSET_VALUE[cls],
-        )
-        for nid, cls, zone in placements
+        Node(nid, cls, zone, _CLASS_SERVICES[cls], vuln_on.get(nid, ()),
+             cred_on.get(nid, ()), _CLASS_ASSET_VALUE[cls])
+        for nid, cls, zone in layout.placements
     )
     return NetworkTopology(
         nodes=nodes,
         edges=tuple(edges),
-        zones=zones,
+        zones=layout.zones,
         vulnerabilities=tuple(vulnerabilities),
         credentials=tuple(credentials),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import FrozenSet, Mapping, Optional, Tuple
+from typing import FrozenSet, Mapping, Tuple
 
 from .model import NetworkTopology, Privilege
 
@@ -96,14 +96,8 @@ class SimulationState:
                 targets.update(cred.grants_access_to)
         return frozenset(targets)
 
-    def privilege_on(self, node_id: str) -> Optional[Privilege]:
-        return self.compromise.get(node_id)
-
     def defenses_on(self, node_id: str) -> FrozenSet[DefenseKind]:
         return self.deployed.get(node_id, frozenset())
-
-    def has_privilege(self, node_id: str, minimum: Privilege) -> bool:
-        return _PRIV_RANK[self.compromise.get(node_id)] >= _PRIV_RANK[minimum]
 
     def with_compromise(self, node_id: str, privilege: Privilege) -> "SimulationState":
         current = self.compromise.get(node_id)

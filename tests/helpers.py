@@ -28,6 +28,7 @@ from spidersim import (
     Privilege,
     ScenarioSpec,
     TargetSelector,
+    TopologyRecipe,
     Vulnerability,
     built_in_registry,
 )
@@ -37,9 +38,10 @@ from spidersim.capabilities import (
     PredicateKind,
     PreconditionResult,
 )
-from spidersim.errors import UnboundSlot
+from spidersim.errors import EmptyRecipe, InsufficientGateways, UnboundSlot
 from spidersim.state import SimulationState
-from spidersim.model import DomainContext, Elements, ScenarioParameters, SubProblem
+from spidersim.model import DomainContext, Elements, ScenarioParameters, Service, SubProblem
+from spidersim.rng import substream
 
 EXTERNAL = "EXTERNAL"
 PHISHABLE = {NodeClass.WORKSTATION, NodeClass.MAINTENANCE_ENDPOINT}
@@ -316,6 +318,7 @@ def path_to_oracle_steps(path) -> Tuple[OracleStep, ...]:
 
 _ACCESS_ORDER = {AccessRequirement.NETWORK: 0, AccessRequirement.ADJACENT: 1,
                  AccessRequirement.LOCAL: 2}
+_PRIVILEGE_RANK = {None: 0, Privilege.USER: 1, Privilege.ADMIN: 2}
 
 
 def _bound(binding: Dict[str, str], slot: str, cap_id: str) -> str:
@@ -332,7 +335,8 @@ def _reference_predicate(pred: Predicate, state: SimulationState,
     topo = state.topology
     node_id = _bound(binding, pred.slot, cap_id)
     if pred.kind == PredicateKind.ACTOR_HAS_FOOTHOLD:
-        return node_id in state.footholds and state.has_privilege(node_id, pred.min_privilege)
+        return (node_id in state.footholds
+                and _PRIVILEGE_RANK[state.compromise.get(node_id)] >= _PRIVILEGE_RANK[pred.min_privilege])
     if pred.kind == PredicateKind.EDGE_EXISTS:
         src = _bound(binding, pred.src_slot, cap_id)
         return any(
@@ -359,7 +363,7 @@ def _reference_predicate(pred: Predicate, state: SimulationState,
         node = topo.node_by_id(node_id)
         return node is not None and node.node_class in (pred.node_classes or ())
     if pred.kind == PredicateKind.NODE_NOT_COMPROMISED:
-        return state.privilege_on(node_id) is None
+        return state.compromise.get(node_id) is None
     if pred.kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
         node = topo.node_by_id(node_id)
         return node is not None and node.asset_value >= pred.min_asset_value
@@ -412,3 +416,150 @@ def oracle_applicable_capabilities(registry: CapabilityRegistry,
         item[1]["target"], item[1].get("source", ""),
     ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference recipe expansion
+# ---------------------------------------------------------------------------
+
+# The per-class defaults build_topology documents, restated here so the
+# reference does not read the library's tables.
+_REFERENCE_CLASS_SERVICES: Dict[NodeClass, Tuple[str, int]] = {
+    NodeClass.SENSOR: ("telemetry", 9000),
+    NodeClass.CONTROLLER: ("modbus", 502),
+    NodeClass.GATEWAY: ("routing", 443),
+    NodeClass.CAMERA_SERVER: ("rtsp", 554),
+    NodeClass.MAINTENANCE_ENDPOINT: ("ssh", 22),
+    NodeClass.WORKSTATION: ("smb", 445),
+    NodeClass.DATA_SERVER: ("db", 5432),
+}
+
+_REFERENCE_CLASS_ASSET_VALUE: Dict[NodeClass, int] = {
+    NodeClass.SENSOR: 20,
+    NodeClass.CONTROLLER: 90,
+    NodeClass.GATEWAY: 50,
+    NodeClass.CAMERA_SERVER: 60,
+    NodeClass.MAINTENANCE_ENDPOINT: 40,
+    NodeClass.WORKSTATION: 30,
+    NodeClass.DATA_SERVER: 80,
+}
+
+
+def _reference_recipe_node_ids(recipe: TopologyRecipe):
+    for cls in NodeClass:
+        for i in range(recipe.count(cls)):
+            yield f"{cls.value}-{i}", cls
+
+
+def reference_build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopology:
+    """What ``build_topology`` must return, by the pair-scanning expansion:
+    every node pair is visited in stage 2, every id scanned for each
+    inter-zone link's peers and each credential's targets, and every
+    value built by keyword."""
+    if recipe.total_nodes() < 1:
+        raise EmptyRecipe("recipe places no nodes")
+    if (recipe.zone_count > 1 and recipe.inter_zone_gateways > 0
+            and recipe.count(NodeClass.GATEWAY) == 0):
+        raise InsufficientGateways(
+            "inter-zone links requested but the recipe places no gateways"
+        )
+
+    zones = tuple(f"zone-{i}" for i in range(recipe.zone_count))
+    placements: List[Tuple[str, NodeClass, str]] = []
+    for k, (node_id, cls) in enumerate(_reference_recipe_node_ids(recipe)):
+        placements.append((node_id, cls, zones[k % recipe.zone_count]))
+
+    zone_of = {nid: zone for nid, _, zone in placements}
+    class_of = {nid: cls for nid, cls, _ in placements}
+    all_ids = sorted(zone_of)
+
+    edges: List[Edge] = []
+    edge_keys = set()
+
+    def add_edge(src: str, dst: str, protocol: str = "tcp") -> None:
+        if (src, dst, protocol) in edge_keys or (dst, src, protocol) in edge_keys:
+            return
+        edge_keys.add((src, dst, protocol))
+        edges.append(Edge(src=src, dst=dst, protocol_tag=protocol, bidirectional=True))
+
+    edge_rng = substream(seed, "edges")
+    for i, u in enumerate(all_ids):
+        for v in all_ids[i + 1:]:
+            if zone_of[u] != zone_of[v]:
+                continue
+            if edge_rng.random() < recipe.intra_zone_density:
+                add_edge(u, v)
+
+    gateways = sorted(nid for nid in all_ids if class_of[nid] == NodeClass.GATEWAY)
+    if recipe.zone_count > 1 and recipe.inter_zone_gateways > 0 and gateways:
+        pair_index = 0
+        for i, za in enumerate(zones):
+            for zb in zones[i + 1:]:
+                for t in range(recipe.inter_zone_gateways):
+                    g = gateways[(pair_index * recipe.inter_zone_gateways + t) % len(gateways)]
+                    sides = []
+                    if zone_of[g] != za:
+                        sides.append(za)
+                    if zone_of[g] != zb:
+                        sides.append(zb)
+                    for side in sides:
+                        peers = sorted(nid for nid in all_ids if zone_of[nid] == side and nid != g)
+                        if peers:
+                            add_edge(g, peers[t % len(peers)])
+                pair_index += 1
+
+    tags = sorted({cap.technique_tag for cap in registry.capabilities()
+                   if cap.kind.value == "attack"}) or ["T0000"]
+    vulnerabilities: List[Vulnerability] = []
+    vuln_on: Dict[str, Tuple[str, ...]] = {}
+    vuln_rng = substream(seed, "vulns")
+    for nid in all_ids:
+        if class_of[nid] == NodeClass.GATEWAY:
+            continue
+        if vuln_rng.random() < recipe.vuln_rate:
+            tag = tags[min(int(vuln_rng.random() * len(tags)), len(tags) - 1)]
+            success = round(0.4 + 0.5 * vuln_rng.random(), 2)
+            privilege = Privilege.ADMIN if vuln_rng.random() < 0.3 else Privilege.USER
+            vuln = Vulnerability(
+                id=f"vuln-{nid}",
+                technique_tag=tag,
+                access_requirement=AccessRequirement.ADJACENT,
+                success_prob=success,
+                detection_prob=0.2,
+                gained_privilege=privilege,
+            )
+            vulnerabilities.append(vuln)
+            vuln_on[nid] = (vuln.id,)
+
+    credentials: List[Credential] = []
+    cred_on: Dict[str, Tuple[str, ...]] = {}
+    cred_rng = substream(seed, "credentials")
+    for nid in all_ids:
+        if cred_rng.random() < recipe.credential_rate:
+            others = [o for o in all_ids if o != nid]
+            if not others:
+                continue
+            target = others[min(int(cred_rng.random() * len(others)), len(others) - 1)]
+            cred = Credential(id=f"cred-{nid}", stored_on=nid, grants_access_to=(target,))
+            credentials.append(cred)
+            cred_on[nid] = (cred.id,)
+
+    nodes = tuple(
+        Node(
+            id=nid,
+            node_class=cls,
+            zone=zone,
+            services=(Service(*_REFERENCE_CLASS_SERVICES[cls]),),
+            vulnerability_ids=vuln_on.get(nid, ()),
+            credential_ids=cred_on.get(nid, ()),
+            asset_value=_REFERENCE_CLASS_ASSET_VALUE[cls],
+        )
+        for nid, cls, zone in placements
+    )
+    return NetworkTopology(
+        nodes=nodes,
+        edges=tuple(edges),
+        zones=zones,
+        vulnerabilities=tuple(vulnerabilities),
+        credentials=tuple(credentials),
+    )

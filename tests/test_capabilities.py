@@ -344,7 +344,7 @@ class TestCompiledChecks:
             one.compromise["b"] = ss.Privilege.USER
         with pytest.raises(TypeError):
             one.deployed["a"] = frozenset()
-        assert one.privilege_on("b") is None and one.defenses_on("a") == frozenset()
+        assert one.compromise.get("b") is None and one.defenses_on("a") == frozenset()
         assert pickle.loads(pickle.dumps(one)) == copy.deepcopy(one) == one
 
 
@@ -387,7 +387,7 @@ class TestVulnerabilityMatching:
             new_state, outcome = ss.apply_capability(state, cap, binding, rng)
             if outcome.success:
                 break
-        assert new_state.privilege_on("t") == ss.Privilege.ADMIN
+        assert new_state.compromise["t"] == ss.Privilege.ADMIN
 
     def test_patch_gates_exploit(self, registry):
         topo = chain_topology()

@@ -1,10 +1,14 @@
 """Scenario document model: parsing, serialization, validation, expansion."""
 
+import dataclasses
+import hashlib
+import itertools
 import json
+import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spidersim as ss
@@ -16,13 +20,14 @@ from spidersim.errors import (
     MissingSection,
     UnknownField,
 )
-from spidersim.model import Finding, check_topology
+from spidersim.model import Finding, ScenarioParameters, check_topology, scenario_node_ids
 
 from helpers import (
     builtin_reg,
     make_topology,
     make_vuln,
     random_topology,
+    reference_build_topology,
     spec_around,
     with_directed_edges,
 )
@@ -312,3 +317,115 @@ class TestBuildTopology:
         spec = replace(base, scenario_parameters=ScenarioParameters(recipe=r),
                        objectives=objectives)
         assert ss.validate_spec(spec, registry).errors == ()
+
+
+def expand(expansion, r, seed):
+    """The topology ``expansion`` makes of ``r``, or the error it raises."""
+    try:
+        return expansion(r, builtin_reg(), seed)
+    except (EmptyRecipe, InsufficientGateways) as exc:
+        return exc
+
+
+def expansion_outcome(result) -> str:
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    return repr(result)
+
+
+@st.composite
+def random_recipes(draw):
+    """1-6 zones (often more than nodes), 0-3 gateways with up to 5 links
+    per zone pair, and every rate at 0, between, and 1."""
+    counts = {cls: draw(st.integers(0, 3)) for cls in ss.NodeClass}
+    return recipe(counts,
+                  zone_count=draw(st.integers(1, 6)),
+                  density=draw(st.sampled_from([0.0, 0.3, 1.0])),
+                  gateways=draw(st.integers(0, 5)),
+                  vuln_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                  credential_rate=draw(st.sampled_from([0.0, 0.4, 1.0])))
+
+
+ONE_NODE = recipe({ss.NodeClass.SENSOR: 1}, credential_rate=1.0)
+FEW_GATEWAYS = recipe({ss.NodeClass.SENSOR: 2, ss.NodeClass.GATEWAY: 1,
+                       ss.NodeClass.WORKSTATION: 1},
+                      zone_count=6, density=1.0, gateways=4, credential_rate=1.0)
+
+
+def expansion_grid():
+    """A fixed set of (recipe, seed): one node with every credential gate
+    open, a 12-node mix, and 39 nodes whose gateway ids sort out of
+    creation order, each under 1, 2, 3 and 6 zones, 0, 1 and 3 links per
+    zone pair, density 0, 0.3 and 1, and two seeds."""
+    sizes = (
+        ({ss.NodeClass.SENSOR: 1}, 1.0),
+        ({ss.NodeClass.SENSOR: 3, ss.NodeClass.CONTROLLER: 2, ss.NodeClass.GATEWAY: 2,
+          ss.NodeClass.CAMERA_SERVER: 1, ss.NodeClass.MAINTENANCE_ENDPOINT: 2,
+          ss.NodeClass.WORKSTATION: 1, ss.NodeClass.DATA_SERVER: 1}, 0.4),
+        ({ss.NodeClass.SENSOR: 14, ss.NodeClass.GATEWAY: 12,
+          ss.NodeClass.WORKSTATION: 10, ss.NodeClass.DATA_SERVER: 3}, 0.4),
+    )
+    for (counts, credential_rate), zones, links, density, seed in itertools.product(
+            sizes, (1, 2, 3, 6), (0, 1, 3), (0.0, 0.3, 1.0), (0, 1)):
+        yield recipe(counts, zone_count=zones, density=density, gateways=links,
+                     credential_rate=credential_rate), seed
+
+
+# sha256 over the newline-joined outcomes of expansion_grid(), computed
+# with the pair-scanning expansion: a change to the draws or their order
+# fails here even if build_topology and the reference drift together.
+EXPANSION_GRID_SHA256 = "79d680d734c189cf7db5a9b54de5e6b58ebdd3a51fa67fd79bebff01f176e33a"
+
+
+class TestExpansionMatchesReference:
+    @given(r=random_recipes(), seed=st.integers(0, 2**32 - 1))
+    @example(r=ONE_NODE, seed=0)
+    @example(r=FEW_GATEWAYS, seed=3)
+    @settings(max_examples=300, deadline=None)
+    def test_random_recipes(self, r, seed):
+        got = expand(ss.build_topology, r, seed)
+        want = expand(reference_build_topology, r, seed)
+        assert expansion_outcome(got) == expansion_outcome(want)
+        if not isinstance(want, Exception):
+            assert got == want
+
+    def test_pinned_grid(self):
+        outcomes = "\n".join(expansion_outcome(expand(ss.build_topology, r, seed))
+                              for r, seed in expansion_grid())
+        assert hashlib.sha256(outcomes.encode("utf-8")).hexdigest() == EXPANSION_GRID_SHA256
+
+
+class TestRecipeLayout:
+    @given(r=random_recipes(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_scenario_node_ids_match_every_expansion(self, r, seeds):
+        spec = dataclasses.replace(spec_around(make_topology([("a", ss.NodeClass.SENSOR)], [])),
+                                   scenario_parameters=ScenarioParameters(recipe=r))
+        for seed in seeds:
+            topo = expand(ss.build_topology, r, seed)
+            if isinstance(topo, Exception):
+                continue
+            assert scenario_node_ids(spec) == {n.id for n in topo.nodes}
+
+    def test_layout_is_not_part_of_the_value(self, registry):
+        fresh = recipe(TestBuildTopology.COUNTS, zone_count=2, gateways=1)
+        laid_out = recipe(TestBuildTopology.COUNTS, zone_count=2, gateways=1)
+        ss.build_topology(laid_out, registry, 5)
+        assert "layout" in vars(laid_out) and "layout" not in vars(fresh)
+        assert laid_out == fresh and hash(laid_out) == hash(fresh)
+        assert repr(laid_out) == repr(fresh)
+        assert pickle.dumps(laid_out) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(laid_out)) == fresh
+        base = spec_around(make_topology([("a", ss.NodeClass.SENSOR)], []))
+        specs = [dataclasses.replace(base, scenario_parameters=ScenarioParameters(recipe=r))
+                 for r in (laid_out, fresh)]
+        assert ss.serialize_scenario(specs[0]) == ss.serialize_scenario(specs[1])
+
+    def test_replace_expands_under_the_new_zone_count(self, registry):
+        r = recipe(TestBuildTopology.COUNTS, zone_count=2, gateways=1)
+        ss.build_topology(r, registry, 5)
+        wider = dataclasses.replace(r, zone_count=4)
+        topo = ss.build_topology(wider, registry, 5)
+        assert topo.zones == ("zone-0", "zone-1", "zone-2", "zone-3")
+        assert {n.zone for n in topo.nodes} == set(topo.zones)
+        assert topo == reference_build_topology(wider, registry, 5)
