@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import (
-    AbstractSet, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple,
+    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
 )
 
 from .errors import (
@@ -652,26 +652,23 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
 
 
 def _candidate_bindings(rule: _BindingRule, topology: NetworkTopology,
-                        domain: Tuple[str, ...], in_domain: AbstractSet[str],
-                        footholds: AbstractSet[str]) -> Iterator[Dict[str, str]]:
+                        domain: Tuple[str, ...], in_domain: Set[str],
+                        footholds: Set[str]) -> Iterator[Dict[str, str]]:
     """Bindings of ``rule.cap`` worth checking, in (target, source) order.
 
     ``domain`` is sorted and free of repeats, ``in_domain`` holds the same
-    ids (``topology.node_id_set`` itself when the domain is the whole
-    topology), and ``footholds`` the actor's footholds among them. A node
-    is skipped only where one of the capability's own preconditions must
-    fail on it (see ``applicable_capabilities``); ``source`` never equals
+    ids, and ``footholds`` the actor's footholds among them. A node is
+    skipped only where one of the capability's own preconditions must fail
+    on it (see ``applicable_capabilities``); ``source`` never equals
     ``target``.
     """
     sources = footholds if rule.source_footholds else in_domain
-    targets: Optional[AbstractSet[str]] = None  # None: the whole domain
+    targets: Optional[Set[str]] = None  # None: the whole domain
     if rule.target_footholds:
         targets = footholds
     if rule.target_classes is not None:
-        of_class = topology.node_ids_of_classes(rule.target_classes)
-        if targets is None and in_domain is not topology.node_id_set:
-            targets = in_domain
-        targets = of_class if targets is None else targets & of_class
+        targets = (in_domain if targets is None else targets).intersection(
+            nid for cls in rule.target_classes for nid in topology.node_ids_of_class(cls))
     if rule.source_edge and rule.source_footholds:
         targets = (in_domain if targets is None else targets).intersection(
             nid for src in footholds for nid in topology.out_neighbours(src))
@@ -711,10 +708,8 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
       on source; otherwise the whole domain. Never equal to ``target``.
 
     Each binding left is checked with ``evaluate_preconditions``. The
-    rules are read once per registry, and the default domain, its id set
-    and each rule's class targets once per topology (an explicit
-    ``binding_domain`` is intersected every call), so a round costs one
-    check per binding left: for the
+    rules are read once per registry and the default domain once per
+    topology, so a round costs one check per binding left: for the
     built-in attack set, one per entry-class node, two per foothold and
     two per edge out of a foothold.
     """
@@ -722,10 +717,9 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     topology = state.topology
     if binding_domain is None:
         domain = topology.node_ids
-        in_domain = topology.node_id_set
     else:
         domain = tuple(sorted(set(binding_domain)))
-        in_domain = set(domain)
+    in_domain = set(domain)
     footholds = state.footholds & in_domain
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
     for rule in registry._binding_rules[kind]:

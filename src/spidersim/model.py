@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .errors import (
     EmptyRecipe,
@@ -167,20 +168,11 @@ class NetworkTopology:
         return tuple(sorted(self._nodes_by_id))
 
     @cached_property
-    def node_id_set(self) -> FrozenSet[str]:
-        """Every node id, as a set."""
-        return frozenset(self._nodes_by_id)
-
-    @cached_property
     def _node_ids_by_class(self) -> Dict[NodeClass, Tuple[str, ...]]:
         index: Dict[NodeClass, List[str]] = {}
         for node_id in self.node_ids:
             index.setdefault(self._nodes_by_id[node_id].node_class, []).append(node_id)
         return {cls: tuple(ids) for cls, ids in index.items()}
-
-    @cached_property
-    def _node_ids_by_classes(self) -> Dict[FrozenSet[NodeClass], FrozenSet[str]]:
-        return {}
 
     @cached_property
     def _in_neighbours(self) -> Dict[str, FrozenSet[str]]:
@@ -215,15 +207,6 @@ class NetworkTopology:
         """Ids of the nodes of one class, in id order (where ids repeat,
         the class of the first node with the id)."""
         return self._node_ids_by_class.get(node_class, ())
-
-    def node_ids_of_classes(self, classes: FrozenSet[NodeClass]) -> FrozenSet[str]:
-        """Ids of the nodes of any of ``classes`` (under the same rule as
-        ``node_ids_of_class``), kept per set of classes asked for."""
-        found = self._node_ids_by_classes.get(classes)
-        if found is None:
-            found = frozenset(nid for cls in classes for nid in self.node_ids_of_class(cls))
-            self._node_ids_by_classes[classes] = found
-        return found
 
     def in_neighbours(self, node_id: str) -> FrozenSet[str]:
         """Every ``src`` with an edge ``src -> node_id``: a bidirectional
@@ -268,23 +251,21 @@ class Objective:
             raise InvariantViolation("objective.threshold", "must be in [0,1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecipeLayout:
     """Where each node of a recipe goes, which no seed changes.
 
     ``placements`` holds (id, class, zone) in creation order: NodeClass
-    declaration order, then index, node k in zone ``k mod zone_count``.
-    ``by_id`` holds (id, class, zone, position) in id order, where
-    ``members[zone][position]`` is the node itself; ``members`` maps each
-    zone with nodes to its ids in id order.
+    declaration order, then index, node k in zone ``zone-(k mod
+    zone_count)``. ``by_id`` holds (id, class, zone, position) in id
+    order, where ``members[zone][position]`` is the node itself; the
+    read-only ``members`` maps each zone that holds nodes to its ids in id
+    order. Its size follows the node count, whatever the zone count.
     """
 
-    zones: Tuple[str, ...]
     placements: Tuple[Tuple[str, NodeClass, str], ...]
     by_id: Tuple[Tuple[str, NodeClass, str, int], ...]
-    ids: Tuple[str, ...]
-    members: Dict[str, Tuple[str, ...]]
-    id_set: FrozenSet[str]
+    members: Mapping[str, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -328,26 +309,22 @@ class TopologyRecipe:
         """The recipe's node placement, worked out on first use and kept on
         the instance. It is derived from the fields, so it is left out of
         equality, hash, repr, serialization and pickles."""
-        zones = tuple(f"zone-{i}" for i in range(self.zone_count))
+        zone_names = [f"zone-{i}" for i in range(min(self.zone_count, self.total_nodes()))]
         placements: List[Tuple[str, NodeClass, str]] = []
         for cls in NodeClass:
             prefix = cls.value
             for i in range(self.count(cls)):
-                placements.append((f"{prefix}-{i}", cls, zones[len(placements) % self.zone_count]))
+                placements.append((f"{prefix}-{i}", cls, zone_names[len(placements) % self.zone_count]))
         members: Dict[str, List[str]] = {}
         by_id = []
         for nid, cls, zone in sorted(placements, key=lambda placement: placement[0]):
             zone_ids = members.setdefault(zone, [])
             by_id.append((nid, cls, zone, len(zone_ids)))
             zone_ids.append(nid)
-        ids = tuple(nid for nid, _, _, _ in by_id)
         return RecipeLayout(
-            zones=zones,
-            placements=tuple(placements),
-            by_id=tuple(by_id),
-            ids=ids,
-            members={zone: tuple(zone_ids) for zone, zone_ids in members.items()},
-            id_set=frozenset(ids),
+            tuple(placements),
+            tuple(by_id),
+            MappingProxyType({zone: tuple(zone_ids) for zone, zone_ids in members.items()}),
         )
 
     def __getstate__(self) -> dict:
@@ -917,13 +894,13 @@ def _is_connected(topo: NetworkTopology) -> bool:
     return len(seen) == len(topo.nodes)
 
 
-def scenario_node_ids(spec: ScenarioSpec) -> AbstractSet[str]:
+def scenario_node_ids(spec: ScenarioSpec) -> Set[str]:
     """Node ids of the scenario's topology. A recipe's ids follow from its
     node counts alone, so every seed expands it to the same ids."""
     topo = spec.scenario_parameters.explicit_topology
     if topo is not None:
         return {n.id for n in topo.nodes}
-    return spec.scenario_parameters.recipe.layout.id_set
+    return {nid for nid, _, _ in spec.scenario_parameters.recipe.layout.placements}
 
 
 def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
@@ -970,7 +947,7 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     Expansion order (each stage draws from its own named substream of
     ``seed``, so later stages never perturb earlier ones). The placement
     of stage 1 is the recipe's ``layout``, made once per recipe; every
-    other stage costs what it draws and what it builds.
+    other stage costs what it draws and what it builds, not the node pairs.
 
     1. Nodes: for each class in NodeClass declaration order, ``count``
        nodes named ``<class>-<i>``; node k in creation order joins zone
@@ -1001,22 +978,23 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
             "inter-zone links requested but the recipe places no gateways"
         )
     layout = recipe.layout
+    by_id = layout.by_id
     members = layout.members
 
     edges: List[Edge] = []
     draw = substream(seed, "edges").random
     density = recipe.intra_zone_density
-    for u, _, zone, position in layout.by_id:
+    for u, _, zone, position in by_id:
         for v in members[zone][position + 1:]:
             if draw() < density:
                 edges.append(Edge(u, v, "tcp", True))
 
     # A link joins two zones, so it can only repeat another link.
     links = recipe.inter_zone_gateways
-    gateways = [(nid, zone) for nid, cls, zone, _ in layout.by_id if cls is NodeClass.GATEWAY]
+    zones = tuple(f"zone-{i}" for i in range(recipe.zone_count))
+    gateways = [(nid, zone) for nid, cls, zone, _ in by_id if cls is NodeClass.GATEWAY]
     if recipe.zone_count > 1 and links > 0 and gateways:
         linked = set()
-        zones = layout.zones
         pair_index = 0
         for i, za in enumerate(zones):
             for zb in zones[i + 1:]:
@@ -1036,7 +1014,7 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     vulnerabilities: List[Vulnerability] = []
     vuln_on: Dict[str, Tuple[str, ...]] = {}
     draw = substream(seed, "vulns").random
-    for nid, cls, _, _ in layout.by_id:
+    for nid, cls, _, _ in by_id:
         if cls is NodeClass.GATEWAY:
             continue
         if draw() < recipe.vuln_rate:
@@ -1051,13 +1029,12 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     credentials: List[Credential] = []
     cred_on: Dict[str, Tuple[str, ...]] = {}
     draw = substream(seed, "credentials").random
-    ids = layout.ids
-    others = len(ids) - 1
-    for pos, nid in enumerate(ids):
+    others = len(by_id) - 1
+    for pos, (nid, _, _, _) in enumerate(by_id):
         if draw() < recipe.credential_rate and others:
             j = min(int(draw() * others), others - 1)
             cred_id = f"cred-{nid}"
-            credentials.append(Credential(cred_id, nid, (ids[j if j < pos else j + 1],)))
+            credentials.append(Credential(cred_id, nid, (by_id[j if j < pos else j + 1][0],)))
             cred_on[nid] = (cred_id,)
 
     nodes = tuple(
@@ -1068,7 +1045,7 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     return NetworkTopology(
         nodes=nodes,
         edges=tuple(edges),
-        zones=layout.zones,
+        zones=zones,
         vulnerabilities=tuple(vulnerabilities),
         credentials=tuple(credentials),
     )

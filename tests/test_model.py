@@ -412,6 +412,8 @@ class TestRecipeLayout:
         laid_out = recipe(TestBuildTopology.COUNTS, zone_count=2, gateways=1)
         ss.build_topology(laid_out, registry, 5)
         assert "layout" in vars(laid_out) and "layout" not in vars(fresh)
+        with pytest.raises(TypeError):
+            laid_out.layout.members["zone-0"] = ()
         assert laid_out == fresh and hash(laid_out) == hash(fresh)
         assert repr(laid_out) == repr(fresh)
         assert pickle.dumps(laid_out) == pickle.dumps(fresh)
@@ -420,6 +422,19 @@ class TestRecipeLayout:
         specs = [dataclasses.replace(base, scenario_parameters=ScenarioParameters(recipe=r))
                  for r in (laid_out, fresh)]
         assert ss.serialize_scenario(specs[0]) == ss.serialize_scenario(specs[1])
+
+    def test_validation_does_not_grow_with_the_zone_count(self, registry):
+        # The layout names only the zones that hold nodes, so checking a
+        # spec costs one step per node however many zones the recipe names.
+        one_zone = recipe(TestBuildTopology.COUNTS)
+        many_zones = dataclasses.replace(one_zone, zone_count=10 ** 12)
+        objectives = (ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                                   ss.TargetSelector(node_id="controller-0"), 1.0),)
+        base = spec_around(make_topology([("a", ss.NodeClass.SENSOR)], []), objectives)
+        specs = [dataclasses.replace(base, scenario_parameters=ScenarioParameters(recipe=r))
+                 for r in (one_zone, many_zones)]
+        assert scenario_node_ids(specs[1]) == scenario_node_ids(specs[0])
+        assert ss.validate_spec(specs[1], registry).errors == ()
 
     def test_replace_expands_under_the_new_zone_count(self, registry):
         r = recipe(TestBuildTopology.COUNTS, zone_count=2, gateways=1)
