@@ -14,15 +14,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .capabilities import (
-    AtomicCapability,
-    CapabilityKind,
-    CapabilityRegistry,
-    PredicateKind,
-    matching_vulnerabilities,
-)
+from .capabilities import CapabilityRegistry, matching_vulnerabilities
 from .errors import (
     InvalidQueryBound,
     NonContiguousPath,
@@ -69,29 +63,15 @@ class PathQuery:
         object.__setattr__(self, "entries", tuple(dict.fromkeys(self.entries)))
 
 
-def _cheapest_attack(registry: CapabilityRegistry,
-                     accepts: Callable[[AtomicCapability], bool]
-                     ) -> Optional[AtomicCapability]:
-    """The attack capability ``accepts`` takes with the lowest (cost, id)."""
-    return min((cap for cap in registry.by_kind(CapabilityKind.ATTACK) if accepts(cap)),
-               key=lambda c: (c.cost_units, c.id), default=None)
-
-
 class _HopTable:
     """The hop rule of one (topology, registry) pair. The exploit, lateral
-    and entry capabilities and the set of credential-granted nodes are
-    resolved once; the option for each target and the steps out of each
-    node are memoised on first use."""
+    and entry capabilities are the registry's ``path_capabilities``, and
+    the set of credential-granted nodes is resolved once; the option for
+    each target and the steps out of each node are memoised on first use."""
 
     def __init__(self, topology: NetworkTopology, registry: CapabilityRegistry):
         self._topology = topology
-        self._exploit = _cheapest_attack(
-            registry, lambda cap: cap.vuln_access_requirement() is not None)
-        self._lateral = _cheapest_attack(
-            registry, lambda cap: any(p.kind == PredicateKind.CREDENTIAL_HELD
-                                      for p in cap.preconditions))
-        self._entry = _cheapest_attack(
-            registry, lambda cap: cap.is_entry_capability() and bool(cap.entry_classes()))
+        self._exploit, self._lateral, self._entry = registry.path_capabilities
         self._granted = frozenset(target for cred in topology.credentials
                                   for target in cred.grants_access_to)
         self._options: Dict[str, Optional[Tuple[str, float, int]]] = {}

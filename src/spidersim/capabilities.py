@@ -14,7 +14,7 @@ the outcome.
 
 Each capability is compiled once, on first use, and keeps the result
 (``functools.cached_property`` on the capability, so every registry that
-holds it shares it): each precondition becomes a check of (state,
+holds it shares it, and pickles leave it out): each precondition becomes a check of (state,
 binding) with its slot and operands already read, and its binding rule
 is read from its preconditions. ``evaluate_preconditions`` runs the
 checks in declaration order; it is the one place a precondition is
@@ -55,7 +55,8 @@ from .errors import (
     UnsupportedInterfaceVersion,
 )
 from .model import (
-    AccessRequirement, NetworkTopology, NodeClass, Privilege, Vulnerability, index_by_id,
+    AccessRequirement, NetworkTopology, NodeClass, Privilege, Vulnerability, fields_only_state,
+    index_by_id,
 )
 from .state import _PRIV_RANK, DefenseKind, SimulationState
 
@@ -128,6 +129,8 @@ class AtomicCapability:
     detection_prob: float
     cost_units: int
     interface_version: str = INTERFACE_VERSION
+
+    __getstate__ = fields_only_state
 
     def slots(self) -> Tuple[str, ...]:
         """Parameter slots the capability binds, "target" always included."""
@@ -234,6 +237,8 @@ def _read_binding_rule(cap: AtomicCapability) -> _BindingRule:
 class CapabilityRegistry:
     _caps: Tuple[AtomicCapability, ...] = ()
 
+    __getstate__ = fields_only_state
+
     def capabilities(self) -> Tuple[AtomicCapability, ...]:
         return self._caps
 
@@ -251,6 +256,25 @@ class CapabilityRegistry:
         ordered = sorted(self._caps, key=lambda c: (c.cost_units, c.id))
         return {kind: tuple(c._binding_rule for c in ordered if c.kind == kind)
                 for kind in CapabilityKind}
+
+    @cached_property
+    def path_capabilities(self) -> Tuple[Optional[AtomicCapability], ...]:
+        """The attack capabilities a static path takes: (exploit, lateral,
+        entry). The exploit needs a vulnerability, the lateral move a held
+        credential, and the entry is launchable from outside onto named
+        node classes. Each is the cheapest such attack by (cost, id), or
+        None."""
+        attacks = sorted(self.by_kind(CapabilityKind.ATTACK), key=lambda c: (c.cost_units, c.id))
+
+        def cheapest(qualifies: Callable[[AtomicCapability], bool]) -> Optional[AtomicCapability]:
+            return next((cap for cap in attacks if qualifies(cap)), None)
+
+        return (
+            cheapest(lambda cap: cap.vuln_access_requirement() is not None),
+            cheapest(lambda cap: any(p.kind == PredicateKind.CREDENTIAL_HELD
+                                     for p in cap.preconditions)),
+            cheapest(lambda cap: cap.is_entry_capability() and bool(cap.entry_classes())),
+        )
 
     def get(self, cap_id: str) -> AtomicCapability:
         cap = self._by_id.get(cap_id)

@@ -2,12 +2,12 @@
 for requirement, capability, strategy, and path files.
 
 All emitters use fixed key orders and lexicographic statement ordering so
-identical inputs always serialize byte-identically.
+identical inputs always serialize byte-identically; the JSON ones write
+through ``model.canonical_json``.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -53,6 +53,7 @@ from .model import (
     _parse_enum,
     _reject_unknown,
     _require,
+    canonical_json,
     load_json_object,
 )
 from .state import DefenseKind, SimulationState
@@ -135,8 +136,8 @@ def _state_to_dict(state: SimulationState) -> dict:
 
 
 def export_trace(trace: SimulationTrace) -> str:
-    """Canonical trace JSON: fixed key order, events in occurrence order,
-    integer-only fields; identical traces serialize byte-identically."""
+    """The trace in ``canonical_json`` form: fixed key order, events in
+    occurrence order; identical traces serialize byte-identically."""
     doc = {
         "config": {
             "max_rounds": trace.config.max_rounds,
@@ -161,7 +162,7 @@ def export_trace(trace: SimulationTrace) -> str:
         ],
         "final_state": _state_to_dict(trace.final_state),
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return canonical_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +192,7 @@ def parse_requirement(document: str) -> Requirement:
 
 
 def serialize_requirement(requirement: Requirement) -> str:
+    """The requirement file in ``canonical_json`` form."""
     doc = {
         "domain_tag": requirement.domain_tag,
         "narrative": requirement.narrative,
@@ -201,7 +203,7 @@ def serialize_requirement(requirement: Requirement) -> str:
             "target_class": requirement.constraints.target_class.value,
         },
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return canonical_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +329,18 @@ def parse_strategy(document: str) -> List[Tuple[str, str]]:
 
 
 def serialize_strategy(strategy: DefenseStrategy) -> str:
+    """The strategy file in ``canonical_json`` form."""
     doc = {
         "capability_placements": [
             {"capability_id": p.capability_id, "target_node": p.target_node}
             for p in strategy.capability_placements
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return canonical_json(doc)
 
 
 def serialize_paths(paths: Iterable[AttackPath]) -> str:
+    """The path file in ``canonical_json`` form, paths and steps in order."""
     doc = {
         "paths": [
             {
@@ -356,7 +360,7 @@ def serialize_paths(paths: Iterable[AttackPath]) -> str:
             for p in paths
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return canonical_json(doc)
 
 
 def parse_paths(document: str) -> List[AttackPath]:

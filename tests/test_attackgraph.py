@@ -151,6 +151,27 @@ class TestExamples:
         assert entry_option(topo, builtin_reg(), "a") is not None
         assert entry_option(topo, builtin_reg(), "b") is None
 
+    def test_path_capabilities_are_the_cheapest_by_cost_then_id(self):
+        built_ins = builtin_reg()
+        assert [cap.id for cap in built_ins.path_capabilities] == [
+            "exploit_vuln", "lateral_move_with_cred", "phishing"]
+        exploit, lateral, entry = built_ins.path_capabilities
+        # A cheaper exploit wins; one at the same cost wins on its id only.
+        for cap_id, cost, chosen in (("zz_exploit", 1, "zz_exploit"),
+                                     ("aa_exploit", 2, "aa_exploit"),
+                                     ("zz_exploit", 2, "exploit_vuln")):
+            registry = ss.register_capability(
+                built_ins, replace(exploit, id=cap_id, cost_units=cost))
+            assert registry.path_capabilities == (registry.get(chosen), lateral, entry)
+            topo = make_topology(
+                nodes=[("s", ss.NodeClass.WORKSTATION), ("t", ss.NodeClass.SENSOR)],
+                edges=[("s", "t")], vulns=[make_vuln("t", 0.5)])
+            assert hop_option(topo, registry, "t") == (
+                chosen, 0.5, registry.get(chosen).cost_units)
+        defenses_only = ss.CapabilityRegistry(tuple(
+            cap for cap in built_ins.capabilities() if cap.kind == ss.CapabilityKind.DEFENSE))
+        assert defenses_only.path_capabilities == (None, None, None)
+
 
 class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1))

@@ -348,6 +348,31 @@ class TestCompiledChecks:
         assert pickle.loads(pickle.dumps(one)) == copy.deepcopy(one) == one
 
 
+class TestPickles:
+    def test_used_values_pickle_as_fresh_ones(self):
+        """Compiled checks, binding rules, path capabilities and topology
+        indexes are derived from the fields: a used value keeps them, but
+        pickles to the same bytes as a fresh one and round-trips equal."""
+        from spidersim.data import marine_ranch_scenario_text
+        used_spec = ss.parse_scenario(marine_ranch_scenario_text())
+        fresh_spec = ss.parse_scenario(marine_ranch_scenario_text())
+        registry = ss.built_in_registry()
+        ss.batch_run(used_spec, ss.DefenseStrategy(), registry,
+                     ss.SimulationConfig(max_rounds=20, seed=1), 3)
+        topology = used_spec.scenario_parameters.explicit_topology
+        ss.enumerate_attack_paths(topology, registry, ss.PathQuery(
+            entries=("maint-0",), target=ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER)))
+        fresh_registry = ss.CapabilityRegistry(
+            tuple(replace(cap) for cap in registry.capabilities()))
+        pairs = [(topology, fresh_spec.scenario_parameters.explicit_topology),
+                 (registry, fresh_registry),
+                 *zip(registry.capabilities(), fresh_registry.capabilities())]
+        for used, fresh in pairs:
+            assert len(vars(used)) > len(vars(fresh))
+            assert pickle.dumps(used) == pickle.dumps(fresh)
+            assert pickle.loads(pickle.dumps(used)) == used == copy.deepcopy(used)
+
+
 class TestVulnerabilityMatching:
     def test_network_vuln_matches_at_adjacent_level(self):
         topo = make_topology(

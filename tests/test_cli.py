@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, stream discipline."""
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,10 @@ from spidersim.data import marine_ranch_requirement_path, marine_ranch_scenario_
 
 SCENARIO = str(marine_ranch_scenario_path())
 REQUIREMENT = str(marine_ranch_requirement_path())
+README_STRATEGY = {"capability_placements": [
+    {"capability_id": "honeypot", "target_node": "maint-0"},
+    {"capability_id": "shocktrap", "target_node": "gateway-0"},
+]}
 
 
 def run(capsys, *argv):
@@ -154,12 +159,7 @@ class TestSimulateAndBatch:
 
     def test_batch_with_strategy_file(self, capsys, tmp_path):
         strategy = tmp_path / "strategy.json"
-        strategy.write_text(json.dumps({
-            "capability_placements": [
-                {"capability_id": "honeypot", "target_node": "maint-0"},
-                {"capability_id": "shocktrap", "target_node": "gateway-0"},
-            ]
-        }))
+        strategy.write_text(json.dumps(README_STRATEGY))
         code, out, _ = run(capsys, "batch", "--scenario", SCENARIO,
                            "--seed", "0", "-n", "20",
                            "--strategy", str(strategy))
@@ -292,3 +292,62 @@ class TestInternalErrors:
         assert code == 3
         assert "internal error" in err
         assert out == ""
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+class TestPayloadPins:
+    """sha256 of CLI payloads, computed from ``json.dumps(indent=2,
+    ensure_ascii=False)`` output: they check the bytes themselves, not only
+    that two runs of the same code agree."""
+
+    def test_generate_marine(self, capsys):
+        code, out, _ = run(capsys, "generate", "--requirement", REQUIREMENT, "--seed", "0")
+        assert code == 0
+        assert sha256(out) == (
+            "95c243b5c7ea4d94a7d106ed7d874ad7c635b6636c8fa4f40118d1793b24cbc9")
+
+    def test_generate_escaped_narrative(self, capsys, tmp_path):
+        doc = json.loads(marine_ranch_requirement_path().read_text(encoding="utf-8"))
+        doc["narrative"] = 'Café "ranch"\tpens, naïve \\ sensors'
+        req = tmp_path / "escaped.json"
+        req.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, "generate", "--requirement", str(req), "--seed", "0")
+        assert code == 0
+        assert json.loads(out)["domain_context"]["narrative"] == doc["narrative"]
+        assert "Café \\\"ranch\\\"\\tpens" in out
+        assert sha256(out) == (
+            "a9eac99e74eacd42661a3f65b1ff35580ee283c3a33bde4a8207d6abdf1bd012")
+
+    def test_simulate_marine(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--scenario", SCENARIO, "--seed", "0")
+        assert code == 0
+        assert sha256(out) == (
+            "b2c672f17978a3946a300ead4979940101a485183ebc7487fbb916a9985c2a6c")
+
+    def test_simulate_marine_with_readme_strategy(self, capsys, tmp_path):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(README_STRATEGY))
+        code, out, _ = run(capsys, "simulate", "--scenario", SCENARIO, "--seed", "0",
+                           "--strategy", str(strategy))
+        assert code == 0
+        assert sha256(out) == (
+            "b807d142d1202110db2dbff2b1fdf047d4a432e5274ab22ee27ef39090d517d7")
+
+    def test_paths_marine_with_dot(self, capsys, tmp_path):
+        dot = tmp_path / "paths.dot"
+        code, out, _ = run(capsys, "paths", "--scenario", SCENARIO, "--entry", "maint-0",
+                           "--target", "class:controller", "-k", "5", "--dot", str(dot))
+        assert code == 0
+        assert sha256(out) == (
+            "a5060c108c6fbd030f747c33b3f3558108f8e03940cd6ac05680d968299773a4")
+        assert sha256(dot.read_text(encoding="utf-8")) == (
+            "63ba972cdbd78572701e74fe131b2dac9521398669e9e9cd8fdcf162877c8bc2")
+
+    def test_simulate_recipe(self, capsys, recipe_scenario):
+        code, out, _ = run(capsys, "simulate", "--scenario", recipe_scenario, "--seed", "0")
+        assert code == 0
+        assert sha256(out) == (
+            "656d9611806bbea845531d28ed0546d2f9b1605115d5a379892157532e84b524")

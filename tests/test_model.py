@@ -20,7 +20,13 @@ from spidersim.errors import (
     MissingSection,
     UnknownField,
 )
-from spidersim.model import Finding, ScenarioParameters, check_topology, scenario_node_ids
+from spidersim.model import (
+    Finding,
+    ScenarioParameters,
+    canonical_json,
+    check_topology,
+    scenario_node_ids,
+)
 
 from helpers import (
     builtin_reg,
@@ -65,6 +71,120 @@ class TestRoundTrip:
         assert list(data) == ["schema_version", "domain_context",
                               "problem_decomposition", "scenario_parameters",
                               "objectives", "elements"]
+
+
+SPECIAL_CHARS = '"\\/\x00\x08\x1f\x7f\t\n \u00e9\u2028\U0001f600\ud800\udfff'
+SPECIAL_FLOATS = (-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324)
+BIG_INTS = (2**64, -(2**64) - 1, 10**40)
+
+json_text = st.text(st.sampled_from(SPECIAL_CHARS) | st.characters(exclude_categories=()),
+                    max_size=8)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.sampled_from(BIG_INTS)
+                | st.floats() | st.sampled_from(SPECIAL_FLOATS) | json_text)
+json_trees = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20)
+
+
+WRAPPERS = (lambda doc: {"é": doc}, lambda doc: [doc], lambda doc: (doc, None))
+
+
+@st.composite
+def json_documents(draw):
+    """A tree, a quarter of the time wrapped in 30 more containers."""
+    doc = draw(json_trees)
+    depth = draw(st.sampled_from([0, 1, 2, 30]))
+    for wrap in draw(st.lists(st.sampled_from(WRAPPERS), min_size=depth, max_size=depth)):
+        doc = wrap(doc)
+    return doc
+
+
+def json_features(doc, depth=0):
+    """The cases of the canonical writer a document exercises."""
+    found = set()
+    if depth > 20:
+        found.add("deep nesting")
+    if isinstance(doc, (list, tuple, dict)) and not doc:
+        found.add("empty " + type(doc).__name__)
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if any(ord(c) > 127 for c in key):
+                found.add("non-ASCII key")
+            found |= json_features(value, depth + 1)
+    elif isinstance(doc, (list, tuple)):
+        for value in doc:
+            found |= json_features(value, depth + 1)
+    elif isinstance(doc, float):
+        found.add({"nan": "NaN", "inf": "inf", "-inf": "-inf", "-0.0": "-0.0"}.get(
+            repr(doc), "float"))
+    elif isinstance(doc, int) and not isinstance(doc, bool) and abs(doc) >= 2**64:
+        found.add("big int")
+    elif isinstance(doc, str):
+        for name, hit in (("quote", '"' in doc), ("backslash", "\\" in doc),
+                          ("control", any(ord(c) < 32 for c in doc)),
+                          ("non-ASCII", any(ord(c) > 127 for c in doc)),
+                          ("lone surrogate", any(0xD800 <= ord(c) < 0xE000 for c in doc))):
+            if hit:
+                found.add(name)
+    return found
+
+
+class TestCanonicalJson:
+    CASES = {"deep nesting", "empty list", "empty tuple", "empty dict", "non-ASCII key",
+             "NaN", "inf", "-inf", "-0.0", "float", "big int", "quote", "backslash",
+             "control", "non-ASCII", "lone surrogate", "top-level scalar"}
+    # Each case at least once, however the generated documents fall.
+    EXAMPLES = ([], (), {}, {"é": [{"k": ()}] * 2}, [float(x) for x in ("nan", "inf", "-inf")],
+                {"a": -0.0, "b": 2**64, "c": 0.1}, '"\\\x00\u00e9\ud800', 7, None)
+
+    def test_matches_json_dumps(self):
+        seen = set()
+        deep = 1
+        for _ in range(40):
+            deep = {"k": [deep]}
+
+        @given(doc=json_documents())
+        @settings(max_examples=200, deadline=None)
+        def check(doc):
+            expected = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+            assert canonical_json(doc) == expected
+            seen.update(json_features(doc))
+            if not isinstance(doc, (list, tuple, dict)):
+                seen.add("top-level scalar")
+
+        for doc in (*self.EXAMPLES, deep):
+            check = example(doc=doc)(check)
+        check()
+        assert seen >= self.CASES, self.CASES - seen
+
+    def test_subclasses_encode_as_json_encodes_them(self):
+        """By their base type's text, whatever their own ``repr``."""
+        class Text(str):
+            pass
+
+        class Doc(dict):
+            pass
+
+        class Items(list):
+            pass
+
+        class Count(int):
+            __repr__ = lambda self: "Count"
+
+        class Ratio(float):
+            __repr__ = lambda self: "Ratio"
+
+        count, ratio = Count(3), Ratio(0.5)
+        doc = Doc({Text("k"): Items([ss.NodeClass.SENSOR, ss.Privilege.USER, Text("x"),
+                                     True, count, ratio, (), Doc()]), "n": count, "r": ratio})
+        assert canonical_json(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [b"bytes"], {1: "int key"}])
+    def test_other_values_raise_type_error(self, doc):
+        with pytest.raises(TypeError):
+            canonical_json(doc)
 
 
 class TestParseErrors:
