@@ -3,7 +3,7 @@ for requirement, capability, strategy, and path files.
 
 All emitters use fixed key orders and lexicographic statement ordering so
 identical inputs always serialize byte-identically; the JSON ones write
-through ``model.canonical_json``.
+through ``canonical.canonical_json``.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .attackgraph import EXTERNAL, AttackPath, AttackStep
+from .canonical import canonical_json
 from .capabilities import (
     INTERFACE_VERSION,
     AtomicCapability,
@@ -53,7 +54,6 @@ from .model import (
     _parse_enum,
     _reject_unknown,
     _require,
-    canonical_json,
     load_json_object,
 )
 from .state import DefenseKind, SimulationState

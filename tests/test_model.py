@@ -20,13 +20,8 @@ from spidersim.errors import (
     MissingSection,
     UnknownField,
 )
-from spidersim.model import (
-    Finding,
-    ScenarioParameters,
-    canonical_json,
-    check_topology,
-    scenario_node_ids,
-)
+from spidersim.canonical import canonical_json
+from spidersim.model import Finding, ScenarioParameters, check_topology, scenario_node_ids
 
 from helpers import (
     builtin_reg,
