@@ -135,11 +135,6 @@ def hop_option(topology: NetworkTopology, registry: CapabilityRegistry,
     return _HopTable(topology, registry).option(target)
 
 
-def entry_option(topology: NetworkTopology, registry: CapabilityRegistry,
-                 entry: str) -> Optional[AttackStep]:
-    return _HopTable(topology, registry).entry_step(entry)
-
-
 def _resolve_targets(topology: NetworkTopology, selector: TargetSelector) -> Set[str]:
     matched = {n.id for n in topology.nodes if selector.matches(n)}
     if not matched:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import (
     Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
 )
@@ -330,7 +330,12 @@ def register_capability(registry: CapabilityRegistry, cap: AtomicCapability) -> 
 # built-in capability set
 # ---------------------------------------------------------------------------
 
+@cache
 def built_in_registry() -> CapabilityRegistry:
+    """The built-in capabilities, registered and checked on the first call.
+    Every call returns that same immutable value, so what it caches (its id
+    index, binding rules and path capabilities) is worked out once per
+    process."""
     registry = CapabilityRegistry()
     for cap in _BUILT_INS:
         registry = register_capability(registry, cap)

@@ -30,7 +30,7 @@ from .engine import (
     resolve_topology,
     run_simulation,
 )
-from .errors import SpiderSimError
+from .errors import MalformedDocument, SpiderSimError
 from .exports import (
     export_dot,
     export_trace,
@@ -51,7 +51,10 @@ from .model import (
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"not UTF-8 text: {exc}")
 
 
 def _emit(payload: str, out: Optional[str]) -> None:

@@ -9,7 +9,7 @@ through ``canonical.canonical_json``.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .attackgraph import EXTERNAL, AttackPath, AttackStep
 from .canonical import canonical_json
@@ -20,40 +20,30 @@ from .capabilities import (
     DefenseStrategy,
     Effect,
     EffectKind,
-    Placement,
     Predicate,
     PredicateKind,
 )
-from .engine import (
-    AttackerPolicy,
-    DefenderPolicy,
-    SimEvent,
-    SimulationConfig,
-    SimulationTrace,
-)
-from .errors import (
-    InvariantViolation,
-    UnknownField,
-    UnknownPathNode,
-    UnsupportedInterfaceVersion,
-)
+from .engine import SimulationTrace
+from .errors import InvariantViolation, UnknownPathNode, UnsupportedInterfaceVersion
 from .forge import AttackerProfile, Constraints, Requirement
 from .model import (
-    AccessRequirement,
-    Actor,
+    MISSING,
     NetworkTopology,
-    NodeClass,
-    Privilege,
+    _ACCESS_REQUIREMENTS,
+    _NODE_CLASSES,
+    _PRIVILEGES,
     _check_identifier,
-    _expect_bool,
+    _enum_values,
     _expect_dict,
     _expect_fraction,
     _expect_int,
     _expect_list,
     _expect_text,
     _parse_enum,
+    _parse_enums,
+    _path,
+    _record,
     _reject_unknown,
-    _require,
     load_json_object,
 )
 from .state import DefenseKind, SimulationState
@@ -169,24 +159,29 @@ def export_trace(trace: SimulationTrace) -> str:
 # requirement files
 # ---------------------------------------------------------------------------
 
+_ATTACKER_PROFILES = _enum_values(AttackerProfile)
+_REQUIREMENT_FIELDS = frozenset({"domain_tag", "narrative", "constraints"})
+_CONSTRAINT_FIELDS = frozenset({"max_nodes", "required_classes", "attacker_profile",
+                                "target_class"})
+
+
 def parse_requirement(document: str) -> Requirement:
     raw = load_json_object(document)
-    _reject_unknown(raw, {"domain_tag", "narrative", "constraints"}, "")
-    cd = _expect_dict(_require(raw, "constraints", ""), "constraints")
-    _reject_unknown(cd, {"max_nodes", "required_classes", "attacker_profile",
-                         "target_class"}, "constraints")
+    _reject_unknown(raw, _REQUIREMENT_FIELDS, "")
+    cd = _expect_dict(raw.get("constraints", MISSING), "", "constraints")
+    _reject_unknown(cd, _CONSTRAINT_FIELDS, "constraints")
     constraints = Constraints(
-        max_nodes=_expect_int(_require(cd, "max_nodes", "constraints"), "constraints.max_nodes"),
-        required_classes=tuple(
-            _parse_enum(NodeClass, c, "constraints.required_classes")
-            for c in _expect_list(_require(cd, "required_classes", "constraints"), "constraints.required_classes")
-        ),
-        attacker_profile=_parse_enum(AttackerProfile, _require(cd, "attacker_profile", "constraints"), "constraints.attacker_profile"),
-        target_class=_parse_enum(NodeClass, _require(cd, "target_class", "constraints"), "constraints.target_class"),
+        max_nodes=_expect_int(cd.get("max_nodes", MISSING), "constraints", "max_nodes"),
+        required_classes=_parse_enums(_NODE_CLASSES, cd.get("required_classes", MISSING),
+                                      "constraints", "required_classes"),
+        attacker_profile=_parse_enum(_ATTACKER_PROFILES, cd.get("attacker_profile", MISSING),
+                                     "constraints", "attacker_profile"),
+        target_class=_parse_enum(_NODE_CLASSES, cd.get("target_class", MISSING),
+                                 "constraints", "target_class"),
     )
     return Requirement(
-        domain_tag=_check_identifier(_require(raw, "domain_tag", ""), "domain_tag"),
-        narrative=_expect_text(_require(raw, "narrative", ""), "narrative"),
+        domain_tag=_check_identifier(raw.get("domain_tag", MISSING), "", "domain_tag"),
+        narrative=_expect_text(raw.get("narrative", MISSING), "", "narrative"),
         constraints=constraints,
     )
 
@@ -210,7 +205,7 @@ def serialize_requirement(requirement: Requirement) -> str:
 # capability files (interface "cap-1")
 # ---------------------------------------------------------------------------
 
-_PREDICATE_FIELDS = {
+_PREDICATE_FIELDS = {kind: frozenset({"predicate", *keys}) for kind, keys in {
     PredicateKind.ACTOR_HAS_FOOTHOLD: {"slot", "min_privilege"},
     PredicateKind.EDGE_EXISTS: {"slot", "src_slot"},
     PredicateKind.NODE_HAS_VULN_WITH_ACCESS: {"slot", "access"},
@@ -220,9 +215,9 @@ _PREDICATE_FIELDS = {
     PredicateKind.NODE_CLASS_IS: {"slot", "node_classes"},
     PredicateKind.NODE_NOT_COMPROMISED: {"slot"},
     PredicateKind.NODE_ASSET_VALUE_AT_LEAST: {"slot", "min_asset_value"},
-}
+}.items()}
 
-_EFFECT_FIELDS = {
+_EFFECT_FIELDS = {kind: frozenset({"effect", *keys}) for kind, keys in {
     EffectKind.COMPROMISE: {"slot", "privilege"},
     EffectKind.GAIN_CREDENTIALS: {"slot"},
     EffectKind.DEPLOY: {"slot", "defense"},
@@ -230,80 +225,84 @@ _EFFECT_FIELDS = {
     EffectKind.TRAP_ACTOR: {"duration_rounds"},
     EffectKind.NULLIFY_CREDENTIAL_THEFT: {"slot"},
     EffectKind.REVEAL_VULNERABILITIES: {"slot"},
-}
+}.items()}
+
+_CAPABILITY_FIELDS = frozenset({"id", "kind", "name", "technique_tag", "preconditions", "effects",
+                                "base_success_prob", "detection_prob", "cost_units",
+                                "interface_version"})
+_PREDICATE_KINDS = _enum_values(PredicateKind)
+_EFFECT_KINDS = _enum_values(EffectKind)
+_CAPABILITY_KINDS = _enum_values(CapabilityKind)
+_DEFENSE_KINDS = _enum_values(DefenseKind)
 
 
 def _parse_predicate(raw, path: str) -> Predicate:
     d = _expect_dict(raw, path)
-    kind = _parse_enum(PredicateKind, _require(d, "predicate", path), f"{path}.predicate")
-    _reject_unknown(d, {"predicate"} | _PREDICATE_FIELDS[kind], path)
+    kind = _parse_enum(_PREDICATE_KINDS, d.get("predicate", MISSING), path, "predicate")
+    _reject_unknown(d, _PREDICATE_FIELDS[kind], path)
     kwargs: dict = {"kind": kind}
     if "slot" in d:
-        kwargs["slot"] = _check_identifier(d["slot"], f"{path}.slot")
+        kwargs["slot"] = _check_identifier(d["slot"], path, "slot")
     if kind == PredicateKind.EDGE_EXISTS:
-        kwargs["src_slot"] = _check_identifier(_require(d, "src_slot", path), f"{path}.src_slot")
+        kwargs["src_slot"] = _check_identifier(d.get("src_slot", MISSING), path, "src_slot")
     if kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
-        kwargs["access"] = _parse_enum(AccessRequirement, _require(d, "access", path), f"{path}.access")
+        kwargs["access"] = _parse_enum(_ACCESS_REQUIREMENTS, d.get("access", MISSING), path, "access")
     if kind in (PredicateKind.DEFENSE_ABSENT, PredicateKind.DEFENSE_PRESENT):
-        kwargs["defense"] = _parse_enum(DefenseKind, _require(d, "defense", path), f"{path}.defense")
+        kwargs["defense"] = _parse_enum(_DEFENSE_KINDS, d.get("defense", MISSING), path, "defense")
     if kind == PredicateKind.NODE_CLASS_IS:
-        kwargs["node_classes"] = tuple(
-            _parse_enum(NodeClass, c, f"{path}.node_classes")
-            for c in _expect_list(_require(d, "node_classes", path), f"{path}.node_classes")
-        )
+        kwargs["node_classes"] = _parse_enums(_NODE_CLASSES, d.get("node_classes", MISSING),
+                                              path, "node_classes")
     if kind == PredicateKind.ACTOR_HAS_FOOTHOLD and "min_privilege" in d:
-        kwargs["min_privilege"] = _parse_enum(Privilege, d["min_privilege"], f"{path}.min_privilege")
+        kwargs["min_privilege"] = _parse_enum(_PRIVILEGES, d["min_privilege"], path, "min_privilege")
     if kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
-        kwargs["min_asset_value"] = _expect_int(_require(d, "min_asset_value", path), f"{path}.min_asset_value")
+        kwargs["min_asset_value"] = _expect_int(d.get("min_asset_value", MISSING), path, "min_asset_value")
     return Predicate(**kwargs)
 
 
 def _parse_effect(raw, path: str) -> Effect:
     d = _expect_dict(raw, path)
-    kind = _parse_enum(EffectKind, _require(d, "effect", path), f"{path}.effect")
-    _reject_unknown(d, {"effect"} | _EFFECT_FIELDS[kind], path)
+    kind = _parse_enum(_EFFECT_KINDS, d.get("effect", MISSING), path, "effect")
+    _reject_unknown(d, _EFFECT_FIELDS[kind], path)
     kwargs: dict = {"kind": kind}
     if "slot" in d:
-        kwargs["slot"] = _check_identifier(d["slot"], f"{path}.slot")
+        kwargs["slot"] = _check_identifier(d["slot"], path, "slot")
     if kind == EffectKind.COMPROMISE:
-        kwargs["privilege"] = _parse_enum(Privilege, _require(d, "privilege", path), f"{path}.privilege")
+        kwargs["privilege"] = _parse_enum(_PRIVILEGES, d.get("privilege", MISSING), path, "privilege")
     if kind == EffectKind.DEPLOY:
-        kwargs["defense"] = _parse_enum(DefenseKind, _require(d, "defense", path), f"{path}.defense")
+        kwargs["defense"] = _parse_enum(_DEFENSE_KINDS, d.get("defense", MISSING), path, "defense")
     if kind == EffectKind.TRAP_ACTOR:
-        duration = _expect_int(_require(d, "duration_rounds", path), f"{path}.duration_rounds")
+        duration = _expect_int(d.get("duration_rounds", MISSING), path, "duration_rounds")
         if duration < 1:
-            raise InvariantViolation(f"{path}.duration_rounds", "must be >= 1")
+            raise InvariantViolation(_path(path, "duration_rounds"), "must be >= 1")
         kwargs["duration_rounds"] = duration
     return Effect(**kwargs)
 
 
 def parse_capability(document: str) -> AtomicCapability:
     raw = load_json_object(document)
-    allowed = {"id", "kind", "name", "technique_tag", "preconditions", "effects",
-               "base_success_prob", "detection_prob", "cost_units", "interface_version"}
-    _reject_unknown(raw, allowed, "")
-    version = _expect_text(_require(raw, "interface_version", ""), "interface_version")
+    _reject_unknown(raw, _CAPABILITY_FIELDS, "")
+    version = _expect_text(raw.get("interface_version", MISSING), "", "interface_version")
     if version != INTERFACE_VERSION:
         raise UnsupportedInterfaceVersion(
             f"capability file declares {version!r}, expected {INTERFACE_VERSION!r}"
         )
     return AtomicCapability(
-        id=_check_identifier(_require(raw, "id", ""), "id"),
-        kind=_parse_enum(CapabilityKind, _require(raw, "kind", ""), "kind"),
-        name=_expect_text(_require(raw, "name", ""), "name"),
-        technique_tag=_check_identifier(_require(raw, "technique_tag", ""), "technique_tag"),
+        id=_check_identifier(raw.get("id", MISSING), "", "id"),
+        kind=_parse_enum(_CAPABILITY_KINDS, raw.get("kind", MISSING), "", "kind"),
+        name=_expect_text(raw.get("name", MISSING), "", "name"),
+        technique_tag=_check_identifier(raw.get("technique_tag", MISSING), "", "technique_tag"),
         preconditions=tuple(
-            _parse_predicate(p, f"preconditions[{i}]")
+            _parse_predicate(p, ("preconditions", None, i))
             for i, p in enumerate(_expect_list(raw.get("preconditions", []), "preconditions"))
         ),
         effects=tuple(
-            _parse_effect(e, f"effects[{i}]")
+            _parse_effect(e, ("effects", None, i))
             for i, e in enumerate(_expect_list(raw.get("effects", []), "effects"))
         ),
-        base_success_prob=_expect_fraction(_require(raw, "base_success_prob", ""), "base_success_prob"),
-        detection_prob=_expect_fraction(_require(raw, "detection_prob", ""), "detection_prob"),
-        cost_units=_expect_int(_require(raw, "cost_units", ""), "cost_units"),
-        interface_version=_expect_text(_require(raw, "interface_version", ""), "interface_version"),
+        base_success_prob=_expect_fraction(raw.get("base_success_prob", MISSING), "", "base_success_prob"),
+        detection_prob=_expect_fraction(raw.get("detection_prob", MISSING), "", "detection_prob"),
+        cost_units=_expect_int(raw.get("cost_units", MISSING), "", "cost_units"),
+        interface_version=version,
     )
 
 
@@ -311,19 +310,26 @@ def parse_capability(document: str) -> AtomicCapability:
 # strategy and path files
 # ---------------------------------------------------------------------------
 
+_STRATEGY_FIELDS = frozenset({"capability_placements"})
+_PLACEMENT_FIELDS = frozenset({"capability_id", "target_node"})
+_PATHS_FIELDS = frozenset({"paths"})
+_PATH_FIELDS = frozenset({"steps", "success_prob", "total_cost"})
+_STEP_FIELDS = frozenset({"source", "capability_id", "target", "step_prob", "step_cost"})
+
+
 def parse_strategy(document: str) -> List[Tuple[str, str]]:
     """Strategy file: {"capability_placements": [{"capability_id", "target_node"}]}.
     Returns raw pairs; callers run compose_strategy for validation."""
     raw = load_json_object(document)
-    _reject_unknown(raw, {"capability_placements"}, "")
+    _reject_unknown(raw, _STRATEGY_FIELDS, "")
     pairs: List[Tuple[str, str]] = []
-    for i, item in enumerate(_expect_list(_require(raw, "capability_placements", ""), "capability_placements")):
-        path = f"capability_placements[{i}]"
-        d = _expect_dict(item, path)
-        _reject_unknown(d, {"capability_id", "target_node"}, path)
+    for i, item in enumerate(_expect_list(raw.get("capability_placements", MISSING),
+                                          "", "capability_placements")):
+        path = ("capability_placements", None, i)
+        d = _record(item, _PLACEMENT_FIELDS, path)
         pairs.append((
-            _check_identifier(_require(d, "capability_id", path), f"{path}.capability_id"),
-            _check_identifier(_require(d, "target_node", path), f"{path}.target_node"),
+            _check_identifier(d.get("capability_id", MISSING), path, "capability_id"),
+            _check_identifier(d.get("target_node", MISSING), path, "target_node"),
         ))
     return pairs
 
@@ -365,27 +371,25 @@ def serialize_paths(paths: Iterable[AttackPath]) -> str:
 
 def parse_paths(document: str) -> List[AttackPath]:
     raw = load_json_object(document)
-    _reject_unknown(raw, {"paths"}, "")
+    _reject_unknown(raw, _PATHS_FIELDS, "")
     paths: List[AttackPath] = []
-    for i, item in enumerate(_expect_list(_require(raw, "paths", ""), "paths")):
-        path = f"paths[{i}]"
-        d = _expect_dict(item, path)
-        _reject_unknown(d, {"steps", "success_prob", "total_cost"}, path)
+    for i, item in enumerate(_expect_list(raw.get("paths", MISSING), "", "paths")):
+        path = ("paths", None, i)
+        d = _record(item, _PATH_FIELDS, path)
         steps = []
-        for j, raw_step in enumerate(_expect_list(_require(d, "steps", path), f"{path}.steps")):
-            sp = f"{path}.steps[{j}]"
-            sd = _expect_dict(raw_step, sp)
-            _reject_unknown(sd, {"source", "capability_id", "target", "step_prob", "step_cost"}, sp)
+        for j, raw_step in enumerate(_expect_list(d.get("steps", MISSING), path, "steps")):
+            sp = (path, "steps", j)
+            sd = _record(raw_step, _STEP_FIELDS, sp)
             steps.append(AttackStep(
-                source=_check_identifier(_require(sd, "source", sp), f"{sp}.source"),
-                capability_id=_check_identifier(_require(sd, "capability_id", sp), f"{sp}.capability_id"),
-                target=_check_identifier(_require(sd, "target", sp), f"{sp}.target"),
-                step_prob=_expect_fraction(_require(sd, "step_prob", sp), f"{sp}.step_prob"),
-                step_cost=_expect_int(_require(sd, "step_cost", sp), f"{sp}.step_cost"),
+                source=_check_identifier(sd.get("source", MISSING), sp, "source"),
+                capability_id=_check_identifier(sd.get("capability_id", MISSING), sp, "capability_id"),
+                target=_check_identifier(sd.get("target", MISSING), sp, "target"),
+                step_prob=_expect_fraction(sd.get("step_prob", MISSING), sp, "step_prob"),
+                step_cost=_expect_int(sd.get("step_cost", MISSING), sp, "step_cost"),
             ))
         paths.append(AttackPath(
             steps=tuple(steps),
-            success_prob=_expect_fraction(_require(d, "success_prob", path), f"{path}.success_prob"),
-            total_cost=_expect_int(_require(d, "total_cost", path), f"{path}.total_cost"),
+            success_prob=_expect_fraction(d.get("success_prob", MISSING), path, "success_prob"),
+            total_cost=_expect_int(d.get("total_cost", MISSING), path, "total_cost"),
         ))
     return paths

@@ -11,7 +11,6 @@ dangerous.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -427,215 +426,238 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
+# A check takes a value, the path of its parent and its key, and makes the
+# path text only when it fails, so a valid document costs its JSON and the
+# objects built from it. A path is text, or a tuple of ``_path`` arguments.
+# A required field is read as ``d.get(key, MISSING)``: every check fails on
+# MISSING and reports a missing field (a missing section at the top level).
+
+MISSING = object()
+
 
 def load_json_object(document: str) -> dict:
     """The JSON object a document holds; anything else is MalformedDocument."""
     try:
         raw = json.loads(document)
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, TypeError, RecursionError) as exc:
         raise MalformedDocument(f"not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise MalformedDocument("top level must be an object")
     return raw
 
 
-def _check_identifier(value, path: str) -> str:
+def _path(path, key: Optional[str] = None, index: Optional[int] = None) -> str:
+    if isinstance(path, tuple):
+        path = _path(*path)
+    if key is not None:
+        path = f"{path}.{key}" if path else key
+    return path if index is None else f"{path}[{index}]"
+
+
+def _fail(value, path, key: Optional[str], message: str) -> Exception:
+    if value is MISSING:
+        if not path:
+            return MissingSection(key)
+        message = "missing required field"
+    return InvariantViolation(_path(path, key), message)
+
+
+def _check_identifier(value, path, key: Optional[str] = None) -> str:
     # str.split() cuts at exactly the characters str.isspace() accepts, so
     # a non-empty string without whitespace is the one piece it returns.
-    if not isinstance(value, str) or value.split() != [value]:
-        raise InvariantViolation(path, "must be a non-empty identifier")
-    return value
+    if isinstance(value, str) and value.split() == [value]:
+        return value
+    raise _fail(value, path, key, "must be a non-empty identifier")
 
 
-def _expect_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise InvariantViolation(path, "must be an object")
-    return value
+def _expect_dict(value, path, key: Optional[str] = None) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise _fail(value, path, key, "must be an object")
 
 
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise InvariantViolation(path, "must be a list")
-    return value
+def _expect_list(value, path, key: Optional[str] = None) -> list:
+    if isinstance(value, list):
+        return value
+    raise _fail(value, path, key, "must be a list")
 
 
-def _expect_text(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise InvariantViolation(path, "must be a string")
-    return value
+def _expect_text(value, path, key: Optional[str] = None) -> str:
+    if isinstance(value, str):
+        return value
+    raise _fail(value, path, key, "must be a string")
 
 
-def _expect_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InvariantViolation(path, "must be an integer")
-    return value
+def _expect_int(value, path, key: Optional[str] = None) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise _fail(value, path, key, "must be an integer")
 
 
-def _expect_fraction(value, path: str) -> float:
+def _expect_fraction(value, path, key: Optional[str] = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvariantViolation(path, "must be a number")
-    value = float(value)
-    if not 0.0 <= value <= 1.0 or math.isnan(value):
-        raise InvariantViolation(path, "must be in [0,1]")
+        raise _fail(value, path, key, "must be a number")
+    if 0.0 <= value <= 1.0:  # before float(): NaN and huge ints fail here
+        return float(value)
+    raise InvariantViolation(_path(path, key), "must be in [0,1]")
+
+
+def _expect_bool(value, path, key: Optional[str] = None) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise _fail(value, path, key, "must be a boolean")
+
+
+def _identifiers(value, path, key: str) -> Tuple[str, ...]:
+    """A list of identifiers; an element's error names the list's path."""
+    for v in _expect_list(value, path, key):
+        _check_identifier(v, path, key)
+    return tuple(value)
+
+
+def _reject_unknown(d: dict, allowed: FrozenSet[str], path) -> None:
+    if not allowed.issuperset(d):
+        raise UnknownField(_path(path, next(key for key in d if key not in allowed)))
+
+
+def _record(value, allowed: FrozenSet[str], path) -> dict:
+    """``_expect_dict`` then ``_reject_unknown``, in one step when both pass."""
+    if not (isinstance(value, dict) and allowed.issuperset(value)):
+        _reject_unknown(_expect_dict(value, path), allowed, path)
     return value
 
 
-def _expect_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise InvariantViolation(path, "must be a boolean")
-    return value
+def _enum_values(enum_cls) -> Dict[str, Enum]:
+    """The ``{value: member}`` table ``_parse_enum`` reads."""
+    return {member.value: member for member in enum_cls}
 
 
-def _reject_unknown(d: dict, allowed, path: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise UnknownField(f"{path}.{key}" if path else key)
-
-
-def _require(d: dict, key: str, path: str):
-    if key not in d:
-        if not path:
-            raise MissingSection(key)
-        raise InvariantViolation(f"{path}.{key}", "missing required field")
-    return d[key]
-
-
-def _parse_enum(enum_cls, value, path: str):
+def _parse_enum(members: Dict[str, Enum], value, path, key: Optional[str] = None):
     try:
-        return enum_cls(value)
-    except (ValueError, TypeError):
-        allowed = ", ".join(e.value for e in enum_cls)
-        raise InvariantViolation(path, f"must be one of: {allowed}")
+        return members[value]
+    except (KeyError, TypeError):
+        raise _fail(value, path, key, f"must be one of: {', '.join(members)}")
 
 
-def _parse_selector(raw, path: str) -> TargetSelector:
-    d = _expect_dict(raw, path)
-    _reject_unknown(d, {"node_id", "node_class"}, path)
+def _parse_enums(members: Dict[str, Enum], value, path, key: str) -> tuple:
+    """A list of enum values; an element's error names the list's path."""
+    return tuple([_parse_enum(members, v, path, key) for v in _expect_list(value, path, key)])
+
+
+_NODE_CLASSES = _enum_values(NodeClass)
+_ACCESS_REQUIREMENTS = _enum_values(AccessRequirement)
+_PRIVILEGES = _enum_values(Privilege)
+_ACTORS = _enum_values(Actor)
+_OBJECTIVE_KINDS = _enum_values(ObjectiveKind)
+
+_SECTIONS = ("schema_version", "domain_context", "problem_decomposition",
+             "scenario_parameters", "objectives", "elements")
+_KEYS = {name: frozenset(keys.split()) for name, keys in (
+    ("sections", " ".join(_SECTIONS)),
+    ("context", "domain_tag narrative"),
+    ("subproblem", "id description related_asset_classes"),
+    ("parameters", "recipe explicit_topology"),
+    ("objective", "actor kind target threshold"),
+    ("selector", "node_id node_class"),
+    ("elements", "asset_classes threat_actors capability_refs"),
+    ("recipe", "node_counts zone_count intra_zone_density inter_zone_gateways vuln_rate "
+               "credential_rate"),
+    ("topology", "nodes edges zones vulnerabilities credentials"),
+    ("node", "id class zone services vulnerability_ids credential_ids asset_value"),
+    ("service", "name port"),
+    ("edge", "src dst protocol_tag bidirectional"),
+    ("vulnerability", "id technique_tag access_requirement success_prob detection_prob "
+                      "gained_privilege"),
+    ("credential", "id stored_on grants_access_to"),
+)}
+
+
+def _parse_selector(raw, path) -> TargetSelector:
+    d = _record(raw, _KEYS["selector"], path)
     if ("node_id" in d) == ("node_class" in d):
-        raise InvariantViolation(path, "exactly one of node_id / node_class")
+        raise InvariantViolation(_path(path), "exactly one of node_id / node_class")
     if "node_id" in d:
-        return TargetSelector(node_id=_check_identifier(d["node_id"], f"{path}.node_id"))
-    return TargetSelector(node_class=_parse_enum(NodeClass, d["node_class"], f"{path}.node_class"))
+        return TargetSelector(node_id=_check_identifier(d["node_id"], path, "node_id"))
+    return TargetSelector(node_class=_parse_enum(_NODE_CLASSES, d["node_class"], path, "node_class"))
 
 
-def _parse_node(raw, path: str) -> Node:
-    d = _expect_dict(raw, path)
-    allowed = {"id", "class", "zone", "services", "vulnerability_ids",
-               "credential_ids", "asset_value"}
-    _reject_unknown(d, allowed, path)
+def _parse_node(raw, path) -> Node:
+    d = _record(raw, _KEYS["node"], path)
     services = []
-    for i, raw_svc in enumerate(_expect_list(d.get("services", []), f"{path}.services")):
-        sd = _expect_dict(raw_svc, f"{path}.services[{i}]")
-        _reject_unknown(sd, {"name", "port"}, f"{path}.services[{i}]")
-        port = _expect_int(_require(sd, "port", f"{path}.services[{i}]"), f"{path}.services[{i}].port")
+    for i, raw_svc in enumerate(_expect_list(d.get("services", []), path, "services")):
+        sp = (path, "services", i)
+        sd = _record(raw_svc, _KEYS["service"], sp)
+        port = _expect_int(sd.get("port", MISSING), sp, "port")
         if not 1 <= port <= 65535:
-            raise InvariantViolation(f"{path}.services[{i}].port", "must be in 1..65535")
-        services.append(Service(
-            name=_check_identifier(_require(sd, "name", f"{path}.services[{i}]"), f"{path}.services[{i}].name"),
-            port=port,
-        ))
-    asset_value = _expect_int(d.get("asset_value", 0), f"{path}.asset_value")
+            raise InvariantViolation(_path(sp, "port"), "must be in 1..65535")
+        services.append(Service(_check_identifier(sd.get("name", MISSING), sp, "name"), port))
+    asset_value = _expect_int(d.get("asset_value", 0), path, "asset_value")
     if not 0 <= asset_value <= 100:
-        raise InvariantViolation(f"{path}.asset_value", "must be in 0..100")
+        raise InvariantViolation(_path(path, "asset_value"), "must be in 0..100")
     return Node(
-        id=_check_identifier(_require(d, "id", path), f"{path}.id"),
-        node_class=_parse_enum(NodeClass, _require(d, "class", path), f"{path}.class"),
-        zone=_check_identifier(_require(d, "zone", path), f"{path}.zone"),
-        services=tuple(services),
-        vulnerability_ids=tuple(
-            _check_identifier(v, f"{path}.vulnerability_ids")
-            for v in _expect_list(d.get("vulnerability_ids", []), f"{path}.vulnerability_ids")
-        ),
-        credential_ids=tuple(
-            _check_identifier(c, f"{path}.credential_ids")
-            for c in _expect_list(d.get("credential_ids", []), f"{path}.credential_ids")
-        ),
-        asset_value=asset_value,
+        _check_identifier(d.get("id", MISSING), path, "id"),
+        _parse_enum(_NODE_CLASSES, d.get("class", MISSING), path, "class"),
+        _check_identifier(d.get("zone", MISSING), path, "zone"),
+        tuple(services),
+        _identifiers(d.get("vulnerability_ids", []), path, "vulnerability_ids"),
+        _identifiers(d.get("credential_ids", []), path, "credential_ids"),
+        asset_value,
     )
 
 
 def _parse_topology(raw, path: str) -> NetworkTopology:
-    d = _expect_dict(raw, path)
-    _reject_unknown(d, {"nodes", "edges", "zones", "vulnerabilities", "credentials"}, path)
-    nodes = tuple(
-        _parse_node(n, f"{path}.nodes[{i}]")
-        for i, n in enumerate(_expect_list(_require(d, "nodes", path), f"{path}.nodes"))
-    )
+    d = _record(raw, _KEYS["topology"], path)
+    nodes = tuple([_parse_node(n, (path, "nodes", i))
+                   for i, n in enumerate(_expect_list(d.get("nodes", MISSING), path, "nodes"))])
     edges = []
-    for i, raw_edge in enumerate(_expect_list(d.get("edges", []), f"{path}.edges")):
-        ed = _expect_dict(raw_edge, f"{path}.edges[{i}]")
-        _reject_unknown(ed, {"src", "dst", "protocol_tag", "bidirectional"}, f"{path}.edges[{i}]")
-        src = _check_identifier(_require(ed, "src", f"{path}.edges[{i}]"), f"{path}.edges[{i}].src")
-        dst = _check_identifier(_require(ed, "dst", f"{path}.edges[{i}]"), f"{path}.edges[{i}].dst")
+    for i, raw_edge in enumerate(_expect_list(d.get("edges", []), path, "edges")):
+        ep = (path, "edges", i)
+        ed = _record(raw_edge, _KEYS["edge"], ep)
+        src = _check_identifier(ed.get("src", MISSING), ep, "src")
+        dst = _check_identifier(ed.get("dst", MISSING), ep, "dst")
         if src == dst:
-            raise InvariantViolation(f"{path}.edges[{i}]", "self-loop edges are not allowed")
-        edges.append(Edge(
-            src=src,
-            dst=dst,
-            protocol_tag=_check_identifier(ed.get("protocol_tag", "tcp"), f"{path}.edges[{i}].protocol_tag"),
-            bidirectional=_expect_bool(ed.get("bidirectional", True), f"{path}.edges[{i}].bidirectional"),
-        ))
+            raise InvariantViolation(_path(ep), "self-loop edges are not allowed")
+        edges.append(Edge(src, dst, _check_identifier(ed.get("protocol_tag", "tcp"), ep, "protocol_tag"),
+                          _expect_bool(ed.get("bidirectional", True), ep, "bidirectional")))
     vulns = []
-    for i, raw_vuln in enumerate(_expect_list(d.get("vulnerabilities", []), f"{path}.vulnerabilities")):
-        vp = f"{path}.vulnerabilities[{i}]"
-        vd = _expect_dict(raw_vuln, vp)
-        _reject_unknown(vd, {"id", "technique_tag", "access_requirement",
-                             "success_prob", "detection_prob", "gained_privilege"}, vp)
+    for i, raw_vuln in enumerate(_expect_list(d.get("vulnerabilities", []), path, "vulnerabilities")):
+        vp = (path, "vulnerabilities", i)
+        vd = _record(raw_vuln, _KEYS["vulnerability"], vp)
         vulns.append(Vulnerability(
-            id=_check_identifier(_require(vd, "id", vp), f"{vp}.id"),
-            technique_tag=_check_identifier(_require(vd, "technique_tag", vp), f"{vp}.technique_tag"),
-            access_requirement=_parse_enum(AccessRequirement, _require(vd, "access_requirement", vp), f"{vp}.access_requirement"),
-            success_prob=_expect_fraction(_require(vd, "success_prob", vp), f"{vp}.success_prob"),
-            detection_prob=_expect_fraction(_require(vd, "detection_prob", vp), f"{vp}.detection_prob"),
-            gained_privilege=_parse_enum(Privilege, _require(vd, "gained_privilege", vp), f"{vp}.gained_privilege"),
+            _check_identifier(vd.get("id", MISSING), vp, "id"),
+            _check_identifier(vd.get("technique_tag", MISSING), vp, "technique_tag"),
+            _parse_enum(_ACCESS_REQUIREMENTS, vd.get("access_requirement", MISSING), vp, "access_requirement"),
+            _expect_fraction(vd.get("success_prob", MISSING), vp, "success_prob"),
+            _expect_fraction(vd.get("detection_prob", MISSING), vp, "detection_prob"),
+            _parse_enum(_PRIVILEGES, vd.get("gained_privilege", MISSING), vp, "gained_privilege"),
         ))
     creds = []
-    for i, raw_cred in enumerate(_expect_list(d.get("credentials", []), f"{path}.credentials")):
-        cp = f"{path}.credentials[{i}]"
-        cd = _expect_dict(raw_cred, cp)
-        _reject_unknown(cd, {"id", "stored_on", "grants_access_to"}, cp)
-        grants = tuple(
-            _check_identifier(g, f"{cp}.grants_access_to")
-            for g in _expect_list(_require(cd, "grants_access_to", cp), f"{cp}.grants_access_to")
-        )
+    for i, raw_cred in enumerate(_expect_list(d.get("credentials", []), path, "credentials")):
+        cp = (path, "credentials", i)
+        cd = _record(raw_cred, _KEYS["credential"], cp)
+        grants = _identifiers(cd.get("grants_access_to", MISSING), cp, "grants_access_to")
         if not grants:
-            raise InvariantViolation(f"{cp}.grants_access_to", "must be non-empty")
-        creds.append(Credential(
-            id=_check_identifier(_require(cd, "id", cp), f"{cp}.id"),
-            stored_on=_check_identifier(_require(cd, "stored_on", cp), f"{cp}.stored_on"),
-            grants_access_to=grants,
-        ))
-    topo = NetworkTopology(
-        nodes=nodes,
-        edges=tuple(edges),
-        zones=tuple(
-            _check_identifier(z, f"{path}.zones")
-            for z in _expect_list(_require(d, "zones", path), f"{path}.zones")
-        ),
-        vulnerabilities=tuple(vulns),
-        credentials=tuple(creds),
-    )
-    return topo
+            raise InvariantViolation(_path(cp, "grants_access_to"), "must be non-empty")
+        creds.append(Credential(_check_identifier(cd.get("id", MISSING), cp, "id"),
+                                _check_identifier(cd.get("stored_on", MISSING), cp, "stored_on"), grants))
+    zones = _identifiers(d.get("zones", MISSING), path, "zones")
+    return NetworkTopology(nodes, tuple(edges), zones, tuple(vulns), tuple(creds))
 
 
 def _parse_recipe(raw, path: str) -> TopologyRecipe:
-    d = _expect_dict(raw, path)
-    allowed = {"node_counts", "zone_count", "intra_zone_density",
-               "inter_zone_gateways", "vuln_rate", "credential_rate"}
-    _reject_unknown(d, allowed, path)
-    counts_raw = _expect_dict(_require(d, "node_counts", path), f"{path}.node_counts")
+    d = _record(raw, _KEYS["recipe"], path)
     counts = []
-    for key, value in counts_raw.items():
-        cls = _parse_enum(NodeClass, key, f"{path}.node_counts")
-        counts.append((cls, _expect_int(value, f"{path}.node_counts.{key}")))
+    for key, value in _expect_dict(d.get("node_counts", MISSING), path, "node_counts").items():
+        cls = _parse_enum(_NODE_CLASSES, key, path, "node_counts")
+        counts.append((cls, _expect_int(value, (path, "node_counts"), key)))
     counts.sort(key=lambda pair: pair[0].value)
     return TopologyRecipe(
-        node_counts=tuple(counts),
-        zone_count=_expect_int(_require(d, "zone_count", path), f"{path}.zone_count"),
-        intra_zone_density=_expect_fraction(_require(d, "intra_zone_density", path), f"{path}.intra_zone_density"),
-        inter_zone_gateways=_expect_int(_require(d, "inter_zone_gateways", path), f"{path}.inter_zone_gateways"),
-        vuln_rate=_expect_fraction(_require(d, "vuln_rate", path), f"{path}.vuln_rate"),
-        credential_rate=_expect_fraction(_require(d, "credential_rate", path), f"{path}.credential_rate"),
+        tuple(counts),
+        _expect_int(d.get("zone_count", MISSING), path, "zone_count"),
+        _expect_fraction(d.get("intra_zone_density", MISSING), path, "intra_zone_density"),
+        _expect_int(d.get("inter_zone_gateways", MISSING), path, "inter_zone_gateways"),
+        _expect_fraction(d.get("vuln_rate", MISSING), path, "vuln_rate"),
+        _expect_fraction(d.get("credential_rate", MISSING), path, "credential_rate"),
     )
 
 
@@ -645,38 +667,30 @@ def parse_scenario(document: str) -> ScenarioSpec:
     Unknown fields anywhere in the document are rejected with UnknownField.
     """
     raw = load_json_object(document)
-    sections = ("schema_version", "domain_context", "problem_decomposition",
-                "scenario_parameters", "objectives", "elements")
-    _reject_unknown(raw, set(sections), "")
-    for section in sections:
+    _reject_unknown(raw, _KEYS["sections"], "")
+    for section in _SECTIONS:
         if section not in raw:
             raise MissingSection(section)
 
     version = _expect_text(raw["schema_version"], "schema_version")
 
-    ctx_raw = _expect_dict(raw["domain_context"], "domain_context")
-    _reject_unknown(ctx_raw, {"domain_tag", "narrative"}, "domain_context")
+    ctx_raw = _record(raw["domain_context"], _KEYS["context"], "domain_context")
     context = DomainContext(
-        domain_tag=_check_identifier(_require(ctx_raw, "domain_tag", "domain_context"), "domain_context.domain_tag"),
-        narrative=_expect_text(_require(ctx_raw, "narrative", "domain_context"), "domain_context.narrative"),
+        _check_identifier(ctx_raw.get("domain_tag", MISSING), "domain_context", "domain_tag"),
+        _expect_text(ctx_raw.get("narrative", MISSING), "domain_context", "narrative"),
     )
 
     subs = []
     for i, raw_sub in enumerate(_expect_list(raw["problem_decomposition"], "problem_decomposition")):
-        sp = f"problem_decomposition[{i}]"
-        sd = _expect_dict(raw_sub, sp)
-        _reject_unknown(sd, {"id", "description", "related_asset_classes"}, sp)
+        sp = ("problem_decomposition", None, i)
+        sd = _record(raw_sub, _KEYS["subproblem"], sp)
         subs.append(SubProblem(
-            id=_check_identifier(_require(sd, "id", sp), f"{sp}.id"),
-            description=_expect_text(_require(sd, "description", sp), f"{sp}.description"),
-            related_asset_classes=tuple(
-                _parse_enum(NodeClass, c, f"{sp}.related_asset_classes")
-                for c in _expect_list(_require(sd, "related_asset_classes", sp), f"{sp}.related_asset_classes")
-            ),
+            _check_identifier(sd.get("id", MISSING), sp, "id"),
+            _expect_text(sd.get("description", MISSING), sp, "description"),
+            _parse_enums(_NODE_CLASSES, sd.get("related_asset_classes", MISSING), sp, "related_asset_classes"),
         ))
 
-    params_raw = _expect_dict(raw["scenario_parameters"], "scenario_parameters")
-    _reject_unknown(params_raw, {"recipe", "explicit_topology"}, "scenario_parameters")
+    params_raw = _record(raw["scenario_parameters"], _KEYS["parameters"], "scenario_parameters")
     if ("recipe" in params_raw) == ("explicit_topology" in params_raw):
         raise InvariantViolation(
             "scenario_parameters", "exactly one of recipe / explicit_topology"
@@ -690,43 +704,25 @@ def parse_scenario(document: str) -> ScenarioSpec:
 
     objectives = []
     for i, raw_obj in enumerate(_expect_list(raw["objectives"], "objectives")):
-        op = f"objectives[{i}]"
-        od = _expect_dict(raw_obj, op)
-        _reject_unknown(od, {"actor", "kind", "target", "threshold"}, op)
+        op = ("objectives", None, i)
+        od = _record(raw_obj, _KEYS["objective"], op)
         objectives.append(Objective(
-            actor=_parse_enum(Actor, _require(od, "actor", op), f"{op}.actor"),
-            kind=_parse_enum(ObjectiveKind, _require(od, "kind", op), f"{op}.kind"),
-            target=_parse_selector(_require(od, "target", op), f"{op}.target"),
-            threshold=_expect_fraction(_require(od, "threshold", op), f"{op}.threshold"),
+            _parse_enum(_ACTORS, od.get("actor", MISSING), op, "actor"),
+            _parse_enum(_OBJECTIVE_KINDS, od.get("kind", MISSING), op, "kind"),
+            _parse_selector(od.get("target", MISSING), (op, "target")),
+            _expect_fraction(od.get("threshold", MISSING), op, "threshold"),
         ))
     if not objectives:
         raise InvariantViolation("objectives", "must be non-empty")
 
-    el_raw = _expect_dict(raw["elements"], "elements")
-    _reject_unknown(el_raw, {"asset_classes", "threat_actors", "capability_refs"}, "elements")
+    el_raw = _record(raw["elements"], _KEYS["elements"], "elements")
     elements = Elements(
-        asset_classes=tuple(
-            _parse_enum(NodeClass, c, "elements.asset_classes")
-            for c in _expect_list(_require(el_raw, "asset_classes", "elements"), "elements.asset_classes")
-        ),
-        threat_actors=tuple(
-            _check_identifier(a, "elements.threat_actors")
-            for a in _expect_list(_require(el_raw, "threat_actors", "elements"), "elements.threat_actors")
-        ),
-        capability_refs=tuple(
-            _check_identifier(r, "elements.capability_refs")
-            for r in _expect_list(_require(el_raw, "capability_refs", "elements"), "elements.capability_refs")
-        ),
+        _parse_enums(_NODE_CLASSES, el_raw.get("asset_classes", MISSING), "elements", "asset_classes"),
+        _identifiers(el_raw.get("threat_actors", MISSING), "elements", "threat_actors"),
+        _identifiers(el_raw.get("capability_refs", MISSING), "elements", "capability_refs"),
     )
 
-    return ScenarioSpec(
-        schema_version=version,
-        domain_context=context,
-        problem_decomposition=tuple(subs),
-        scenario_parameters=params,
-        objectives=tuple(objectives),
-        elements=elements,
-    )
+    return ScenarioSpec(version, context, tuple(subs), params, tuple(objectives), elements)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ calling back into the library, so they can catch algorithmic mistakes.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import replace
@@ -17,15 +18,22 @@ from spidersim import (
     AccessRequirement,
     Actor,
     AtomicCapability,
+    AttackerProfile,
+    AttackPath,
+    AttackStep,
     CapabilityKind,
+    Constraints,
     Credential,
     Edge,
+    Effect,
+    EffectKind,
     NetworkTopology,
     Node,
     NodeClass,
     Objective,
     ObjectiveKind,
     Privilege,
+    Requirement,
     ScenarioSpec,
     TargetSelector,
     TopologyRecipe,
@@ -33,13 +41,23 @@ from spidersim import (
     built_in_registry,
 )
 from spidersim.capabilities import (
+    INTERFACE_VERSION,
     CapabilityRegistry,
     Predicate,
     PredicateKind,
     PreconditionResult,
 )
-from spidersim.errors import EmptyRecipe, InsufficientGateways, UnboundSlot
-from spidersim.state import SimulationState
+from spidersim.errors import (
+    EmptyRecipe,
+    InsufficientGateways,
+    InvariantViolation,
+    MalformedDocument,
+    MissingSection,
+    UnboundSlot,
+    UnknownField,
+    UnsupportedInterfaceVersion,
+)
+from spidersim.state import DefenseKind, SimulationState
 from spidersim.model import DomainContext, Elements, ScenarioParameters, Service, SubProblem
 from spidersim.rng import substream
 
@@ -563,3 +581,479 @@ def reference_build_topology(recipe: TopologyRecipe, registry, seed: int) -> Net
         vulnerabilities=tuple(vulnerabilities),
         credentials=tuple(credentials),
     )
+
+# ---------------------------------------------------------------------------
+# reference scenario parser
+# ---------------------------------------------------------------------------
+# The scenario parser as it was before its checks named their paths only on
+# failure, kept verbatim: ``parse_scenario`` must return an equal value, or
+# raise the same error class with the same message, on every document. The
+# one intended difference: a huge integer in a fraction field raises
+# OverflowError here and InvariantViolation in ``parse_scenario``.
+
+def load_json_object(document: str) -> dict:
+    """The JSON object a document holds; anything else is MalformedDocument."""
+    try:
+        raw = json.loads(document)
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise MalformedDocument("top level must be an object")
+    return raw
+
+
+def _check_identifier(value, path: str) -> str:
+    # str.split() cuts at exactly the characters str.isspace() accepts, so
+    # a non-empty string without whitespace is the one piece it returns.
+    if not isinstance(value, str) or value.split() != [value]:
+        raise InvariantViolation(path, "must be a non-empty identifier")
+    return value
+
+
+def _expect_dict(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InvariantViolation(path, "must be an object")
+    return value
+
+
+def _expect_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise InvariantViolation(path, "must be a list")
+    return value
+
+
+def _expect_text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise InvariantViolation(path, "must be a string")
+    return value
+
+
+def _expect_int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvariantViolation(path, "must be an integer")
+    return value
+
+
+def _expect_fraction(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvariantViolation(path, "must be a number")
+    value = float(value)
+    if not 0.0 <= value <= 1.0 or math.isnan(value):
+        raise InvariantViolation(path, "must be in [0,1]")
+    return value
+
+
+def _expect_bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvariantViolation(path, "must be a boolean")
+    return value
+
+
+def _reject_unknown(d: dict, allowed, path: str) -> None:
+    for key in d:
+        if key not in allowed:
+            raise UnknownField(f"{path}.{key}" if path else key)
+
+
+def _require(d: dict, key: str, path: str):
+    if key not in d:
+        if not path:
+            raise MissingSection(key)
+        raise InvariantViolation(f"{path}.{key}", "missing required field")
+    return d[key]
+
+
+def _parse_enum(enum_cls, value, path: str):
+    try:
+        return enum_cls(value)
+    except (ValueError, TypeError):
+        allowed = ", ".join(e.value for e in enum_cls)
+        raise InvariantViolation(path, f"must be one of: {allowed}")
+
+
+def _parse_selector(raw, path: str) -> TargetSelector:
+    d = _expect_dict(raw, path)
+    _reject_unknown(d, {"node_id", "node_class"}, path)
+    if ("node_id" in d) == ("node_class" in d):
+        raise InvariantViolation(path, "exactly one of node_id / node_class")
+    if "node_id" in d:
+        return TargetSelector(node_id=_check_identifier(d["node_id"], f"{path}.node_id"))
+    return TargetSelector(node_class=_parse_enum(NodeClass, d["node_class"], f"{path}.node_class"))
+
+
+def _parse_node(raw, path: str) -> Node:
+    d = _expect_dict(raw, path)
+    allowed = {"id", "class", "zone", "services", "vulnerability_ids",
+               "credential_ids", "asset_value"}
+    _reject_unknown(d, allowed, path)
+    services = []
+    for i, raw_svc in enumerate(_expect_list(d.get("services", []), f"{path}.services")):
+        sd = _expect_dict(raw_svc, f"{path}.services[{i}]")
+        _reject_unknown(sd, {"name", "port"}, f"{path}.services[{i}]")
+        port = _expect_int(_require(sd, "port", f"{path}.services[{i}]"), f"{path}.services[{i}].port")
+        if not 1 <= port <= 65535:
+            raise InvariantViolation(f"{path}.services[{i}].port", "must be in 1..65535")
+        services.append(Service(
+            name=_check_identifier(_require(sd, "name", f"{path}.services[{i}]"), f"{path}.services[{i}].name"),
+            port=port,
+        ))
+    asset_value = _expect_int(d.get("asset_value", 0), f"{path}.asset_value")
+    if not 0 <= asset_value <= 100:
+        raise InvariantViolation(f"{path}.asset_value", "must be in 0..100")
+    return Node(
+        id=_check_identifier(_require(d, "id", path), f"{path}.id"),
+        node_class=_parse_enum(NodeClass, _require(d, "class", path), f"{path}.class"),
+        zone=_check_identifier(_require(d, "zone", path), f"{path}.zone"),
+        services=tuple(services),
+        vulnerability_ids=tuple(
+            _check_identifier(v, f"{path}.vulnerability_ids")
+            for v in _expect_list(d.get("vulnerability_ids", []), f"{path}.vulnerability_ids")
+        ),
+        credential_ids=tuple(
+            _check_identifier(c, f"{path}.credential_ids")
+            for c in _expect_list(d.get("credential_ids", []), f"{path}.credential_ids")
+        ),
+        asset_value=asset_value,
+    )
+
+
+def _parse_topology(raw, path: str) -> NetworkTopology:
+    d = _expect_dict(raw, path)
+    _reject_unknown(d, {"nodes", "edges", "zones", "vulnerabilities", "credentials"}, path)
+    nodes = tuple(
+        _parse_node(n, f"{path}.nodes[{i}]")
+        for i, n in enumerate(_expect_list(_require(d, "nodes", path), f"{path}.nodes"))
+    )
+    edges = []
+    for i, raw_edge in enumerate(_expect_list(d.get("edges", []), f"{path}.edges")):
+        ed = _expect_dict(raw_edge, f"{path}.edges[{i}]")
+        _reject_unknown(ed, {"src", "dst", "protocol_tag", "bidirectional"}, f"{path}.edges[{i}]")
+        src = _check_identifier(_require(ed, "src", f"{path}.edges[{i}]"), f"{path}.edges[{i}].src")
+        dst = _check_identifier(_require(ed, "dst", f"{path}.edges[{i}]"), f"{path}.edges[{i}].dst")
+        if src == dst:
+            raise InvariantViolation(f"{path}.edges[{i}]", "self-loop edges are not allowed")
+        edges.append(Edge(
+            src=src,
+            dst=dst,
+            protocol_tag=_check_identifier(ed.get("protocol_tag", "tcp"), f"{path}.edges[{i}].protocol_tag"),
+            bidirectional=_expect_bool(ed.get("bidirectional", True), f"{path}.edges[{i}].bidirectional"),
+        ))
+    vulns = []
+    for i, raw_vuln in enumerate(_expect_list(d.get("vulnerabilities", []), f"{path}.vulnerabilities")):
+        vp = f"{path}.vulnerabilities[{i}]"
+        vd = _expect_dict(raw_vuln, vp)
+        _reject_unknown(vd, {"id", "technique_tag", "access_requirement",
+                             "success_prob", "detection_prob", "gained_privilege"}, vp)
+        vulns.append(Vulnerability(
+            id=_check_identifier(_require(vd, "id", vp), f"{vp}.id"),
+            technique_tag=_check_identifier(_require(vd, "technique_tag", vp), f"{vp}.technique_tag"),
+            access_requirement=_parse_enum(AccessRequirement, _require(vd, "access_requirement", vp), f"{vp}.access_requirement"),
+            success_prob=_expect_fraction(_require(vd, "success_prob", vp), f"{vp}.success_prob"),
+            detection_prob=_expect_fraction(_require(vd, "detection_prob", vp), f"{vp}.detection_prob"),
+            gained_privilege=_parse_enum(Privilege, _require(vd, "gained_privilege", vp), f"{vp}.gained_privilege"),
+        ))
+    creds = []
+    for i, raw_cred in enumerate(_expect_list(d.get("credentials", []), f"{path}.credentials")):
+        cp = f"{path}.credentials[{i}]"
+        cd = _expect_dict(raw_cred, cp)
+        _reject_unknown(cd, {"id", "stored_on", "grants_access_to"}, cp)
+        grants = tuple(
+            _check_identifier(g, f"{cp}.grants_access_to")
+            for g in _expect_list(_require(cd, "grants_access_to", cp), f"{cp}.grants_access_to")
+        )
+        if not grants:
+            raise InvariantViolation(f"{cp}.grants_access_to", "must be non-empty")
+        creds.append(Credential(
+            id=_check_identifier(_require(cd, "id", cp), f"{cp}.id"),
+            stored_on=_check_identifier(_require(cd, "stored_on", cp), f"{cp}.stored_on"),
+            grants_access_to=grants,
+        ))
+    topo = NetworkTopology(
+        nodes=nodes,
+        edges=tuple(edges),
+        zones=tuple(
+            _check_identifier(z, f"{path}.zones")
+            for z in _expect_list(_require(d, "zones", path), f"{path}.zones")
+        ),
+        vulnerabilities=tuple(vulns),
+        credentials=tuple(creds),
+    )
+    return topo
+
+
+def _parse_recipe(raw, path: str) -> TopologyRecipe:
+    d = _expect_dict(raw, path)
+    allowed = {"node_counts", "zone_count", "intra_zone_density",
+               "inter_zone_gateways", "vuln_rate", "credential_rate"}
+    _reject_unknown(d, allowed, path)
+    counts_raw = _expect_dict(_require(d, "node_counts", path), f"{path}.node_counts")
+    counts = []
+    for key, value in counts_raw.items():
+        cls = _parse_enum(NodeClass, key, f"{path}.node_counts")
+        counts.append((cls, _expect_int(value, f"{path}.node_counts.{key}")))
+    counts.sort(key=lambda pair: pair[0].value)
+    return TopologyRecipe(
+        node_counts=tuple(counts),
+        zone_count=_expect_int(_require(d, "zone_count", path), f"{path}.zone_count"),
+        intra_zone_density=_expect_fraction(_require(d, "intra_zone_density", path), f"{path}.intra_zone_density"),
+        inter_zone_gateways=_expect_int(_require(d, "inter_zone_gateways", path), f"{path}.inter_zone_gateways"),
+        vuln_rate=_expect_fraction(_require(d, "vuln_rate", path), f"{path}.vuln_rate"),
+        credential_rate=_expect_fraction(_require(d, "credential_rate", path), f"{path}.credential_rate"),
+    )
+
+
+def reference_parse_scenario(document: str) -> ScenarioSpec:
+    """Parse a scenario document (canonical JSON, schema version "1").
+
+    Unknown fields anywhere in the document are rejected with UnknownField.
+    """
+    raw = load_json_object(document)
+    sections = ("schema_version", "domain_context", "problem_decomposition",
+                "scenario_parameters", "objectives", "elements")
+    _reject_unknown(raw, set(sections), "")
+    for section in sections:
+        if section not in raw:
+            raise MissingSection(section)
+
+    version = _expect_text(raw["schema_version"], "schema_version")
+
+    ctx_raw = _expect_dict(raw["domain_context"], "domain_context")
+    _reject_unknown(ctx_raw, {"domain_tag", "narrative"}, "domain_context")
+    context = DomainContext(
+        domain_tag=_check_identifier(_require(ctx_raw, "domain_tag", "domain_context"), "domain_context.domain_tag"),
+        narrative=_expect_text(_require(ctx_raw, "narrative", "domain_context"), "domain_context.narrative"),
+    )
+
+    subs = []
+    for i, raw_sub in enumerate(_expect_list(raw["problem_decomposition"], "problem_decomposition")):
+        sp = f"problem_decomposition[{i}]"
+        sd = _expect_dict(raw_sub, sp)
+        _reject_unknown(sd, {"id", "description", "related_asset_classes"}, sp)
+        subs.append(SubProblem(
+            id=_check_identifier(_require(sd, "id", sp), f"{sp}.id"),
+            description=_expect_text(_require(sd, "description", sp), f"{sp}.description"),
+            related_asset_classes=tuple(
+                _parse_enum(NodeClass, c, f"{sp}.related_asset_classes")
+                for c in _expect_list(_require(sd, "related_asset_classes", sp), f"{sp}.related_asset_classes")
+            ),
+        ))
+
+    params_raw = _expect_dict(raw["scenario_parameters"], "scenario_parameters")
+    _reject_unknown(params_raw, {"recipe", "explicit_topology"}, "scenario_parameters")
+    if ("recipe" in params_raw) == ("explicit_topology" in params_raw):
+        raise InvariantViolation(
+            "scenario_parameters", "exactly one of recipe / explicit_topology"
+        )
+    if "recipe" in params_raw:
+        params = ScenarioParameters(recipe=_parse_recipe(params_raw["recipe"], "scenario_parameters.recipe"))
+    else:
+        params = ScenarioParameters(
+            explicit_topology=_parse_topology(params_raw["explicit_topology"], "scenario_parameters.explicit_topology")
+        )
+
+    objectives = []
+    for i, raw_obj in enumerate(_expect_list(raw["objectives"], "objectives")):
+        op = f"objectives[{i}]"
+        od = _expect_dict(raw_obj, op)
+        _reject_unknown(od, {"actor", "kind", "target", "threshold"}, op)
+        objectives.append(Objective(
+            actor=_parse_enum(Actor, _require(od, "actor", op), f"{op}.actor"),
+            kind=_parse_enum(ObjectiveKind, _require(od, "kind", op), f"{op}.kind"),
+            target=_parse_selector(_require(od, "target", op), f"{op}.target"),
+            threshold=_expect_fraction(_require(od, "threshold", op), f"{op}.threshold"),
+        ))
+    if not objectives:
+        raise InvariantViolation("objectives", "must be non-empty")
+
+    el_raw = _expect_dict(raw["elements"], "elements")
+    _reject_unknown(el_raw, {"asset_classes", "threat_actors", "capability_refs"}, "elements")
+    elements = Elements(
+        asset_classes=tuple(
+            _parse_enum(NodeClass, c, "elements.asset_classes")
+            for c in _expect_list(_require(el_raw, "asset_classes", "elements"), "elements.asset_classes")
+        ),
+        threat_actors=tuple(
+            _check_identifier(a, "elements.threat_actors")
+            for a in _expect_list(_require(el_raw, "threat_actors", "elements"), "elements.threat_actors")
+        ),
+        capability_refs=tuple(
+            _check_identifier(r, "elements.capability_refs")
+            for r in _expect_list(_require(el_raw, "capability_refs", "elements"), "elements.capability_refs")
+        ),
+    )
+
+    return ScenarioSpec(
+        schema_version=version,
+        domain_context=context,
+        problem_decomposition=tuple(subs),
+        scenario_parameters=params,
+        objectives=tuple(objectives),
+        elements=elements,
+    )
+
+
+# The readers of requirement, capability, strategy and path files as they
+# were before the same change, kept verbatim on the reference helpers above.
+
+def reference_parse_requirement(document: str) -> Requirement:
+    raw = load_json_object(document)
+    _reject_unknown(raw, {"domain_tag", "narrative", "constraints"}, "")
+    cd = _expect_dict(_require(raw, "constraints", ""), "constraints")
+    _reject_unknown(cd, {"max_nodes", "required_classes", "attacker_profile",
+                         "target_class"}, "constraints")
+    constraints = Constraints(
+        max_nodes=_expect_int(_require(cd, "max_nodes", "constraints"), "constraints.max_nodes"),
+        required_classes=tuple(
+            _parse_enum(NodeClass, c, "constraints.required_classes")
+            for c in _expect_list(_require(cd, "required_classes", "constraints"), "constraints.required_classes")
+        ),
+        attacker_profile=_parse_enum(AttackerProfile, _require(cd, "attacker_profile", "constraints"), "constraints.attacker_profile"),
+        target_class=_parse_enum(NodeClass, _require(cd, "target_class", "constraints"), "constraints.target_class"),
+    )
+    return Requirement(
+        domain_tag=_check_identifier(_require(raw, "domain_tag", ""), "domain_tag"),
+        narrative=_expect_text(_require(raw, "narrative", ""), "narrative"),
+        constraints=constraints,
+    )
+
+
+_PREDICATE_FIELDS = {
+    PredicateKind.ACTOR_HAS_FOOTHOLD: {"slot", "min_privilege"},
+    PredicateKind.EDGE_EXISTS: {"slot", "src_slot"},
+    PredicateKind.NODE_HAS_VULN_WITH_ACCESS: {"slot", "access"},
+    PredicateKind.CREDENTIAL_HELD: {"slot"},
+    PredicateKind.DEFENSE_ABSENT: {"slot", "defense"},
+    PredicateKind.DEFENSE_PRESENT: {"slot", "defense"},
+    PredicateKind.NODE_CLASS_IS: {"slot", "node_classes"},
+    PredicateKind.NODE_NOT_COMPROMISED: {"slot"},
+    PredicateKind.NODE_ASSET_VALUE_AT_LEAST: {"slot", "min_asset_value"},
+}
+
+_EFFECT_FIELDS = {
+    EffectKind.COMPROMISE: {"slot", "privilege"},
+    EffectKind.GAIN_CREDENTIALS: {"slot"},
+    EffectKind.DEPLOY: {"slot", "defense"},
+    EffectKind.RAISE_ALARM: {"slot"},
+    EffectKind.TRAP_ACTOR: {"duration_rounds"},
+    EffectKind.NULLIFY_CREDENTIAL_THEFT: {"slot"},
+    EffectKind.REVEAL_VULNERABILITIES: {"slot"},
+}
+
+
+def _parse_predicate(raw, path: str) -> Predicate:
+    d = _expect_dict(raw, path)
+    kind = _parse_enum(PredicateKind, _require(d, "predicate", path), f"{path}.predicate")
+    _reject_unknown(d, {"predicate"} | _PREDICATE_FIELDS[kind], path)
+    kwargs: dict = {"kind": kind}
+    if "slot" in d:
+        kwargs["slot"] = _check_identifier(d["slot"], f"{path}.slot")
+    if kind == PredicateKind.EDGE_EXISTS:
+        kwargs["src_slot"] = _check_identifier(_require(d, "src_slot", path), f"{path}.src_slot")
+    if kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
+        kwargs["access"] = _parse_enum(AccessRequirement, _require(d, "access", path), f"{path}.access")
+    if kind in (PredicateKind.DEFENSE_ABSENT, PredicateKind.DEFENSE_PRESENT):
+        kwargs["defense"] = _parse_enum(DefenseKind, _require(d, "defense", path), f"{path}.defense")
+    if kind == PredicateKind.NODE_CLASS_IS:
+        kwargs["node_classes"] = tuple(
+            _parse_enum(NodeClass, c, f"{path}.node_classes")
+            for c in _expect_list(_require(d, "node_classes", path), f"{path}.node_classes")
+        )
+    if kind == PredicateKind.ACTOR_HAS_FOOTHOLD and "min_privilege" in d:
+        kwargs["min_privilege"] = _parse_enum(Privilege, d["min_privilege"], f"{path}.min_privilege")
+    if kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
+        kwargs["min_asset_value"] = _expect_int(_require(d, "min_asset_value", path), f"{path}.min_asset_value")
+    return Predicate(**kwargs)
+
+
+def _parse_effect(raw, path: str) -> Effect:
+    d = _expect_dict(raw, path)
+    kind = _parse_enum(EffectKind, _require(d, "effect", path), f"{path}.effect")
+    _reject_unknown(d, {"effect"} | _EFFECT_FIELDS[kind], path)
+    kwargs: dict = {"kind": kind}
+    if "slot" in d:
+        kwargs["slot"] = _check_identifier(d["slot"], f"{path}.slot")
+    if kind == EffectKind.COMPROMISE:
+        kwargs["privilege"] = _parse_enum(Privilege, _require(d, "privilege", path), f"{path}.privilege")
+    if kind == EffectKind.DEPLOY:
+        kwargs["defense"] = _parse_enum(DefenseKind, _require(d, "defense", path), f"{path}.defense")
+    if kind == EffectKind.TRAP_ACTOR:
+        duration = _expect_int(_require(d, "duration_rounds", path), f"{path}.duration_rounds")
+        if duration < 1:
+            raise InvariantViolation(f"{path}.duration_rounds", "must be >= 1")
+        kwargs["duration_rounds"] = duration
+    return Effect(**kwargs)
+
+
+def reference_parse_capability(document: str) -> AtomicCapability:
+    raw = load_json_object(document)
+    allowed = {"id", "kind", "name", "technique_tag", "preconditions", "effects",
+               "base_success_prob", "detection_prob", "cost_units", "interface_version"}
+    _reject_unknown(raw, allowed, "")
+    version = _expect_text(_require(raw, "interface_version", ""), "interface_version")
+    if version != INTERFACE_VERSION:
+        raise UnsupportedInterfaceVersion(
+            f"capability file declares {version!r}, expected {INTERFACE_VERSION!r}"
+        )
+    return AtomicCapability(
+        id=_check_identifier(_require(raw, "id", ""), "id"),
+        kind=_parse_enum(CapabilityKind, _require(raw, "kind", ""), "kind"),
+        name=_expect_text(_require(raw, "name", ""), "name"),
+        technique_tag=_check_identifier(_require(raw, "technique_tag", ""), "technique_tag"),
+        preconditions=tuple(
+            _parse_predicate(p, f"preconditions[{i}]")
+            for i, p in enumerate(_expect_list(raw.get("preconditions", []), "preconditions"))
+        ),
+        effects=tuple(
+            _parse_effect(e, f"effects[{i}]")
+            for i, e in enumerate(_expect_list(raw.get("effects", []), "effects"))
+        ),
+        base_success_prob=_expect_fraction(_require(raw, "base_success_prob", ""), "base_success_prob"),
+        detection_prob=_expect_fraction(_require(raw, "detection_prob", ""), "detection_prob"),
+        cost_units=_expect_int(_require(raw, "cost_units", ""), "cost_units"),
+        interface_version=_expect_text(_require(raw, "interface_version", ""), "interface_version"),
+    )
+
+
+def reference_parse_strategy(document: str) -> List[Tuple[str, str]]:
+    """Strategy file: {"capability_placements": [{"capability_id", "target_node"}]}.
+    Returns raw pairs; callers run compose_strategy for validation."""
+    raw = load_json_object(document)
+    _reject_unknown(raw, {"capability_placements"}, "")
+    pairs: List[Tuple[str, str]] = []
+    for i, item in enumerate(_expect_list(_require(raw, "capability_placements", ""), "capability_placements")):
+        path = f"capability_placements[{i}]"
+        d = _expect_dict(item, path)
+        _reject_unknown(d, {"capability_id", "target_node"}, path)
+        pairs.append((
+            _check_identifier(_require(d, "capability_id", path), f"{path}.capability_id"),
+            _check_identifier(_require(d, "target_node", path), f"{path}.target_node"),
+        ))
+    return pairs
+
+
+def reference_parse_paths(document: str) -> List[AttackPath]:
+    raw = load_json_object(document)
+    _reject_unknown(raw, {"paths"}, "")
+    paths: List[AttackPath] = []
+    for i, item in enumerate(_expect_list(_require(raw, "paths", ""), "paths")):
+        path = f"paths[{i}]"
+        d = _expect_dict(item, path)
+        _reject_unknown(d, {"steps", "success_prob", "total_cost"}, path)
+        steps = []
+        for j, raw_step in enumerate(_expect_list(_require(d, "steps", path), f"{path}.steps")):
+            sp = f"{path}.steps[{j}]"
+            sd = _expect_dict(raw_step, sp)
+            _reject_unknown(sd, {"source", "capability_id", "target", "step_prob", "step_cost"}, sp)
+            steps.append(AttackStep(
+                source=_check_identifier(_require(sd, "source", sp), f"{sp}.source"),
+                capability_id=_check_identifier(_require(sd, "capability_id", sp), f"{sp}.capability_id"),
+                target=_check_identifier(_require(sd, "target", sp), f"{sp}.target"),
+                step_prob=_expect_fraction(_require(sd, "step_prob", sp), f"{sp}.step_prob"),
+                step_cost=_expect_int(_require(sd, "step_cost", sp), f"{sp}.step_cost"),
+            ))
+        paths.append(AttackPath(
+            steps=tuple(steps),
+            success_prob=_expect_fraction(_require(d, "success_prob", path), f"{path}.success_prob"),
+            total_cost=_expect_int(_require(d, "total_cost", path), f"{path}.total_cost"),
+        ))
+    return paths

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spidersim as ss
-from spidersim.attackgraph import entry_option, hop_option
+from spidersim.attackgraph import hop_option
 from spidersim.errors import (
     InvalidQueryBound,
     NonContiguousPath,
@@ -146,10 +146,16 @@ class TestExamples:
             topo, builtin_reg(), query(["a"], ss.TargetSelector(node_id="c"))) == []
         assert ss.reachable_set(topo, builtin_reg(), ["a"]) == {"a"}
 
-    def test_entry_option_only_for_phishable_classes(self):
+    def test_only_phishable_entries_are_entered_from_outside(self):
+        """A phishable entry's path opens with the entry capability from
+        EXTERNAL onto it; a path from any other entry starts at the entry."""
         topo = chain_topology()
-        assert entry_option(topo, builtin_reg(), "a") is not None
-        assert entry_option(topo, builtin_reg(), "b") is None
+        to_c = ss.TargetSelector(node_id="c")
+        (phished,) = ss.enumerate_attack_paths(topo, builtin_reg(), query(["a"], to_c))
+        first = phished.steps[0]
+        assert (first.source, first.capability_id, first.target) == (ss.EXTERNAL, "phishing", "a")
+        (held,) = ss.enumerate_attack_paths(topo, builtin_reg(), query(["b"], to_c))
+        assert [(s.source, s.target) for s in held.steps] == [("b", "c")]
 
     def test_path_capabilities_are_the_cheapest_by_cost_then_id(self):
         built_ins = builtin_reg()

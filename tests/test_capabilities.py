@@ -164,6 +164,33 @@ class TestRegistration:
             ss.register_capability(registry, bare_attack(prob=1.5))
 
 
+class TestSharedBuiltInRegistry:
+    """``built_in_registry`` builds its value once and shares it."""
+
+    def test_every_call_returns_the_same_value(self):
+        assert ss.built_in_registry() is ss.built_in_registry()
+
+    def test_registering_leaves_the_shared_value_unchanged(self):
+        shared = ss.built_in_registry()
+        ids = shared.ids()
+        bigger = ss.register_capability(ss.built_in_registry(), bare_attack())
+        assert bigger.has("probe") and not shared.has("probe")
+        assert ss.built_in_registry() is shared
+        assert shared.ids() == ids and len(shared.capabilities()) == 10
+
+    def test_used_value_pickles_as_a_fresh_one(self, marine_spec):
+        shared = ss.built_in_registry()
+        ss.batch_run(marine_spec, ss.DefenseStrategy(), shared,
+                     ss.SimulationConfig(max_rounds=20, seed=3), 2)
+        ss.enumerate_attack_paths(
+            marine_spec.scenario_parameters.explicit_topology, shared,
+            ss.PathQuery(entries=("maint-0",),
+                         target=ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER)))
+        fresh = CapabilityRegistry(tuple(replace(cap) for cap in shared.capabilities()))
+        assert pickle.dumps(shared) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(shared)) == fresh
+
+
 class TestPreconditions:
     def test_phishing_on_workstation_holds(self, registry, ws_state):
         cap = registry.get("phishing")

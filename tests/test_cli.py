@@ -16,6 +16,22 @@ README_STRATEGY = {"capability_placements": [
 ]}
 
 
+def _marine_with_huge_threshold() -> bytes:
+    doc = json.loads(marine_ranch_scenario_path().read_text())
+    doc["objectives"][0]["threshold"] = 10 ** 400  # too large for a float
+    return json.dumps(doc).encode()
+
+
+# Documents that once ended in an internal error (exit 3): each content with
+# the start of its diagnostic.
+MALFORMED = {
+    "huge-number": (_marine_with_huge_threshold(),
+                    "InvariantViolation: objectives[0].threshold: must be in [0,1]"),
+    "deep-nesting": (b"[" * 100000 + b"]" * 100000, "MalformedDocument: not valid JSON: "),
+    "not-utf8": (b"\xff\xfe{}", "MalformedDocument: not UTF-8 text: "),
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -65,6 +81,15 @@ class TestValidate:
                            str(tmp_path / "nope.json"))
         assert code == 1
         assert err != ""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_documents_exit_one(self, capsys, tmp_path, name):
+        content, expected = MALFORMED[name]
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "validate", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(expected)
 
 
 class TestUsageErrors:
