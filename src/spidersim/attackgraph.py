@@ -3,6 +3,9 @@
 Paths are a static, pre-simulation view: a hop is realizable when the
 topology alone supports it (an edge plus either an exploitable
 vulnerability on the hop target or a credential granting access to it).
+An exploit hop is scored with the vulnerability that
+``capabilities.select_vulnerability`` picks, the one the engine rolls
+against.
 Entry nodes reached from outside get a first step from the distinguished
 EXTERNAL token when an entry-class capability (phishing) applies to them;
 otherwise the entry node itself is treated as an assumed foothold and the
@@ -16,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .capabilities import CapabilityRegistry, matching_vulnerabilities
+from .capabilities import CapabilityRegistry, select_vulnerability
 from .errors import (
     InvalidQueryBound,
     NonContiguousPath,
@@ -86,11 +89,10 @@ class _HopTable:
         options: List[Tuple[float, int, str]] = []
         exploit = self._exploit
         if exploit is not None:
-            matches = matching_vulnerabilities(self._topology, target,
-                                               exploit.vuln_access_requirement())
-            if matches:
-                best = max(matches, key=lambda v: (v.success_prob, v.id))
-                options.append((best.success_prob, exploit.cost_units, exploit.id))
+            vuln = select_vulnerability(self._topology, target,
+                                        exploit.vuln_access_requirement())
+            if vuln is not None:
+                options.append((vuln.success_prob, exploit.cost_units, exploit.id))
         lateral = self._lateral
         if lateral is not None and target in self._granted:
             options.append((lateral.base_success_prob, lateral.cost_units, lateral.id))

@@ -10,7 +10,11 @@ Randomness contract for ``apply_capability`` (needed for seeded
 reproducibility): exactly two uniform draws on the main path (success,
 then detection), plus one draw per defense override present on the target
 (honeypot first, then shocktrap), regardless of whether the draw changes
-the outcome.
+the outcome. A vulnerability-backed capability (an exploit) rolls success
+against the vulnerability ``select_vulnerability`` picks and grants its
+privilege; detection always rolls against the capability's own
+``detection_prob``, so a vulnerability's ``detection_prob`` is
+informational.
 
 Each capability is compiled once, on first use, and keeps the result
 (``functools.cached_property`` on the capability, so every registry that
@@ -342,18 +346,6 @@ def built_in_registry() -> CapabilityRegistry:
     return registry
 
 
-def _access_satisfied(vuln_access: AccessRequirement, level: AccessRequirement) -> bool:
-    # A vuln requiring less access than the attacker has is exploitable:
-    # network-exposed vulns are exploitable from adjacency, and everything
-    # is exploitable locally.
-    order = {
-        AccessRequirement.NETWORK: 0,
-        AccessRequirement.ADJACENT: 1,
-        AccessRequirement.LOCAL: 2,
-    }
-    return order[vuln_access] <= order[level]
-
-
 _BUILT_INS = (
     # defenses
     AtomicCapability(
@@ -460,19 +452,38 @@ def _bound(binding: Dict[str, str], slot: str, cap_id: str) -> str:
     return binding[slot]
 
 
-def matching_vulnerabilities(topology: NetworkTopology, node_id: str,
-                             level: AccessRequirement):
-    """Vulnerabilities on a node exploitable at the given access level,
-    in lexicographic id order."""
+# A vulnerability requiring no more access than the attacker has is
+# exploitable: network-exposed ones from adjacency, everything locally.
+_ACCESS_RANK = {
+    AccessRequirement.NETWORK: 0,
+    AccessRequirement.ADJACENT: 1,
+    AccessRequirement.LOCAL: 2,
+}
+
+
+def select_vulnerability(topology: NetworkTopology, node_id: str,
+                         level: AccessRequirement) -> Optional[Vulnerability]:
+    """The vulnerability an exploit with access ``level`` uses on a node:
+    of the node's vulnerabilities exploitable at that level, the one with
+    the highest success probability, ties going to the greater id. None
+    for an unknown node or when none is exploitable.
+
+    This is the one vulnerability rule: the precondition
+    ``node_has_vuln_with_access`` holds when it finds one,
+    ``apply_capability`` rolls against its success probability and grants
+    its privilege, and the attack graph scores a hop with it."""
     node = topology.node_by_id(node_id)
     if node is None:
-        return []
-    out = []
-    for vid in sorted(node.vulnerability_ids):
+        return None
+    best = None
+    for vid in node.vulnerability_ids:
         vuln = topology.vulnerability_by_id(vid)
-        if vuln is not None and _access_satisfied(vuln.access_requirement, level):
-            out.append(vuln)
-    return out
+        if (vuln is not None
+                and _ACCESS_RANK[vuln.access_requirement] <= _ACCESS_RANK[level]
+                and (best is None
+                     or (vuln.success_prob, vuln.id) > (best.success_prob, best.id))):
+            best = vuln
+    return best
 
 
 def _compile_predicate(pred: Predicate) -> Callable[[SimulationState, Mapping[str, str]], bool]:
@@ -499,7 +510,7 @@ def _compile_predicate(pred: Predicate) -> Callable[[SimulationState, Mapping[st
         access = pred.access
 
         def check(state, binding):
-            return bool(matching_vulnerabilities(state.topology, binding[slot], access))
+            return select_vulnerability(state.topology, binding[slot], access) is not None
     elif kind == PredicateKind.CREDENTIAL_HELD:
         def check(state, binding):
             return binding[slot] in state.credential_targets
@@ -598,28 +609,6 @@ def deploy_strategy(state: SimulationState, strategy: DefenseStrategy,
     return state
 
 
-def _matched_vulnerability(cap: AtomicCapability, state: SimulationState,
-                           binding: Dict[str, str]) -> Optional[Vulnerability]:
-    """The vulnerability a vulnerability-backed capability uses on its
-    target: the lexicographically first match. None for any other
-    capability, or where nothing matches."""
-    level = cap.vuln_access_requirement()
-    if level is None:
-        return None
-    target = _bound(binding, "target", cap.id)
-    matches = matching_vulnerabilities(state.topology, target, level)
-    return matches[0] if matches else None
-
-
-def effective_success_prob(cap: AtomicCapability, state: SimulationState,
-                           binding: Dict[str, str]) -> float:
-    """Vulnerability-backed capabilities take the vulnerability's own
-    success probability (lexicographically first match); everything else
-    uses the capability's base probability."""
-    vuln = _matched_vulnerability(cap, state, binding)
-    return cap.base_success_prob if vuln is None else vuln.success_prob
-
-
 def apply_capability(state: SimulationState, cap: AtomicCapability,
                      binding: Dict[str, str], rng) -> Tuple[SimulationState, CapabilityOutcome]:
     """Apply one capability; returns the new state and the outcome.
@@ -634,7 +623,8 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
             f"capability {cap.id!r}: {result.first_failed.kind.value} does not hold"
         )
     target = _bound(binding, "target", cap.id)
-    vuln = _matched_vulnerability(cap, state, binding)
+    level = cap.vuln_access_requirement()
+    vuln = None if level is None else select_vulnerability(state.topology, target, level)
 
     success = rng.random() < (cap.base_success_prob if vuln is None else vuln.success_prob)
     detected = rng.random() < cap.detection_prob

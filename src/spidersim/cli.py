@@ -125,26 +125,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", help="also write a DOT render of the paths")
     p.add_argument("--out")
 
-    p = sub.add_parser("simulate", help="run one seeded simulation")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--strategy")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rounds", type=_positive_int, default=20)
-    p.add_argument("--attacker", default="greedy_value",
-                   choices=[pol.value for pol in AttackerPolicy])
-    p.add_argument("--defender", default="static",
-                   choices=[pol.value for pol in DefenderPolicy])
+    # The options simulate and batch share, in their usage order.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--scenario", required=True)
+    run.add_argument("--strategy")
+    run.add_argument("--seed", type=int, required=True)
+    run.add_argument("--rounds", type=_positive_int, default=20)
+    run.add_argument("--attacker", default="greedy_value",
+                     choices=[pol.value for pol in AttackerPolicy])
+    run.add_argument("--defender", default="static",
+                     choices=[pol.value for pol in DefenderPolicy])
+
+    p = sub.add_parser("simulate", parents=[run], help="run one seeded simulation")
     p.add_argument("--trace", help="write the trace JSON here")
 
-    p = sub.add_parser("batch", help="aggregate n seeded simulations")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--strategy")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--rounds", type=_positive_int, default=20)
-    p.add_argument("--attacker", default="greedy_value",
-                   choices=[pol.value for pol in AttackerPolicy])
-    p.add_argument("--defender", default="static",
-                   choices=[pol.value for pol in DefenderPolicy])
+    p = sub.add_parser("batch", parents=[run], help="aggregate n seeded simulations")
     p.add_argument("-n", type=_positive_int, required=True)
     p.add_argument("--out")
 

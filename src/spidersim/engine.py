@@ -9,7 +9,6 @@ consecutive rounds.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
@@ -91,12 +90,6 @@ class Metrics:
     detection_count: int
     attacker_cost_spent: int
 
-    def objective_met(self, index: int) -> bool:
-        for i, met in self.objectives_met:
-            if i == index:
-                return met
-        return False
-
     def any_attacker_objective_met(self, objectives: Tuple[Objective, ...]) -> bool:
         return any(
             met for (i, met) in self.objectives_met
@@ -127,20 +120,20 @@ def _matching_nodes(topology: NetworkTopology, objective: Objective) -> List[str
     return [n.id for n in topology.nodes if objective.target.matches(n)]
 
 
-def _objective_met_now(state: SimulationState, objective: Objective,
-                       matching: List[str], detected_any: bool) -> bool:
-    """Whether ``objective``, whose target matches the nodes ``matching``,
-    holds in ``state``."""
+def _objective_met(objective: Objective, matched: int, hit: int,
+                   detected_any: bool) -> bool:
+    """Whether ``objective`` holds when ``hit`` of the ``matched`` nodes its
+    target matches are compromised: the one rule for both the early stop
+    and the metrics. A compromise objective needs ``hit / matched`` at or
+    above its threshold, a protect objective the safe share; detect needs
+    a detected attack."""
     if objective.kind == ObjectiveKind.DETECT:
         return detected_any
-    if not matching:
+    if not matched:
         return objective.kind == ObjectiveKind.PROTECT
-    compromised = state.compromise
-    hit = sum(1 for nid in matching if nid in compromised)
     if objective.kind == ObjectiveKind.COMPROMISE:
-        return hit / len(matching) >= objective.threshold
-    # protect: the complement fraction must stay at or above the threshold
-    return (len(matching) - hit) / len(matching) >= objective.threshold
+        return hit / matched >= objective.threshold
+    return (matched - hit) / matched >= objective.threshold
 
 
 def step_round(state: SimulationState, topology: NetworkTopology,
@@ -261,8 +254,10 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
             idle_rounds += 1
             if idle_rounds >= STALL_ROUNDS:
                 break
+        compromised = state.compromise
         if attacker_objectives and all(
-            _objective_met_now(state, o, matching, detected_any)
+            _objective_met(o, len(matching), sum(nid in compromised for nid in matching),
+                           detected_any)
             for o, matching in attacker_objectives
         ):
             break
@@ -329,36 +324,28 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
 
     for i, objective in enumerate(objectives):
         matching = _matching_nodes(topology, objective)
-        if objective.kind == ObjectiveKind.DETECT:
-            is_met = detected_any
-            met_round = min(
-                (e.round for e in trace.events
-                 if e.actor == Actor.ATTACKER and e.success and e.detected),
-                default=None,
-            ) if is_met else None
-        elif objective.kind == ObjectiveKind.COMPROMISE:
-            if not matching:
-                is_met, met_round = False, None
-            else:
-                needed = math.ceil(objective.threshold * len(matching))
-                hit_rounds = sorted(
-                    first_rounds[nid] for nid in matching if nid in compromised
-                )
-                if needed == 0:
-                    is_met, met_round = True, 0
-                elif len(hit_rounds) >= needed:
-                    is_met, met_round = True, hit_rounds[needed - 1]
-                else:
-                    is_met, met_round = False, None
-        else:  # protect: monotone, so the final-state check covers all rounds
-            if not matching:
-                is_met, met_round = True, 0
-            else:
-                safe = sum(1 for nid in matching if nid not in compromised)
-                is_met = safe / len(matching) >= objective.threshold
-                met_round = final_round if is_met else None
+        if objective.kind == ObjectiveKind.COMPROMISE:
+            # Met in the round of the shortest prefix of the hit rounds that
+            # meets it; the empty prefix stands for round 0.
+            hit_rounds = sorted(first_rounds[nid] for nid in matching if nid in compromised)
+            met_round = next(
+                (r for hit, r in enumerate([0, *hit_rounds])
+                 if _objective_met(objective, len(matching), hit, detected_any)),
+                None,
+            )
+            is_met = met_round is not None
+        else:
+            hit = sum(nid in compromised for nid in matching)
+            is_met = _objective_met(objective, len(matching), hit, detected_any)
+            if not is_met:
+                met_round = None
+            elif objective.kind == ObjectiveKind.DETECT:
+                met_round = min(e.round for e in trace.events
+                                if e.actor == Actor.ATTACKER and e.success and e.detected)
+            else:  # protect: monotone, so the final-state check covers all rounds
+                met_round = final_round if matching else 0
         met.append((i, is_met))
-        if objective.actor == Actor.ATTACKER and is_met and met_round is not None:
+        if objective.actor == Actor.ATTACKER and is_met:
             if first_objective_round is None or met_round < first_objective_round:
                 first_objective_round = met_round
 

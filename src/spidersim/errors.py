@@ -150,10 +150,6 @@ class MissingConsumedSlot(SpiderSimError):
     code = "MissingConsumedSlot"
 
 
-class SlotOwnershipViolation(SpiderSimError):
-    code = "SlotOwnershipViolation"
-
-
 class NoHintsAvailable(SpiderSimError):
     code = "NoHintsAvailable"
 

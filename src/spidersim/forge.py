@@ -3,13 +3,11 @@ validated scenario.
 
 Five deterministic rule-based roles run in dependency order
 (context_analyst, topology_synthesizer, threat_planner, defense_planner,
-validator), each owning the slots it produces. When validation fails, one
-refinement hint is applied per iteration (fixed precedence:
-add_entry_surface, add_vulnerability, add_edge, raise_node_budget), the
-affected downstream slots are cleared, and the pipeline re-runs the roles
-whose slots were invalidated. Role behavior is pluggable: a custom role
-implementation may replace any default via ``run_pipeline(...,
-role_overrides=...)``, as long as it writes only the slots that role owns.
+validator); ``agent_step`` runs one and writes only the one slot it
+produces. When validation fails, one refinement hint is applied per
+iteration (fixed precedence: add_entry_surface, add_vulnerability,
+add_edge, raise_node_budget), the affected downstream slots are cleared,
+and the pipeline re-runs the roles whose slots were invalidated.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .errors import (
     InvariantViolation,
     MissingConsumedSlot,
     NoHintsAvailable,
-    SlotOwnershipViolation,
     SpiderSimError,
 )
 from .model import (
@@ -389,7 +386,7 @@ def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
     return ForgeValidation(report=merged, hints=tuple(hints)), summary
 
 
-_DEFAULT_BEHAVIOR: Dict[RoleId, Callable] = {
+_BEHAVIOR: Dict[RoleId, Callable] = {
     RoleId.CONTEXT_ANALYST: _run_context_analyst,
     RoleId.TOPOLOGY_SYNTHESIZER: _run_topology_synthesizer,
     RoleId.THREAT_PLANNER: _run_threat_planner,
@@ -399,21 +396,14 @@ _DEFAULT_BEHAVIOR: Dict[RoleId, Callable] = {
 
 
 def agent_step(role: AgentRole, bb: Blackboard, registry: CapabilityRegistry,
-               seed: int, behavior: Optional[Callable] = None) -> Blackboard:
-    """Run one role: consumes must be populated; writes only its own slots."""
+               seed: int) -> Blackboard:
+    """Run one role: consumes must be populated; writes only the slot it
+    produces."""
     for name in role.consumes:
         if bb.slot(name) is None:
             raise MissingConsumedSlot(f"role {role.id.value} needs slot {name!r}")
-    run = behavior or _DEFAULT_BEHAVIOR[role.id]
-    value, summary = run(bb, registry, seed)
-    produced = role.produces[0]
-    before = {k: v for k, v in bb.slots}
-    new_bb = bb._write(produced, value)
-    for key, val in new_bb.slots:
-        if key != produced and before.get(key) is not val:
-            raise SlotOwnershipViolation(
-                f"role {role.id.value} touched slot {key!r}"
-            )
+    value, summary = _BEHAVIOR[role.id](bb, registry, seed)
+    new_bb = bb._write(role.produces[0], value)
     return replace(
         new_bb,
         revision=bb.revision + 1,
@@ -510,8 +500,7 @@ def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
 
 
 def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
-                 seed: int, max_iterations: int = 5,
-                 role_overrides: Optional[Dict[RoleId, Callable]] = None
+                 seed: int, max_iterations: int = 5
                  ) -> Tuple[ScenarioSpec, GenerationReport]:
     """Generate a validated scenario from a requirement.
 
@@ -521,7 +510,6 @@ def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
     _check_requirement(requirement)
     if max_iterations < 1:
         raise GenerationFailed("max_iterations must be >= 1")
-    overrides = role_overrides or {}
 
     bb = Blackboard(requirement=requirement)
     reports: List[ValidationReport] = []
@@ -530,7 +518,7 @@ def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
     for iteration in range(1, max_iterations + 1):
         for role in PIPELINE:
             if bb.slot(role.produces[0]) is None:
-                bb = agent_step(role, bb, registry, seed, overrides.get(role.id))
+                bb = agent_step(role, bb, registry, seed)
         validation: ForgeValidation = bb.slot("validation_report")
         reports.append(validation.report)
         if not validation.report.errors:

@@ -113,6 +113,9 @@ class Edge:
 
 @dataclass(frozen=True)
 class Vulnerability:
+    """``detection_prob`` is informational: an exploit's detection rolls
+    against the capability's own probability."""
+
     id: str
     technique_tag: str
     access_requirement: AccessRequirement

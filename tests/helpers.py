@@ -81,6 +81,18 @@ class CountingRandom:
         return self._rng.random()
 
 
+class StubRandom:
+    """Returns the given uniform draws in order, then ``rest`` for every
+    later draw."""
+
+    def __init__(self, draws: Sequence[float], rest: float = 0.999):
+        self._draws = list(draws)[::-1]
+        self._rest = rest
+
+    def random(self) -> float:
+        return self._draws.pop() if self._draws else self._rest
+
+
 @lru_cache(maxsize=1)
 def builtin_reg() -> CapabilityRegistry:
     return built_in_registry()

@@ -1,8 +1,10 @@
 """Capability registry, precondition evaluation, probabilistic application."""
 
 import copy
+import math
 import pickle
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spidersim as ss
+from spidersim.attackgraph import hop_option
 from spidersim.capabilities import (
     HONEYPOT_ALARM_PROB,
     SHOCKTRAP_TRAP_ROUNDS,
     CapabilityRegistry,
-    effective_success_prob,
-    matching_vulnerabilities,
+    select_vulnerability,
 )
 from spidersim.engine import step_round
 from spidersim.errors import (
@@ -33,6 +35,7 @@ from spidersim.state import DefenseKind, SimulationState, fresh_state
 
 from helpers import (
     CountingRandom,
+    StubRandom,
     chain_topology,
     make_topology,
     make_vuln,
@@ -227,6 +230,27 @@ class TestPreconditions:
         assert ss.evaluate_preconditions(cap, admin, {"target": "a"}).holds
 
 
+def with_vulnerabilities(topology, rng: random.Random):
+    """The topology with one to three vulnerabilities on every node, of
+    random access levels, probabilities and granted privileges, with ids
+    in an order unrelated to their probabilities."""
+    nodes, vulns = [], []
+    for node in topology.nodes:
+        own = [
+            ss.Vulnerability(
+                id=f"vuln-{node.id}-{tag}", technique_tag="T1190",
+                access_requirement=rng.choice(list(ss.AccessRequirement)),
+                success_prob=rng.choice((0.2, 0.35, 0.5, 0.65, 0.8, 0.95)),
+                detection_prob=0.2,
+                gained_privilege=rng.choice([ss.Privilege.USER, ss.Privilege.ADMIN]),
+            )
+            for tag in rng.sample("abcdef", rng.randint(1, 3))
+        ]
+        nodes.append(replace(node, vulnerability_ids=tuple(v.id for v in own)))
+        vulns += own
+    return replace(topology, nodes=tuple(nodes), vulnerabilities=tuple(vulns))
+
+
 def random_predicate(rng: random.Random) -> ss.Predicate:
     """Any of the nine predicate kinds, on target, source or a slot no
     enumeration binds, with random operands (rarely a vulnerability
@@ -405,19 +429,22 @@ class TestVulnerabilityMatching:
         topo = make_topology(
             nodes=[("a", ss.NodeClass.GATEWAY)], edges=[],
             vulns=[make_vuln("a", 0.7, access=ss.AccessRequirement.NETWORK)])
-        assert [v.id for v in matching_vulnerabilities(
-            topo, "a", ss.AccessRequirement.ADJACENT)] == ["vuln-a"]
+        assert select_vulnerability(
+            topo, "a", ss.AccessRequirement.ADJACENT).id == "vuln-a"
 
     def test_local_vuln_needs_local_access(self):
         topo = make_topology(
             nodes=[("a", ss.NodeClass.GATEWAY)], edges=[],
             vulns=[make_vuln("a", 0.7, access=ss.AccessRequirement.LOCAL)])
-        assert matching_vulnerabilities(
-            topo, "a", ss.AccessRequirement.ADJACENT) == []
-        assert len(matching_vulnerabilities(
-            topo, "a", ss.AccessRequirement.LOCAL)) == 1
+        assert select_vulnerability(
+            topo, "a", ss.AccessRequirement.ADJACENT) is None
+        assert select_vulnerability(
+            topo, "a", ss.AccessRequirement.LOCAL).id == "vuln-a"
 
-    def test_exploit_takes_first_matching_vuln_by_id(self, registry):
+    def test_exploit_takes_most_likely_vuln(self, registry):
+        """The exploit rolls against the most likely exploitable
+        vulnerability (0.9, which grants user), not the first by id (0.3,
+        admin): the rule the attack graph scores the hop with."""
         first = replace(make_vuln("t", 0.3, privilege=ss.Privilege.ADMIN),
                         id="vuln-aa")
         second = replace(make_vuln("t", 0.9), id="vuln-zz")
@@ -431,15 +458,61 @@ class TestVulnerabilityMatching:
         state = fresh_state(topo).with_compromise("s", ss.Privilege.USER)
         cap = registry.get("exploit_vuln")
         binding = {"target": "t", "source": "s"}
-        assert effective_success_prob(cap, state, binding) == 0.3
+        assert select_vulnerability(topo, "t", cap.vuln_access_requirement()) == second
+        assert hop_option(topo, registry, "t") == ("exploit_vuln", 0.9, cap.cost_units)
 
-        # the matched vulnerability also sets the granted privilege
-        rng = random.Random(3)
-        while True:
-            new_state, outcome = ss.apply_capability(state, cap, binding, rng)
-            if outcome.success:
-                break
-        assert new_state.compromise["t"] == ss.Privilege.ADMIN
+        # a success draw between the two probabilities succeeds, and the
+        # selected vulnerability also sets the granted privilege
+        new_state, outcome = ss.apply_capability(state, cap, binding, StubRandom([0.5]))
+        assert outcome.success
+        assert new_state.compromise["t"] == ss.Privilege.USER
+
+    def test_engine_rolls_against_the_step_probability(self, registry):
+        """For every one-step attack path on random topologies with one to
+        three vulnerabilities per node, of mixed access levels, applying
+        the step's capability succeeds on a success draw just below
+        ``step_prob`` and fails on one exactly at it: the engine uses the
+        probability the attack graph scored. An exploit grants the
+        privilege of the most likely exploitable vulnerability, ties going
+        to the greater id."""
+        exploitable_access = (ss.AccessRequirement.NETWORK, ss.AccessRequirement.ADJACENT)
+        seen = Counter()
+        for seed in range(150):
+            rng = random.Random(seed)
+            topo = with_vulnerabilities(random_topology(rng, max_nodes=6), rng)
+            vuln_by_id = {v.id: v for v in topo.vulnerabilities}
+            for entry in topo.nodes:
+                for target in topo.nodes:
+                    query = ss.PathQuery(entries=(entry.id,), max_len=1,
+                                         target=ss.TargetSelector(node_id=target.id))
+                    for path in ss.enumerate_attack_paths(topo, registry, query):
+                        (step,) = path.steps
+                        cap = registry.get(step.capability_id)
+                        state = fresh_state(topo)
+                        binding = {"target": step.target}
+                        if step.source != ss.EXTERNAL:
+                            binding["source"] = step.source
+                            state = (state.with_compromise(step.source, ss.Privilege.USER)
+                                     .with_credentials(c.id for c in topo.credentials))
+                        below = StubRandom([math.nextafter(step.step_prob, 0.0)])
+                        won, outcome = ss.apply_capability(state, cap, binding, below)
+                        assert outcome.success, (seed, step)
+                        _, outcome = ss.apply_capability(state, cap, binding,
+                                                         StubRandom([step.step_prob]))
+                        assert not outcome.success, (seed, step)
+                        seen[cap.id] += 1
+                        if cap.id == "exploit_vuln":
+                            usable = sorted(
+                                (vuln_by_id[vid] for vid in target.vulnerability_ids
+                                 if vuln_by_id[vid].access_requirement in exploitable_access),
+                                key=lambda v: v.id)
+                            best = max(usable, key=lambda v: (v.success_prob, v.id))
+                            assert won.compromise[step.target] == best.gained_privilege
+                            seen["first id is not the best"] += (
+                                usable[0].success_prob < best.success_prob)
+        assert min(seen[cap_id] for cap_id in
+                   ("phishing", "exploit_vuln", "lateral_move_with_cred")) >= 20, seen
+        assert seen["first id is not the best"] >= 20, seen
 
     def test_patch_gates_exploit(self, registry):
         topo = chain_topology()

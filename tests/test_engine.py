@@ -64,7 +64,7 @@ class TestRunSimulation:
         trace, metrics = ss.run_simulation(
             spec, ss.DefenseStrategy(), sure_entry_reg(), config())
         assert trace.final_state.round == 1
-        assert metrics.objective_met(0)
+        assert dict(metrics.objectives_met)[0]
         assert metrics.time_to_first_objective == 1
         assert metrics.compromised_fraction == 1.0
 
@@ -84,7 +84,7 @@ class TestRunSimulation:
             ))
             cfg = config(seed=seed, attacker_policy=rng.choice(list(ss.AttackerPolicy)))
             trace, metrics = ss.run_simulation(spec, ss.DefenseStrategy(), registry, cfg)
-            if metrics.objective_met(0):
+            if dict(metrics.objectives_met)[0]:
                 assert trace.final_state.round == metrics.time_to_first_objective
                 ended += classes.count(target) > 1
         assert ended >= 10
@@ -202,11 +202,11 @@ class TestMetrics:
                                ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER),
                                0.5)
         metrics = ss.compute_metrics(trace, (protect,))
-        assert metrics.objective_met(0)  # 3 of 4 safe: 0.75 >= 0.5
+        assert dict(metrics.objectives_met)[0]  # 3 of 4 safe: 0.75 >= 0.5
         strict = ss.Objective(ss.Actor.DEFENDER, ss.ObjectiveKind.PROTECT,
                               ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER),
                               0.9)
-        assert not ss.compute_metrics(trace, (strict,)).objective_met(0)
+        assert not dict(ss.compute_metrics(trace, (strict,)).objectives_met)[0]
 
     def test_compromise_threshold_uses_kth_round(self, registry):
         topo = make_topology(
@@ -234,6 +234,32 @@ class TestMetrics:
         assert ss.compute_metrics(trace, (half,)).time_to_first_objective == 2
         assert ss.compute_metrics(trace, (full,)).time_to_first_objective == 4
 
+    def test_compromise_threshold_grid_matches_the_early_stop_rule(self):
+        """With h of n targets compromised, a compromise objective is met
+        exactly when ``h / n >= threshold``, the comparison the run's early
+        stop makes, for every threshold i/100 and n up to 50 (a rounded-up
+        ``threshold * n`` count disagrees at, e.g., 7 of 50 at 0.14)."""
+        thresholds = [i / 100 for i in range(101)]
+        objectives = tuple(
+            ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                         ss.TargetSelector(node_class=ss.NodeClass.SENSOR), t)
+            for t in thresholds)
+        for n in range(1, 51):
+            topo = make_topology(nodes=[(f"s{i}", ss.NodeClass.SENSOR) for i in range(n)],
+                                 edges=[])
+            state = fresh_state(topo)
+            events = []
+            for h in range(n + 1):
+                if h:
+                    state = state.with_compromise(f"s{h - 1}", ss.Privilege.USER)
+                    events.append(ss.SimEvent(h, ss.Actor.ATTACKER, "exploit_vuln", f"s{h - 1}",
+                                              success=True, detected=False, trapped_for=0))
+                trace = ss.SimulationTrace(config=config(), scenario_digest="x",
+                                           events=tuple(events), final_state=state.with_round(h))
+                met = dict(ss.compute_metrics(trace, objectives).objectives_met)
+                assert [met[i] for i in range(len(thresholds))] == [
+                    h / n >= t for t in thresholds], (n, h)
+
     def test_cost_needs_registry(self, marine_spec, registry):
         trace, metrics = ss.run_simulation(marine_spec, ss.DefenseStrategy(),
                                            registry, config())
@@ -252,7 +278,7 @@ class TestMetrics:
         detect = ss.Objective(ss.Actor.DEFENDER, ss.ObjectiveKind.DETECT,
                               ss.TargetSelector(node_id="w"), 1.0)
         metrics = ss.compute_metrics(trace, (detect,))
-        assert metrics.objective_met(0)
+        assert dict(metrics.objectives_met)[0]
         assert metrics.detection_count == 1
 
 
