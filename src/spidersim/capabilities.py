@@ -731,6 +731,12 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     topology, so a round costs one check per binding left: for the
     built-in attack set, one per entry-class node, two per foothold and
     two per edge out of a foothold.
+
+    Of the state it reads only the topology, ``compromise``,
+    ``footholds``, ``deployed`` and ``credentials_held`` (through
+    ``credential_targets``). The engine relies on this: it reuses one
+    returned list over the rounds of a run while those fields are
+    unchanged. So callers must not mutate the list or its binding dicts.
     """
     kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
     topology = state.topology

@@ -14,8 +14,8 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .capabilities import (
+    AtomicCapability,
     CapabilityKind,
-    CapabilityOutcome,
     CapabilityRegistry,
     DefenseStrategy,
     apply_capability,
@@ -99,6 +99,12 @@ class Metrics:
 
 @dataclass(frozen=True)
 class BatchResult:
+    """``attacker_success_rate`` is the share of runs in which *any*
+    attacker objective is met at the end. A run stops early only when
+    *every* attacker objective is met (``_play``); the two rules agree
+    whenever there is one attacker objective, as in every shipped
+    scenario."""
+
     per_seed: Tuple[Metrics, ...]
     mean_compromised_fraction: float
     attacker_success_rate: float
@@ -136,15 +142,50 @@ def _objective_met(objective: Objective, matched: int, hit: int,
     return (matched - hit) / matched >= objective.threshold
 
 
+class _LastEnumeration:
+    """The attacker's action list of the last round of one run that
+    enumerated, with the state it was enumerated on.
+
+    ``applicable_capabilities`` reads only the ``compromise``,
+    ``footholds``, ``deployed`` and ``credentials_held`` fields of the
+    state, and a state update keeps the very objects of the fields it does
+    not change. So while those four are the same objects as in ``state``,
+    the list is the one enumerating again would return.
+    """
+
+    __slots__ = ("state", "actions")
+
+    def __init__(self):
+        self.state = None
+        self.actions = []
+
+    def actions_on(self, state: SimulationState, registry: CapabilityRegistry
+                   ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
+        last = self.state
+        if (last is None or state.compromise is not last.compromise
+                or state.footholds is not last.footholds
+                or state.deployed is not last.deployed
+                or state.credentials_held is not last.credentials_held):
+            self.state = state
+            self.actions = applicable_capabilities(registry, state, "attacker")
+        return self.actions
+
+
 def step_round(state: SimulationState, topology: NetworkTopology,
                registry: CapabilityRegistry, config: SimulationConfig,
-               rng) -> Tuple[SimulationState, List[SimEvent]]:
+               rng, *, _last: Optional[_LastEnumeration] = None
+               ) -> Tuple[SimulationState, List[SimEvent]]:
     """Advance the simulation by exactly one round.
 
     Order within the round: (1) reactive defender actions, (2) one
     attacker action chosen by the configured policy, skipped while
     trapped. The uniform_random policy consumes exactly one selection
     draw before the apply draws.
+
+    Called alone, it enumerates the attacker's actions afresh. ``_last``
+    is private to ``_play``: the action list of an earlier round of the
+    same run, reused while the state fields enumeration reads are the
+    same objects.
     """
     if state.round >= config.max_rounds:
         raise RoundLimitExceeded(f"round {state.round} is already at max_rounds")
@@ -174,7 +215,9 @@ def step_round(state: SimulationState, topology: NetworkTopology,
     if state.trapped_until > round_number:
         return state, events
 
-    applicable = applicable_capabilities(registry, state, "attacker")
+    if _last is None:
+        _last = _LastEnumeration()
+    applicable = _last.actions_on(state, registry)
     if not applicable:
         return state, events
 
@@ -226,7 +269,18 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
           registry: CapabilityRegistry, config: SimulationConfig
           ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
     """The rounds of one seeded run on checked inputs: its events and its
-    final state."""
+    final state.
+
+    The run stops early once *every* attacker objective is met (or the
+    attacker stalls). A batch counts a run as won when *any* attacker
+    objective is met (``BatchResult.attacker_success_rate``); the two
+    rules agree whenever there is one attacker objective, as in every
+    shipped scenario.
+
+    Work is skipped where its inputs are the same objects as before: a
+    round reuses the attacker's action list of the last round that
+    enumerated (``_LastEnumeration``), and the objectives are checked
+    again only when the compromise or ``detected_any`` changed."""
     topology = resolve_topology(spec, registry, config.seed)
     state = deploy_strategy(fresh_state(topology), strategy, registry)
     rng = substream(config.seed, "simulation")
@@ -238,10 +292,13 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
     events: List[SimEvent] = []
     idle_rounds = 0
     detected_any = False
+    last = _LastEnumeration()
+    checked = (None, None)  # compromise and detected_any at the last objective check
 
     for _ in range(config.max_rounds):
         trapped = state.trapped_until > state.round + 1
-        state, round_events = step_round(state, topology, registry, config, rng)
+        state, round_events = step_round(state, topology, registry, config, rng,
+                                         _last=last)
         events.extend(round_events)
         attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
         detected_any = detected_any or any(
@@ -255,6 +312,9 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
             if idle_rounds >= STALL_ROUNDS:
                 break
         compromised = state.compromise
+        if compromised is checked[0] and detected_any is checked[1]:
+            continue  # the objectives read nothing else, so none is met yet
+        checked = (compromised, detected_any)
         if attacker_objectives and all(
             _objective_met(o, len(matching), sum(nid in compromised for nid in matching),
                            detected_any)

@@ -12,7 +12,6 @@ and the pipeline re-runs the roles whose slots were invalidated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
@@ -20,7 +19,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .attackgraph import AttackPath, PathQuery, enumerate_attack_paths, suggest_defense_placements
 from .capabilities import (
     CapabilityRegistry,
-    DefenseStrategy,
     ENTRY_CLASSES,
     compose_strategy,
 )
@@ -40,7 +38,6 @@ from .model import (
     Elements,
     Finding,
     NetworkTopology,
-    Node,
     NodeClass,
     Objective,
     ObjectiveKind,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .canonical import canonical_json
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
     InvariantViolation,
     MalformedDocument,
     MissingSection,
+    SpiderSimError,
     UnknownField,
 )
 from .rng import substream
@@ -414,7 +415,8 @@ class ValidationReport:
 
     Error codes: UnresolvedCapability, DuplicateNodeId, DanglingEdge,
     ObjectiveTargetUnknown, UnknownVulnerabilityRef, UnknownCredentialRef,
-    BadCredentialHost, NoAttackPath (emitted by the generation pipeline).
+    BadCredentialHost, EmptyRecipe, InsufficientGateways, NoAttackPath
+    (emitted by the generation pipeline).
     Warning codes: DisconnectedTopology.
     """
 
@@ -931,6 +933,8 @@ def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
             warnings.append(Finding("DisconnectedTopology", "topology is not weakly connected", "scenario_parameters.explicit_topology"))
         classes = {n.node_class for n in topo.nodes}
     else:
+        errors.extend(Finding(error.code, error.message, "scenario_parameters.recipe")
+                      for error in recipe_errors(recipe))
         classes = {cls for cls, n in recipe.node_counts if n > 0}
     node_ids = scenario_node_ids(spec)
 
@@ -947,6 +951,19 @@ def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # topology expansion
 # ---------------------------------------------------------------------------
+
+def recipe_errors(recipe: TopologyRecipe) -> Iterator[SpiderSimError]:
+    """Every reason ``build_topology`` refuses ``recipe`` whatever the seed,
+    as the errors it raises (it raises the first). ``validate_spec``
+    reports each as an error finding with the same code."""
+    if recipe.total_nodes() < 1:
+        yield EmptyRecipe("recipe places no nodes")
+    if (recipe.zone_count > 1 and recipe.inter_zone_gateways > 0
+            and recipe.count(NodeClass.GATEWAY) == 0):
+        yield InsufficientGateways(
+            "inter-zone links requested but the recipe places no gateways"
+        )
+
 
 def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopology:
     """Deterministically expand a recipe into a concrete topology.
@@ -977,13 +994,8 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
        gate (< credential_rate), grant-target index over the other nodes
        in id order. Cost: one or two draws per node.
     """
-    if recipe.total_nodes() < 1:
-        raise EmptyRecipe("recipe places no nodes")
-    if (recipe.zone_count > 1 and recipe.inter_zone_gateways > 0
-            and recipe.count(NodeClass.GATEWAY) == 0):
-        raise InsufficientGateways(
-            "inter-zone links requested but the recipe places no gateways"
-        )
+    for error in recipe_errors(recipe):
+        raise error
     layout = recipe.layout
     by_id = layout.by_id
     members = layout.members

@@ -43,9 +43,11 @@ from spidersim import (
 from spidersim.capabilities import (
     INTERFACE_VERSION,
     CapabilityRegistry,
+    DefenseStrategy,
     Predicate,
     PredicateKind,
     PreconditionResult,
+    deploy_strategy,
 )
 from spidersim.errors import (
     EmptyRecipe,
@@ -57,7 +59,15 @@ from spidersim.errors import (
     UnknownField,
     UnsupportedInterfaceVersion,
 )
-from spidersim.state import DefenseKind, SimulationState
+from spidersim.engine import (
+    STALL_ROUNDS,
+    SimEvent,
+    _matching_nodes,
+    _objective_met,
+    resolve_topology,
+    step_round,
+)
+from spidersim.state import DefenseKind, SimulationState, fresh_state
 from spidersim.model import DomainContext, Elements, ScenarioParameters, Service, SubProblem
 from spidersim.rng import substream
 
@@ -232,6 +242,27 @@ def with_directed_edges(topology: NetworkTopology, rng: random.Random,
     loop = rng.choice(ids)
     return replace(topology, edges=topology.edges + directed
                    + (Edge(src=loop, dst=loop),))
+
+
+def with_vulnerabilities(topology, rng: random.Random) -> NetworkTopology:
+    """The topology with one to three vulnerabilities on every node, of
+    random access levels, probabilities and granted privileges, with ids
+    in an order unrelated to their probabilities."""
+    nodes, vulns = [], []
+    for node in topology.nodes:
+        own = [
+            Vulnerability(
+                id=f"vuln-{node.id}-{tag}", technique_tag="T1190",
+                access_requirement=rng.choice(list(AccessRequirement)),
+                success_prob=rng.choice((0.2, 0.35, 0.5, 0.65, 0.8, 0.95)),
+                detection_prob=0.2,
+                gained_privilege=rng.choice([Privilege.USER, Privilege.ADMIN]),
+            )
+            for tag in rng.sample("abcdef", rng.randint(1, 3))
+        ]
+        nodes.append(replace(node, vulnerability_ids=tuple(v.id for v in own)))
+        vulns += own
+    return replace(topology, nodes=tuple(nodes), vulnerabilities=tuple(vulns))
 
 
 def spec_around(topology: NetworkTopology,
@@ -1069,3 +1100,51 @@ def reference_parse_paths(document: str) -> List[AttackPath]:
             total_cost=_expect_int(_require(d, "total_cost", path), f"{path}.total_cost"),
         ))
     return paths
+
+
+# ---------------------------------------------------------------------------
+# reference round loop
+# ---------------------------------------------------------------------------
+
+def reference_play(spec: ScenarioSpec, strategy: DefenseStrategy,
+                   registry: CapabilityRegistry, config
+                   ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
+    """What ``engine._play`` must return: the round loop that calls the
+    public ``step_round`` every round, so every round enumerates the
+    attacker's actions afresh, and checks the objectives after every
+    round."""
+    topology = resolve_topology(spec, registry, config.seed)
+    state = deploy_strategy(fresh_state(topology), strategy, registry)
+    rng = substream(config.seed, "simulation")
+
+    attacker_objectives = [
+        (o, _matching_nodes(topology, o)) for o in spec.objectives
+        if o.actor == Actor.ATTACKER
+    ]
+    events: List[SimEvent] = []
+    idle_rounds = 0
+    detected_any = False
+
+    for _ in range(config.max_rounds):
+        trapped = state.trapped_until > state.round + 1
+        state, round_events = step_round(state, topology, registry, config, rng)
+        events.extend(round_events)
+        attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
+        detected_any = detected_any or any(
+            e.actor == Actor.ATTACKER and e.success and e.detected
+            for e in round_events
+        )
+        if attacker_acted or trapped:
+            idle_rounds = 0
+        else:
+            idle_rounds += 1
+            if idle_rounds >= STALL_ROUNDS:
+                break
+        compromised = state.compromise
+        if attacker_objectives and all(
+            _objective_met(o, len(matching), sum(nid in compromised for nid in matching),
+                           detected_any)
+            for o, matching in attacker_objectives
+        ):
+            break
+    return tuple(events), state

@@ -43,6 +43,7 @@ from helpers import (
     random_topology,
     reference_evaluate_preconditions,
     with_directed_edges,
+    with_vulnerabilities,
 )
 
 
@@ -228,27 +229,6 @@ class TestPreconditions:
         admin = fresh_state(topo).with_compromise("a", ss.Privilege.ADMIN)
         assert not ss.evaluate_preconditions(cap, user, {"target": "a"}).holds
         assert ss.evaluate_preconditions(cap, admin, {"target": "a"}).holds
-
-
-def with_vulnerabilities(topology, rng: random.Random):
-    """The topology with one to three vulnerabilities on every node, of
-    random access levels, probabilities and granted privileges, with ids
-    in an order unrelated to their probabilities."""
-    nodes, vulns = [], []
-    for node in topology.nodes:
-        own = [
-            ss.Vulnerability(
-                id=f"vuln-{node.id}-{tag}", technique_tag="T1190",
-                access_requirement=rng.choice(list(ss.AccessRequirement)),
-                success_prob=rng.choice((0.2, 0.35, 0.5, 0.65, 0.8, 0.95)),
-                detection_prob=0.2,
-                gained_privilege=rng.choice([ss.Privilege.USER, ss.Privilege.ADMIN]),
-            )
-            for tag in rng.sample("abcdef", rng.randint(1, 3))
-        ]
-        nodes.append(replace(node, vulnerability_ids=tuple(v.id for v in own)))
-        vulns += own
-    return replace(topology, nodes=tuple(nodes), vulnerabilities=tuple(vulns))
 
 
 def random_predicate(rng: random.Random) -> ss.Predicate:

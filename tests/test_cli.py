@@ -92,6 +92,29 @@ class TestValidate:
         assert err.startswith(expected)
 
 
+def test_recipe_without_gateways_fails_every_command(capsys, tmp_path):
+    """A recipe asking for links between three zones but placing no
+    gateway is refused alike by ``validate`` and the commands that expand
+    it (exit 1 each); ``validate`` exited 0 on it before."""
+    doc = json.loads(marine_ranch_scenario_path().read_text())
+    doc["scenario_parameters"] = {"recipe": {
+        "node_counts": {"controller": 1}, "zone_count": 3, "intra_zone_density": 0.5,
+        "inter_zone_gateways": 1, "vuln_rate": 0.5, "credential_rate": 0.3,
+    }}
+    path = tmp_path / "no-gateways.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--scenario", str(path))
+    assert code == 1
+    assert [f["code"] for f in json.loads(out)["errors"]] == ["InsufficientGateways"]
+    assert err.startswith("InsufficientGateways: ")
+    for argv in (["simulate", "--seed", "0"], ["batch", "--seed", "0", "-n", "2"],
+                 ["paths", "--entry", "controller-0", "--target", "class:controller"],
+                 ["export-dot", "--seed", "0"]):
+        code, out, err = run(capsys, *argv, "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert "InsufficientGateways: " in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -1,13 +1,15 @@
 """Seeded round-based simulation: traces, metrics, batches."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spidersim as ss
-from spidersim.engine import STALL_ROUNDS, scenario_digest, step_round
+import spidersim.engine as engine
+from spidersim.engine import STALL_ROUNDS, SimulationTrace, scenario_digest, step_round
 from spidersim.errors import InvalidScenario, InvalidStrategy, RoundLimitExceeded
 from spidersim.exports import export_trace
 from spidersim.rng import substream
@@ -20,8 +22,11 @@ from helpers import (
     make_topology,
     make_vuln,
     random_topology,
+    reference_play,
     spec_around,
     sure_entry_reg,
+    with_directed_edges,
+    with_vulnerabilities,
 )
 
 
@@ -187,6 +192,213 @@ class TestStepRound:
         assert len(defender_events) == 1
         patched = defender_events[0].target
         assert DefenseKind.PATCH in new_state.defenses_on(patched)
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Every attacker action list the engine enumerates, in call order, as
+    (state, list, a copy of its entries taken when it was returned).
+    ``step_round`` looks the function up through the module, so the
+    wrapper sees every real enumeration and no reuse."""
+    calls = []
+    enumerate_actions = engine.applicable_capabilities
+
+    def recording(registry, state, actor, *args):
+        found = enumerate_actions(registry, state, actor, *args)
+        calls.append((state, found, [(cap, dict(binding)) for cap, binding in found]))
+        return found
+
+    monkeypatch.setattr(engine, "applicable_capabilities", recording)
+    return calls
+
+
+def random_scenarios(count):
+    """(seed, spec, strategy) on random topologies of up to eight nodes,
+    with one-way edges and a self-loop (a one-way edge that repeats an
+    edge is dropped: a scenario may not hold both), every other one with
+    one to three vulnerabilities per node, every third one with an
+    attacker detect objective besides the compromise one; each topology
+    without defenses and with random honeypot and shocktrap placements."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        topo = with_directed_edges(random_topology(rng, max_nodes=8, max_edges=16), rng)
+        unique = {}
+        for edge in topo.edges:
+            unique.setdefault((edge.src, edge.dst, edge.protocol_tag), edge)
+        topo = replace(topo, edges=tuple(unique.values()))
+        if seed % 2:
+            topo = with_vulnerabilities(topo, rng)
+        placements = [(cap_id, n.id) for cap_id in ("honeypot", "shocktrap")
+                      for n in topo.nodes if rng.random() < 0.3]
+        spec = spec_around(topo)
+        if seed % 3 == 2:
+            # Two attacker objectives: the run stops once both are met.
+            spec = replace(spec, objectives=spec.objectives[:1] + (
+                ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.DETECT,
+                             spec.objectives[0].target, 1.0),))
+        yield seed, spec, ss.DefenseStrategy()
+        yield seed, spec, ss.compose_strategy(builtin_reg(), placements, topo)
+
+
+def reference_metrics(spec, strategy, registry, cfg):
+    events, final_state = reference_play(spec, strategy, registry, cfg)
+    trace = SimulationTrace(config=cfg, scenario_digest="", events=events,
+                            final_state=final_state)
+    return ss.compute_metrics(trace, spec.objectives, registry)
+
+
+class TestEnumerationReuse:
+    """The engine reuses a round's attacker action list while the state
+    fields enumeration reads are unchanged; ``reference_play`` enumerates
+    every round."""
+
+    def test_runs_equal_the_reference_loop(self, registry, enumerations):
+        """Traces of ``run_simulation`` and metrics of ``batch_run`` equal
+        the reference loop's on random scenarios, under every attacker and
+        defender policy, with and without honeypot and shocktrap
+        placements, and the engine enumerated less often than it."""
+        seen = {"patch": 0, "trap": 0, "honeypot": 0}
+        engine_calls = reference_calls = runs_with_reuse = 0
+        for seed, spec, strategy in random_scenarios(40):
+            honeypots = {p.target_node for p in strategy.capability_placements
+                         if p.capability_id == "honeypot"}
+            for attacker in ss.AttackerPolicy:
+                for defender in ss.DefenderPolicy:
+                    cfg = config(max_rounds=12, seed=seed, attacker_policy=attacker,
+                                 defender_policy=defender)
+                    before = len(enumerations)
+                    trace, _ = ss.run_simulation(spec, strategy, registry, cfg)
+                    middle = len(enumerations)
+                    events, final_state = reference_play(spec, strategy, registry, cfg)
+                    assert trace.events == events
+                    assert trace.final_state == final_state
+                    used, fresh = middle - before, len(enumerations) - middle
+                    assert used <= fresh
+                    engine_calls += used
+                    reference_calls += fresh
+                    runs_with_reuse += used < fresh
+
+                    batch = ss.batch_run(spec, strategy, registry, cfg, 3)
+                    assert batch.per_seed == tuple(
+                        reference_metrics(spec, strategy, registry, config(
+                            max_rounds=12, seed=seed + i, attacker_policy=attacker,
+                            defender_policy=defender))
+                        for i in range(3))
+
+                    seen["patch"] += any(e.capability_id == "patch" for e in events)
+                    seen["trap"] += any(e.trapped_for for e in events)
+                    seen["honeypot"] += any(e.actor == ss.Actor.ATTACKER
+                                            and e.target in honeypots for e in events)
+        assert all(count >= 20 for count in seen.values()), seen
+        assert runs_with_reuse >= 200
+        assert engine_calls < 0.6 * reference_calls, (engine_calls, reference_calls)
+
+    def test_marine_batches_equal_the_reference_loop(self, marine_spec, marine_topology,
+                                                     registry, enumerations):
+        """The defended greedy attacker phishes the honeypot on maint-0
+        every round: the state it enumerates on never changes, so each run
+        enumerates once."""
+        strategy = marine_strategy(registry, marine_topology)
+        for attacker in ss.AttackerPolicy:
+            for defender in ss.DefenderPolicy:
+                for defenses in (ss.DefenseStrategy(), strategy):
+                    cfg = config(max_rounds=20, seed=7, attacker_policy=attacker,
+                                 defender_policy=defender)
+                    batch = ss.batch_run(marine_spec, defenses, registry, cfg, 8)
+                    assert batch.per_seed == tuple(
+                        reference_metrics(marine_spec, defenses, registry,
+                                          config(max_rounds=20, seed=7 + i,
+                                                 attacker_policy=attacker,
+                                                 defender_policy=defender))
+                        for i in range(8))
+        enumerations.clear()
+        ss.batch_run(marine_spec, strategy, registry, config(max_rounds=20, seed=7), 8)
+        assert len(enumerations) == 8
+
+    def test_patch_invalidates_the_reused_list(self, enumerations):
+        """Round 1 phishes w and is detected, so round 2 patches x, the
+        most valuable node; round 2's exploit of c from w fails and is
+        detected, so round 3 patches c. Only the patch changes the state
+        enumeration reads between rounds 2 and 3, and round 3's list no
+        longer offers the exploit. Round 4 changes none of those fields
+        and enumerates nothing."""
+        registry = ss.CapabilityRegistry()
+        for cap in builtin_reg().capabilities():
+            if cap.kind == ss.CapabilityKind.ATTACK:
+                cap = replace(cap, detection_prob=1.0,
+                              base_success_prob=1.0 if cap.id == "phishing"
+                              else cap.base_success_prob)
+            registry = ss.register_capability(registry, cap)
+        topo = make_topology(
+            nodes=[("w", ss.NodeClass.WORKSTATION), ("c", ss.NodeClass.CONTROLLER),
+                   ("x", ss.NodeClass.DATA_SERVER)],
+            edges=[("w", "c")], vulns=[make_vuln("c", 0.0)],
+            values={"w": 10, "c": 50, "x": 100})
+        spec = spec_around(topo, objectives=(
+            ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                         ss.TargetSelector(node_id="c"), 1.0),
+        ))
+        cfg = config(max_rounds=4, attacker_policy=ss.AttackerPolicy.CHEAPEST_STEP,
+                     defender_policy=ss.DefenderPolicy.REACTIVE)
+        trace, _ = ss.run_simulation(spec, ss.DefenseStrategy(), registry, cfg)
+
+        assert [(e.round, e.capability_id, e.target) for e in trace.events] == [
+            (1, "phishing", "w"), (2, "patch", "x"), (2, "exploit_vuln", "c"),
+            (3, "patch", "c"), (3, "exfiltrate", "w"), (4, "exfiltrate", "w"),
+        ]
+        offered = [(state.round, [(cap.id, binding) for cap, binding in found])
+                   for state, found, _ in enumerations]
+        exploit = ("exploit_vuln", {"target": "c", "source": "w"})
+        assert [r for r, _ in offered] == [1, 2, 3]
+        assert exploit in offered[1][1]
+        assert exploit not in offered[2][1]
+        assert offered[2][1] == [("exfiltrate", {"target": "w"})]
+        second, third = enumerations[1][0], enumerations[2][0]
+        assert third.compromise is second.compromise
+        assert third.footholds is second.footholds
+        assert third.credentials_held is second.credentials_held
+        assert third.deployed is not second.deployed
+
+        events, final_state = reference_play(spec, ss.DefenseStrategy(), registry, cfg)
+        assert trace.events == events and trace.final_state == final_state
+
+    def test_step_round_alone_enumerates_every_round(self, marine_topology, registry,
+                                                     enumerations):
+        """Called alone, ``step_round`` enumerates on every round the
+        attacker is not trapped, even on an unchanged state."""
+        state = fresh_state(marine_topology)
+        cfg = config(max_rounds=6)
+        for _ in range(cfg.max_rounds):
+            state, _ = step_round(state, marine_topology, registry, cfg, random.Random(0))
+        assert len(enumerations) == cfg.max_rounds
+        state = fresh_state(marine_topology).with_round(1)
+        for _ in range(3):
+            step_round(state, marine_topology, registry, cfg, random.Random(0))
+        assert len(enumerations) == cfg.max_rounds + 3
+
+    def test_action_lists_are_left_unchanged(self, marine_spec, marine_topology,
+                                             registry, enumerations):
+        """Neither ``step_round`` nor ``apply_capability`` writes to an
+        enumerated list or its binding dicts, which the engine reuses over
+        rounds: each list still equals the copy taken when it was
+        returned, after whole runs under every policy and after applying
+        every entry."""
+        strategy = marine_strategy(registry, marine_topology)
+        for attacker in ss.AttackerPolicy:
+            for defender in ss.DefenderPolicy:
+                for defenses in (ss.DefenseStrategy(), strategy):
+                    ss.batch_run(marine_spec, defenses, registry,
+                                 config(max_rounds=20, attacker_policy=attacker,
+                                        defender_policy=defender), 10)
+        for _, spec, defenses in random_scenarios(10):
+            ss.batch_run(spec, defenses, registry, config(
+                max_rounds=12, defender_policy=ss.DefenderPolicy.REACTIVE), 5)
+        for state, found, _ in enumerations:
+            for cap, binding in found:
+                ss.apply_capability(state, cap, binding, random.Random(0))
+        assert len(enumerations) > 100
+        for _, found, copy in enumerations:
+            assert [(cap, dict(binding)) for cap, binding in found] == copy
 
 
 class TestMetrics:

@@ -357,6 +357,33 @@ class TestValidateSpec:
         assert any(f.code == "DisconnectedTopology" for f in report.warnings)
 
 
+    def test_recipe_findings_are_the_errors_expansion_raises(self, marine_spec, registry):
+        """Over a grid of recipes, ``validate_spec`` reports an error with
+        the code of what ``build_topology`` raises (for every seed), at the
+        recipe, and reports none exactly when it expands; an empty recipe
+        asking for links also gets InsufficientGateways, after EmptyRecipe."""
+        outcomes = set()
+        for controllers, gateways, zones, links in itertools.product(
+                (0, 1), (0, 1), (1, 2, 3), (0, 1, 2)):
+            r = recipe({ss.NodeClass.CONTROLLER: controllers, ss.NodeClass.GATEWAY: gateways},
+                       zone_count=zones, gateways=links)
+            spec = dataclasses.replace(
+                marine_spec, scenario_parameters=ScenarioParameters(recipe=r))
+            found = [f for f in ss.validate_spec(spec, registry).errors
+                     if f.location == "scenario_parameters.recipe"]
+            codes = [f.code for f in found]
+            for seed in (0, 1, 2):
+                try:
+                    ss.build_topology(r, registry, seed)
+                except (EmptyRecipe, InsufficientGateways) as exc:
+                    assert codes[0] == exc.code and found[0].message == str(exc)
+                else:
+                    assert codes == []
+            outcomes.add(tuple(codes))
+        assert outcomes == {(), ("EmptyRecipe",), ("InsufficientGateways",),
+                            ("EmptyRecipe", "InsufficientGateways")}
+
+
 class TestBuildTopology:
     COUNTS = {
         ss.NodeClass.SENSOR: 2,
