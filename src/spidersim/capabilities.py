@@ -708,14 +708,13 @@ def _candidate_bindings(rule: _BindingRule, topology: NetworkTopology,
 
 
 def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState,
-                            actor: str, binding_domain: Optional[Iterable[str]] = None
-                            ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
+                            actor: str) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
     """Every (capability, binding) whose preconditions hold, in the
     engine-wide tie-break order: cost ascending, then capability id, then
     target id, then source id.
 
-    Bindings range over ``binding_domain``, by default every node of the
-    state's topology. The capability's own preconditions narrow them:
+    Bindings range over every node of the state's topology. The
+    capability's own preconditions narrow them:
 
     - ``target``: to the actor's footholds under ``actor_has_foothold`` on
       target; to the nodes of the allowed classes under ``node_class_is``
@@ -727,10 +726,10 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
       on source; otherwise the whole domain. Never equal to ``target``.
 
     Each binding left is checked with ``evaluate_preconditions``. The
-    rules are read once per registry and the default domain once per
-    topology, so a round costs one check per binding left: for the
-    built-in attack set, one per entry-class node, two per foothold and
-    two per edge out of a foothold.
+    rules are read once per registry and the node ids once per topology,
+    so a round costs one check per binding left: for the built-in attack
+    set, one per entry-class node, two per foothold and two per edge out
+    of a foothold.
 
     Of the state it reads only the topology, ``compromise``,
     ``footholds``, ``deployed`` and ``credentials_held`` (through
@@ -740,10 +739,7 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     """
     kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
     topology = state.topology
-    if binding_domain is None:
-        domain = topology.node_ids
-    else:
-        domain = tuple(sorted(set(binding_domain)))
+    domain = topology.node_ids
     in_domain = set(domain)
     footholds = state.footholds & in_domain
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []

@@ -1,5 +1,5 @@
-"""Bit-exact file formats: DOT diagrams, trace JSON, and the JSON codecs
-for requirement, capability, strategy, and path files.
+"""Bit-exact file formats: DOT diagrams, trace JSON, the path file
+codec, and the readers of requirement, capability, and strategy files.
 
 All emitters use fixed key orders and lexicographic statement ordering so
 identical inputs always serialize byte-identically; the JSON ones write
@@ -17,7 +17,6 @@ from .capabilities import (
     INTERFACE_VERSION,
     AtomicCapability,
     CapabilityKind,
-    DefenseStrategy,
     Effect,
     EffectKind,
     Predicate,
@@ -186,21 +185,6 @@ def parse_requirement(document: str) -> Requirement:
     )
 
 
-def serialize_requirement(requirement: Requirement) -> str:
-    """The requirement file in ``canonical_json`` form."""
-    doc = {
-        "domain_tag": requirement.domain_tag,
-        "narrative": requirement.narrative,
-        "constraints": {
-            "max_nodes": requirement.constraints.max_nodes,
-            "required_classes": [c.value for c in requirement.constraints.required_classes],
-            "attacker_profile": requirement.constraints.attacker_profile.value,
-            "target_class": requirement.constraints.target_class.value,
-        },
-    }
-    return canonical_json(doc)
-
-
 # ---------------------------------------------------------------------------
 # capability files (interface "cap-1")
 # ---------------------------------------------------------------------------
@@ -332,17 +316,6 @@ def parse_strategy(document: str) -> List[Tuple[str, str]]:
             _check_identifier(d.get("target_node", MISSING), path, "target_node"),
         ))
     return pairs
-
-
-def serialize_strategy(strategy: DefenseStrategy) -> str:
-    """The strategy file in ``canonical_json`` form."""
-    doc = {
-        "capability_placements": [
-            {"capability_id": p.capability_id, "target_node": p.target_node}
-            for p in strategy.capability_placements
-        ],
-    }
-    return canonical_json(doc)
 
 
 def serialize_paths(paths: Iterable[AttackPath]) -> str:

@@ -3,11 +3,21 @@ validated scenario.
 
 Five deterministic rule-based roles run in dependency order
 (context_analyst, topology_synthesizer, threat_planner, defense_planner,
-validator); ``agent_step`` runs one and writes only the one slot it
-produces. When validation fails, one refinement hint is applied per
-iteration (fixed precedence: add_entry_surface, add_vulnerability,
-add_edge, raise_node_budget), the affected downstream slots are cleared,
-and the pipeline re-runs the roles whose slots were invalidated.
+validator). The blackboard holds one slot per role, in that order, and
+the slot rule is:
+
+- a step (``agent_step``) writes exactly one slot, the one its role
+  produces, and needs every slot its role consumes;
+- refinement (``refine``) clears a slot and every later one, so the
+  pipeline re-runs exactly the roles whose slots are empty.
+
+When validation fails, one refinement hint is applied per iteration, in
+the declaration order of ``HintKind`` (add_entry_surface,
+add_vulnerability, add_edge, raise_node_budget).
+
+Attack paths are found in one place: the threat planner searches each
+attacker objective's top-5 paths on the topology draft and keeps them in
+its ``ThreatPlan``, where the defense planner and the validator read them.
 """
 
 from __future__ import annotations
@@ -19,8 +29,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .attackgraph import AttackPath, PathQuery, enumerate_attack_paths, suggest_defense_placements
 from .capabilities import (
     CapabilityRegistry,
+    DefenseStrategy,
     ENTRY_CLASSES,
     compose_strategy,
+    select_vulnerability,
 )
 from .errors import (
     EmptyRequirement,
@@ -28,7 +40,6 @@ from .errors import (
     InvariantViolation,
     MissingConsumedSlot,
     NoHintsAvailable,
-    SpiderSimError,
 )
 from .model import (
     AccessRequirement,
@@ -99,22 +110,19 @@ class ContextProfile:
 class ThreatPlan:
     objectives: Tuple[Objective, ...]
     capability_refs: Tuple[str, ...]
+    # Aligned with ``objectives``: an attacker objective's top-5 attack
+    # paths from the draft's entry nodes, best first; empty for a defender
+    # objective and when the draft has no entry or no matching node.
+    paths: Tuple[Tuple[AttackPath, ...], ...]
 
 
 class HintKind(str, Enum):
+    """Refinement hints, declared in precedence order: when validation
+    offers several, ``select_hint`` takes the first kind declared."""
     ADD_ENTRY_SURFACE = "add_entry_surface"
     ADD_VULNERABILITY = "add_vulnerability"
     ADD_EDGE = "add_edge"
     RAISE_NODE_BUDGET = "raise_node_budget"
-
-
-# fixed precedence when several hints are available
-_HINT_ORDER = (
-    HintKind.ADD_ENTRY_SURFACE,
-    HintKind.ADD_VULNERABILITY,
-    HintKind.ADD_EDGE,
-    HintKind.RAISE_NODE_BUDGET,
-)
 
 
 @dataclass(frozen=True)
@@ -146,52 +154,24 @@ class AgentRole:
     id: RoleId
     consumes: Tuple[str, ...]
     produces: Tuple[str, ...]
-
-
-PIPELINE: Tuple[AgentRole, ...] = (
-    AgentRole(RoleId.CONTEXT_ANALYST, consumes=(), produces=("context_profile",)),
-    AgentRole(RoleId.TOPOLOGY_SYNTHESIZER, consumes=("context_profile",), produces=("topology_draft",)),
-    AgentRole(RoleId.THREAT_PLANNER, consumes=("topology_draft",), produces=("threat_plan",)),
-    AgentRole(RoleId.DEFENSE_PLANNER, consumes=("topology_draft", "threat_plan"), produces=("defense_plan",)),
-    AgentRole(RoleId.VALIDATOR, consumes=("topology_draft", "threat_plan", "defense_plan"), produces=("validation_report",)),
-)
-
-SLOT_NAMES = ("context_profile", "topology_draft", "threat_plan",
-              "defense_plan", "validation_report")
-
-# slots downstream of (and including) the topology draft
-_TOPOLOGY_AND_LATER = ("topology_draft", "threat_plan", "defense_plan", "validation_report")
-_AFTER_TOPOLOGY = ("threat_plan", "defense_plan", "validation_report")
+    # (blackboard, registry, seed) -> (value of the produced slot, log summary)
+    run: Callable
 
 
 @dataclass(frozen=True)
 class Blackboard:
+    """The requirement, one slot per role in pipeline order (None while
+    empty), and the synthesizer directives refinement accumulates."""
     requirement: Requirement
-    slots: Tuple[Tuple[str, object], ...] = ()
+    context_profile: Optional[ContextProfile] = None
+    topology_draft: Optional[NetworkTopology] = None
+    threat_plan: Optional[ThreatPlan] = None
+    defense_plan: Optional[DefenseStrategy] = None
+    validation_report: Optional[ForgeValidation] = None
     revision: int = 0
     agent_log: Tuple[Tuple[str, int, str], ...] = ()
-    # synthesizer directives accumulated by refinement hints
     extra_entry_classes: Tuple[NodeClass, ...] = ()
     extra_node_budget: int = 0
-
-    def slot(self, name: str):
-        for key, value in self.slots:
-            if key == name:
-                return value
-        return None
-
-    def _write(self, name: str, value) -> "Blackboard":
-        entries = dict(self.slots)
-        entries[name] = value
-        ordered = tuple(
-            (key, entries[key]) for key in SLOT_NAMES if key in entries
-        )
-        return replace(self, slots=ordered)
-
-    def _clear(self, names) -> "Blackboard":
-        entries = {k: v for k, v in self.slots if k not in names}
-        ordered = tuple((key, entries[key]) for key in SLOT_NAMES if key in entries)
-        return replace(self, slots=ordered)
 
 
 @dataclass(frozen=True)
@@ -239,7 +219,7 @@ def _run_context_analyst(bb: Blackboard, registry: CapabilityRegistry, seed: int
 
 def _run_topology_synthesizer(bb: Blackboard, registry: CapabilityRegistry, seed: int):
     constraints = bb.requirement.constraints
-    context: ContextProfile = bb.slot("context_profile")
+    context = bb.context_profile
     budget = constraints.max_nodes
 
     # one node per class, in priority order, while the budget allows
@@ -271,6 +251,7 @@ def _run_topology_synthesizer(bb: Blackboard, registry: CapabilityRegistry, seed
 
 
 def _run_threat_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int):
+    topology = bb.topology_draft
     target_class = bb.requirement.constraints.target_class
     objectives = (
         Objective(Actor.ATTACKER, ObjectiveKind.COMPROMISE,
@@ -280,41 +261,32 @@ def _run_threat_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int)
         Objective(Actor.DEFENDER, ObjectiveKind.DETECT,
                   TargetSelector(node_class=target_class), 1.0),
     )
-    plan = ThreatPlan(objectives=objectives, capability_refs=tuple(sorted(registry.ids())))
+    entries = tuple(_entry_nodes(topology))
+    paths = tuple(
+        tuple(enumerate_attack_paths(
+            topology, registry,
+            PathQuery(entries=entries, target=o.target, k=5,
+                      max_len=max(1, len(topology.nodes))),
+        ))
+        if o.actor == Actor.ATTACKER and entries
+        and any(o.target.matches(n) for n in topology.nodes)
+        else ()
+        for o in objectives
+    )
+    plan = ThreatPlan(objectives=objectives, capability_refs=tuple(sorted(registry.ids())),
+                      paths=paths)
     return plan, f"planned {len(objectives)} objectives"
 
 
-def _top_paths(topology: NetworkTopology, registry: CapabilityRegistry,
-               target: TargetSelector, k: int = 5) -> List[AttackPath]:
-    entries = _entry_nodes(topology)
-    if not entries:
-        return []
-    try:
-        return enumerate_attack_paths(
-            topology, registry,
-            PathQuery(entries=tuple(entries), target=target,
-                      k=k, max_len=max(1, len(topology.nodes))),
-        )
-    except SpiderSimError:
-        # a draft whose target class is missing has no path yet
-        return []
-
-
 def _run_defense_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int):
-    topology: NetworkTopology = bb.slot("topology_draft")
-    plan: ThreatPlan = bb.slot("threat_plan")
-    attacker_targets = [
-        o.target for o in plan.objectives if o.actor == Actor.ATTACKER
-    ]
+    topology = bb.topology_draft
     entries = _entry_nodes(topology)
     placements: List[Tuple[str, str]] = []
     if entries:
         # encryption and a honeypot on the phishing surface
         placements.append(("data_encryption", entries[0]))
         placements.append(("honeypot", entries[0]))
-    paths: List[AttackPath] = []
-    for target in attacker_targets:
-        paths.extend(_top_paths(topology, registry, target))
+    paths = [path for found in bb.threat_plan.paths for path in found]
     trap_spots = suggest_defense_placements(topology, paths, budget=1)
     if trap_spots:
         placements.append(("shocktrap", trap_spots[0][0]))
@@ -325,23 +297,26 @@ def _run_defense_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int
     return strategy, f"placed {len(deduped)} defenses"
 
 
-def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
-                    ) -> Tuple[List[Finding], List[RefinementHint]]:
-    """Check that every attacker objective is reachable; emit hints if not."""
-    topology: NetworkTopology = bb.slot("topology_draft")
-    plan: ThreatPlan = bb.slot("threat_plan")
-    context: ContextProfile = bb.slot("context_profile")
+def _semantic_hints(bb: Blackboard) -> Tuple[List[Finding], List[RefinementHint]]:
+    """Check that every attacker objective is reachable; emit hints if not.
+
+    A target counts as exploitable when an exploit at ADJACENT access, the
+    level of the built-in exploit and of the vulnerability the hint adds,
+    has a vulnerability to use on it."""
+    topology = bb.topology_draft
+    plan = bb.threat_plan
     errors: List[Finding] = []
     hints: List[RefinementHint] = []
 
     entries = _entry_nodes(topology)
     if not entries:
         errors.append(Finding("NoAttackPath", "topology has no entry surface", "topology"))
-        hints.append(RefinementHint(HintKind.ADD_ENTRY_SURFACE, node_class=context.entry_class))
+        hints.append(RefinementHint(HintKind.ADD_ENTRY_SURFACE,
+                                    node_class=bb.context_profile.entry_class))
         hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
         return errors, hints
 
-    for i, objective in enumerate(plan.objectives):
+    for i, (objective, paths) in enumerate(zip(plan.objectives, plan.paths)):
         if objective.actor != Actor.ATTACKER:
             continue
         targets = sorted(
@@ -351,16 +326,12 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
             errors.append(Finding("NoAttackPath", "no node matches the attacker objective", f"objectives[{i}]"))
             hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
             continue
-        paths = _top_paths(topology, registry, objective.target, k=1)
         if paths:
             continue
         errors.append(Finding("NoAttackPath", "no attack path reaches the objective", f"objectives[{i}]"))
         unexploitable = [
             t for t in targets
-            if not any(
-                topology.vulnerability_by_id(vid) is not None
-                for vid in (topology.node_by_id(t).vulnerability_ids or ())
-            )
+            if select_vulnerability(topology, t, AccessRequirement.ADJACENT) is None
         ]
         if unexploitable:
             hints.append(RefinementHint(
@@ -374,7 +345,7 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
 def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
     spec = assemble_spec(bb)
     report = validate_spec(spec, registry)
-    semantic_errors, hints = _semantic_hints(bb, registry)
+    semantic_errors, hints = _semantic_hints(bb)
     merged = ValidationReport(
         errors=report.errors + tuple(semantic_errors),
         warnings=report.warnings,
@@ -383,13 +354,21 @@ def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
     return ForgeValidation(report=merged, hints=tuple(hints)), summary
 
 
-_BEHAVIOR: Dict[RoleId, Callable] = {
-    RoleId.CONTEXT_ANALYST: _run_context_analyst,
-    RoleId.TOPOLOGY_SYNTHESIZER: _run_topology_synthesizer,
-    RoleId.THREAT_PLANNER: _run_threat_planner,
-    RoleId.DEFENSE_PLANNER: _run_defense_planner,
-    RoleId.VALIDATOR: _run_validator,
-}
+PIPELINE: Tuple[AgentRole, ...] = (
+    AgentRole(RoleId.CONTEXT_ANALYST, consumes=(), produces=("context_profile",),
+              run=_run_context_analyst),
+    AgentRole(RoleId.TOPOLOGY_SYNTHESIZER, consumes=("context_profile",),
+              produces=("topology_draft",), run=_run_topology_synthesizer),
+    AgentRole(RoleId.THREAT_PLANNER, consumes=("topology_draft",),
+              produces=("threat_plan",), run=_run_threat_planner),
+    AgentRole(RoleId.DEFENSE_PLANNER, consumes=("topology_draft", "threat_plan"),
+              produces=("defense_plan",), run=_run_defense_planner),
+    AgentRole(RoleId.VALIDATOR,
+              consumes=("context_profile", "topology_draft", "threat_plan", "defense_plan"),
+              produces=("validation_report",), run=_run_validator),
+)
+
+SLOT_NAMES: Tuple[str, ...] = tuple(role.produces[0] for role in PIPELINE)
 
 
 def agent_step(role: AgentRole, bb: Blackboard, registry: CapabilityRegistry,
@@ -397,22 +376,20 @@ def agent_step(role: AgentRole, bb: Blackboard, registry: CapabilityRegistry,
     """Run one role: consumes must be populated; writes only the slot it
     produces."""
     for name in role.consumes:
-        if bb.slot(name) is None:
+        if getattr(bb, name) is None:
             raise MissingConsumedSlot(f"role {role.id.value} needs slot {name!r}")
-    value, summary = _BEHAVIOR[role.id](bb, registry, seed)
-    new_bb = bb._write(role.produces[0], value)
-    return replace(
-        new_bb,
-        revision=bb.revision + 1,
-        agent_log=bb.agent_log + ((role.id.value, bb.revision + 1, summary),),
-    )
+    value, summary = role.run(bb, registry, seed)
+    revision = bb.revision + 1
+    return replace(bb, revision=revision,
+                   agent_log=bb.agent_log + ((role.id.value, revision, summary),),
+                   **{role.produces[0]: value})
 
 
 def assemble_spec(bb: Blackboard) -> ScenarioSpec:
     """Assemble the final scenario from a fully populated blackboard."""
     requirement = bb.requirement
-    topology: NetworkTopology = bb.slot("topology_draft")
-    plan: ThreatPlan = bb.slot("threat_plan")
+    topology = bb.topology_draft
+    plan = bb.threat_plan
     subproblems = tuple(
         SubProblem(
             id=f"secure-{cls.value}",
@@ -440,28 +417,34 @@ def assemble_spec(bb: Blackboard) -> ScenarioSpec:
 
 
 def select_hint(validation: ForgeValidation) -> RefinementHint:
-    """The hint refine() will apply: first in the fixed precedence order."""
+    """The hint refine() will apply: the first of the earliest-declared
+    ``HintKind``."""
     if not validation.hints:
         raise NoHintsAvailable("validation produced no refinement hints")
-    return min(validation.hints, key=lambda h: _HINT_ORDER.index(h.kind))
+    return next(h for kind in HintKind for h in validation.hints if h.kind == kind)
+
+
+def _cleared_from(name: str) -> Dict[str, None]:
+    """Blackboard changes that empty slot ``name`` and every later one."""
+    return dict.fromkeys(SLOT_NAMES[SLOT_NAMES.index(name):])
 
 
 def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
-    """Apply the first available hint (fixed precedence) and clear the
-    downstream slots it affects."""
+    """Apply the hint ``select_hint`` picks and clear the slots it
+    invalidates: from the topology draft on when the synthesizer must
+    re-run, from the threat plan on when the draft itself is amended."""
     hint = select_hint(validation)
+    topology = bb.topology_draft
 
     if hint.kind == HintKind.ADD_ENTRY_SURFACE:
-        bb = replace(
-            bb,
-            extra_entry_classes=tuple(dict.fromkeys(bb.extra_entry_classes + (hint.node_class,))),
-        )
-        bb = bb._clear(_TOPOLOGY_AND_LATER)
+        changes = _cleared_from("topology_draft")
+        changes["extra_entry_classes"] = tuple(
+            dict.fromkeys(bb.extra_entry_classes + (hint.node_class,)))
     elif hint.kind == HintKind.RAISE_NODE_BUDGET:
-        bb = replace(bb, extra_node_budget=bb.extra_node_budget + 1)
-        bb = bb._clear(_TOPOLOGY_AND_LATER)
+        changes = _cleared_from("topology_draft")
+        changes["extra_node_budget"] = bb.extra_node_budget + 1
     elif hint.kind == HintKind.ADD_VULNERABILITY:
-        topology: NetworkTopology = bb.slot("topology_draft")
+        changes = _cleared_from("threat_plan")
         vuln = Vulnerability(
             id=f"vuln-forge-{len(topology.vulnerabilities)}",
             technique_tag="T1190",
@@ -475,25 +458,17 @@ def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
             if n.id == hint.node_id else n
             for n in topology.nodes
         )
-        new_topology = replace(
+        changes["topology_draft"] = replace(
             topology, nodes=nodes,
             vulnerabilities=topology.vulnerabilities + (vuln,),
         )
-        bb = bb._write("topology_draft", new_topology)._clear(_AFTER_TOPOLOGY)
     else:  # ADD_EDGE
-        topology = bb.slot("topology_draft")
-        exists = any(
-            {e.src, e.dst} == {hint.src, hint.dst} for e in topology.edges
-        )
-        if not exists:
-            new_topology = replace(
-                topology,
-                edges=topology.edges + (Edge(src=hint.src, dst=hint.dst),),
-            )
-            bb = bb._write("topology_draft", new_topology)
-        bb = bb._clear(_AFTER_TOPOLOGY)
+        changes = _cleared_from("threat_plan")
+        if not any({e.src, e.dst} == {hint.src, hint.dst} for e in topology.edges):
+            changes["topology_draft"] = replace(
+                topology, edges=topology.edges + (Edge(src=hint.src, dst=hint.dst),))
 
-    return replace(bb, revision=bb.revision + 1)
+    return replace(bb, revision=bb.revision + 1, **changes)
 
 
 def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
@@ -511,22 +486,14 @@ def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
     bb = Blackboard(requirement=requirement)
     reports: List[ValidationReport] = []
     refinements: List[RefinementHint] = []
-
-    for iteration in range(1, max_iterations + 1):
+    while True:
         for role in PIPELINE:
-            if bb.slot(role.produces[0]) is None:
+            if getattr(bb, role.produces[0]) is None:
                 bb = agent_step(role, bb, registry, seed)
-        validation: ForgeValidation = bb.slot("validation_report")
+        validation = bb.validation_report
         reports.append(validation.report)
-        if not validation.report.errors:
-            report = GenerationReport(
-                iterations_used=iteration,
-                per_iteration_reports=tuple(reports),
-                refinements_applied=tuple(refinements),
-                final_valid=True,
-            )
-            return assemble_spec(bb), report
-        if iteration == max_iterations or not validation.hints:
+        valid = not validation.report.errors
+        if valid or len(reports) == max_iterations or not validation.hints:
             break
         refinements.append(select_hint(validation))
         bb = refine(bb, validation)
@@ -535,8 +502,10 @@ def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
         iterations_used=len(reports),
         per_iteration_reports=tuple(reports),
         refinements_applied=tuple(refinements),
-        final_valid=False,
+        final_valid=valid,
     )
-    raise GenerationFailed(
-        f"no valid scenario after {len(reports)} iterations", report=report
-    )
+    if not valid:
+        raise GenerationFailed(
+            f"no valid scenario after {len(reports)} iterations", report=report
+        )
+    return assemble_spec(bb), report

@@ -1,7 +1,9 @@
 """Round-based simulation state shared by capabilities and the engine.
 
-State values are immutable; every update returns a new value. The state
-carries its topology so predicate evaluation needs no extra arguments.
+State values are immutable; every update returns a new value, except a
+credential update that adds no credential, which returns the state
+itself. The state carries its topology so predicate evaluation needs no
+extra arguments.
 
 Lookups by node are dict lookups: ``compromise`` maps a node to the
 privilege held on it and ``deployed`` maps a node to the set of defenses
@@ -112,7 +114,13 @@ class SimulationState:
         return self._evolve(deployed=MappingProxyType(entries))
 
     def with_credentials(self, cred_ids) -> "SimulationState":
-        return self._evolve(credentials_held=self.credentials_held | set(cred_ids))
+        """The state holding ``cred_ids`` too; the state itself when it
+        already holds them all, so a re-theft keeps ``credentials_held``
+        and its derived ``credential_targets``."""
+        held = self.credentials_held.union(cred_ids)
+        if len(held) == len(self.credentials_held):
+            return self
+        return self._evolve(credentials_held=held)
 
     def with_alarm(self, node_id: str) -> "SimulationState":
         return self._evolve(alarms=self.alarms + ((self.round, node_id),))

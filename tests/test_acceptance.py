@@ -262,17 +262,17 @@ def test_criterion_6_invariant_suites(marine_requirement):
         cases += 1
 
     # pipeline progress and slot ownership (50 cases)
-    from spidersim.forge import PIPELINE, Blackboard, agent_step
+    from spidersim.forge import PIPELINE, SLOT_NAMES, Blackboard, agent_step
     owner = {slot: role.id.value for role in PIPELINE for slot in role.produces}
     for seed in range(50):
         bb = Blackboard(requirement=marine_requirement)
         for i, role in enumerate(PIPELINE, start=1):
-            before = dict(bb.slots)
+            before = {name: getattr(bb, name) for name in SLOT_NAMES}
             bb = agent_step(role, bb, registry, seed)
             if bb.revision != i:
                 failures.append(f"revision progress seed {seed}")
-            for key, value in bb.slots:
-                if before.get(key) is not value and owner[key] != role.id.value:
+            for key in SLOT_NAMES:
+                if getattr(bb, key) is not before[key] and owner[key] != role.id.value:
                     failures.append(f"slot ownership seed {seed}")
         cases += 1
 

@@ -348,6 +348,24 @@ class TestCompiledChecks:
         assert state == fresh_state(topo).with_credentials(["cred-b"]).with_compromise(
             "a", ss.Privilege.USER)
 
+    def test_retheft_returns_the_state_itself(self):
+        """Credentials already held leave the state, and so its derived
+        ``credential_targets``, as they are; a new one makes a new state."""
+        topo = make_topology(
+            nodes=[("a", ss.NodeClass.WORKSTATION), ("b", ss.NodeClass.DATA_SERVER)],
+            edges=[("a", "b")],
+            creds=[ss.Credential(id="cred-b", stored_on="a", grants_access_to=("b",))],
+        )
+        state = fresh_state(topo).with_credentials(["cred-b"])
+        assert state.credential_targets == {"b"}
+        assert state.with_credentials(["cred-b"]) is state
+        assert state.with_credentials(iter(["cred-b", "cred-b"])) is state
+        assert state.with_credentials([]) is state
+        more = state.with_credentials(["cred-b", "cred-x"])
+        assert more is not state
+        assert more.credentials_held == {"cred-b", "cred-x"}
+        assert state.credentials_held == {"cred-b"}
+
     def test_states_are_immutable_values(self):
         """Equal states compare and hash alike, whatever the order of the
         updates that made them (a lower privilege never replaces a higher
@@ -618,8 +636,7 @@ class TestApplicableAndStrategy:
     def test_order_is_total(self, registry, marine_topology):
         state = fresh_state(marine_topology).with_compromise(
             "maint-0", ss.Privilege.ADMIN)
-        domain = [n.id for n in marine_topology.nodes]
-        entries = ss.applicable_capabilities(registry, state, "attacker", domain)
+        entries = ss.applicable_capabilities(registry, state, "attacker")
         keys = [(cap.cost_units, cap.id, b["target"], b.get("source", ""))
                 for cap, b in entries]
         assert len(set(keys)) == len(keys)
@@ -629,7 +646,7 @@ class TestApplicableAndStrategy:
         """Same ordered list as trying every (source, target) pair, for
         the attacker and the defender, on random topologies with directed
         edges and a self-loop, in states reached by random capability
-        applications, over the default, the full and a partial domain.
+        applications.
         Third-party capabilities: an edge running target->source; source
         bound through neither an edge nor a foothold, or only through a
         class; an edge from a source without a foothold predicate; a
@@ -645,14 +662,11 @@ class TestApplicableAndStrategy:
             # Stolen credentials make lateral movement reachable in a few steps.
             state = fresh_state(topo).with_credentials(
                 c.id for c in topo.credentials if rng.random() < 0.5)
-            for step in range(8):
-                domain = ids if step % 2 == 0 else rng.sample(ids, rng.randint(1, len(ids)))
+            for _ in range(8):
                 wants = []
                 for actor in ("attacker", "defender"):
-                    want = oracle_applicable_capabilities(registry, state, actor, domain)
-                    assert ss.applicable_capabilities(registry, state, actor, domain) == want
-                    if domain is ids:
-                        assert ss.applicable_capabilities(registry, state, actor) == want
+                    want = oracle_applicable_capabilities(registry, state, actor, ids)
+                    assert ss.applicable_capabilities(registry, state, actor) == want
                     found.update(cap.id for cap, _ in want)
                     wants.append(want)
                 want = rng.choice(wants)

@@ -315,6 +315,24 @@ class TestEnumerationReuse:
         ss.batch_run(marine_spec, strategy, registry, config(max_rounds=20, seed=7), 8)
         assert len(enumerations) == 8
 
+    def test_retheft_keeps_the_reused_list(self, marine_spec, registry, enumerations):
+        """A uniform-random attacker steals the same credentials again and
+        again; the state stays the same object, so no run enumerates twice
+        in a row on the same compromise, footholds, defenses and
+        credentials."""
+        thefts = 0
+        for seed in range(200):
+            enumerations.clear()
+            trace, _ = ss.run_simulation(
+                marine_spec, ss.DefenseStrategy(), registry,
+                config(max_rounds=20, seed=seed,
+                       attacker_policy=ss.AttackerPolicy.UNIFORM_RANDOM))
+            thefts += sum(e.capability_id == "credential_theft" for e in trace.events) > 1
+            fields = [(dict(s.compromise), s.footholds, dict(s.deployed), s.credentials_held)
+                      for s, _, _ in enumerations]
+            assert all(a != b for a, b in zip(fields, fields[1:])), seed
+        assert thefts >= 10
+
     def test_patch_invalidates_the_reused_list(self, enumerations):
         """Round 1 phishes w and is detected, so round 2 patches x, the
         most valuable node; round 2's exploit of c from w fails and is

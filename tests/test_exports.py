@@ -19,7 +19,6 @@ from spidersim.exports import (
     parse_requirement,
     parse_strategy,
     serialize_paths,
-    serialize_strategy,
 )
 
 from helpers import builtin_reg, chain_topology, make_topology, sure_entry_reg
@@ -173,7 +172,9 @@ class TestStrategyFiles:
             registry,
             [("honeypot", "maint-0"), ("shocktrap", "gateway-0")],
             marine_topology)
-        text = serialize_strategy(strategy)
+        text = json.dumps({"capability_placements": [
+            {"capability_id": p.capability_id, "target_node": p.target_node}
+            for p in strategy.capability_placements]})
         assert parse_strategy(text) == [("honeypot", "maint-0"),
                                         ("shocktrap", "gateway-0")]
 

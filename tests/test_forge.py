@@ -1,10 +1,18 @@
 """Blackboard agent pipeline: generation, refinement, failure modes."""
 
+import hashlib
+import json
+import random
+from dataclasses import fields, replace
+
 import pytest
 
 import spidersim as ss
+import spidersim.forge as forge
+from spidersim.capabilities import ENTRY_CLASSES
 from spidersim.forge import (
     PIPELINE,
+    SLOT_NAMES,
     AttackerProfile,
     Blackboard,
     Constraints,
@@ -24,8 +32,10 @@ from spidersim.errors import (
     MissingConsumedSlot,
     NoHintsAvailable,
 )
-from spidersim.exports import serialize_requirement
+from spidersim.exports import parse_requirement
 from spidersim.model import ValidationReport
+
+from helpers import make_topology, make_vuln
 
 
 def requirement(max_nodes=10, required=(ss.NodeClass.SENSOR,
@@ -131,11 +141,53 @@ class TestAgentStep:
         with pytest.raises(MissingConsumedSlot):
             agent_step(synthesizer, bb, registry, seed=7)
 
+    def test_slots_are_the_pipeline_outputs_in_order(self):
+        """The roles' outputs name the blackboard's slot fields, in order,
+        and each role consumes only slots written before its own."""
+        assert SLOT_NAMES == tuple(role.produces[0] for role in PIPELINE)
+        assert all(len(role.produces) == 1 for role in PIPELINE)
+        blackboard_fields = [f.name for f in fields(Blackboard)]
+        assert blackboard_fields[1:1 + len(SLOT_NAMES)] == list(SLOT_NAMES)
+        for role in PIPELINE:
+            assert set(role.consumes) <= set(SLOT_NAMES[:SLOT_NAMES.index(role.produces[0])])
+
+    def test_validator_needs_the_context_profile(self, registry):
+        """The validator reads the profile's entry class when the draft has
+        no entry surface, so it declares the slot: without it the step
+        is refused before the role runs."""
+        req = requirement(max_nodes=2, required=(ss.NodeClass.SENSOR, ss.NodeClass.CONTROLLER))
+        bb = self.run_roles(req, registry, 0, RoleId.DEFENSE_PLANNER)
+        assert not [n for n in bb.topology_draft.nodes
+                    if n.node_class in ENTRY_CLASSES]
+        with pytest.raises(MissingConsumedSlot, match="context_profile"):
+            agent_step(PIPELINE[-1], replace(bb, context_profile=None), registry, seed=0)
+
+    def test_local_only_vulnerability_gets_add_vulnerability(self, registry):
+        """A target whose only vulnerability needs LOCAL access cannot be
+        exploited from an adjacent foothold, so the validator asks for an
+        ADJACENT one as well as the edge."""
+        req = requirement(required=(ss.NodeClass.MAINTENANCE_ENDPOINT, ss.NodeClass.CONTROLLER))
+        topology = make_topology(
+            nodes=[("m", ss.NodeClass.MAINTENANCE_ENDPOINT), ("c", ss.NodeClass.CONTROLLER)],
+            edges=[("m", "c")],
+            vulns=[make_vuln("c", 0.9, access=ss.AccessRequirement.LOCAL)],
+        )
+        bb = agent_step(PIPELINE[0], Blackboard(requirement=req), registry, seed=0)
+        bb = replace(bb, topology_draft=topology)
+        for role in PIPELINE[2:]:
+            bb = agent_step(role, bb, registry, seed=0)
+        assert bb.threat_plan.paths[0] == ()
+        assert bb.validation_report.hints == (
+            RefinementHint(HintKind.ADD_VULNERABILITY, node_id="c",
+                           access=ss.AccessRequirement.ADJACENT),
+            RefinementHint(HintKind.ADD_EDGE, src="m", dst="c"),
+        )
+
     def test_context_analyst_lists_required_classes(self, marine_requirement,
                                                     registry):
         bb = self.run_roles(marine_requirement, registry, 7,
                             RoleId.CONTEXT_ANALYST)
-        profile = bb.slot("context_profile")
+        profile = bb.context_profile
         for cls in marine_requirement.constraints.required_classes:
             assert cls in profile.asset_classes
         assert profile.entry_class == ss.NodeClass.MAINTENANCE_ENDPOINT
@@ -153,10 +205,10 @@ class TestAgentStep:
         bb = Blackboard(requirement=marine_requirement)
         written = {}
         for role in PIPELINE:
-            before = dict(bb.slots)
+            before = {name: getattr(bb, name) for name in SLOT_NAMES}
             bb = agent_step(role, bb, registry, seed=7)
-            for key, value in bb.slots:
-                if before.get(key) is not value:
+            for key in SLOT_NAMES:
+                if getattr(bb, key) is not before[key]:
                     written.setdefault(key, role.id.value)
         assert written == {slot: owner[slot] for slot in written}
         assert [entry[0] for entry in bb.agent_log] == [
@@ -166,7 +218,7 @@ class TestAgentStep:
                                                 registry):
         # seed 7 is known to need refinement on the first iteration
         bb = self.run_roles(marine_requirement, registry, 7, RoleId.VALIDATOR)
-        validation = bb.slot("validation_report")
+        validation = bb.validation_report
         assert validation.report.errors
         assert any(h.kind in (HintKind.ADD_EDGE, HintKind.ADD_VULNERABILITY)
                    for h in validation.hints)
@@ -194,20 +246,20 @@ class TestRefine:
         bb = Blackboard(requirement=marine_requirement)
         for role in PIPELINE:
             bb = agent_step(role, bb, registry, seed=7)
-        topo_before = bb.slot("topology_draft")
+        topo_before = bb.topology_draft
         target = topo_before.nodes[0].id
         validation = self.validation(
             RefinementHint(HintKind.ADD_VULNERABILITY, node_id=target,
                            access=ss.AccessRequirement.NETWORK))
         refined = refine(bb, validation)
-        topo_after = refined.slot("topology_draft")
+        topo_after = refined.topology_draft
         assert len(topo_after.vulnerabilities) == len(topo_before.vulnerabilities) + 1
         node = topo_after.node_by_id(target)
         assert topo_after.vulnerabilities[-1].id in node.vulnerability_ids
-        assert refined.slot("threat_plan") is None
-        assert refined.slot("defense_plan") is None
-        assert refined.slot("validation_report") is None
-        assert refined.slot("context_profile") is not None
+        assert refined.threat_plan is None
+        assert refined.defense_plan is None
+        assert refined.validation_report is None
+        assert refined.context_profile is not None
         assert refined.revision == bb.revision + 1
 
     def test_add_entry_surface_clears_topology(self, marine_requirement,
@@ -219,12 +271,132 @@ class TestRefine:
             RefinementHint(HintKind.ADD_ENTRY_SURFACE,
                            node_class=ss.NodeClass.WORKSTATION))
         refined = refine(bb, validation)
-        assert refined.slot("topology_draft") is None
+        assert refined.topology_draft is None
         assert ss.NodeClass.WORKSTATION in refined.extra_entry_classes
+
+    @pytest.mark.parametrize("hint, first_cleared", [
+        (RefinementHint(HintKind.ADD_ENTRY_SURFACE, node_class=ss.NodeClass.WORKSTATION),
+         "topology_draft"),
+        (RefinementHint(HintKind.RAISE_NODE_BUDGET), "topology_draft"),
+        (RefinementHint(HintKind.ADD_VULNERABILITY, node_id="sensor-0"), "threat_plan"),
+        (RefinementHint(HintKind.ADD_EDGE, src="maint-0", dst="sensor-0"), "threat_plan"),
+    ])
+    def test_clears_a_slot_and_every_later_one(self, marine_requirement, registry,
+                                               hint, first_cleared):
+        bb = Blackboard(requirement=marine_requirement)
+        for role in PIPELINE:
+            bb = agent_step(role, bb, registry, seed=7)
+        refined = refine(bb, self.validation(hint))
+        cut = SLOT_NAMES.index(first_cleared)
+        assert all(getattr(refined, name) is not None for name in SLOT_NAMES[:cut])
+        assert all(getattr(refined, name) is None for name in SLOT_NAMES[cut:])
+        assert refined.context_profile is bb.context_profile
 
 
 class TestRequirementFormat:
     def test_roundtrip(self, marine_requirement):
-        from spidersim.exports import parse_requirement
-        text = serialize_requirement(marine_requirement)
+        constraints = marine_requirement.constraints
+        text = json.dumps({
+            "domain_tag": marine_requirement.domain_tag,
+            "narrative": marine_requirement.narrative,
+            "constraints": {
+                "max_nodes": constraints.max_nodes,
+                "required_classes": [c.value for c in constraints.required_classes],
+                "attacker_profile": constraints.attacker_profile.value,
+                "target_class": constraints.target_class.value,
+            },
+        })
         assert parse_requirement(text) == marine_requirement
+
+
+# ---------------------------------------------------------------------------
+# output pin over a fixed grid of requirements, seeds and iteration limits
+# ---------------------------------------------------------------------------
+
+PIN_CLASSES = tuple(c for c in ss.NodeClass if c != ss.NodeClass.GATEWAY)
+PIN_SEEDS = (0, 1, 2)
+PIN_MAX_ITERATIONS = (1, 3, 5)
+
+
+def pin_requirements():
+    """40 requirements drawn from a fixed rng. Every fifth is budget-starved:
+    ``max_nodes`` leaves no node for a target class it does not require,
+    and may leave none for an entry surface either."""
+    rng = random.Random(2026)
+    reqs = []
+    for i in range(40):
+        target = rng.choice(PIN_CLASSES)
+        if i % 5 == 4:
+            others = [c for c in PIN_CLASSES if c != target]
+            required = rng.sample(others, rng.randint(1, 3))
+            max_nodes = len(required)
+        else:
+            required = rng.sample(PIN_CLASSES, rng.randint(1, 4))
+            max_nodes = len(set(required) | {target}) + rng.randint(0, 3)
+        reqs.append(Requirement(
+            domain_tag="pin-site", narrative="Exercise the site.",
+            constraints=Constraints(
+                max_nodes=max_nodes, required_classes=tuple(required),
+                attacker_profile=rng.choice(list(AttackerProfile)),
+                target_class=target)))
+    return reqs
+
+
+def pin_outcome(req, registry, seed, max_iterations):
+    """The scenario text or the failure message, then ``repr`` of the
+    generation report."""
+    try:
+        spec, report = ss.run_pipeline(req, registry, seed=seed,
+                                       max_iterations=max_iterations)
+        text = ss.serialize_scenario(spec)
+    except GenerationFailed as exc:
+        text, report = f"{exc.code}: {exc.message}\n", exc.report
+    return text + repr(report) + "\n"
+
+
+class TestOutputPin:
+    def test_grid_digest(self, registry):
+        """sha256 over 360 generations (40 requirements x 3 seeds x 3
+        iteration limits), successes and failures alike."""
+        digest = hashlib.sha256()
+        outcomes = {"ok": 0, "failed": 0}
+        for req in pin_requirements():
+            for seed in PIN_SEEDS:
+                for max_iterations in PIN_MAX_ITERATIONS:
+                    text = pin_outcome(req, registry, seed, max_iterations)
+                    outcomes["failed" if text.startswith("GenerationFailed") else "ok"] += 1
+                    digest.update(text.encode("utf-8"))
+        assert outcomes["ok"] and outcomes["failed"], outcomes
+        assert digest.hexdigest() == (
+            "3ad5280f9bc53c62b27b4291732760152436fb816cb87ee8e401a5906c5f4a80")
+
+
+class TestPathSearch:
+    def test_one_search_per_attacker_objective_per_draft(self, registry, monkeypatch):
+        """Every threat plan searches once for each attacker objective
+        whose draft has an entry node and a matching node; the defense
+        planner and the validator search no more."""
+        searches = [0]
+        expected = [0]
+        search, step = forge.enumerate_attack_paths, forge.agent_step
+
+        def counting_search(*args, **kwargs):
+            searches[0] += 1
+            return search(*args, **kwargs)
+
+        def recording_step(role, bb, *args, **kwargs):
+            bb = step(role, bb, *args, **kwargs)
+            if role.id == RoleId.THREAT_PLANNER:
+                nodes = bb.topology_draft.nodes
+                if any(n.node_class in ENTRY_CLASSES for n in nodes):
+                    expected[0] += sum(
+                        o.actor == ss.Actor.ATTACKER and any(o.target.matches(n) for n in nodes)
+                        for o in bb.threat_plan.objectives)
+            return bb
+
+        monkeypatch.setattr(forge, "enumerate_attack_paths", counting_search)
+        monkeypatch.setattr(forge, "agent_step", recording_step)
+        for req in pin_requirements():
+            pin_outcome(req, registry, seed=0, max_iterations=5)
+        assert expected[0] > 0
+        assert searches[0] == expected[0]
