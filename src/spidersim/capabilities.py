@@ -55,7 +55,9 @@ from .errors import (
     PreconditionViolated,
     UnboundSlot,
     UnknownCapability,
+    UnknownEffect,
     UnknownNode,
+    UnknownPredicate,
     UnsupportedInterfaceVersion,
 )
 from .model import (
@@ -305,14 +307,11 @@ def _check_capability(cap: AtomicCapability) -> None:
         raise KindEffectMismatch(f"capability {cap.id!r}: cost must be >= 0")
     for pred in cap.preconditions:
         if not isinstance(pred.kind, PredicateKind):
-            from .errors import UnknownPredicate
             raise UnknownPredicate(f"capability {cap.id!r}: {pred.kind!r}")
         if pred.kind == PredicateKind.EDGE_EXISTS and pred.src_slot is None:
-            from .errors import UnknownPredicate
             raise UnknownPredicate(f"capability {cap.id!r}: edge_exists needs src_slot")
     for eff in cap.effects:
         if not isinstance(eff.kind, EffectKind):
-            from .errors import UnknownEffect
             raise UnknownEffect(f"capability {cap.id!r}: {eff.kind!r}")
         if eff.kind == EffectKind.TRAP_ACTOR and eff.duration_rounds < 1:
             raise KindEffectMismatch(f"capability {cap.id!r}: trap duration must be >= 1")

@@ -362,12 +362,9 @@ def _first_success_rounds(trace: SimulationTrace) -> Dict[str, int]:
 
 
 def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
-                    registry: Optional[CapabilityRegistry] = None) -> Metrics:
-    """Objective-level outcome measures for one trace.
-
-    ``attacker_cost_spent`` needs capability costs; without a registry it
-    is reported as 0.
-    """
+                    registry: CapabilityRegistry) -> Metrics:
+    """Objective-level outcome measures for one trace; ``attacker_cost_spent``
+    sums the registry's costs of the attacker's actions."""
     topology = trace.final_state.topology
     total_nodes = len(topology.nodes)
     compromised = trace.final_state.compromised_nodes()
@@ -412,13 +409,10 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
     detection_count = sum(
         1 for e in trace.events if e.actor == Actor.ATTACKER and e.detected
     )
-    if registry is not None:
-        cost = sum(
-            registry.get(e.capability_id).cost_units
-            for e in trace.events if e.actor == Actor.ATTACKER
-        )
-    else:
-        cost = 0
+    cost = sum(
+        registry.get(e.capability_id).cost_units
+        for e in trace.events if e.actor == Actor.ATTACKER
+    )
 
     return Metrics(
         objectives_met=tuple(met),

@@ -1,10 +1,9 @@
 """Blackboard pipeline that turns a high-level requirement into a
 validated scenario.
 
-Five deterministic rule-based roles run in dependency order
-(context_analyst, topology_synthesizer, threat_planner, defense_planner,
-validator). The blackboard holds one slot per role, in that order, and
-the slot rule is:
+Four deterministic rule-based roles run in dependency order
+(context_analyst, topology_synthesizer, threat_planner, validator). The
+blackboard holds one slot per role, in that order, and the slot rule is:
 
 - a step (``agent_step``) writes exactly one slot, the one its role
   produces, and needs every slot its role consumes;
@@ -15,9 +14,10 @@ When validation fails, one refinement hint is applied per iteration, in
 the declaration order of ``HintKind`` (add_entry_surface,
 add_vulnerability, add_edge, raise_node_budget).
 
-Attack paths are found in one place: the threat planner searches each
-attacker objective's top-5 paths on the topology draft and keeps them in
-its ``ThreatPlan``, where the defense planner and the validator read them.
+Attack paths are searched in one place: for each attacker objective
+whose draft has an entry node and a matching node, the validator asks
+whether any path reaches the objective (a ``k=1`` search), and its hints
+depend on that answer alone.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .attackgraph import AttackPath, PathQuery, enumerate_attack_paths, suggest_defense_placements
-from .capabilities import (
-    CapabilityRegistry,
-    DefenseStrategy,
-    ENTRY_CLASSES,
-    compose_strategy,
-    select_vulnerability,
-)
+from .attackgraph import PathQuery, enumerate_attack_paths
+from .capabilities import CapabilityRegistry, ENTRY_CLASSES, select_vulnerability
 from .errors import (
     EmptyRequirement,
     GenerationFailed,
@@ -110,10 +104,6 @@ class ContextProfile:
 class ThreatPlan:
     objectives: Tuple[Objective, ...]
     capability_refs: Tuple[str, ...]
-    # Aligned with ``objectives``: an attacker objective's top-5 attack
-    # paths from the draft's entry nodes, best first; empty for a defender
-    # objective and when the draft has no entry or no matching node.
-    paths: Tuple[Tuple[AttackPath, ...], ...]
 
 
 class HintKind(str, Enum):
@@ -145,7 +135,6 @@ class RoleId(str, Enum):
     CONTEXT_ANALYST = "context_analyst"
     TOPOLOGY_SYNTHESIZER = "topology_synthesizer"
     THREAT_PLANNER = "threat_planner"
-    DEFENSE_PLANNER = "defense_planner"
     VALIDATOR = "validator"
 
 
@@ -166,7 +155,6 @@ class Blackboard:
     context_profile: Optional[ContextProfile] = None
     topology_draft: Optional[NetworkTopology] = None
     threat_plan: Optional[ThreatPlan] = None
-    defense_plan: Optional[DefenseStrategy] = None
     validation_report: Optional[ForgeValidation] = None
     revision: int = 0
     agent_log: Tuple[Tuple[str, int, str], ...] = ()
@@ -194,10 +182,10 @@ def _preferred_entry_class(requirement: Requirement) -> NodeClass:
     return NodeClass.MAINTENANCE_ENDPOINT
 
 
-def _entry_nodes(topology: NetworkTopology) -> List[str]:
-    return sorted(
+def _entry_nodes(topology: NetworkTopology) -> Tuple[str, ...]:
+    return tuple(sorted(
         n.id for n in topology.nodes if n.node_class in ENTRY_CLASSES
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +239,6 @@ def _run_topology_synthesizer(bb: Blackboard, registry: CapabilityRegistry, seed
 
 
 def _run_threat_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int):
-    topology = bb.topology_draft
     target_class = bb.requirement.constraints.target_class
     objectives = (
         Objective(Actor.ATTACKER, ObjectiveKind.COMPROMISE,
@@ -261,50 +248,19 @@ def _run_threat_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int)
         Objective(Actor.DEFENDER, ObjectiveKind.DETECT,
                   TargetSelector(node_class=target_class), 1.0),
     )
-    entries = tuple(_entry_nodes(topology))
-    paths = tuple(
-        tuple(enumerate_attack_paths(
-            topology, registry,
-            PathQuery(entries=entries, target=o.target, k=5,
-                      max_len=max(1, len(topology.nodes))),
-        ))
-        if o.actor == Actor.ATTACKER and entries
-        and any(o.target.matches(n) for n in topology.nodes)
-        else ()
-        for o in objectives
-    )
-    plan = ThreatPlan(objectives=objectives, capability_refs=tuple(sorted(registry.ids())),
-                      paths=paths)
+    plan = ThreatPlan(objectives=objectives, capability_refs=tuple(sorted(registry.ids())))
     return plan, f"planned {len(objectives)} objectives"
 
 
-def _run_defense_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int):
-    topology = bb.topology_draft
-    entries = _entry_nodes(topology)
-    placements: List[Tuple[str, str]] = []
-    if entries:
-        # encryption and a honeypot on the phishing surface
-        placements.append(("data_encryption", entries[0]))
-        placements.append(("honeypot", entries[0]))
-    paths = [path for found in bb.threat_plan.paths for path in found]
-    trap_spots = suggest_defense_placements(topology, paths, budget=1)
-    if trap_spots:
-        placements.append(("shocktrap", trap_spots[0][0]))
-    elif entries:
-        placements.append(("shocktrap", entries[0]))
-    deduped = list(dict.fromkeys(placements))
-    strategy = compose_strategy(registry, deduped, topology)
-    return strategy, f"placed {len(deduped)} defenses"
-
-
-def _semantic_hints(bb: Blackboard) -> Tuple[List[Finding], List[RefinementHint]]:
+def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
+                    ) -> Tuple[List[Finding], List[RefinementHint]]:
     """Check that every attacker objective is reachable; emit hints if not.
 
-    A target counts as exploitable when an exploit at ADJACENT access, the
+    An objective is reachable when a search from the draft's entry nodes
+    finds one attack path to it; only whether one exists matters. A target counts as exploitable when an exploit at ADJACENT access, the
     level of the built-in exploit and of the vulnerability the hint adds,
     has a vulnerability to use on it."""
     topology = bb.topology_draft
-    plan = bb.threat_plan
     errors: List[Finding] = []
     hints: List[RefinementHint] = []
 
@@ -316,7 +272,7 @@ def _semantic_hints(bb: Blackboard) -> Tuple[List[Finding], List[RefinementHint]
         hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
         return errors, hints
 
-    for i, (objective, paths) in enumerate(zip(plan.objectives, plan.paths)):
+    for i, objective in enumerate(bb.threat_plan.objectives):
         if objective.actor != Actor.ATTACKER:
             continue
         targets = sorted(
@@ -326,7 +282,10 @@ def _semantic_hints(bb: Blackboard) -> Tuple[List[Finding], List[RefinementHint]
             errors.append(Finding("NoAttackPath", "no node matches the attacker objective", f"objectives[{i}]"))
             hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
             continue
-        if paths:
+        if enumerate_attack_paths(
+                topology, registry,
+                PathQuery(entries=entries, target=objective.target, k=1,
+                          max_len=max(1, len(topology.nodes)))):
             continue
         errors.append(Finding("NoAttackPath", "no attack path reaches the objective", f"objectives[{i}]"))
         unexploitable = [
@@ -345,7 +304,7 @@ def _semantic_hints(bb: Blackboard) -> Tuple[List[Finding], List[RefinementHint]
 def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
     spec = assemble_spec(bb)
     report = validate_spec(spec, registry)
-    semantic_errors, hints = _semantic_hints(bb)
+    semantic_errors, hints = _semantic_hints(bb, registry)
     merged = ValidationReport(
         errors=report.errors + tuple(semantic_errors),
         warnings=report.warnings,
@@ -359,12 +318,9 @@ PIPELINE: Tuple[AgentRole, ...] = (
               run=_run_context_analyst),
     AgentRole(RoleId.TOPOLOGY_SYNTHESIZER, consumes=("context_profile",),
               produces=("topology_draft",), run=_run_topology_synthesizer),
-    AgentRole(RoleId.THREAT_PLANNER, consumes=("topology_draft",),
-              produces=("threat_plan",), run=_run_threat_planner),
-    AgentRole(RoleId.DEFENSE_PLANNER, consumes=("topology_draft", "threat_plan"),
-              produces=("defense_plan",), run=_run_defense_planner),
-    AgentRole(RoleId.VALIDATOR,
-              consumes=("context_profile", "topology_draft", "threat_plan", "defense_plan"),
+    AgentRole(RoleId.THREAT_PLANNER, consumes=(), produces=("threat_plan",),
+              run=_run_threat_planner),
+    AgentRole(RoleId.VALIDATOR, consumes=("context_profile", "topology_draft", "threat_plan"),
               produces=("validation_report",), run=_run_validator),
 )
 

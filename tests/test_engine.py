@@ -431,12 +431,12 @@ class TestMetrics:
         protect = ss.Objective(ss.Actor.DEFENDER, ss.ObjectiveKind.PROTECT,
                                ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER),
                                0.5)
-        metrics = ss.compute_metrics(trace, (protect,))
+        metrics = ss.compute_metrics(trace, (protect,), registry)
         assert dict(metrics.objectives_met)[0]  # 3 of 4 safe: 0.75 >= 0.5
         strict = ss.Objective(ss.Actor.DEFENDER, ss.ObjectiveKind.PROTECT,
                               ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER),
                               0.9)
-        assert not dict(ss.compute_metrics(trace, (strict,)).objectives_met)[0]
+        assert not dict(ss.compute_metrics(trace, (strict,), registry).objectives_met)[0]
 
     def test_compromise_threshold_uses_kth_round(self, registry):
         topo = make_topology(
@@ -461,10 +461,10 @@ class TestMetrics:
         full = ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
                             ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER),
                             1.0)
-        assert ss.compute_metrics(trace, (half,)).time_to_first_objective == 2
-        assert ss.compute_metrics(trace, (full,)).time_to_first_objective == 4
+        assert ss.compute_metrics(trace, (half,), registry).time_to_first_objective == 2
+        assert ss.compute_metrics(trace, (full,), registry).time_to_first_objective == 4
 
-    def test_compromise_threshold_grid_matches_the_early_stop_rule(self):
+    def test_compromise_threshold_grid_matches_the_early_stop_rule(self, registry):
         """With h of n targets compromised, a compromise objective is met
         exactly when ``h / n >= threshold``, the comparison the run's early
         stop makes, for every threshold i/100 and n up to 50 (a rounded-up
@@ -486,19 +486,17 @@ class TestMetrics:
                                               success=True, detected=False, trapped_for=0))
                 trace = ss.SimulationTrace(config=config(), scenario_digest="x",
                                            events=tuple(events), final_state=state.with_round(h))
-                met = dict(ss.compute_metrics(trace, objectives).objectives_met)
+                met = dict(ss.compute_metrics(trace, objectives, registry).objectives_met)
                 assert [met[i] for i in range(len(thresholds))] == [
                     h / n >= t for t in thresholds], (n, h)
 
     def test_cost_needs_registry(self, marine_spec, registry):
         trace, metrics = ss.run_simulation(marine_spec, ss.DefenseStrategy(),
                                            registry, config())
-        without = ss.compute_metrics(trace, marine_spec.objectives)
-        assert without.attacker_cost_spent == 0
         if any(e.actor == ss.Actor.ATTACKER for e in trace.events):
             assert metrics.attacker_cost_spent > 0
 
-    def test_detect_objective(self):
+    def test_detect_objective(self, registry):
         topo = make_topology(nodes=[("w", ss.NodeClass.WORKSTATION)], edges=[])
         state = fresh_state(topo).with_round(1)
         event = ss.SimEvent(1, ss.Actor.ATTACKER, "phishing", "w",
@@ -507,7 +505,7 @@ class TestMetrics:
                                    events=(event,), final_state=state)
         detect = ss.Objective(ss.Actor.DEFENDER, ss.ObjectiveKind.DETECT,
                               ss.TargetSelector(node_id="w"), 1.0)
-        metrics = ss.compute_metrics(trace, (detect,))
+        metrics = ss.compute_metrics(trace, (detect,), registry)
         assert dict(metrics.objectives_met)[0]
         assert metrics.detection_count == 1
 

@@ -116,6 +116,15 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="path search bug"):
             ss.run_pipeline(marine_requirement, registry, seed=7)
 
+    def test_generates_with_only_the_built_in_attacks(self, marine_requirement, registry):
+        """No role needs a defense capability: a registry without them
+        still yields a scenario that validates against it."""
+        attacks = ss.CapabilityRegistry(tuple(
+            cap for cap in registry.capabilities() if cap.kind == ss.CapabilityKind.ATTACK))
+        spec, report = ss.run_pipeline(marine_requirement, attacks, seed=7)
+        assert report.final_valid
+        assert ss.validate_spec(spec, attacks).errors == ()
+
     def test_refinement_monotonicity(self, marine_requirement, registry):
         # the marine run needs refinement; hints only ever grow the topology
         _, report = ss.run_pipeline(marine_requirement, registry, seed=7)
@@ -156,7 +165,7 @@ class TestAgentStep:
         no entry surface, so it declares the slot: without it the step
         is refused before the role runs."""
         req = requirement(max_nodes=2, required=(ss.NodeClass.SENSOR, ss.NodeClass.CONTROLLER))
-        bb = self.run_roles(req, registry, 0, RoleId.DEFENSE_PLANNER)
+        bb = self.run_roles(req, registry, 0, RoleId.THREAT_PLANNER)
         assert not [n for n in bb.topology_draft.nodes
                     if n.node_class in ENTRY_CLASSES]
         with pytest.raises(MissingConsumedSlot, match="context_profile"):
@@ -176,7 +185,9 @@ class TestAgentStep:
         bb = replace(bb, topology_draft=topology)
         for role in PIPELINE[2:]:
             bb = agent_step(role, bb, registry, seed=0)
-        assert bb.threat_plan.paths[0] == ()
+        assert ss.enumerate_attack_paths(
+            bb.topology_draft, registry,
+            ss.PathQuery(entries=("m",), target=bb.threat_plan.objectives[0].target)) == []
         assert bb.validation_report.hints == (
             RefinementHint(HintKind.ADD_VULNERABILITY, node_id="c",
                            access=ss.AccessRequirement.ADJACENT),
@@ -257,7 +268,6 @@ class TestRefine:
         node = topo_after.node_by_id(target)
         assert topo_after.vulnerabilities[-1].id in node.vulnerability_ids
         assert refined.threat_plan is None
-        assert refined.defense_plan is None
         assert refined.validation_report is None
         assert refined.context_profile is not None
         assert refined.revision == bb.revision + 1
@@ -373,20 +383,23 @@ class TestOutputPin:
 
 class TestPathSearch:
     def test_one_search_per_attacker_objective_per_draft(self, registry, monkeypatch):
-        """Every threat plan searches once for each attacker objective
-        whose draft has an entry node and a matching node; the defense
-        planner and the validator search no more."""
-        searches = [0]
+        """The validator searches once for each attacker objective whose
+        draft has an entry node and a matching node, asks for the first
+        path only, and no other role searches."""
+        searches = []
         expected = [0]
+        running = [None]
         search, step = forge.enumerate_attack_paths, forge.agent_step
 
-        def counting_search(*args, **kwargs):
-            searches[0] += 1
-            return search(*args, **kwargs)
+        def recording_search(topology, registry, query):
+            searches.append((running[0], query.k))
+            return search(topology, registry, query)
 
         def recording_step(role, bb, *args, **kwargs):
+            running[0] = role.id
             bb = step(role, bb, *args, **kwargs)
-            if role.id == RoleId.THREAT_PLANNER:
+            running[0] = None
+            if role.id == RoleId.VALIDATOR:
                 nodes = bb.topology_draft.nodes
                 if any(n.node_class in ENTRY_CLASSES for n in nodes):
                     expected[0] += sum(
@@ -394,9 +407,48 @@ class TestPathSearch:
                         for o in bb.threat_plan.objectives)
             return bb
 
-        monkeypatch.setattr(forge, "enumerate_attack_paths", counting_search)
+        monkeypatch.setattr(forge, "enumerate_attack_paths", recording_search)
         monkeypatch.setattr(forge, "agent_step", recording_step)
         for req in pin_requirements():
             pin_outcome(req, registry, seed=0, max_iterations=5)
         assert expected[0] > 0
-        assert searches[0] == expected[0]
+        assert searches == [(RoleId.VALIDATOR, 1)] * expected[0]
+
+
+class SlotRead(Exception):
+    pass
+
+
+class Unreadable:
+    """Stands in for a blackboard slot: any attribute access raises."""
+
+    def __getattribute__(self, name):
+        raise SlotRead(name)
+
+
+class TestConsumedSlots:
+    def test_every_consumed_slot_is_read(self, registry):
+        """For each role and each slot it consumes, some pinned requirement
+        and seed make the role read that slot: with the slot replaced by an
+        object that raises on any attribute access, the role raises."""
+        drafts = []  # (blackboard before the role runs, role, seed)
+        for req in pin_requirements():
+            for seed in PIN_SEEDS:
+                bb = Blackboard(requirement=req)
+                for role in PIPELINE:
+                    drafts.append((bb, role, seed))
+                    bb = agent_step(role, bb, registry, seed)
+
+        def reads(bb, role, slot, seed):
+            try:
+                role.run(replace(bb, **{slot: Unreadable()}), registry, seed)
+            except SlotRead:
+                return True
+            return False
+
+        unread = [
+            (role.id.value, slot) for role in PIPELINE for slot in role.consumes
+            if not any(reads(bb, role, slot, seed)
+                       for bb, ran, seed in drafts if ran is role)
+        ]
+        assert unread == []
