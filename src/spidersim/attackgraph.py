@@ -197,7 +197,7 @@ def enumerate_attack_paths(topology: NetworkTopology, registry: CapabilityRegist
     return found
 
 
-def score_path(steps: Iterable[AttackStep], registry: CapabilityRegistry) -> Tuple[float, int]:
+def score_path(steps: Iterable[AttackStep]) -> Tuple[float, int]:
     """Recompute (success_prob, total_cost) for a step sequence."""
     steps = tuple(steps)
     if not steps:
@@ -241,7 +241,7 @@ def _path_nodes(path: AttackPath) -> Set[str]:
     return nodes
 
 
-def suggest_defense_placements(topology: NetworkTopology, paths: List[AttackPath],
+def suggest_defense_placements(paths: List[AttackPath],
                                budget: int) -> List[Tuple[str, DefenseKind]]:
     """Greedy hitting set over the given paths: repeatedly place a
     shocktrap on the non-entry node covering the most not-yet-hit paths

@@ -184,7 +184,6 @@ class CapabilityOutcome:
     success: bool
     detected: bool
     trapped_for: int
-    applied_effects: Tuple[Effect, ...]
 
 
 @dataclass(frozen=True)
@@ -632,7 +631,6 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     honeypot = cap.kind == CapabilityKind.ATTACK and DefenseKind.HONEYPOT in defenses
     shocktrap = cap.kind == CapabilityKind.ATTACK and DefenseKind.SHOCKTRAP in defenses
 
-    applied: List[Effect] = []
     trapped_for = 0
     new_state = state
 
@@ -646,7 +644,6 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
         detected = True
         trapped_for = SHOCKTRAP_TRAP_ROUNDS
         new_state = new_state.with_trap(SHOCKTRAP_TRAP_ROUNDS)
-        applied.append(Effect(EffectKind.TRAP_ACTOR, duration_rounds=SHOCKTRAP_TRAP_ROUNDS))
         if not honeypot:
             success = False
 
@@ -654,19 +651,11 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
         privilege_override = None if vuln is None else vuln.gained_privilege
         for eff in cap.effects:
             new_state = _apply_effect(new_state, eff, binding, cap.id, privilege_override)
-            applied.append(eff)
 
     if cap.kind == CapabilityKind.ATTACK and detected:
         new_state = new_state.with_alarm(target)
-        if not any(e.kind == EffectKind.RAISE_ALARM for e in applied):
-            applied.append(Effect(EffectKind.RAISE_ALARM, slot="target"))
 
-    return new_state, CapabilityOutcome(
-        success=success,
-        detected=detected,
-        trapped_for=trapped_for,
-        applied_effects=tuple(applied),
-    )
+    return new_state, CapabilityOutcome(success, detected, trapped_for)
 
 
 def _candidate_bindings(rule: _BindingRule, topology: NetworkTopology,

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .attackgraph import PathQuery, enumerate_attack_paths
+from .canonical import canonical_json
 from .capabilities import (
     CapabilityRegistry,
     DefenseStrategy,
@@ -255,7 +256,7 @@ def _cmd_batch(args) -> int:
         "mean_compromised_fraction": result.mean_compromised_fraction,
         "mean_detection_count": result.mean_detection_count,
     }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(canonical_json(doc), args.out)
     return 0
 
 

@@ -30,6 +30,7 @@ from .model import (
     ObjectiveKind,
     ScenarioSpec,
     build_topology,
+    recipe_errors,
     scenario_node_ids,
     serialize_scenario,
     validate_spec,
@@ -171,11 +172,12 @@ class _LastEnumeration:
         return self.actions
 
 
-def step_round(state: SimulationState, topology: NetworkTopology,
-               registry: CapabilityRegistry, config: SimulationConfig,
-               rng, *, _last: Optional[_LastEnumeration] = None
+def step_round(state: SimulationState, registry: CapabilityRegistry,
+               config: SimulationConfig, rng, *,
+               _last: Optional[_LastEnumeration] = None
                ) -> Tuple[SimulationState, List[SimEvent]]:
-    """Advance the simulation by exactly one round.
+    """Advance the simulation by exactly one round on the state's own
+    topology (``state.topology``).
 
     Order within the round: (1) reactive defender actions, (2) one
     attacker action chosen by the configured policy, skipped while
@@ -196,10 +198,9 @@ def step_round(state: SimulationState, topology: NetworkTopology,
     if config.defender_policy == DefenderPolicy.REACTIVE:
         alarmed = any(r == round_number - 1 for r, _ in state.alarms)
         if alarmed:
-            compromised = state.compromised_nodes()
             candidates = [
-                n for n in topology.nodes
-                if n.id not in compromised
+                n for n in state.topology.nodes
+                if n.id not in state.compromise
                 and DefenseKind.PATCH not in state.defenses_on(n.id)
             ]
             candidates.sort(key=lambda n: (-n.asset_value, n.id))
@@ -222,7 +223,7 @@ def step_round(state: SimulationState, topology: NetworkTopology,
         return state, events
 
     if config.attacker_policy == AttackerPolicy.GREEDY_VALUE:
-        node_by_id = topology.node_by_id
+        node_by_id = state.topology.node_by_id
         pick = applicable[0]
         best = node_by_id(pick[1]["target"]).asset_value
         for entry in applicable[1:]:
@@ -248,8 +249,14 @@ def step_round(state: SimulationState, topology: NetworkTopology,
 
 def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
                   registry: CapabilityRegistry) -> None:
-    """The checks that hold for every seed of a run. Placements are
-    checked against the scenario's node ids, which no seed changes."""
+    """The checks that hold for every seed of a run. A recipe no seed
+    expands raises the error ``build_topology`` would raise, as every
+    command reports it; the other ``validate_spec`` errors are raised
+    together as InvalidScenario. Placements are checked against the
+    scenario's node ids, which no seed changes."""
+    if spec.scenario_parameters.explicit_topology is None:
+        for error in recipe_errors(spec.scenario_parameters.recipe):
+            raise error
     report = validate_spec(spec, registry)
     if report.errors:
         raise InvalidScenario(
@@ -297,8 +304,7 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
 
     for _ in range(config.max_rounds):
         trapped = state.trapped_until > state.round + 1
-        state, round_events = step_round(state, topology, registry, config, rng,
-                                         _last=last)
+        state, round_events = step_round(state, registry, config, rng, _last=last)
         events.extend(round_events)
         attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
         detected_any = detected_any or any(
@@ -351,7 +357,7 @@ def _first_success_rounds(trace: SimulationTrace) -> Dict[str, int]:
     first successful attack event on a node that ends up compromised is
     the round it was compromised.
     """
-    compromised = trace.final_state.compromised_nodes()
+    compromised = trace.final_state.compromise
     rounds: Dict[str, int] = {}
     for event in trace.events:
         if event.actor != Actor.ATTACKER or not event.success:
@@ -367,7 +373,7 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
     sums the registry's costs of the attacker's actions."""
     topology = trace.final_state.topology
     total_nodes = len(topology.nodes)
-    compromised = trace.final_state.compromised_nodes()
+    compromised = trace.final_state.compromise
     compromised_fraction = len(compromised) / total_nodes if total_nodes else 0.0
 
     detected_any = any(

@@ -2,13 +2,16 @@
 validated scenario.
 
 Four deterministic rule-based roles run in dependency order
-(context_analyst, topology_synthesizer, threat_planner, validator). The
+(context_analyst, threat_planner, topology_synthesizer, validator). The
 blackboard holds one slot per role, in that order, and the slot rule is:
 
 - a step (``agent_step``) writes exactly one slot, the one its role
   produces, and needs every slot its role consumes;
 - refinement (``refine``) clears a slot and every later one, so the
-  pipeline re-runs exactly the roles whose slots are empty.
+  pipeline re-runs exactly the roles whose slots are empty. No hint
+  clears the threat plan, which reads only the requirement and the
+  registry, so the context analyst and the threat planner run once per
+  generation.
 
 When validation fails, one refinement hint is applied per iteration, in
 the declaration order of ``HintKind`` (add_entry_surface,
@@ -133,8 +136,8 @@ class ForgeValidation:
 
 class RoleId(str, Enum):
     CONTEXT_ANALYST = "context_analyst"
-    TOPOLOGY_SYNTHESIZER = "topology_synthesizer"
     THREAT_PLANNER = "threat_planner"
+    TOPOLOGY_SYNTHESIZER = "topology_synthesizer"
     VALIDATOR = "validator"
 
 
@@ -153,8 +156,8 @@ class Blackboard:
     empty), and the synthesizer directives refinement accumulates."""
     requirement: Requirement
     context_profile: Optional[ContextProfile] = None
-    topology_draft: Optional[NetworkTopology] = None
     threat_plan: Optional[ThreatPlan] = None
+    topology_draft: Optional[NetworkTopology] = None
     validation_report: Optional[ForgeValidation] = None
     revision: int = 0
     agent_log: Tuple[Tuple[str, int, str], ...] = ()
@@ -257,7 +260,8 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
     """Check that every attacker objective is reachable; emit hints if not.
 
     An objective is reachable when a search from the draft's entry nodes
-    finds one attack path to it; only whether one exists matters. A target counts as exploitable when an exploit at ADJACENT access, the
+    finds one attack path to it; only whether one exists matters. A
+    target counts as exploitable when an exploit at ADJACENT access, the
     level of the built-in exploit and of the vulnerability the hint adds,
     has a vulnerability to use on it."""
     topology = bb.topology_draft
@@ -316,11 +320,11 @@ def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
 PIPELINE: Tuple[AgentRole, ...] = (
     AgentRole(RoleId.CONTEXT_ANALYST, consumes=(), produces=("context_profile",),
               run=_run_context_analyst),
-    AgentRole(RoleId.TOPOLOGY_SYNTHESIZER, consumes=("context_profile",),
-              produces=("topology_draft",), run=_run_topology_synthesizer),
     AgentRole(RoleId.THREAT_PLANNER, consumes=(), produces=("threat_plan",),
               run=_run_threat_planner),
-    AgentRole(RoleId.VALIDATOR, consumes=("context_profile", "topology_draft", "threat_plan"),
+    AgentRole(RoleId.TOPOLOGY_SYNTHESIZER, consumes=("context_profile",),
+              produces=("topology_draft",), run=_run_topology_synthesizer),
+    AgentRole(RoleId.VALIDATOR, consumes=("context_profile", "threat_plan", "topology_draft"),
               produces=("validation_report",), run=_run_validator),
 )
 
@@ -388,7 +392,10 @@ def _cleared_from(name: str) -> Dict[str, None]:
 def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
     """Apply the hint ``select_hint`` picks and clear the slots it
     invalidates: from the topology draft on when the synthesizer must
-    re-run, from the threat plan on when the draft itself is amended."""
+    re-run (a new entry class or node budget), only the validation report
+    when the hint amends the draft itself (a vulnerability or an edge).
+    The threat plan comes before the draft and does not read it, so no
+    hint clears it."""
     hint = select_hint(validation)
     topology = bb.topology_draft
 
@@ -400,7 +407,7 @@ def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
         changes = _cleared_from("topology_draft")
         changes["extra_node_budget"] = bb.extra_node_budget + 1
     elif hint.kind == HintKind.ADD_VULNERABILITY:
-        changes = _cleared_from("threat_plan")
+        changes = _cleared_from("validation_report")
         vuln = Vulnerability(
             id=f"vuln-forge-{len(topology.vulnerabilities)}",
             technique_tag="T1190",
@@ -419,7 +426,7 @@ def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
             vulnerabilities=topology.vulnerabilities + (vuln,),
         )
     else:  # ADD_EDGE
-        changes = _cleared_from("threat_plan")
+        changes = _cleared_from("validation_report")
         if not any({e.src, e.dst} == {hint.src, hint.dst} for e in topology.edges):
             changes["topology_draft"] = replace(
                 topology, edges=topology.edges + (Edge(src=hint.src, dst=hint.dst),))

@@ -423,10 +423,6 @@ class ValidationReport:
     errors: Tuple[Finding, ...] = ()
     warnings: Tuple[Finding, ...] = ()
 
-    @property
-    def valid(self) -> bool:
-        return not self.errors
-
 
 # ---------------------------------------------------------------------------
 # parsing helpers

@@ -131,9 +131,6 @@ class SimulationState:
     def with_round(self, round_number: int) -> "SimulationState":
         return self._evolve(round=round_number)
 
-    def compromised_nodes(self) -> FrozenSet[str]:
-        return frozenset(self.compromise)
-
 
 def fresh_state(topology: NetworkTopology) -> SimulationState:
     return SimulationState(topology=topology)

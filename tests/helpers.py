@@ -1127,7 +1127,7 @@ def reference_play(spec: ScenarioSpec, strategy: DefenseStrategy,
 
     for _ in range(config.max_rounds):
         trapped = state.trapped_until > state.round + 1
-        state, round_events = step_round(state, topology, registry, config, rng)
+        state, round_events = step_round(state, registry, config, rng)
         events.extend(round_events)
         attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
         detected_any = detected_any or any(

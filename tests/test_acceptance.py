@@ -206,7 +206,7 @@ def test_criterion_6_invariant_suites(marine_requirement):
             topo, registry, ss.PathQuery(entries=tuple(entries), target=target))
         reachable = ss.reachable_set(topo, registry, entries)
         for path in full:
-            prob, cost = ss.score_path(path.steps, registry)
+            prob, cost = ss.score_path(path.steps)
             targets = [s.target for s in path.steps]
             if (prob != path.success_prob or cost != path.total_cost
                     or len(set(targets)) != len(targets)
@@ -287,11 +287,11 @@ def test_criterion_6_invariant_suites(marine_requirement):
         cfg = ss.SimulationConfig(max_rounds=6, seed=seed)
         seen = frozenset()
         for _ in range(6):
-            state, _ = step_round(state, topo, registry, cfg, sim_rng)
-            if not seen <= state.compromised_nodes():
+            state, _ = step_round(state, registry, cfg, sim_rng)
+            if not seen <= state.compromise.keys():
                 failures.append(f"conservation seed {seed}")
                 break
-            seen = state.compromised_nodes()
+            seen = frozenset(state.compromise)
         cases += 1
 
     elapsed = time.time() - start
@@ -330,7 +330,7 @@ def test_criterion_7_greedy_placement_oracle():
 
         sets = [nonentry(p) for p in paths]
         candidates = set().union(*sets)
-        placements = ss.suggest_defense_placements(topo, paths, budget=1)
+        placements = ss.suggest_defense_placements(paths, budget=1)
         if not candidates:
             if placements:
                 violations += 1

@@ -220,7 +220,7 @@ class TestProperties:
                                          query(entries, target, max_len=max_len))
         reachable = ss.reachable_set(topo, builtin_reg(), entries)
         for path in full:
-            prob, cost = ss.score_path(path.steps, builtin_reg())
+            prob, cost = ss.score_path(path.steps)
             assert prob == path.success_prob
             assert cost == path.total_cost
             targets = [s.target for s in path.steps]
@@ -246,9 +246,9 @@ class TestProperties:
             query(["a"], ss.TargetSelector(node_id="c")))
         steps = paths[0].steps
         with pytest.raises(NonContiguousPath):
-            ss.score_path((steps[0], steps[2]), builtin_reg())
+            ss.score_path((steps[0], steps[2]))
         with pytest.raises(NonContiguousPath):
-            ss.score_path((), builtin_reg())
+            ss.score_path(())
 
 
 class TestPlacements:
@@ -257,17 +257,17 @@ class TestPlacements:
         paths = ss.enumerate_attack_paths(
             topo, builtin_reg(), query(["g"], ss.TargetSelector(node_id="t")))
         assert len(paths) == 2
-        placements = ss.suggest_defense_placements(topo, paths, budget=1)
+        placements = ss.suggest_defense_placements(paths, budget=1)
         assert placements == [("t", DefenseKind.SHOCKTRAP)]
 
     def test_empty_paths(self):
-        assert ss.suggest_defense_placements(diamond_topology(), [], 3) == []
+        assert ss.suggest_defense_placements([], 3) == []
 
     def test_budget_exhaustion_covers_all_paths(self):
         topo = diamond_topology()
         paths = ss.enumerate_attack_paths(
             topo, builtin_reg(), query(["g"], ss.TargetSelector(node_id="t")))
-        placements = ss.suggest_defense_placements(topo, paths, budget=10)
+        placements = ss.suggest_defense_placements(paths, budget=10)
         # one placement already hits both paths, so greedy stops there
         assert placements == [("t", DefenseKind.SHOCKTRAP)]
 
@@ -275,7 +275,7 @@ class TestPlacements:
         paths = ss.enumerate_attack_paths(
             chain_topology(), builtin_reg(),
             query(["a"], ss.TargetSelector(node_id="c")))
-        placements = ss.suggest_defense_placements(chain_topology(), paths, 5)
+        placements = ss.suggest_defense_placements(paths, 5)
         assert all(node != "a" for node, _ in placements)
         # one pick suffices: the greedy loop stops once every path is hit
         assert placements == [("b", DefenseKind.SHOCKTRAP)]
@@ -289,7 +289,7 @@ class TestPlacements:
         paths = ss.enumerate_attack_paths(
             topo, builtin_reg(),
             query(["e"], ss.TargetSelector(node_class=ss.NodeClass.SENSOR)))
-        placements = ss.suggest_defense_placements(topo, paths, budget=5)
+        placements = ss.suggest_defense_placements(paths, budget=5)
         assert {node for node, _ in placements} == {"p", "q"}
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -301,7 +301,7 @@ class TestPlacements:
         target = ss.TargetSelector(node_class=rng.choice(topo.nodes).node_class)
         paths = ss.enumerate_attack_paths(
             topo, builtin_reg(), query(entries, target, k=6))
-        placements = ss.suggest_defense_placements(topo, paths, budget=1)
+        placements = ss.suggest_defense_placements(paths, budget=1)
 
         def nonentry_nodes(path):
             nodes = {s.target for s in path.steps}

@@ -590,7 +590,7 @@ class TestApplication:
             new_state, outcome = ss.apply_capability(
                 state, cap, {"target": "w"}, rng)
             assert outcome.success
-            assert new_state.compromised_nodes() == frozenset()
+            assert not new_state.compromise
 
     def test_honeypot_alarm_frequency(self, ws_state):
         state = ws_state.with_defense("w", DefenseKind.HONEYPOT)
@@ -612,7 +612,7 @@ class TestApplication:
         assert not outcome.success
         assert outcome.trapped_for == SHOCKTRAP_TRAP_ROUNDS
         assert new_state.trapped_until == state.round + SHOCKTRAP_TRAP_ROUNDS
-        assert new_state.compromised_nodes() == frozenset()
+        assert not new_state.compromise
 
     def test_detected_attack_raises_alarm(self, ws_state):
         cap = bare_attack(prob=1.0, detection=1.0)
@@ -702,7 +702,7 @@ class TestApplicableAndStrategy:
             sim_rng = random.Random(seed)
             for _ in range(config.max_rounds):
                 before = state
-                state, events = step_round(state, topo, registry, config, sim_rng)
+                state, events = step_round(state, registry, config, sim_rng)
                 for actor in ("attacker", "defender"):
                     assert (ss.applicable_capabilities(registry, state, actor)
                             == oracle_applicable_capabilities(registry, state, actor, ids))

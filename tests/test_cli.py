@@ -94,8 +94,9 @@ class TestValidate:
 
 def test_recipe_without_gateways_fails_every_command(capsys, tmp_path):
     """A recipe asking for links between three zones but placing no
-    gateway is refused alike by ``validate`` and the commands that expand
-    it (exit 1 each); ``validate`` exited 0 on it before."""
+    gateway is refused alike, with the same error code first, by
+    ``validate`` and the commands that expand it (exit 1 each);
+    ``validate`` exited 0 on it before."""
     doc = json.loads(marine_ranch_scenario_path().read_text())
     doc["scenario_parameters"] = {"recipe": {
         "node_counts": {"controller": 1}, "zone_count": 3, "intra_zone_density": 0.5,
@@ -112,7 +113,7 @@ def test_recipe_without_gateways_fails_every_command(capsys, tmp_path):
                  ["export-dot", "--seed", "0"]):
         code, out, err = run(capsys, *argv, "--scenario", str(path))
         assert (code, out) == (1, "")
-        assert "InsufficientGateways: " in err
+        assert err.startswith("InsufficientGateways: ")
 
 
 class TestUsageErrors:
@@ -383,6 +384,21 @@ class TestPayloadPins:
         assert code == 0
         assert sha256(out) == (
             "b807d142d1202110db2dbff2b1fdf047d4a432e5274ab22ee27ef39090d517d7")
+
+    def test_batch_marine(self, capsys):
+        code, out, _ = run(capsys, "batch", "--scenario", SCENARIO, "--seed", "0", "-n", "20")
+        assert code == 0
+        assert sha256(out) == (
+            "daa468704231f1de28613834ae119706ab88f119170019745e05291d9dd40e14")
+
+    def test_batch_marine_with_readme_strategy(self, capsys, tmp_path):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(README_STRATEGY))
+        code, out, _ = run(capsys, "batch", "--scenario", SCENARIO, "--seed", "0", "-n", "20",
+                           "--strategy", str(strategy))
+        assert code == 0
+        assert sha256(out) == (
+            "9fb485038a4a22e33f4213e032dd4782f34ec18c5440d8c619b306d5045f419c")
 
     def test_paths_marine_with_dot(self, capsys, tmp_path):
         dot = tmp_path / "paths.dot"

@@ -125,10 +125,9 @@ class TestRunSimulation:
         rng = substream(3, "simulation")
         seen = frozenset()
         for _ in range(12):
-            state, _ = step_round(state, marine_topology, registry,
-                                  config(seed=3), rng)
-            assert seen <= state.compromised_nodes()
-            seen = state.compromised_nodes()
+            state, _ = step_round(state, registry, config(seed=3), rng)
+            assert seen <= state.compromise.keys()
+            seen = frozenset(state.compromise)
 
     def test_invalid_scenario_rejected(self, marine_spec, registry):
         from dataclasses import replace
@@ -151,15 +150,14 @@ class TestStepRound:
     def test_round_limit(self, marine_topology, registry):
         state = fresh_state(marine_topology).with_round(5)
         with pytest.raises(RoundLimitExceeded):
-            step_round(state, marine_topology, registry,
-                       config(max_rounds=5), random.Random(0))
+            step_round(state, registry, config(max_rounds=5), random.Random(0))
 
     def test_uniform_random_uses_one_selection_draw(self, registry):
         topo = chain_topology()
         state = fresh_state(topo)
         rng = CountingRandom(0)
         cfg = config(attacker_policy=ss.AttackerPolicy.UNIFORM_RANDOM)
-        _, events = step_round(state, topo, registry, cfg, rng)
+        _, events = step_round(state, registry, cfg, rng)
         assert len(events) == 1
         assert rng.draws == 3  # selection + success + detection
 
@@ -168,8 +166,7 @@ class TestStepRound:
             nodes=[("w0", ss.NodeClass.WORKSTATION),
                    ("w1", ss.NodeClass.WORKSTATION)],
             edges=[], values={"w0": 10, "w1": 90})
-        _, events = step_round(fresh_state(topo), topo, registry,
-                               config(), random.Random(0))
+        _, events = step_round(fresh_state(topo), registry, config(), random.Random(0))
         assert events[0].target == "w1"
 
     def test_cheapest_step_follows_tie_break(self, registry):
@@ -178,16 +175,14 @@ class TestStepRound:
                    ("w1", ss.NodeClass.WORKSTATION)],
             edges=[], values={"w0": 10, "w1": 90})
         cfg = config(attacker_policy=ss.AttackerPolicy.CHEAPEST_STEP)
-        _, events = step_round(fresh_state(topo), topo, registry,
-                               cfg, random.Random(0))
+        _, events = step_round(fresh_state(topo), registry, cfg, random.Random(0))
         assert events[0].target == "w0"
 
     def test_reactive_defender_patches_after_alarm(self, registry):
         topo = chain_topology()
         state = fresh_state(topo).with_round(1).with_alarm("a")
         cfg = config(defender_policy=ss.DefenderPolicy.REACTIVE)
-        new_state, events = step_round(state, topo, registry, cfg,
-                                       random.Random(0))
+        new_state, events = step_round(state, registry, cfg, random.Random(0))
         defender_events = [e for e in events if e.actor == ss.Actor.DEFENDER]
         assert len(defender_events) == 1
         patched = defender_events[0].target
@@ -387,11 +382,11 @@ class TestEnumerationReuse:
         state = fresh_state(marine_topology)
         cfg = config(max_rounds=6)
         for _ in range(cfg.max_rounds):
-            state, _ = step_round(state, marine_topology, registry, cfg, random.Random(0))
+            state, _ = step_round(state, registry, cfg, random.Random(0))
         assert len(enumerations) == cfg.max_rounds
         state = fresh_state(marine_topology).with_round(1)
         for _ in range(3):
-            step_round(state, marine_topology, registry, cfg, random.Random(0))
+            step_round(state, registry, cfg, random.Random(0))
         assert len(enumerations) == cfg.max_rounds + 3
 
     def test_action_lists_are_left_unchanged(self, marine_spec, marine_topology,

@@ -135,6 +135,10 @@ class TestPipeline:
                    for h in report.refinements_applied)
 
 
+def role_of(role_id):
+    return next(role for role in PIPELINE if role.id == role_id)
+
+
 class TestAgentStep:
     def run_roles(self, req, registry, seed, upto):
         bb = Blackboard(requirement=req)
@@ -146,7 +150,7 @@ class TestAgentStep:
 
     def test_dependency_order_enforced(self, marine_requirement, registry):
         bb = Blackboard(requirement=marine_requirement)
-        synthesizer = PIPELINE[1]
+        synthesizer = role_of(RoleId.TOPOLOGY_SYNTHESIZER)
         with pytest.raises(MissingConsumedSlot):
             agent_step(synthesizer, bb, registry, seed=7)
 
@@ -165,11 +169,12 @@ class TestAgentStep:
         no entry surface, so it declares the slot: without it the step
         is refused before the role runs."""
         req = requirement(max_nodes=2, required=(ss.NodeClass.SENSOR, ss.NodeClass.CONTROLLER))
-        bb = self.run_roles(req, registry, 0, RoleId.THREAT_PLANNER)
+        bb = self.run_roles(req, registry, 0, RoleId.TOPOLOGY_SYNTHESIZER)
         assert not [n for n in bb.topology_draft.nodes
                     if n.node_class in ENTRY_CLASSES]
         with pytest.raises(MissingConsumedSlot, match="context_profile"):
-            agent_step(PIPELINE[-1], replace(bb, context_profile=None), registry, seed=0)
+            agent_step(role_of(RoleId.VALIDATOR), replace(bb, context_profile=None),
+                       registry, seed=0)
 
     def test_local_only_vulnerability_gets_add_vulnerability(self, registry):
         """A target whose only vulnerability needs LOCAL access cannot be
@@ -181,10 +186,10 @@ class TestAgentStep:
             edges=[("m", "c")],
             vulns=[make_vuln("c", 0.9, access=ss.AccessRequirement.LOCAL)],
         )
-        bb = agent_step(PIPELINE[0], Blackboard(requirement=req), registry, seed=0)
-        bb = replace(bb, topology_draft=topology)
-        for role in PIPELINE[2:]:
-            bb = agent_step(role, bb, registry, seed=0)
+        bb = Blackboard(requirement=req, topology_draft=topology)
+        for role in PIPELINE:
+            if role.id != RoleId.TOPOLOGY_SYNTHESIZER:
+                bb = agent_step(role, bb, registry, seed=0)
         assert ss.enumerate_attack_paths(
             bb.topology_draft, registry,
             ss.PathQuery(entries=("m",), target=bb.threat_plan.objectives[0].target)) == []
@@ -267,7 +272,7 @@ class TestRefine:
         assert len(topo_after.vulnerabilities) == len(topo_before.vulnerabilities) + 1
         node = topo_after.node_by_id(target)
         assert topo_after.vulnerabilities[-1].id in node.vulnerability_ids
-        assert refined.threat_plan is None
+        assert refined.threat_plan is bb.threat_plan
         assert refined.validation_report is None
         assert refined.context_profile is not None
         assert refined.revision == bb.revision + 1
@@ -288,8 +293,8 @@ class TestRefine:
         (RefinementHint(HintKind.ADD_ENTRY_SURFACE, node_class=ss.NodeClass.WORKSTATION),
          "topology_draft"),
         (RefinementHint(HintKind.RAISE_NODE_BUDGET), "topology_draft"),
-        (RefinementHint(HintKind.ADD_VULNERABILITY, node_id="sensor-0"), "threat_plan"),
-        (RefinementHint(HintKind.ADD_EDGE, src="maint-0", dst="sensor-0"), "threat_plan"),
+        (RefinementHint(HintKind.ADD_VULNERABILITY, node_id="sensor-0"), "validation_report"),
+        (RefinementHint(HintKind.ADD_EDGE, src="maint-0", dst="sensor-0"), "validation_report"),
     ])
     def test_clears_a_slot_and_every_later_one(self, marine_requirement, registry,
                                                hint, first_cleared):
@@ -413,6 +418,30 @@ class TestPathSearch:
             pin_outcome(req, registry, seed=0, max_iterations=5)
         assert expected[0] > 0
         assert searches == [(RoleId.VALIDATOR, 1)] * expected[0]
+
+
+class TestRoleRuns:
+    def test_context_and_threat_roles_run_once_per_generation(self, registry, monkeypatch):
+        """Neither the context profile nor the threat plan reads the draft,
+        so no refinement re-runs the context analyst or the threat
+        planner: each steps once per generation, however often the
+        validator runs."""
+        step = forge.agent_step
+        generations = []  # the role ids stepped, one list per generation
+
+        def recording_step(role, bb, *args, **kwargs):
+            generations[-1].append(role.id)
+            return step(role, bb, *args, **kwargs)
+
+        monkeypatch.setattr(forge, "agent_step", recording_step)
+        for req in pin_requirements():
+            for seed in PIN_SEEDS:
+                generations.append([])
+                pin_outcome(req, registry, seed, max(PIN_MAX_ITERATIONS))
+        for roles in generations:
+            assert roles.count(RoleId.CONTEXT_ANALYST) == 1, roles
+            assert roles.count(RoleId.THREAT_PLANNER) == 1, roles
+        assert any(roles.count(RoleId.VALIDATOR) > 1 for roles in generations)
 
 
 class SlotRead(Exception):
