@@ -10,6 +10,11 @@ Entry nodes reached from outside get a first step from the distinguished
 EXTERNAL token when an entry-class capability (phishing) applies to them;
 otherwise the entry node itself is treated as an assumed foothold and the
 path starts there.
+
+The search works on hops, plain ``(target, capability_id, step_prob,
+step_cost)`` tuples memoised per source node; a hop's source is the
+target of the hop before it (the entry node, or EXTERNAL for an entry
+step). ``AttackStep`` records are built only for the paths returned.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ from .state import DefenseKind
 
 EXTERNAL = "EXTERNAL"
 
+Hop = Tuple[str, str, float, int]  # (target, capability_id, step_prob, step_cost)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AttackStep:
     source: str  # node id or EXTERNAL
     capability_id: str
@@ -41,7 +48,7 @@ class AttackStep:
     step_cost: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackPath:
     steps: Tuple[AttackStep, ...]
     success_prob: float
@@ -70,7 +77,10 @@ class _HopTable:
     """The hop rule of one (topology, registry) pair. The exploit, lateral
     and entry capabilities are the registry's ``path_capabilities``, and
     the set of credential-granted nodes is resolved once; the option for
-    each target and the steps out of each node are memoised on first use."""
+    each target and the hops out of each node are memoised on first use.
+    A hop is a plain ``(target, capability_id, step_prob, step_cost)``
+    tuple: it leaves out its source, so one tuple serves every path
+    through it."""
 
     def __init__(self, topology: NetworkTopology, registry: CapabilityRegistry):
         self._topology = topology
@@ -78,7 +88,7 @@ class _HopTable:
         self._granted = frozenset(target for cred in topology.credentials
                                   for target in cred.grants_access_to)
         self._options: Dict[str, Optional[Tuple[str, float, int]]] = {}
-        self._steps: Dict[str, Tuple[AttackStep, ...]] = {}
+        self._hops: Dict[str, Tuple[Hop, ...]] = {}
 
     def option(self, target: str) -> Optional[Tuple[str, float, int]]:
         if target not in self._options:
@@ -101,31 +111,27 @@ class _HopTable:
         prob, cost, cap_id = min(options, key=lambda o: (-o[0], o[1], o[2]))
         return cap_id, prob, cost
 
-    def steps_from(self, node: str) -> Tuple[AttackStep, ...]:
+    def hops_from(self, node: str) -> Tuple[Hop, ...]:
         """The realizable hops out of ``node`` onto other nodes of the
         topology, in target-id order."""
-        if node not in self._steps:
-            steps = []
+        if node not in self._hops:
+            hops = []
             for nbr in self._topology.out_neighbours(node):
                 option = None if self._topology.node_by_id(nbr) is None else self.option(nbr)
                 if option is not None:
-                    cap_id, prob, cost = option
-                    steps.append(AttackStep(source=node, capability_id=cap_id, target=nbr,
-                                            step_prob=prob, step_cost=cost))
-            self._steps[node] = tuple(steps)
-        return self._steps[node]
+                    hops.append((nbr, *option))
+            self._hops[node] = tuple(hops)
+        return self._hops[node]
 
-    def entry_step(self, entry: str) -> Optional[AttackStep]:
+    def entry_hop(self, entry: str) -> Optional[Hop]:
+        """The hop from EXTERNAL onto ``entry``, or None."""
         cap = self._entry
         if cap is None:
             return None
         node = self._topology.node_by_id(entry)
         if node is None or node.node_class not in cap.entry_classes():
             return None
-        return AttackStep(
-            source=EXTERNAL, capability_id=cap.id, target=entry,
-            step_prob=cap.base_success_prob, step_cost=cap.cost_units,
-        )
+        return entry, cap.id, cap.base_success_prob, cap.cost_units
 
 
 def hop_option(topology: NetworkTopology, registry: CapabilityRegistry,
@@ -168,33 +174,45 @@ def enumerate_attack_paths(topology: NetworkTopology, registry: CapabilityRegist
     targets = _resolve_targets(topology, query.target)
     table = _HopTable(topology, registry)
 
-    # (-prob, steps taken, target ids, entry, prob, steps). An entry and
-    # its target ids fix a partial path's steps, so the first four fields
-    # already differ between any two items and the steps are never compared.
+    # (-prob, hops taken, target ids, entry, prob, hops). An entry and its
+    # target ids fix a partial path's hops, so the first four fields
+    # already differ between any two items and the hops are never compared.
     heap = []
     for entry in query.entries:
-        first = table.entry_step(entry)
-        steps = () if first is None else (first,)
-        prob = math.prod(s.step_prob for s in steps)
-        heap.append((-prob, len(steps), tuple(s.target for s in steps), entry, prob, steps))
+        first = table.entry_hop(entry)
+        hops = () if first is None else (first,)
+        prob = math.prod(hop[2] for hop in hops)
+        heap.append((-prob, len(hops), tuple(hop[0] for hop in hops), entry, prob, hops))
     heapq.heapify(heap)
 
     found: List[AttackPath] = []
     while heap and len(found) != query.k:
-        _, length, path_targets, entry, prob, steps = heapq.heappop(heap)
+        _, length, path_targets, entry, prob, hops = heapq.heappop(heap)
         node = path_targets[-1] if path_targets else entry
-        if steps and node in targets:
-            found.append(AttackPath(steps=steps, success_prob=prob,
-                                    total_cost=sum(s.step_cost for s in steps)))
+        if hops and node in targets:
+            found.append(_attack_path(entry, hops, prob))
         if length >= query.max_len:
             continue
-        for step in table.steps_from(node):
-            if step.target == entry or step.target in path_targets:
+        for hop in table.hops_from(node):
+            target = hop[0]
+            if target == entry or target in path_targets:
                 continue
-            extended = prob * step.step_prob
-            heapq.heappush(heap, (-extended, length + 1, path_targets + (step.target,),
-                                  entry, extended, steps + (step,)))
+            extended = prob * hop[2]
+            heapq.heappush(heap, (-extended, length + 1, path_targets + (target,),
+                                  entry, extended, hops + (hop,)))
     return found
+
+
+def _attack_path(entry: str, hops: Tuple[Hop, ...], prob: float) -> AttackPath:
+    # No hop out of a node targets the path's entry, so a first hop onto
+    # the entry is the entry step from EXTERNAL.
+    source = EXTERNAL if hops[0][0] == entry else entry
+    steps = []
+    for target, cap_id, step_prob, cost in hops:
+        steps.append(AttackStep(source, cap_id, target, step_prob, cost))
+        source = target
+    return AttackPath(steps=tuple(steps), success_prob=prob,
+                      total_cost=sum(hop[3] for hop in hops))
 
 
 def score_path(steps: Iterable[AttackStep]) -> Tuple[float, int]:
@@ -220,10 +238,10 @@ def reachable_set(topology: NetworkTopology, registry: CapabilityRegistry,
     reached = set(entries)
     frontier = list(entries)
     while frontier:
-        for step in table.steps_from(frontier.pop()):
-            if step.target not in reached:
-                reached.add(step.target)
-                frontier.append(step.target)
+        for target, _, _, _ in table.hops_from(frontier.pop()):
+            if target not in reached:
+                reached.add(target)
+                frontier.append(target)
     return reached
 
 

@@ -64,7 +64,7 @@ class SimulationConfig:
             raise InvalidScenario("max_rounds must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     round: int
     actor: Actor
@@ -83,7 +83,7 @@ class SimulationTrace:
     final_state: SimulationState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Metrics:
     objectives_met: Tuple[Tuple[int, bool], ...]
     time_to_first_objective: Optional[int]

@@ -9,7 +9,7 @@ through ``canonical.canonical_json``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .attackgraph import EXTERNAL, AttackPath, AttackStep
 from .canonical import canonical_json
@@ -28,6 +28,7 @@ from .forge import AttackerProfile, Constraints, Requirement
 from .model import (
     MISSING,
     NetworkTopology,
+    Node,
     _ACCESS_REQUIREMENTS,
     _NODE_CLASSES,
     _PRIVILEGES,
@@ -83,25 +84,31 @@ def export_dot(topology: NetworkTopology,
     lines: List[str] = ["digraph spidersim {"]
     if external_edges:
         lines.append('  "EXTERNAL" [shape=diamond]')
+    members: Dict[str, List[Node]] = {}
+    for node in topology.nodes:
+        members.setdefault(node.zone, []).append(node)
     for zone in sorted(topology.zones):
-        members = sorted((n for n in topology.nodes if n.zone == zone), key=lambda n: n.id)
         lines.append(f"  subgraph {_cluster_id(zone)} {{")
         lines.append(f'    label="{zone}"')
-        for node in members:
+        for node in sorted(members.get(zone, ()), key=lambda n: n.id):
             lines.append(f'    "{node.id}" [label="{node.id}\\n{node.node_class.value}"]')
         lines.append("  }")
 
-    edge_lines: List[Tuple[str, str, str]] = []
-    for edge in sorted(topology.edges, key=lambda e: (e.src, e.dst, e.protocol_tag)):
+    # Edge lines sort by (src, dst), topology edges by protocol tag and
+    # before an external edge; the sort is stable, so repeated edges keep
+    # their topology order.
+    edge_lines: List[Tuple[Tuple[str, str, int, str], str]] = []
+    for edge in topology.edges:
         highlighted = (edge.src, edge.dst) in hot or (
             edge.bidirectional and (edge.dst, edge.src) in hot
         )
         suffix = ' [color="red", penwidth=2]' if highlighted else ""
-        edge_lines.append((edge.src, edge.dst, f'  "{edge.src}" -> "{edge.dst}"{suffix}'))
-    for src, dst in sorted(external_edges):
-        edge_lines.append((src, dst, f'  "{src}" -> "{dst}" [color="red", penwidth=2]'))
-    edge_lines.sort(key=lambda item: (item[0], item[1]))
-    lines.extend(text for _, _, text in edge_lines)
+        edge_lines.append(((edge.src, edge.dst, 0, edge.protocol_tag),
+                           f'  "{edge.src}" -> "{edge.dst}"{suffix}'))
+    for src, dst in external_edges:
+        edge_lines.append(((src, dst, 1, ""), f'  "{src}" -> "{dst}" [color="red", penwidth=2]'))
+    edge_lines.sort(key=lambda item: item[0])
+    lines.extend(text for _, text in edge_lines)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

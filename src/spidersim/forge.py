@@ -146,21 +146,21 @@ class AgentRole:
     id: RoleId
     consumes: Tuple[str, ...]
     produces: Tuple[str, ...]
-    # (blackboard, registry, seed) -> (value of the produced slot, log summary)
+    # (blackboard, registry, seed) -> value of the produced slot
     run: Callable
 
 
 @dataclass(frozen=True)
 class Blackboard:
     """The requirement, one slot per role in pipeline order (None while
-    empty), and the synthesizer directives refinement accumulates."""
+    empty), the count of steps and refinements applied (``revision``), and
+    the synthesizer directives refinement accumulates."""
     requirement: Requirement
     context_profile: Optional[ContextProfile] = None
     threat_plan: Optional[ThreatPlan] = None
     topology_draft: Optional[NetworkTopology] = None
     validation_report: Optional[ForgeValidation] = None
     revision: int = 0
-    agent_log: Tuple[Tuple[str, int, str], ...] = ()
     extra_entry_classes: Tuple[NodeClass, ...] = ()
     extra_node_budget: int = 0
 
@@ -200,12 +200,11 @@ def _run_context_analyst(bb: Blackboard, registry: CapabilityRegistry, seed: int
     classes = list(dict.fromkeys(constraints.required_classes))
     if constraints.target_class not in classes:
         classes.append(constraints.target_class)
-    profile = ContextProfile(
+    return ContextProfile(
         asset_classes=tuple(classes),
         vuln_rate=_PROFILE_VULN_RATE[constraints.attacker_profile],
         entry_class=_preferred_entry_class(bb.requirement),
     )
-    return profile, f"profiled {len(classes)} asset classes"
 
 
 def _run_topology_synthesizer(bb: Blackboard, registry: CapabilityRegistry, seed: int):
@@ -237,8 +236,7 @@ def _run_topology_synthesizer(bb: Blackboard, registry: CapabilityRegistry, seed
         vuln_rate=context.vuln_rate,
         credential_rate=0.25,
     )
-    topology = build_topology(recipe, registry, derive_seed(seed, "forge-topology"))
-    return topology, f"built {len(topology.nodes)}-node topology"
+    return build_topology(recipe, registry, derive_seed(seed, "forge-topology"))
 
 
 def _run_threat_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int):
@@ -251,8 +249,7 @@ def _run_threat_planner(bb: Blackboard, registry: CapabilityRegistry, seed: int)
         Objective(Actor.DEFENDER, ObjectiveKind.DETECT,
                   TargetSelector(node_class=target_class), 1.0),
     )
-    plan = ThreatPlan(objectives=objectives, capability_refs=tuple(sorted(registry.ids())))
-    return plan, f"planned {len(objectives)} objectives"
+    return ThreatPlan(objectives=objectives, capability_refs=tuple(sorted(registry.ids())))
 
 
 def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
@@ -313,8 +310,7 @@ def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
         errors=report.errors + tuple(semantic_errors),
         warnings=report.warnings,
     )
-    summary = "valid" if not merged.errors else f"{len(merged.errors)} errors"
-    return ForgeValidation(report=merged, hints=tuple(hints)), summary
+    return ForgeValidation(report=merged, hints=tuple(hints))
 
 
 PIPELINE: Tuple[AgentRole, ...] = (
@@ -338,11 +334,8 @@ def agent_step(role: AgentRole, bb: Blackboard, registry: CapabilityRegistry,
     for name in role.consumes:
         if getattr(bb, name) is None:
             raise MissingConsumedSlot(f"role {role.id.value} needs slot {name!r}")
-    value, summary = role.run(bb, registry, seed)
-    revision = bb.revision + 1
-    return replace(bb, revision=revision,
-                   agent_log=bb.agent_log + ((role.id.value, revision, summary),),
-                   **{role.produces[0]: value})
+    return replace(bb, revision=bb.revision + 1,
+                   **{role.produces[0]: role.run(bb, registry, seed)})
 
 
 def assemble_spec(bb: Blackboard) -> ScenarioSpec:

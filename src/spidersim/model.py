@@ -64,7 +64,7 @@ class Privilege(str, Enum):
     ADMIN = "admin"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Service:
     name: str
     port: int
@@ -93,7 +93,7 @@ _CLASS_ASSET_VALUE: Dict[NodeClass, int] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: str
     node_class: NodeClass
@@ -104,7 +104,7 @@ class Node:
     asset_value: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     src: str
     dst: str
@@ -112,7 +112,7 @@ class Edge:
     bidirectional: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vulnerability:
     """``detection_prob`` is informational: an exploit's detection rolls
     against the capability's own probability."""
@@ -125,7 +125,7 @@ class Vulnerability:
     gained_privilege: Privilege
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Credential:
     id: str
     stored_on: str

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -56,6 +57,7 @@ from spidersim.errors import (
     MalformedDocument,
     MissingSection,
     UnboundSlot,
+    UnknownPathNode,
     UnknownField,
     UnsupportedInterfaceVersion,
 )
@@ -1100,6 +1102,60 @@ def reference_parse_paths(document: str) -> List[AttackPath]:
             total_cost=_expect_int(_require(d, "total_cost", path), f"{path}.total_cost"),
         ))
     return paths
+
+
+# ---------------------------------------------------------------------------
+# reference DOT export
+# ---------------------------------------------------------------------------
+
+# ``exports.export_dot`` as it was before it grouped the nodes by zone in
+# one pass and sorted the edge lines once, kept verbatim.
+
+def _reference_cluster_id(zone: str) -> str:
+    return "cluster_" + re.sub(r"[^0-9A-Za-z_]", "_", zone)
+
+
+def reference_export_dot(topology: NetworkTopology,
+                         highlighted_paths: Optional[Iterable[AttackPath]] = None) -> str:
+    paths = list(highlighted_paths or [])
+    node_ids = {n.id for n in topology.nodes}
+    hot: set = set()
+    external_edges: set = set()
+    for path in paths:
+        for step in path.steps:
+            if step.target not in node_ids:
+                raise UnknownPathNode(f"path references unknown node {step.target!r}")
+            if step.source == EXTERNAL:
+                external_edges.add((EXTERNAL, step.target))
+            else:
+                if step.source not in node_ids:
+                    raise UnknownPathNode(f"path references unknown node {step.source!r}")
+                hot.add((step.source, step.target))
+
+    lines: List[str] = ["digraph spidersim {"]
+    if external_edges:
+        lines.append('  "EXTERNAL" [shape=diamond]')
+    for zone in sorted(topology.zones):
+        members = sorted((n for n in topology.nodes if n.zone == zone), key=lambda n: n.id)
+        lines.append(f"  subgraph {_reference_cluster_id(zone)} {{")
+        lines.append(f'    label="{zone}"')
+        for node in members:
+            lines.append(f'    "{node.id}" [label="{node.id}\\n{node.node_class.value}"]')
+        lines.append("  }")
+
+    edge_lines: List[Tuple[str, str, str]] = []
+    for edge in sorted(topology.edges, key=lambda e: (e.src, e.dst, e.protocol_tag)):
+        highlighted = (edge.src, edge.dst) in hot or (
+            edge.bidirectional and (edge.dst, edge.src) in hot
+        )
+        suffix = ' [color="red", penwidth=2]' if highlighted else ""
+        edge_lines.append((edge.src, edge.dst, f'  "{edge.src}" -> "{edge.dst}"{suffix}'))
+    for src, dst in sorted(external_edges):
+        edge_lines.append((src, dst, f'  "{src}" -> "{dst}" [color="red", penwidth=2]'))
+    edge_lines.sort(key=lambda item: (item[0], item[1]))
+    lines.extend(text for _, _, text in edge_lines)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

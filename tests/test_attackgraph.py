@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spidersim as ss
+import spidersim.attackgraph as attackgraph
 from spidersim.attackgraph import hop_option
 from spidersim.errors import (
     InvalidQueryBound,
@@ -239,6 +240,43 @@ class TestProperties:
         assert ss.enumerate_attack_paths(
             topo, builtin_reg(), query(entries, target, max_len=short)
         ) == [p for p in full if len(p.steps) <= short]
+
+    def test_steps_built_only_for_returned_paths(self, monkeypatch):
+        """The search carries hop tuples and builds an ``AttackStep`` only
+        for a step of a path it returns, in top-k and exhaustive queries."""
+        built = [0]
+        step_record = attackgraph.AttackStep
+
+        def counting_step(*args, **kwargs):
+            built[0] += 1
+            return step_record(*args, **kwargs)
+
+        monkeypatch.setattr(attackgraph, "AttackStep", counting_step)
+        recipe = ss.TopologyRecipe(
+            node_counts=((ss.NodeClass.SENSOR, 12), (ss.NodeClass.CONTROLLER, 6),
+                         (ss.NodeClass.MAINTENANCE_ENDPOINT, 4),
+                         (ss.NodeClass.WORKSTATION, 4), (ss.NodeClass.DATA_SERVER, 4)),
+            zone_count=1, intra_zone_density=0.2, inter_zone_gateways=0,
+            vuln_rate=0.8, credential_rate=0.3)
+        topologies = [ss.build_topology(recipe, builtin_reg(), seed) for seed in range(4)]
+        rng = random.Random(5)
+        topologies += [random_topology(rng, max_nodes=10, max_edges=24) for _ in range(12)]
+        returned = 0
+        for topo in topologies:
+            entries = tuple(n.id for n in topo.nodes
+                            if n.node_class in (ss.NodeClass.MAINTENANCE_ENDPOINT,
+                                                ss.NodeClass.WORKSTATION, ss.NodeClass.SENSOR))
+            if not entries:
+                continue
+            target = ss.TargetSelector(node_class=topo.nodes[-1].node_class)
+            for k, max_len in ((1, 4), (5, 4), (None, 3)):
+                built[0] = 0
+                paths = ss.enumerate_attack_paths(
+                    topo, builtin_reg(), query(entries, target, k=k, max_len=max_len))
+                steps = sum(len(p.steps) for p in paths)
+                assert built[0] <= steps, (k, max_len)
+                returned += steps
+        assert returned > 0
 
     def test_score_path_rejects_gaps(self):
         paths = ss.enumerate_attack_paths(

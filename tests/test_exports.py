@@ -1,6 +1,8 @@
 """File formats: DOT, trace JSON, capability/strategy/path codecs."""
 
 import json
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +23,15 @@ from spidersim.exports import (
     serialize_paths,
 )
 
-from helpers import builtin_reg, chain_topology, make_topology, sure_entry_reg
+from helpers import (
+    builtin_reg,
+    chain_topology,
+    make_topology,
+    random_topology,
+    reference_export_dot,
+    sure_entry_reg,
+    with_directed_edges,
+)
 
 
 class TestDot:
@@ -76,6 +86,84 @@ class TestDot:
 
     def test_bit_stability(self, marine_topology):
         assert export_dot(marine_topology) == export_dot(marine_topology)
+
+
+def _renamed(topology, old, new):
+    """The topology with node ``old`` called ``new`` everywhere."""
+    name = {old: new}.get
+    return replace(
+        topology,
+        nodes=tuple(replace(n, id=name(n.id, n.id)) for n in topology.nodes),
+        edges=tuple(replace(e, src=name(e.src, e.src), dst=name(e.dst, e.dst))
+                    for e in topology.edges),
+        credentials=tuple(
+            replace(c, stored_on=name(c.stored_on, c.stored_on),
+                    grants_access_to=tuple(name(t, t) for t in c.grants_access_to))
+            for c in topology.credentials),
+    )
+
+
+def _all_paths(topology, max_len=3, k=None):
+    """Every path from every node to the class of the last node."""
+    return ss.enumerate_attack_paths(
+        topology, builtin_reg(),
+        ss.PathQuery(entries=tuple(n.id for n in topology.nodes),
+                     target=ss.TargetSelector(node_class=topology.nodes[-1].node_class),
+                     k=k, max_len=max_len))
+
+
+class TestDotMatchesReference:
+    """``export_dot`` groups the nodes by zone in one pass and sorts the
+    edge lines once; its bytes equal those of the former export, which
+    scanned every node for every zone and sorted the edges twice."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_topologies(self, seed):
+        # Zones listed in any order, some twice, some with no node; nodes in
+        # an unlisted zone; repeated edges differing in protocol tag or
+        # direction; sometimes a node named like the EXTERNAL token.
+        rng = random.Random(seed)
+        topology = with_directed_edges(random_topology(rng, max_nodes=10, max_edges=20), rng)
+        zones = [f"z-{i}" for i in range(rng.randint(1, 5))]
+        listed = rng.sample(zones, len(zones)) + rng.choices(zones, k=rng.randint(0, 2))
+        repeats = tuple(
+            replace(e, protocol_tag=rng.choice(("tcp", "udp")),
+                    bidirectional=rng.random() < 0.5)
+            for e in rng.sample(topology.edges, min(4, len(topology.edges))))
+        topology = replace(
+            topology,
+            nodes=tuple(replace(n, zone=rng.choice(zones + ["unlisted"]))
+                        for n in topology.nodes),
+            edges=topology.edges + repeats, zones=tuple(listed))
+        if rng.random() < 0.3:
+            topology = _renamed(topology, topology.nodes[0].id, "EXTERNAL")
+        paths = _all_paths(topology)
+        assert export_dot(topology) == reference_export_dot(topology)
+        assert export_dot(topology, paths) == reference_export_dot(topology, paths)
+
+    def test_external_node_edge_precedes_the_entry_step(self):
+        topology = make_topology(
+            nodes=[("EXTERNAL", ss.NodeClass.WORKSTATION), ("a", ss.NodeClass.WORKSTATION)],
+            edges=[("EXTERNAL", "a")])
+        paths = _all_paths(topology, max_len=1)
+        rendered = export_dot(topology, paths)
+        assert rendered == reference_export_dot(topology, paths)
+        assert '  "EXTERNAL" -> "a"\n  "EXTERNAL" -> "a" [color' in rendered
+
+    @pytest.mark.parametrize("zone_count", [1, 2, 3, 7, 50, 120, 200])
+    def test_recipes(self, zone_count):
+        recipe = ss.TopologyRecipe(
+            node_counts=((ss.NodeClass.SENSOR, 90), (ss.NodeClass.CONTROLLER, 40),
+                         (ss.NodeClass.GATEWAY, 30), (ss.NodeClass.WORKSTATION, 40)),
+            zone_count=zone_count, intra_zone_density=0.3,
+            inter_zone_gateways=1 if zone_count > 1 else 0,
+            vuln_rate=0.5, credential_rate=0.25)
+        topology = ss.build_topology(recipe, builtin_reg(), seed=zone_count)
+        assert len(set(topology.zones)) == min(zone_count, 200)
+        paths = _all_paths(topology, max_len=2, k=20)
+        assert paths
+        assert export_dot(topology) == reference_export_dot(topology)
+        assert export_dot(topology, paths) == reference_export_dot(topology, paths)
 
 
 class TestTrace:

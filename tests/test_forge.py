@@ -215,20 +215,30 @@ class TestAgentStep:
             bb = agent_step(role, bb, registry, seed=7)
             assert bb.revision == i
 
-    def test_slot_ownership_from_log(self, marine_requirement, registry):
+    def test_slot_ownership_from_log(self, marine_requirement, registry, monkeypatch):
+        """Each step writes only its own role's slot and runs exactly that
+        role, once: the roles run in the order they are stepped."""
         owner = {slot: role.id.value for role in PIPELINE
                  for slot in role.produces}
+        ran = []
+
+        def recording(role):
+            def run(bb, *args):
+                ran.append(role.id)
+                return role.run(bb, *args)
+            return replace(role, run=run)
+
+        monkeypatch.setattr(forge, "PIPELINE", tuple(map(recording, PIPELINE)))
         bb = Blackboard(requirement=marine_requirement)
         written = {}
-        for role in PIPELINE:
+        for role in forge.PIPELINE:
             before = {name: getattr(bb, name) for name in SLOT_NAMES}
             bb = agent_step(role, bb, registry, seed=7)
             for key in SLOT_NAMES:
                 if getattr(bb, key) is not before[key]:
                     written.setdefault(key, role.id.value)
         assert written == {slot: owner[slot] for slot in written}
-        assert [entry[0] for entry in bb.agent_log] == [
-            r.id.value for r in PIPELINE]
+        assert ran == [r.id for r in PIPELINE]
 
     def test_validator_emits_hints_when_no_path(self, marine_requirement,
                                                 registry):
