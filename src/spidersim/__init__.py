@@ -76,7 +76,6 @@ from .model import (
     TopologyRecipe,
     ValidationReport,
     Vulnerability,
-    assert_topology_valid,
     build_topology,
     parse_scenario,
     serialize_scenario,

@@ -143,13 +143,6 @@ def hop_option(topology: NetworkTopology, registry: CapabilityRegistry,
     return _HopTable(topology, registry).option(target)
 
 
-def _resolve_targets(topology: NetworkTopology, selector: TargetSelector) -> Set[str]:
-    matched = {n.id for n in topology.nodes if selector.matches(n)}
-    if not matched:
-        raise TargetSelectorEmpty("target selector matches no node")
-    return matched
-
-
 def _check_entries(topology: NetworkTopology, entries: Iterable[str]) -> None:
     for entry in entries:
         if topology.node_by_id(entry) is None:
@@ -171,7 +164,9 @@ def enumerate_attack_paths(topology: NetworkTopology, registry: CapabilityRegist
     when it is popped, and the search stops once it has k of them.
     """
     _check_entries(topology, query.entries)
-    targets = _resolve_targets(topology, query.target)
+    targets = frozenset(topology.select(query.target))
+    if not targets:
+        raise TargetSelectorEmpty("target selector matches no node")
     table = _HopTable(topology, registry)
 
     # (-prob, hops taken, target ids, entry, prob, hops). An entry and its

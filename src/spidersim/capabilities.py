@@ -25,13 +25,14 @@ checks in declaration order; it is the one place a precondition is
 evaluated.
 
 Action enumeration (``applicable_capabilities``) binds each slot only
-over the nodes the capability's own preconditions leave open. ``target``
-is narrowed to the actor's footholds by ``actor_has_foothold`` on target,
-to the nodes of the allowed classes by ``node_class_is`` on target, and to
-the out-neighbours of the footholds by ``edge_exists`` from source to
-target together with ``actor_has_foothold`` on source. ``source`` is
-narrowed to the target's in-neighbours by ``edge_exists`` from source to
-target and to the footholds by ``actor_has_foothold`` on source. Every
+over the nodes the capability's own preconditions leave open. The actor's
+footholds are the compromised nodes. ``target`` is narrowed to the
+footholds by ``actor_has_foothold`` on target, to the nodes of the
+allowed classes by ``node_class_is`` on target, and to the out-neighbours
+of the footholds by ``edge_exists`` from source to target together with
+``actor_has_foothold`` on source. ``source`` is narrowed to the target's
+in-neighbours by ``edge_exists`` from source to target and to the
+footholds by ``actor_has_foothold`` on source. Every
 binding left is checked with ``evaluate_preconditions``. A round of the
 built-in attack set therefore costs one check per entry-class node
 (phishing), two per foothold (credential theft, exfiltration) and two per
@@ -121,6 +122,35 @@ class Effect:
     privilege: Optional[Privilege] = None
     defense: Optional[DefenseKind] = None
     duration_rounds: int = 1
+
+
+# The one operand each kind of term takes, by field name (None: it takes
+# none). The cap-1 reader reads these keys, and ``register_capability``
+# refuses a term whose operand is None. Every term names a ``slot`` except
+# the kinds in SLOTLESS_EFFECTS, which act on the actor.
+PREDICATE_OPERANDS: Dict[PredicateKind, Optional[str]] = {
+    PredicateKind.ACTOR_HAS_FOOTHOLD: "min_privilege",
+    PredicateKind.EDGE_EXISTS: "src_slot",
+    PredicateKind.NODE_HAS_VULN_WITH_ACCESS: "access",
+    PredicateKind.CREDENTIAL_HELD: None,
+    PredicateKind.DEFENSE_ABSENT: "defense",
+    PredicateKind.DEFENSE_PRESENT: "defense",
+    PredicateKind.NODE_CLASS_IS: "node_classes",
+    PredicateKind.NODE_NOT_COMPROMISED: None,
+    PredicateKind.NODE_ASSET_VALUE_AT_LEAST: "min_asset_value",
+}
+
+EFFECT_OPERANDS: Dict[EffectKind, Optional[str]] = {
+    EffectKind.COMPROMISE: "privilege",
+    EffectKind.GAIN_CREDENTIALS: None,
+    EffectKind.DEPLOY: "defense",
+    EffectKind.RAISE_ALARM: None,
+    EffectKind.TRAP_ACTOR: "duration_rounds",
+    EffectKind.NULLIFY_CREDENTIAL_THEFT: None,
+    EffectKind.REVEAL_VULNERABILITIES: None,
+}
+
+SLOTLESS_EFFECTS = frozenset({EffectKind.TRAP_ACTOR})
 
 
 @dataclass(frozen=True)
@@ -307,17 +337,23 @@ def _check_capability(cap: AtomicCapability) -> None:
     for pred in cap.preconditions:
         if not isinstance(pred.kind, PredicateKind):
             raise UnknownPredicate(f"capability {cap.id!r}: {pred.kind!r}")
-        if pred.kind == PredicateKind.EDGE_EXISTS and pred.src_slot is None:
-            raise UnknownPredicate(f"capability {cap.id!r}: edge_exists needs src_slot")
+        _check_operand(cap, pred, PREDICATE_OPERANDS[pred.kind], UnknownPredicate)
     for eff in cap.effects:
         if not isinstance(eff.kind, EffectKind):
             raise UnknownEffect(f"capability {cap.id!r}: {eff.kind!r}")
+        _check_operand(cap, eff, EFFECT_OPERANDS[eff.kind], UnknownEffect)
         if eff.kind == EffectKind.TRAP_ACTOR and eff.duration_rounds < 1:
             raise KindEffectMismatch(f"capability {cap.id!r}: trap duration must be >= 1")
         if cap.kind == CapabilityKind.ATTACK and eff.kind == EffectKind.DEPLOY:
             raise KindEffectMismatch(f"attack capability {cap.id!r} must not deploy defenses")
         if cap.kind == CapabilityKind.DEFENSE and eff.kind == EffectKind.COMPROMISE:
             raise KindEffectMismatch(f"defense capability {cap.id!r} must not compromise nodes")
+
+
+def _check_operand(cap: AtomicCapability, term: Predicate | Effect, operand: Optional[str],
+                   error: Callable[[str], Exception]) -> None:
+    if operand is not None and getattr(term, operand) is None:
+        raise error(f"capability {cap.id!r}: {term.kind.value} needs {operand}")
 
 
 def register_capability(registry: CapabilityRegistry, cap: AtomicCapability) -> CapabilityRegistry:
@@ -495,9 +531,7 @@ def _compile_predicate(pred: Predicate) -> Callable[[SimulationState, Mapping[st
         minimum = _PRIV_RANK[pred.min_privilege]
 
         def check(state, binding):
-            node_id = binding[slot]
-            return (node_id in state.footholds
-                    and _PRIV_RANK[state.compromise.get(node_id)] >= minimum)
+            return _PRIV_RANK[state.compromise.get(binding[slot])] >= minimum
     elif kind == PredicateKind.EDGE_EXISTS:
         src_slot = pred.src_slot
 
@@ -572,8 +606,7 @@ def _apply_effect(state: SimulationState, eff: Effect, binding: Dict[str, str],
                   cap_id: str, privilege_override: Optional[Privilege]) -> SimulationState:
     node_id = _bound(binding, eff.slot, cap_id)
     if eff.kind == EffectKind.COMPROMISE:
-        privilege = privilege_override or eff.privilege or Privilege.USER
-        return state.with_compromise(node_id, privilege)
+        return state.with_compromise(node_id, privilege_override or eff.privilege)
     if eff.kind == EffectKind.GAIN_CREDENTIALS:
         node = state.topology.node_by_id(node_id)
         if node is None:
@@ -719,8 +752,9 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     set, one per entry-class node, two per foothold and two per edge out
     of a foothold.
 
-    Of the state it reads only the topology, ``compromise``,
-    ``footholds``, ``deployed`` and ``credentials_held`` (through
+    The actor's footholds are the compromised nodes of the domain, the
+    keys of ``compromise``. Of the state it reads only the topology,
+    ``compromise``, ``deployed`` and ``credentials_held`` (through
     ``credential_targets``). The engine relies on this: it reuses one
     returned list over the rounds of a run while those fields are
     unchanged. So callers must not mutate the list or its binding dicts.
@@ -729,7 +763,7 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     topology = state.topology
     domain = topology.node_ids
     in_domain = set(domain)
-    footholds = state.footholds & in_domain
+    footholds = state.compromise.keys() & in_domain
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
     for rule in registry._binding_rules[kind]:
         for binding in _candidate_bindings(rule, topology, domain, in_domain, footholds):

@@ -123,10 +123,6 @@ def resolve_topology(spec: ScenarioSpec, registry: CapabilityRegistry,
     return build_topology(spec.scenario_parameters.recipe, registry, seed)
 
 
-def _matching_nodes(topology: NetworkTopology, objective: Objective) -> List[str]:
-    return [n.id for n in topology.nodes if objective.target.matches(n)]
-
-
 def _objective_met(objective: Objective, matched: int, hit: int,
                    detected_any: bool) -> bool:
     """Whether ``objective`` holds when ``hit`` of the ``matched`` nodes its
@@ -148,10 +144,10 @@ class _LastEnumeration:
     enumerated, with the state it was enumerated on.
 
     ``applicable_capabilities`` reads only the ``compromise``,
-    ``footholds``, ``deployed`` and ``credentials_held`` fields of the
-    state, and a state update keeps the very objects of the fields it does
-    not change. So while those four are the same objects as in ``state``,
-    the list is the one enumerating again would return.
+    ``deployed`` and ``credentials_held`` fields of the state, and a state
+    update keeps the very objects of the fields it does not change. So
+    while those three are the same objects as in ``state``, the list is
+    the one enumerating again would return.
     """
 
     __slots__ = ("state", "actions")
@@ -164,7 +160,6 @@ class _LastEnumeration:
                    ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
         last = self.state
         if (last is None or state.compromise is not last.compromise
-                or state.footholds is not last.footholds
                 or state.deployed is not last.deployed
                 or state.credentials_held is not last.credentials_held):
             self.state = state
@@ -293,7 +288,7 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
     rng = substream(config.seed, "simulation")
 
     attacker_objectives = [
-        (o, _matching_nodes(topology, o)) for o in spec.objectives
+        (o, topology.select(o.target)) for o in spec.objectives
         if o.actor == Actor.ATTACKER
     ]
     events: List[SimEvent] = []
@@ -386,7 +381,7 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
     final_round = trace.final_state.round
 
     for i, objective in enumerate(objectives):
-        matching = _matching_nodes(topology, objective)
+        matching = topology.select(objective.target)
         if objective.kind == ObjectiveKind.COMPROMISE:
             # Met in the round of the shortest prefix of the hit rounds that
             # meets it; the empty prefix stands for round 0.

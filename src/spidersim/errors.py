@@ -8,9 +8,14 @@ from __future__ import annotations
 
 
 class SpiderSimError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package. An error's
+    ``code`` is its class name."""
 
     code = "SpiderSimError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.code)
@@ -20,28 +25,22 @@ class SpiderSimError(Exception):
 # --- scenario parsing / validation ---------------------------------------
 
 class MalformedDocument(SpiderSimError):
-    code = "MalformedDocument"
+    pass
 
 
 class MissingSection(SpiderSimError):
-    code = "MissingSection"
-
     def __init__(self, name: str):
         super().__init__(f"missing required section: {name}")
         self.name = name
 
 
 class UnknownField(SpiderSimError):
-    code = "UnknownField"
-
     def __init__(self, path: str):
         super().__init__(f"unknown field: {path}")
         self.path = path
 
 
 class InvariantViolation(SpiderSimError):
-    code = "InvariantViolation"
-
     def __init__(self, path: str, detail: str):
         super().__init__(f"{path}: {detail}")
         self.path = path
@@ -51,112 +50,110 @@ class InvariantViolation(SpiderSimError):
 # --- topology building -----------------------------------------------------
 
 class EmptyRecipe(SpiderSimError):
-    code = "EmptyRecipe"
+    pass
 
 
 class InsufficientGateways(SpiderSimError):
-    code = "InsufficientGateways"
+    pass
 
 
 # --- capability registry ----------------------------------------------------
 
 class DuplicateId(SpiderSimError):
-    code = "DuplicateId"
+    pass
 
 
 class UnknownPredicate(SpiderSimError):
-    code = "UnknownPredicate"
+    pass
 
 
 class UnknownEffect(SpiderSimError):
-    code = "UnknownEffect"
+    pass
 
 
 class KindEffectMismatch(SpiderSimError):
-    code = "KindEffectMismatch"
+    pass
 
 
 class UnsupportedInterfaceVersion(SpiderSimError):
-    code = "UnsupportedInterfaceVersion"
+    pass
 
 
 class UnboundSlot(SpiderSimError):
-    code = "UnboundSlot"
+    pass
 
 
 class PreconditionViolated(SpiderSimError):
-    code = "PreconditionViolated"
+    pass
 
 
 class UnknownCapability(SpiderSimError):
-    code = "UnknownCapability"
+    pass
 
 
 class KindMismatch(SpiderSimError):
-    code = "KindMismatch"
+    pass
 
 
 class DuplicatePlacement(SpiderSimError):
-    code = "DuplicatePlacement"
+    pass
 
 
 class UnknownNode(SpiderSimError):
-    code = "UnknownNode"
+    pass
 
 
 # --- attack graph ------------------------------------------------------------
 
 class UnknownEntryNode(SpiderSimError):
-    code = "UnknownEntryNode"
+    pass
 
 
 class TargetSelectorEmpty(SpiderSimError):
-    code = "TargetSelectorEmpty"
+    pass
 
 
 class InvalidQueryBound(SpiderSimError):
-    code = "InvalidQueryBound"
+    pass
 
 
 class NonContiguousPath(SpiderSimError):
-    code = "NonContiguousPath"
+    pass
 
 
 class UnknownPathNode(SpiderSimError):
-    code = "UnknownPathNode"
+    pass
 
 
 # --- simulation engine --------------------------------------------------------
 
 class InvalidScenario(SpiderSimError):
-    code = "InvalidScenario"
+    pass
 
 
 class InvalidStrategy(SpiderSimError):
-    code = "InvalidStrategy"
+    pass
 
 
 class RoundLimitExceeded(SpiderSimError):
-    code = "RoundLimitExceeded"
+    pass
 
 
 # --- generation pipeline -------------------------------------------------------
 
 class EmptyRequirement(SpiderSimError):
-    code = "EmptyRequirement"
+    pass
 
 
 class MissingConsumedSlot(SpiderSimError):
-    code = "MissingConsumedSlot"
+    pass
 
 
 class NoHintsAvailable(SpiderSimError):
-    code = "NoHintsAvailable"
+    pass
 
 
 class GenerationFailed(SpiderSimError):
-    code = "GenerationFailed"
-
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report

@@ -9,12 +9,16 @@ through ``canonical.canonical_json``.
 from __future__ import annotations
 
 import re
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .attackgraph import EXTERNAL, AttackPath, AttackStep
 from .canonical import canonical_json
 from .capabilities import (
+    EFFECT_OPERANDS,
     INTERFACE_VERSION,
+    PREDICATE_OPERANDS,
+    SLOTLESS_EFFECTS,
     AtomicCapability,
     CapabilityKind,
     Effect,
@@ -121,7 +125,7 @@ def _state_to_dict(state: SimulationState) -> dict:
     return {
         "round": state.round,
         "compromise": {nid: priv.value for nid, priv in sorted(state.compromise.items())},
-        "footholds": sorted(state.footholds),
+        "footholds": sorted(state.compromise),
         "deployed": {
             nid: sorted(k.value for k in kinds) for nid, kinds in sorted(state.deployed.items())
         },
@@ -196,28 +200,6 @@ def parse_requirement(document: str) -> Requirement:
 # capability files (interface "cap-1")
 # ---------------------------------------------------------------------------
 
-_PREDICATE_FIELDS = {kind: frozenset({"predicate", *keys}) for kind, keys in {
-    PredicateKind.ACTOR_HAS_FOOTHOLD: {"slot", "min_privilege"},
-    PredicateKind.EDGE_EXISTS: {"slot", "src_slot"},
-    PredicateKind.NODE_HAS_VULN_WITH_ACCESS: {"slot", "access"},
-    PredicateKind.CREDENTIAL_HELD: {"slot"},
-    PredicateKind.DEFENSE_ABSENT: {"slot", "defense"},
-    PredicateKind.DEFENSE_PRESENT: {"slot", "defense"},
-    PredicateKind.NODE_CLASS_IS: {"slot", "node_classes"},
-    PredicateKind.NODE_NOT_COMPROMISED: {"slot"},
-    PredicateKind.NODE_ASSET_VALUE_AT_LEAST: {"slot", "min_asset_value"},
-}.items()}
-
-_EFFECT_FIELDS = {kind: frozenset({"effect", *keys}) for kind, keys in {
-    EffectKind.COMPROMISE: {"slot", "privilege"},
-    EffectKind.GAIN_CREDENTIALS: {"slot"},
-    EffectKind.DEPLOY: {"slot", "defense"},
-    EffectKind.RAISE_ALARM: {"slot"},
-    EffectKind.TRAP_ACTOR: {"duration_rounds"},
-    EffectKind.NULLIFY_CREDENTIAL_THEFT: {"slot"},
-    EffectKind.REVEAL_VULNERABILITIES: {"slot"},
-}.items()}
-
 _CAPABILITY_FIELDS = frozenset({"id", "kind", "name", "technique_tag", "preconditions", "effects",
                                 "base_success_prob", "detection_prob", "cost_units",
                                 "interface_version"})
@@ -227,46 +209,45 @@ _CAPABILITY_KINDS = _enum_values(CapabilityKind)
 _DEFENSE_KINDS = _enum_values(DefenseKind)
 
 
-def _parse_predicate(raw, path: str) -> Predicate:
+def _read_duration(value, path, key: str) -> int:
+    duration = _expect_int(value, path, key)
+    if duration < 1:
+        raise InvariantViolation(_path(path, key), "must be >= 1")
+    return duration
+
+
+# How each operand key of a term is read; which kind takes which key is
+# declared in ``capabilities`` (PREDICATE_OPERANDS, EFFECT_OPERANDS).
+_OPERAND_READERS: Dict[str, Callable] = {
+    "src_slot": _check_identifier,
+    "access": partial(_parse_enum, _ACCESS_REQUIREMENTS),
+    "defense": partial(_parse_enum, _DEFENSE_KINDS),
+    "node_classes": partial(_parse_enums, _NODE_CLASSES),
+    "min_privilege": partial(_parse_enum, _PRIVILEGES),
+    "min_asset_value": _expect_int,
+    "privilege": partial(_parse_enum, _PRIVILEGES),
+    "duration_rounds": _read_duration,
+}
+# Operand keys a file may leave out, taking the record's default.
+_OPTIONAL_OPERANDS = frozenset({"min_privilege"})
+
+
+def _parse_term(raw, path, kind_key: str, kinds: dict, operands: dict, record: type):
+    """A precondition (``kind_key`` "predicate") or an effect ("effect"):
+    its kind, the keys that kind takes, its ``slot``, then its operand."""
     d = _expect_dict(raw, path)
-    kind = _parse_enum(_PREDICATE_KINDS, d.get("predicate", MISSING), path, "predicate")
-    _reject_unknown(d, _PREDICATE_FIELDS[kind], path)
+    kind = _parse_enum(kinds, d.get(kind_key, MISSING), path, kind_key)
+    operand = operands[kind]
+    allowed = {kind_key} if kind in SLOTLESS_EFFECTS else {kind_key, "slot"}
+    if operand is not None:
+        allowed.add(operand)
+    _reject_unknown(d, allowed, path)
     kwargs: dict = {"kind": kind}
     if "slot" in d:
         kwargs["slot"] = _check_identifier(d["slot"], path, "slot")
-    if kind == PredicateKind.EDGE_EXISTS:
-        kwargs["src_slot"] = _check_identifier(d.get("src_slot", MISSING), path, "src_slot")
-    if kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
-        kwargs["access"] = _parse_enum(_ACCESS_REQUIREMENTS, d.get("access", MISSING), path, "access")
-    if kind in (PredicateKind.DEFENSE_ABSENT, PredicateKind.DEFENSE_PRESENT):
-        kwargs["defense"] = _parse_enum(_DEFENSE_KINDS, d.get("defense", MISSING), path, "defense")
-    if kind == PredicateKind.NODE_CLASS_IS:
-        kwargs["node_classes"] = _parse_enums(_NODE_CLASSES, d.get("node_classes", MISSING),
-                                              path, "node_classes")
-    if kind == PredicateKind.ACTOR_HAS_FOOTHOLD and "min_privilege" in d:
-        kwargs["min_privilege"] = _parse_enum(_PRIVILEGES, d["min_privilege"], path, "min_privilege")
-    if kind == PredicateKind.NODE_ASSET_VALUE_AT_LEAST:
-        kwargs["min_asset_value"] = _expect_int(d.get("min_asset_value", MISSING), path, "min_asset_value")
-    return Predicate(**kwargs)
-
-
-def _parse_effect(raw, path: str) -> Effect:
-    d = _expect_dict(raw, path)
-    kind = _parse_enum(_EFFECT_KINDS, d.get("effect", MISSING), path, "effect")
-    _reject_unknown(d, _EFFECT_FIELDS[kind], path)
-    kwargs: dict = {"kind": kind}
-    if "slot" in d:
-        kwargs["slot"] = _check_identifier(d["slot"], path, "slot")
-    if kind == EffectKind.COMPROMISE:
-        kwargs["privilege"] = _parse_enum(_PRIVILEGES, d.get("privilege", MISSING), path, "privilege")
-    if kind == EffectKind.DEPLOY:
-        kwargs["defense"] = _parse_enum(_DEFENSE_KINDS, d.get("defense", MISSING), path, "defense")
-    if kind == EffectKind.TRAP_ACTOR:
-        duration = _expect_int(d.get("duration_rounds", MISSING), path, "duration_rounds")
-        if duration < 1:
-            raise InvariantViolation(_path(path, "duration_rounds"), "must be >= 1")
-        kwargs["duration_rounds"] = duration
-    return Effect(**kwargs)
+    if operand is not None and (operand in d or operand not in _OPTIONAL_OPERANDS):
+        kwargs[operand] = _OPERAND_READERS[operand](d.get(operand, MISSING), path, operand)
+    return record(**kwargs)
 
 
 def parse_capability(document: str) -> AtomicCapability:
@@ -283,11 +264,13 @@ def parse_capability(document: str) -> AtomicCapability:
         name=_expect_text(raw.get("name", MISSING), "", "name"),
         technique_tag=_check_identifier(raw.get("technique_tag", MISSING), "", "technique_tag"),
         preconditions=tuple(
-            _parse_predicate(p, ("preconditions", None, i))
+            _parse_term(p, ("preconditions", None, i), "predicate", _PREDICATE_KINDS,
+                        PREDICATE_OPERANDS, Predicate)
             for i, p in enumerate(_expect_list(raw.get("preconditions", []), "preconditions"))
         ),
         effects=tuple(
-            _parse_effect(e, ("effects", None, i))
+            _parse_term(e, ("effects", None, i), "effect", _EFFECT_KINDS,
+                        EFFECT_OPERANDS, Effect)
             for i, e in enumerate(_expect_list(raw.get("effects", []), "effects"))
         ),
         base_success_prob=_expect_fraction(raw.get("base_success_prob", MISSING), "", "base_success_prob"),

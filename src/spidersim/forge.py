@@ -186,9 +186,7 @@ def _preferred_entry_class(requirement: Requirement) -> NodeClass:
 
 
 def _entry_nodes(topology: NetworkTopology) -> Tuple[str, ...]:
-    return tuple(sorted(
-        n.id for n in topology.nodes if n.node_class in ENTRY_CLASSES
-    ))
+    return tuple(sorted(nid for cls in ENTRY_CLASSES for nid in topology.node_ids_of_class(cls)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +274,7 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
     for i, objective in enumerate(bb.threat_plan.objectives):
         if objective.actor != Actor.ATTACKER:
             continue
-        targets = sorted(
-            n.id for n in topology.nodes if objective.target.matches(n)
-        )
+        targets = topology.select(objective.target)
         if not targets:
             errors.append(Finding("NoAttackPath", "no node matches the attacker objective", f"objectives[{i}]"))
             hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))

@@ -222,6 +222,14 @@ class NetworkTopology:
         the class of the first node with the id)."""
         return self._node_ids_by_class.get(node_class, ())
 
+    def select(self, selector: TargetSelector) -> Tuple[str, ...]:
+        """Ids of the nodes ``selector`` picks, in id order: the node with
+        its id, or the nodes of its class. Where ids repeat, the first
+        node with the id stands for them all, as in ``node_by_id``."""
+        if selector.node_id is not None:
+            return (selector.node_id,) if selector.node_id in self._nodes_by_id else ()
+        return self.node_ids_of_class(selector.node_class)
+
     def in_neighbours(self, node_id: str) -> FrozenSet[str]:
         """Every ``src`` with an edge ``src -> node_id``: a bidirectional
         edge counts in both directions, a directed one only from its
@@ -246,11 +254,6 @@ class TargetSelector:
             raise InvariantViolation(
                 "target", "exactly one of node_id / node_class must be set"
             )
-
-    def matches(self, node: Node) -> bool:
-        if self.node_id is not None:
-            return node.id == self.node_id
-        return node.node_class == self.node_class
 
 
 @dataclass(frozen=True)
@@ -872,12 +875,6 @@ def check_topology(topo: NetworkTopology):
         for target in cred.grants_access_to:
             if target not in node_ids:
                 yield Finding("BadCredentialHost", f"credential {cred.id!r} grants access to missing node {target!r}", f"credentials.{cred.id}")
-
-
-def assert_topology_valid(topo: NetworkTopology) -> None:
-    """Raise InvariantViolation on the first structural problem found."""
-    for finding in check_topology(topo):
-        raise InvariantViolation(finding.location, finding.message)
 
 
 def _is_connected(topo: NetworkTopology) -> bool:

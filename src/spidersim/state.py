@@ -8,11 +8,12 @@ extra arguments.
 Lookups by node are dict lookups: ``compromise`` maps a node to the
 privilege held on it and ``deployed`` maps a node to the set of defenses
 on it, both as read-only mappings. Their order carries no meaning (the
-trace export sorts). An update copies the fields and changes only what
-it names, without running the constructor. The nodes the held
-credentials grant access to (``credential_targets``) are derived once
-per state, on first use, whether the state came from an update or was
-built directly. Two states are equal when their fields are, and equal
+trace export sorts). The attacker's footholds are the compromised nodes,
+the keys of ``compromise``; no other field holds them. An update copies
+the fields and changes only what it names, without running the
+constructor. The nodes the held credentials grant access to
+(``credential_targets``) are derived once per state, on first use,
+whether the state came from an update or was built directly. Two states are equal when their fields are, and equal
 states hash alike.
 """
 
@@ -47,7 +48,6 @@ class SimulationState:
     topology: NetworkTopology
     round: int = 0
     compromise: Mapping[str, Privilege] = field(default_factory=dict)
-    footholds: FrozenSet[str] = frozenset()
     deployed: Mapping[str, FrozenSet[DefenseKind]] = field(default_factory=dict)
     credentials_held: FrozenSet[str] = frozenset()
     trapped_until: int = 0
@@ -58,7 +58,6 @@ class SimulationState:
             "compromise": MappingProxyType(dict(self.compromise)),
             "deployed": MappingProxyType(
                 {nid: frozenset(kinds) for nid, kinds in dict(self.deployed).items()}),
-            "footholds": frozenset(self.footholds),
             "credentials_held": frozenset(self.credentials_held),
             "alarms": tuple(self.alarms),
         }
@@ -66,14 +65,14 @@ class SimulationState:
 
     def __hash__(self) -> int:
         return hash((self.topology, self.round, frozenset(self.compromise.items()),
-                     self.footholds, frozenset(self.deployed.items()),
-                     self.credentials_held, self.trapped_until, self.alarms))
+                     frozenset(self.deployed.items()), self.credentials_held,
+                     self.trapped_until, self.alarms))
 
     def __reduce__(self):
         # A read-only mapping does not pickle or deep-copy; rebuild the
         # state from plain dicts instead.
         return (SimulationState, (self.topology, self.round, dict(self.compromise),
-                                  self.footholds, dict(self.deployed), self.credentials_held,
+                                  dict(self.deployed), self.credentials_held,
                                   self.trapped_until, self.alarms))
 
     def _evolve(self, **changes) -> "SimulationState":
@@ -105,8 +104,7 @@ class SimulationState:
         current = self.compromise.get(node_id)
         entries = dict(self.compromise)
         entries[node_id] = current if _PRIV_RANK[current] >= _PRIV_RANK[privilege] else privilege
-        return self._evolve(compromise=MappingProxyType(entries),
-                            footholds=self.footholds | {node_id})
+        return self._evolve(compromise=MappingProxyType(entries))
 
     def with_defense(self, node_id: str, kind: DefenseKind) -> "SimulationState":
         entries = dict(self.deployed)

@@ -64,7 +64,6 @@ from spidersim.errors import (
 from spidersim.engine import (
     STALL_ROUNDS,
     SimEvent,
-    _matching_nodes,
     _objective_met,
     resolve_topology,
     step_round,
@@ -398,7 +397,7 @@ def _reference_predicate(pred: Predicate, state: SimulationState,
     topo = state.topology
     node_id = _bound(binding, pred.slot, cap_id)
     if pred.kind == PredicateKind.ACTOR_HAS_FOOTHOLD:
-        return (node_id in state.footholds
+        return (node_id in state.compromise
                 and _PRIVILEGE_RANK[state.compromise.get(node_id)] >= _PRIVILEGE_RANK[pred.min_privilege])
     if pred.kind == PredicateKind.EDGE_EXISTS:
         src = _bound(binding, pred.src_slot, cap_id)
@@ -1162,6 +1161,20 @@ def reference_export_dot(topology: NetworkTopology,
 # reference round loop
 # ---------------------------------------------------------------------------
 
+def selector_matches(selector: TargetSelector, node: Node) -> bool:
+    """Whether ``selector`` picks ``node``, decided on the node alone."""
+    if selector.node_id is not None:
+        return node.id == selector.node_id
+    return node.node_class == selector.node_class
+
+
+def matching_nodes(topology: NetworkTopology, selector: TargetSelector) -> List[str]:
+    """The ids a scan over every node finds, in node order, once per
+    node: what ``NetworkTopology.select`` answers from its indexes
+    wherever no id repeats."""
+    return [n.id for n in topology.nodes if selector_matches(selector, n)]
+
+
 def reference_play(spec: ScenarioSpec, strategy: DefenseStrategy,
                    registry: CapabilityRegistry, config
                    ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
@@ -1174,7 +1187,7 @@ def reference_play(spec: ScenarioSpec, strategy: DefenseStrategy,
     rng = substream(config.seed, "simulation")
 
     attacker_objectives = [
-        (o, _matching_nodes(topology, o)) for o in spec.objectives
+        (o, matching_nodes(topology, o.target)) for o in spec.objectives
         if o.actor == Actor.ATTACKER
     ]
     events: List[SimEvent] = []

@@ -24,6 +24,7 @@ from helpers import (
     diamond_topology,
     make_topology,
     make_vuln,
+    matching_nodes,
     oracle_paths,
     path_to_oracle_steps,
     random_topology,
@@ -229,7 +230,7 @@ class TestProperties:
             assert targets[-1] in reachable
         keys = [path_key(p) for p in full]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-        target_ids = {n.id for n in topo.nodes if target.matches(n)}
+        target_ids = set(matching_nodes(topo, target))
         assert sorted(path_to_oracle_steps(p) for p in full) == sorted(
             oracle_paths(topo, entries, target_ids, max_len=max_len))
         for k in range(1, len(full) + 2):

@@ -1,6 +1,7 @@
 """Capability registry, precondition evaluation, probabilistic application."""
 
 import copy
+import json
 import math
 import pickle
 import random
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 import spidersim as ss
 from spidersim.attackgraph import hop_option
 from spidersim.capabilities import (
+    EFFECT_OPERANDS,
     HONEYPOT_ALARM_PROB,
+    PREDICATE_OPERANDS,
     SHOCKTRAP_TRAP_ROUNDS,
     CapabilityRegistry,
     select_vulnerability,
@@ -23,14 +26,19 @@ from spidersim.engine import step_round
 from spidersim.errors import (
     DuplicateId,
     DuplicatePlacement,
+    InvariantViolation,
     KindEffectMismatch,
     KindMismatch,
     PreconditionViolated,
     UnboundSlot,
     UnknownCapability,
+    UnknownEffect,
+    UnknownField,
     UnknownNode,
+    UnknownPredicate,
     UnsupportedInterfaceVersion,
 )
+from spidersim.exports import parse_capability
 from spidersim.state import DefenseKind, SimulationState, fresh_state
 
 from helpers import (
@@ -168,6 +176,96 @@ class TestRegistration:
             ss.register_capability(registry, bare_attack(prob=1.5))
 
 
+# One cap-1 term of every kind, each with its operand key (where the kind
+# takes one) set to a value other than the record default.
+CAP1_TERMS = (
+    {"predicate": "actor_has_foothold", "slot": "source", "min_privilege": "admin"},
+    {"predicate": "edge_exists", "src_slot": "source"},
+    {"predicate": "node_has_vuln_with_access", "access": "local"},
+    {"predicate": "credential_held"},
+    {"predicate": "defense_absent", "defense": "honeypot"},
+    {"predicate": "defense_present", "defense": "scanner"},
+    {"predicate": "node_class_is", "node_classes": ["sensor"]},
+    {"predicate": "node_not_compromised"},
+    {"predicate": "node_asset_value_at_least", "min_asset_value": 30},
+    {"effect": "compromise", "privilege": "admin"},
+    {"effect": "gain_credentials"},
+    {"effect": "deploy", "defense": "patch"},
+    {"effect": "raise_alarm"},
+    {"effect": "trap_actor", "duration_rounds": 3},
+    {"effect": "nullify_credential_theft"},
+    {"effect": "reveal_vulnerabilities"},
+)
+
+
+def one_term_document(term: dict) -> str:
+    """A cap-1 file whose one precondition or effect is ``term``; a
+    deploying capability is a defense, every other an attack."""
+    section = "preconditions" if "predicate" in term else "effects"
+    return json.dumps({
+        "interface_version": "cap-1", "id": "one_term",
+        "kind": "defense" if term.get("effect") == "deploy" else "attack",
+        "name": "One term", "technique_tag": "T0001", section: [term],
+        "base_success_prob": 0.5, "detection_prob": 0.1, "cost_units": 1,
+    })
+
+
+class TestTermOperands:
+    """Which operand each term kind takes is declared once, next to the
+    records; the cap-1 reader and ``register_capability`` both read it."""
+
+    def test_every_kind_declares_a_record_field(self):
+        assert set(PREDICATE_OPERANDS) == set(ss.PredicateKind)
+        assert set(EFFECT_OPERANDS) == set(ss.EffectKind)
+        for operands, record in ((PREDICATE_OPERANDS, ss.Predicate),
+                                 (EFFECT_OPERANDS, ss.Effect)):
+            fields = record.__dataclass_fields__
+            assert all(op is None or op in fields for op in operands.values())
+        kinds = {term.get("predicate", term.get("effect")) for term in CAP1_TERMS}
+        assert kinds == {k.value for k in (*ss.PredicateKind, *ss.EffectKind)}
+
+    def test_register_refuses_a_term_without_its_operand(self, registry):
+        """Every kind that takes an operand: the file term registers; the
+        same term with its operand set to None is refused by
+        ``register_capability`` (UnknownPredicate or UnknownEffect), and
+        the file without the operand key is refused by the reader, but
+        for ``min_privilege``, which takes the record default USER."""
+        refused = set()
+        for term in CAP1_TERMS:
+            is_predicate = "predicate" in term
+            cap = parse_capability(one_term_document(term))
+            ss.register_capability(registry, cap)
+            record = (cap.preconditions if is_predicate else cap.effects)[0]
+            operand = (PREDICATE_OPERANDS if is_predicate else EFFECT_OPERANDS)[record.kind]
+            if operand is None:
+                continue
+            assert getattr(record, operand) is not None
+            broken = replace(record, **{operand: None})
+            broken_cap = (replace(cap, preconditions=(broken,)) if is_predicate
+                          else replace(cap, effects=(broken,)))
+            error = UnknownPredicate if is_predicate else UnknownEffect
+            with pytest.raises(error, match=f"{record.kind.value} needs {operand}$"):
+                ss.register_capability(registry, broken_cap)
+            refused.add(record.kind)
+
+            without = {key: value for key, value in term.items() if key != operand}
+            if operand == "min_privilege":
+                default = parse_capability(one_term_document(without))
+                assert default.preconditions[0].min_privilege == ss.Privilege.USER
+                ss.register_capability(registry, default)
+            else:
+                with pytest.raises(InvariantViolation,
+                                   match=f"{operand}: missing required field"):
+                    parse_capability(one_term_document(without))
+        assert refused == {kind for operands in (PREDICATE_OPERANDS, EFFECT_OPERANDS)
+                           for kind, operand in operands.items() if operand is not None}
+
+    def test_trap_actor_takes_no_slot(self):
+        term = {"effect": "trap_actor", "slot": "target", "duration_rounds": 2}
+        with pytest.raises(UnknownField, match=r"effects\[0\]\.slot"):
+            parse_capability(one_term_document(term))
+
+
 class TestSharedBuiltInRegistry:
     """``built_in_registry`` builds its value once and shares it."""
 
@@ -249,15 +347,14 @@ def random_predicate(rng: random.Random) -> ss.Predicate:
 
 
 def random_state(rng: random.Random, topo) -> SimulationState:
-    """A state built directly, not through updates: footholds apart from
-    the compromised nodes, unknown ids among them, random defenses and
-    credentials (one unknown)."""
+    """A state built directly, not through updates: compromised nodes
+    with unknown ids among them, random defenses and credentials (one
+    unknown)."""
     ids = [n.id for n in topo.nodes] + ["ghost"]
     return SimulationState(
         topology=topo,
         compromise={nid: rng.choice([ss.Privilege.USER, ss.Privilege.ADMIN])
                     for nid in rng.sample(ids, rng.randint(0, len(ids)))},
-        footholds=frozenset(rng.sample(ids, rng.randint(0, len(ids)))),
         deployed={nid: frozenset(rng.sample(list(DefenseKind), rng.randint(1, 3)))
                   for nid in rng.sample(ids, rng.randint(0, len(ids)))},
         credentials_held=frozenset(
@@ -339,7 +436,6 @@ class TestCompiledChecks:
             creds=[ss.Credential(id="cred-b", stored_on="a", grants_access_to=("b",))],
         )
         state = SimulationState(topology=topo, compromise={"a": ss.Privilege.USER},
-                                footholds=frozenset({"a"}),
                                 credentials_held=frozenset({"cred-b"}))
         found = ss.applicable_capabilities(registry, state, "attacker")
         lateral = [b for cap, b in found if cap.id == "lateral_move_with_cred"]
@@ -381,7 +477,7 @@ class TestCompiledChecks:
                .with_compromise("a", ss.Privilege.ADMIN).with_defense("b", DefenseKind.PATCH)
                .with_compromise("a", ss.Privilege.USER))
         built = SimulationState(
-            topology=topo, compromise=(("a", ss.Privilege.ADMIN),), footholds={"a"},
+            topology=topo, compromise=(("a", ss.Privilege.ADMIN),),
             deployed={"b": (DefenseKind.PATCH, DefenseKind.HONEYPOT)}, credentials_held={"x"})
         assert one == two == built
         assert len({one, two, built}) == 1

@@ -313,8 +313,7 @@ class TestEnumerationReuse:
     def test_retheft_keeps_the_reused_list(self, marine_spec, registry, enumerations):
         """A uniform-random attacker steals the same credentials again and
         again; the state stays the same object, so no run enumerates twice
-        in a row on the same compromise, footholds, defenses and
-        credentials."""
+        in a row on the same compromise, defenses and credentials."""
         thefts = 0
         for seed in range(200):
             enumerations.clear()
@@ -323,7 +322,7 @@ class TestEnumerationReuse:
                 config(max_rounds=20, seed=seed,
                        attacker_policy=ss.AttackerPolicy.UNIFORM_RANDOM))
             thefts += sum(e.capability_id == "credential_theft" for e in trace.events) > 1
-            fields = [(dict(s.compromise), s.footholds, dict(s.deployed), s.credentials_held)
+            fields = [(dict(s.compromise), dict(s.deployed), s.credentials_held)
                       for s, _, _ in enumerations]
             assert all(a != b for a, b in zip(fields, fields[1:])), seed
         assert thefts >= 10
@@ -368,7 +367,6 @@ class TestEnumerationReuse:
         assert offered[2][1] == [("exfiltrate", {"target": "w"})]
         second, third = enumerations[1][0], enumerations[2][0]
         assert third.compromise is second.compromise
-        assert third.footholds is second.footholds
         assert third.credentials_held is second.credentials_held
         assert third.deployed is not second.deployed
 
@@ -564,6 +562,95 @@ class TestBatch:
         with pytest.raises(InvalidScenario):
             ss.batch_run(marine_spec, ss.DefenseStrategy(), registry,
                          config(), 0)
+
+
+PHISHABLE = (ss.NodeClass.WORKSTATION, ss.NodeClass.MAINTENANCE_ENDPOINT)
+
+
+def phishable_nodes(topology):
+    return tuple(sorted(n.id for n in topology.nodes if n.node_class in PHISHABLE))
+
+
+def attacker_target(spec):
+    return next(o.target for o in spec.objectives if o.actor == ss.Actor.ATTACKER)
+
+
+def exhaustive_paths(topology, registry, entries, target):
+    """Every simple attack path from ``entries`` to ``target``."""
+    return ss.enumerate_attack_paths(topology, registry, ss.PathQuery(
+        entries=entries, target=target, k=None, max_len=len(topology.nodes)))
+
+
+def hits_every_path(paths, trapped):
+    """Whether every path crosses a trapped node other than its entry."""
+    def inner(path):
+        steps = path.steps[1:] if path.steps[0].source == ss.EXTERNAL else path.steps
+        return {step.target for step in steps}
+    return all(inner(path) & trapped for path in paths)
+
+
+def success_rates(spec, strategy, registry, seed, n):
+    return [ss.batch_run(spec, strategy, registry,
+                         config(max_rounds=20, seed=seed, attacker_policy=policy),
+                         n).attacker_success_rate
+            for policy in ss.AttackerPolicy]
+
+
+class TestStaticViewBoundsTheRuns:
+    """Whole runs stay inside what the static attack graph allows."""
+
+    def test_compromise_lies_in_the_reachable_set(self, registry):
+        """Every node a run compromises is reachable by attack hops from
+        the phishable nodes: 400 random topologies, every attacker
+        policy, 20 rounds."""
+        compromised = 0
+        for seed in range(400):
+            topo = random_topology(random.Random(seed))
+            spec = spec_around(topo)
+            reachable = ss.reachable_set(topo, registry, phishable_nodes(topo))
+            for policy in ss.AttackerPolicy:
+                trace, _ = ss.run_simulation(
+                    spec, ss.DefenseStrategy(), registry,
+                    config(max_rounds=20, seed=seed, attacker_policy=policy))
+                assert set(trace.final_state.compromise) <= reachable, (seed, policy)
+                compromised += len(trace.final_state.compromise)
+        assert compromised > 400
+
+    def test_traps_on_every_path_stop_every_policy(self, registry):
+        """When the shocktraps ``suggest_defense_placements`` picks hit
+        every exhaustive path from the phishable nodes to the attacker
+        target, no run of any policy meets the attacker objective. Random
+        topologies until 30 qualify, 20 runs per policy; without the
+        traps some of them are won."""
+        qualified = won_without = 0
+        seed = 0
+        while qualified < 30:
+            seed += 1
+            topo = random_topology(random.Random(seed))
+            spec = spec_around(topo)
+            entries = phishable_nodes(topo)
+            if not entries:
+                continue
+            paths = exhaustive_paths(topo, registry, entries, attacker_target(spec))
+            trapped = {node for node, _ in ss.suggest_defense_placements(paths, len(topo.nodes))}
+            if not paths or not hits_every_path(paths, trapped):
+                continue
+            qualified += 1
+            strategy = ss.compose_strategy(
+                registry, [("shocktrap", node) for node in sorted(trapped)], topo)
+            assert success_rates(spec, strategy, registry, seed, 20) == [0.0] * 3, seed
+            won_without += any(success_rates(spec, ss.DefenseStrategy(), registry, seed, 20))
+        assert won_without >= 10
+
+    def test_one_trap_cuts_the_marine_ranch(self, marine_spec, marine_topology, registry):
+        """On the marine-ranch fixture every path to a controller crosses
+        gateway-0: a shocktrap there takes every policy's success to 0."""
+        paths = exhaustive_paths(marine_topology, registry, phishable_nodes(marine_topology),
+                                 attacker_target(marine_spec))
+        assert paths and hits_every_path(paths, {"gateway-0"})
+        trap = ss.compose_strategy(registry, [("shocktrap", "gateway-0")], marine_topology)
+        assert all(success_rates(marine_spec, ss.DefenseStrategy(), registry, 0, 100))
+        assert success_rates(marine_spec, trap, registry, 0, 100) == [0.0] * 3
 
 
 class TestDigest:

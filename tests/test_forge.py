@@ -35,7 +35,7 @@ from spidersim.errors import (
 from spidersim.exports import parse_requirement
 from spidersim.model import ValidationReport
 
-from helpers import make_topology, make_vuln
+from helpers import make_topology, make_vuln, selector_matches
 
 
 def requirement(max_nodes=10, required=(ss.NodeClass.SENSOR,
@@ -418,7 +418,7 @@ class TestPathSearch:
                 nodes = bb.topology_draft.nodes
                 if any(n.node_class in ENTRY_CLASSES for n in nodes):
                     expected[0] += sum(
-                        o.actor == ss.Actor.ATTACKER and any(o.target.matches(n) for n in nodes)
+                        o.actor == ss.Actor.ATTACKER and any(selector_matches(o.target, n) for n in nodes)
                         for o in bb.threat_plan.objectives)
             return bb
 
