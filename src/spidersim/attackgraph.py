@@ -75,8 +75,9 @@ class PathQuery:
 
 class _HopTable:
     """The hop rule of one (topology, registry) pair. The exploit, lateral
-    and entry capabilities are the registry's ``path_capabilities``, and
-    the set of credential-granted nodes is resolved once; the option for
+    and entry capabilities are the registry's ``path_capabilities``, read
+    through the rule the engine enumerates with, and the set of
+    credential-granted nodes is resolved once; the option for
     each target and the hops out of each node are memoised on first use.
     A hop is a plain ``(target, capability_id, step_prob, step_cost)``
     tuple: it leaves out its source, so one tuple serves every path
@@ -100,7 +101,7 @@ class _HopTable:
         exploit = self._exploit
         if exploit is not None:
             vuln = select_vulnerability(self._topology, target,
-                                        exploit.vuln_access_requirement())
+                                        exploit._binding_rule.vuln_access)
             if vuln is not None:
                 options.append((vuln.success_prob, exploit.cost_units, exploit.id))
         lateral = self._lateral
@@ -129,7 +130,7 @@ class _HopTable:
         if cap is None:
             return None
         node = self._topology.node_by_id(entry)
-        if node is None or node.node_class not in cap.entry_classes():
+        if node is None or node.node_class not in cap._binding_rule.target_classes:
             return None
         return entry, cap.id, cap.base_success_prob, cap.cost_units
 

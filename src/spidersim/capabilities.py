@@ -19,10 +19,10 @@ informational.
 Each capability is compiled once, on first use, and keeps the result
 (``functools.cached_property`` on the capability, so every registry that
 holds it shares it, and pickles leave it out): each precondition becomes a check of (state,
-binding) with its slot and operands already read, and its binding rule
-is read from its preconditions. ``evaluate_preconditions`` runs the
-checks in declaration order; it is the one place a precondition is
-evaluated.
+binding) with its slot and operands already read, and ``_BindingRule``, the
+one reading of what it requires, is read from its terms.
+``evaluate_preconditions`` runs the checks in declaration order; it is the
+one place a precondition is evaluated.
 
 Action enumeration (``applicable_capabilities``) binds each slot only
 over the nodes the capability's own preconditions leave open. The actor's
@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from typing import (
-    Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+    Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set,
+    Tuple,
 )
 
 from .errors import (
@@ -168,37 +169,6 @@ class AtomicCapability:
 
     __getstate__ = fields_only_state
 
-    def slots(self) -> Tuple[str, ...]:
-        """Parameter slots the capability binds, "target" always included."""
-        names = {"target"}
-        for pred in self.preconditions:
-            names.add(pred.slot)
-            if pred.src_slot is not None:
-                names.add(pred.src_slot)
-        for eff in self.effects:
-            names.add(eff.slot)
-        return tuple(sorted(names))
-
-    def is_entry_capability(self) -> bool:
-        """Launchable from outside: no foothold required, grants one."""
-        needs_foothold = any(
-            p.kind == PredicateKind.ACTOR_HAS_FOOTHOLD for p in self.preconditions
-        )
-        compromises = any(e.kind == EffectKind.COMPROMISE for e in self.effects)
-        return self.kind == CapabilityKind.ATTACK and compromises and not needs_foothold
-
-    def vuln_access_requirement(self) -> Optional[AccessRequirement]:
-        for pred in self.preconditions:
-            if pred.kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
-                return pred.access
-        return None
-
-    def entry_classes(self) -> Tuple[NodeClass, ...]:
-        for pred in self.preconditions:
-            if pred.kind == PredicateKind.NODE_CLASS_IS and pred.node_classes:
-                return pred.node_classes
-        return ()
-
     @cached_property
     def _checks(self) -> Tuple[Tuple[Predicate, Callable[..., bool]], ...]:
         """Each precondition with its compiled check, in declaration order."""
@@ -235,10 +205,11 @@ class PreconditionResult:
 
 @dataclass(frozen=True)
 class _BindingRule:
-    """What a capability's own preconditions say about its bindings,
-    read once per capability (see ``applicable_capabilities``)."""
+    """What a capability's terms require, read once per capability: the one
+    reading enumeration, ``apply_capability`` and ``path_capabilities`` share."""
 
     cap: AtomicCapability
+    # Some term reads the source slot, so every binding names a source.
     binds_source: bool
     # actor_has_foothold on target / on source
     target_footholds: bool
@@ -247,6 +218,21 @@ class _BindingRule:
     target_classes: Optional[FrozenSet[NodeClass]]
     # edge_exists from source to target
     source_edge: bool
+    # The access level node_has_vuln_with_access on target needs, or None
+    # without one. All of them must hold, so the strictest level decides:
+    # the vulnerability ``select_vulnerability`` picks at it meets each.
+    vuln_access: Optional[AccessRequirement]
+    # credential_held on target
+    needs_credential: bool
+    # Launchable from outside: an attack that compromises, needs no
+    # foothold and binds no source.
+    is_entry: bool
+
+
+def _named_slots(cap: AtomicCapability) -> List[str]:
+    """The slot of every term, then the source slot of every edge_exists."""
+    return ([term.slot for term in cap.preconditions + cap.effects]
+            + [p.src_slot for p in cap.preconditions if p.src_slot is not None])
 
 
 def _read_binding_rule(cap: AtomicCapability) -> _BindingRule:
@@ -257,14 +243,22 @@ def _read_binding_rule(cap: AtomicCapability) -> _BindingRule:
     for pred in on(PredicateKind.NODE_CLASS_IS, "target"):
         classes = frozenset(pred.node_classes or ())
         target_classes = classes if target_classes is None else target_classes & classes
+    slots = _named_slots(cap)
+    needs_foothold = any(p.kind == PredicateKind.ACTOR_HAS_FOOTHOLD for p in cap.preconditions)
+    compromises = any(e.kind == EffectKind.COMPROMISE for e in cap.effects)
     return _BindingRule(
         cap=cap,
-        binds_source="source" in cap.slots(),
+        binds_source="source" in slots,
         target_footholds=bool(on(PredicateKind.ACTOR_HAS_FOOTHOLD, "target")),
         source_footholds=bool(on(PredicateKind.ACTOR_HAS_FOOTHOLD, "source")),
         target_classes=target_classes,
         source_edge=any(p.src_slot == "source"
                         for p in on(PredicateKind.EDGE_EXISTS, "target")),
+        vuln_access=min((p.access for p in on(PredicateKind.NODE_HAS_VULN_WITH_ACCESS, "target")),
+                        key=_ACCESS_RANK.__getitem__, default=None),
+        needs_credential=bool(on(PredicateKind.CREDENTIAL_HELD, "target")),
+        is_entry=(cap.kind == CapabilityKind.ATTACK and compromises
+                  and not needs_foothold and "source" not in slots),
     )
 
 
@@ -295,20 +289,18 @@ class CapabilityRegistry:
     @cached_property
     def path_capabilities(self) -> Tuple[Optional[AtomicCapability], ...]:
         """The attack capabilities a static path takes: (exploit, lateral,
-        entry). The exploit needs a vulnerability, the lateral move a held
-        credential, and the entry is launchable from outside onto named
-        node classes. Each is the cheapest such attack by (cost, id), or
-        None."""
-        attacks = sorted(self.by_kind(CapabilityKind.ATTACK), key=lambda c: (c.cost_units, c.id))
+        entry), each the cheapest by (cost, id) whose binding rule has a
+        ``vuln_access``, ``needs_credential``, or ``is_entry`` with
+        ``target_classes``; or None."""
+        rules = self._binding_rules[CapabilityKind.ATTACK]
 
-        def cheapest(qualifies: Callable[[AtomicCapability], bool]) -> Optional[AtomicCapability]:
-            return next((cap for cap in attacks if qualifies(cap)), None)
+        def cheapest(qualifies: Callable[[_BindingRule], bool]) -> Optional[AtomicCapability]:
+            return next((rule.cap for rule in rules if qualifies(rule)), None)
 
         return (
-            cheapest(lambda cap: cap.vuln_access_requirement() is not None),
-            cheapest(lambda cap: any(p.kind == PredicateKind.CREDENTIAL_HELD
-                                     for p in cap.preconditions)),
-            cheapest(lambda cap: cap.is_entry_capability() and bool(cap.entry_classes())),
+            cheapest(lambda rule: rule.vuln_access is not None),
+            cheapest(lambda rule: rule.needs_credential),
+            cheapest(lambda rule: rule.is_entry and bool(rule.target_classes)),
         )
 
     def get(self, cap_id: str) -> AtomicCapability:
@@ -319,9 +311,6 @@ class CapabilityRegistry:
 
     def has(self, cap_id: str) -> bool:
         return cap_id in self._by_id
-
-    def by_kind(self, kind: CapabilityKind) -> Tuple[AtomicCapability, ...]:
-        return tuple(cap for cap in self._caps if cap.kind == kind)
 
 
 def _check_capability(cap: AtomicCapability) -> None:
@@ -348,6 +337,9 @@ def _check_capability(cap: AtomicCapability) -> None:
             raise KindEffectMismatch(f"attack capability {cap.id!r} must not deploy defenses")
         if cap.kind == CapabilityKind.DEFENSE and eff.kind == EffectKind.COMPROMISE:
             raise KindEffectMismatch(f"defense capability {cap.id!r} must not compromise nodes")
+    for slot in _named_slots(cap):  # the slots action enumeration binds
+        if slot not in ("target", "source"):
+            raise UnboundSlot(f"capability {cap.id!r}: slot {slot!r} is not target or source")
 
 
 def _check_operand(cap: AtomicCapability, term: Predicate | Effect, operand: Optional[str],
@@ -654,7 +646,7 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
             f"capability {cap.id!r}: {result.first_failed.kind.value} does not hold"
         )
     target = _bound(binding, "target", cap.id)
-    level = cap.vuln_access_requirement()
+    level = cap._binding_rule.vuln_access
     vuln = None if level is None else select_vulnerability(state.topology, target, level)
 
     success = rng.random() < (cap.base_success_prob if vuln is None else vuln.success_prob)
@@ -772,22 +764,31 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     return out
 
 
-def compose_strategy(registry: CapabilityRegistry,
-                     placements: Iterable[Tuple[str, str]],
-                     topology: Optional[NetworkTopology] = None) -> DefenseStrategy:
-    """Build a defense strategy from (capability_id, node_id) placements."""
+def check_placements(registry: CapabilityRegistry, placements: Iterable[Placement],
+                     node_ids: Optional[Container[str]]) -> None:
+    """The one placement rule: each placement names a registered defense
+    (UnknownCapability, KindMismatch), once (DuplicatePlacement), on one of
+    ``node_ids`` unless it is None (UnknownNode)."""
     seen = set()
-    result: List[Placement] = []
-    for cap_id, node_id in placements:
-        if not registry.has(cap_id):
-            raise UnknownCapability(f"no capability with id {cap_id!r}")
-        cap = registry.get(cap_id)
-        if cap.kind != CapabilityKind.DEFENSE:
+    for placement in placements:
+        cap_id, node_id = placement.capability_id, placement.target_node
+        if registry.get(cap_id).kind != CapabilityKind.DEFENSE:
             raise KindMismatch(f"capability {cap_id!r} is not a defense")
         if (cap_id, node_id) in seen:
             raise DuplicatePlacement(f"duplicate placement ({cap_id!r}, {node_id!r})")
-        if topology is not None and topology.node_by_id(node_id) is None:
+        if node_ids is not None and node_id not in node_ids:
             raise UnknownNode(f"no node {node_id!r} in topology")
         seen.add((cap_id, node_id))
-        result.append(Placement(capability_id=cap_id, target_node=node_id))
-    return DefenseStrategy(capability_placements=tuple(result))
+
+
+def compose_strategy(registry: CapabilityRegistry,
+                     placements: Iterable[Tuple[str, str]],
+                     topology: Optional[NetworkTopology] = None) -> DefenseStrategy:
+    """A defense strategy from (capability_id, node_id) placements, checked by
+    ``check_placements`` against the nodes of ``topology``, if one is given
+    (the engine checks them against the scenario's node ids)."""
+    strategy = DefenseStrategy(tuple(Placement(capability_id=cap_id, target_node=node_id)
+                                     for cap_id, node_id in placements))
+    check_placements(registry, strategy.capability_placements,
+                     None if topology is None else topology.node_ids)
+    return strategy

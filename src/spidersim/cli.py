@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .attackgraph import PathQuery, enumerate_attack_paths
 from .canonical import canonical_json
@@ -28,6 +28,7 @@ from .engine import (
     DefenderPolicy,
     SimulationConfig,
     batch_run,
+    check_scenario,
     resolve_topology,
     run_simulation,
 )
@@ -43,7 +44,9 @@ from .exports import (
 )
 from .forge import run_pipeline
 from .model import (
+    NetworkTopology,
     NodeClass,
+    ScenarioSpec,
     TargetSelector,
     parse_scenario,
     serialize_scenario,
@@ -157,12 +160,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _strategy_from_args(args, registry) -> DefenseStrategy:
-    """The --strategy placements; the engine checks them against the
-    scenario's node ids, so no topology is built here."""
-    if not args.strategy:
-        return DefenseStrategy()
-    return compose_strategy(registry, parse_strategy(_read(args.strategy)))
+def _run_inputs(args) -> Tuple[CapabilityRegistry, ScenarioSpec, DefenseStrategy]:
+    """The registry, --scenario and --strategy of simulate and batch; the
+    engine checks both, so no topology is built here."""
+    registry = built_in_registry()
+    spec = parse_scenario(_read(args.scenario))
+    placements = parse_strategy(_read(args.strategy)) if args.strategy else ()
+    return registry, spec, compose_strategy(registry, placements)
 
 
 def _cmd_generate(args) -> int:
@@ -201,10 +205,17 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_paths(args) -> int:
+def _checked_topology(args) -> Tuple[CapabilityRegistry, NetworkTopology]:
+    """The built-in registry and the --scenario topology for --seed, once
+    the document passes the check ``simulate`` and ``batch`` make."""
     registry = built_in_registry()
     spec = parse_scenario(_read(args.scenario))
-    topology = resolve_topology(spec, registry, args.seed)
+    check_scenario(spec, registry)
+    return registry, resolve_topology(spec, registry, args.seed)
+
+
+def _cmd_paths(args) -> int:
+    registry, topology = _checked_topology(args)
     query = PathQuery(
         entries=tuple(args.entry),
         target=args.target,
@@ -228,9 +239,7 @@ def _sim_config(args) -> SimulationConfig:
 
 
 def _cmd_simulate(args) -> int:
-    registry = built_in_registry()
-    spec = parse_scenario(_read(args.scenario))
-    strategy = _strategy_from_args(args, registry)
+    registry, spec, strategy = _run_inputs(args)
     trace, metrics = run_simulation(spec, strategy, registry, _sim_config(args))
     payload = export_trace(trace)
     if args.trace:
@@ -246,9 +255,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    registry = built_in_registry()
-    spec = parse_scenario(_read(args.scenario))
-    strategy = _strategy_from_args(args, registry)
+    registry, spec, strategy = _run_inputs(args)
     result = batch_run(spec, strategy, registry, _sim_config(args), args.n)
     doc = {
         "runs": args.n,
@@ -279,9 +286,7 @@ def _cmd_capabilities(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    registry = built_in_registry()
-    spec = parse_scenario(_read(args.scenario))
-    topology = resolve_topology(spec, registry, args.seed)
+    _, topology = _checked_topology(args)
     paths = parse_paths(_read(args.paths)) if args.paths else None
     _emit(export_dot(topology, paths), args.out)
     return 0

@@ -9,20 +9,20 @@ consecutive rounds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .capabilities import (
     AtomicCapability,
-    CapabilityKind,
     CapabilityRegistry,
     DefenseStrategy,
     apply_capability,
     applicable_capabilities,
+    check_placements,
     deploy_strategy,
 )
-from .errors import InvalidScenario, InvalidStrategy, RoundLimitExceeded
+from .errors import InvalidScenario, RoundLimitExceeded
 from .model import (
     Actor,
     NetworkTopology,
@@ -242,13 +242,10 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     return state, events
 
 
-def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
-                  registry: CapabilityRegistry) -> None:
-    """The checks that hold for every seed of a run. A recipe no seed
-    expands raises the error ``build_topology`` would raise, as every
-    command reports it; the other ``validate_spec`` errors are raised
-    together as InvalidScenario. Placements are checked against the
-    scenario's node ids, which no seed changes."""
+def check_scenario(spec: ScenarioSpec, registry: CapabilityRegistry) -> None:
+    """Refuse what ``validate`` rejects, first in every command that runs a
+    scenario: a recipe no seed expands with the error ``build_topology``
+    raises, any other ``validate_spec`` errors as one InvalidScenario."""
     if spec.scenario_parameters.explicit_topology is None:
         for error in recipe_errors(spec.scenario_parameters.recipe):
             raise error
@@ -257,14 +254,13 @@ def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
         raise InvalidScenario(
             "; ".join(f"{f.code}: {f.message}" for f in report.errors)
         )
-    node_ids = scenario_node_ids(spec)
-    for placement in strategy.capability_placements:
-        if not registry.has(placement.capability_id):
-            raise InvalidStrategy(f"unknown capability {placement.capability_id!r}")
-        if registry.get(placement.capability_id).kind != CapabilityKind.DEFENSE:
-            raise InvalidStrategy(f"{placement.capability_id!r} is not a defense")
-        if placement.target_node not in node_ids:
-            raise InvalidStrategy(f"no node {placement.target_node!r} in topology")
+
+
+def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
+                  registry: CapabilityRegistry) -> None:
+    """The checks that hold for every seed: scenario, then placements."""
+    check_scenario(spec, registry)
+    check_placements(registry, strategy.capability_placements, scenario_node_ids(spec))
 
 
 def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
@@ -439,12 +435,7 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
     per_seed: List[Metrics] = []
     successes = 0
     for i in range(n):
-        run_config = SimulationConfig(
-            max_rounds=config.max_rounds,
-            seed=(config.seed + i) & MASK64,
-            attacker_policy=config.attacker_policy,
-            defender_policy=config.defender_policy,
-        )
+        run_config = replace(config, seed=(config.seed + i) & MASK64)
         events, final_state = _play(spec, strategy, registry, run_config)
         undigested = SimulationTrace(config=run_config, scenario_digest="",
                                      events=events, final_state=final_state)

@@ -131,10 +131,6 @@ class InvalidScenario(SpiderSimError):
     pass
 
 
-class InvalidStrategy(SpiderSimError):
-    pass
-
-
 class RoundLimitExceeded(SpiderSimError):
     pass
 

@@ -212,10 +212,7 @@ def _run_topology_synthesizer(bb: Blackboard, registry: CapabilityRegistry, seed
 
     # one node per class, in priority order, while the budget allows
     wanted: List[NodeClass] = list(dict.fromkeys(
-        tuple(constraints.required_classes)
-        + (constraints.target_class,)
-        + tuple(bb.extra_entry_classes)
-        + (context.entry_class,)
+        context.asset_classes + bb.extra_entry_classes + (context.entry_class,)
     ))
     counts: Dict[NodeClass, int] = {}
     for cls in wanted:

@@ -447,6 +447,18 @@ def reference_evaluate_preconditions(cap: AtomicCapability, state: SimulationSta
 # exhaustive action-enumeration oracle
 # ---------------------------------------------------------------------------
 
+def _slots(cap: AtomicCapability) -> Tuple[str, ...]:
+    """Parameter slots the capability binds, "target" always included."""
+    names = {"target"}
+    for pred in cap.preconditions:
+        names.add(pred.slot)
+        if pred.src_slot is not None:
+            names.add(pred.src_slot)
+    for eff in cap.effects:
+        names.add(eff.slot)
+    return tuple(sorted(names))
+
+
 def oracle_applicable_capabilities(registry: CapabilityRegistry,
                                    state: SimulationState, actor: str,
                                    binding_domain: Iterable[str]
@@ -458,9 +470,10 @@ def oracle_applicable_capabilities(registry: CapabilityRegistry,
     kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
     domain = sorted(set(binding_domain))
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
-    caps = sorted(registry.by_kind(kind), key=lambda c: (c.cost_units, c.id))
+    caps = sorted((c for c in registry.capabilities() if c.kind == kind),
+                  key=lambda c: (c.cost_units, c.id))
     for cap in caps:
-        needs_source = "source" in cap.slots()
+        needs_source = "source" in _slots(cap)
         for target in domain:
             if needs_source:
                 for source in domain:

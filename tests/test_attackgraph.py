@@ -279,6 +279,44 @@ class TestProperties:
                 returned += steps
         assert returned > 0
 
+    def test_entry_steps_are_engine_actions(self):
+        """Registries with extra entry capabilities, each cheaper than
+        phishing: two overlapping ``node_class_is`` on target, or one on
+        source. Every step from EXTERNAL the path search returns is an
+        action ``applicable_capabilities`` lists on the fresh state."""
+        classes = list(ss.NodeClass)
+        external = {"phishing": 0, "extra": 0}
+        for seed in range(300):
+            rng = random.Random(seed)
+            topo = random_topology(rng, max_nodes=8, max_edges=12)
+            registry = builtin_reg()
+            for i in range(rng.randint(1, 2)):
+                if rng.random() < 0.7:
+                    on_class = tuple(
+                        ss.Predicate(ss.PredicateKind.NODE_CLASS_IS,
+                                     node_classes=tuple(rng.sample(classes, rng.randint(1, 4))))
+                        for _ in range(2))
+                else:
+                    on_class = (ss.Predicate(ss.PredicateKind.NODE_CLASS_IS, slot="source",
+                                             node_classes=tuple(rng.sample(classes, 2))),)
+                registry = ss.register_capability(registry, ss.AtomicCapability(
+                    id=f"entry-{i}", kind=ss.CapabilityKind.ATTACK, name="Entry",
+                    technique_tag="T1566",
+                    preconditions=on_class + (ss.Predicate(ss.PredicateKind.NODE_NOT_COMPROMISED),),
+                    effects=(ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.USER),),
+                    base_success_prob=0.9, detection_prob=0.1, cost_units=0))
+            actions = {(cap.id, binding["target"]) for cap, binding
+                       in ss.applicable_capabilities(registry, ss.fresh_state(topo), "attacker")}
+            for node in topo.nodes:
+                paths = ss.enumerate_attack_paths(topo, registry, query(
+                    [n.id for n in topo.nodes], ss.TargetSelector(node_id=node.id), max_len=2))
+                for path in paths:
+                    first = path.steps[0]
+                    if first.source == ss.EXTERNAL:
+                        assert (first.capability_id, first.target) in actions, (seed, first)
+                        external["phishing" if first.capability_id == "phishing" else "extra"] += 1
+        assert all(external.values()), external
+
     def test_score_path_rejects_gaps(self):
         paths = ss.enumerate_attack_paths(
             chain_topology(), sure_entry_reg(),

@@ -146,7 +146,7 @@ def ws_state():
 class TestRegistration:
     def test_built_in_set(self, registry):
         assert len(registry.capabilities()) == 10
-        attacks = {c.id for c in registry.by_kind(ss.CapabilityKind.ATTACK)}
+        attacks = {c.id for c in registry.capabilities() if c.kind == ss.CapabilityKind.ATTACK}
         assert attacks == {"phishing", "exploit_vuln", "lateral_move_with_cred",
                            "credential_theft", "exfiltrate"}
 
@@ -259,6 +259,25 @@ class TestTermOperands:
                     parse_capability(one_term_document(without))
         assert refused == {kind for operands in (PREDICATE_OPERANDS, EFFECT_OPERANDS)
                            for kind, operand in operands.items() if operand is not None}
+
+    def test_register_refuses_a_slot_enumeration_never_binds(self, registry):
+        """Action enumeration binds ``target`` and ``source`` only, so a
+        ``slot`` or ``src_slot`` naming any other is refused with
+        UnboundSlot naming it, whether the term comes from a file or from
+        code."""
+        refused = 0
+        for term in CAP1_TERMS:
+            if term.get("effect") == "trap_actor":
+                continue  # it takes no slot
+            for key in ("slot", "src_slot") if term.get("predicate") == "edge_exists" else ("slot",):
+                for slot in ("target", "source"):
+                    cap = parse_capability(one_term_document({**term, key: slot}))
+                    ss.register_capability(registry, cap)
+                cap = parse_capability(one_term_document({**term, key: "relay"}))
+                with pytest.raises(UnboundSlot, match="slot 'relay' is not target or source$"):
+                    ss.register_capability(registry, cap)
+                refused += 1
+        assert refused == len(CAP1_TERMS)  # trap_actor skipped, edge_exists twice
 
     def test_trap_actor_takes_no_slot(self):
         term = {"effect": "trap_actor", "slot": "target", "duration_rounds": 2}
@@ -552,7 +571,7 @@ class TestVulnerabilityMatching:
         state = fresh_state(topo).with_compromise("s", ss.Privilege.USER)
         cap = registry.get("exploit_vuln")
         binding = {"target": "t", "source": "s"}
-        assert select_vulnerability(topo, "t", cap.vuln_access_requirement()) == second
+        assert select_vulnerability(topo, "t", ss.AccessRequirement.ADJACENT) == second
         assert hop_option(topo, registry, "t") == ("exploit_vuln", 0.9, cap.cost_units)
 
         # a success draw between the two probabilities succeeds, and the

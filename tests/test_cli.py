@@ -22,11 +22,22 @@ def _marine_with_huge_threshold() -> bytes:
     return json.dumps(doc).encode()
 
 
-# Documents that once ended in an internal error (exit 3): each content with
-# the start of its diagnostic.
+def _recipe_over_the_bound() -> bytes:
+    doc = json.loads(marine_ranch_scenario_path().read_text())
+    doc["scenario_parameters"] = {"recipe": {
+        "node_counts": {"controller": 1, "gateway": 1}, "zone_count": 2 ** 64,
+        "intra_zone_density": 0.5, "inter_zone_gateways": 1, "vuln_rate": 0.5,
+        "credential_rate": 0.3,
+    }}
+    return json.dumps(doc).encode()
+
+
+# Documents that once ended in an internal error (exit 3), or whose
+# expansion never ended: each content with the start of its diagnostic.
 MALFORMED = {
     "huge-number": (_marine_with_huge_threshold(),
                     "InvariantViolation: objectives[0].threshold: must be in [0,1]"),
+    "over-the-bound": (_recipe_over_the_bound(), "InvariantViolation: recipe: asks for "),
     "deep-nesting": (b"[" * 100000 + b"]" * 100000, "MalformedDocument: not valid JSON: "),
     "not-utf8": (b"\xff\xfe{}", "MalformedDocument: not UTF-8 text: "),
 }
@@ -238,7 +249,7 @@ class TestSimulateAndBatch:
             code, out, err = run(capsys, *command, *args, "--strategy", str(strategy))
             assert code == 1
             assert out == ""
-            assert "InvalidStrategy: no node 'ghost' in topology" in err
+            assert "UnknownNode: no node 'ghost' in topology" in err
         assert len(calls) == 4
 
 
@@ -311,6 +322,23 @@ class TestCapabilities:
         code, out, _ = run(capsys, "capabilities", "load", str(cap_file))
         assert code == 0
         assert "usb_drop" in out
+
+    def test_slot_enumeration_never_binds_exits_one(self, capsys, tmp_path):
+        """A term naming a slot other than target or source: refused by
+        ``capabilities load`` and by ``validate --capability-file``."""
+        cap_file = tmp_path / "relay.json"
+        cap_file.write_text(json.dumps({
+            "interface_version": "cap-1", "id": "relay_hop", "kind": "attack",
+            "name": "Relay hop", "technique_tag": "T0001",
+            "preconditions": [{"predicate": "actor_has_foothold", "slot": "relay"}],
+            "effects": [{"effect": "compromise", "privilege": "user"}],
+            "base_success_prob": 0.5, "detection_prob": 0.1, "cost_units": 1,
+        }))
+        expected = "UnboundSlot: capability 'relay_hop': slot 'relay' is not target or source\n"
+        for argv in (["capabilities", "load", str(cap_file)],
+                     ["validate", "--scenario", SCENARIO, "--capability-file", str(cap_file)]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", expected)
 
     def test_load_without_file_is_usage_error(self, capsys):
         assert run(capsys, "capabilities", "load")[0] == 2

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 import spidersim as ss
 import spidersim.engine as engine
 from spidersim.engine import STALL_ROUNDS, SimulationTrace, scenario_digest, step_round
-from spidersim.errors import InvalidScenario, InvalidStrategy, RoundLimitExceeded
+from spidersim.errors import (
+    DuplicatePlacement,
+    InvalidScenario,
+    KindMismatch,
+    RoundLimitExceeded,
+    UnknownCapability,
+    UnknownNode,
+)
 from spidersim.exports import export_trace
 from spidersim.rng import substream
 from spidersim.state import DefenseKind, fresh_state
@@ -137,13 +144,28 @@ class TestRunSimulation:
             ss.run_simulation(broken, ss.DefenseStrategy(), registry, config())
 
     def test_invalid_strategy_rejected(self, marine_spec, registry):
-        from spidersim.capabilities import DefenseStrategy, Placement
-        bad = DefenseStrategy((Placement("phishing", "ws-0"),))
-        with pytest.raises(InvalidStrategy):
-            ss.run_simulation(marine_spec, bad, registry, config())
-        missing = DefenseStrategy((Placement("honeypot", "ghost"),))
-        with pytest.raises(InvalidStrategy):
-            ss.run_simulation(marine_spec, missing, registry, config())
+        """One placement rule: each bad placement raises the same error
+        from ``compose_strategy``, ``run_simulation`` and ``batch_run``, on
+        the explicit scenario and on a recipe one (``NODE`` stands for a
+        node of the scenario)."""
+        recipe = ss.TopologyRecipe(((ss.NodeClass.CONTROLLER, 1), (ss.NodeClass.WORKSTATION, 1)),
+                                   1, 0.5, 0, 0.5, 0.3)
+        from_recipe = replace(marine_spec, scenario_parameters=replace(
+            marine_spec.scenario_parameters, explicit_topology=None, recipe=recipe))
+        for placements, error in (([("forcefield", "NODE")], UnknownCapability),
+                                  ([("phishing", "NODE")], KindMismatch),
+                                  ([("honeypot", "ghost")], UnknownNode),
+                                  ([("honeypot", "NODE"), ("honeypot", "NODE")], DuplicatePlacement)):
+            for spec, node in ((marine_spec, "ws-0"), (from_recipe, "workstation-0")):
+                pairs = [(cap_id, node if node_id == "NODE" else node_id)
+                         for cap_id, node_id in placements]
+                with pytest.raises(error):
+                    ss.compose_strategy(registry, pairs, engine.resolve_topology(spec, registry, 1))
+                strategy = ss.DefenseStrategy(tuple(ss.Placement(*pair) for pair in pairs))
+                with pytest.raises(error):
+                    ss.run_simulation(spec, strategy, registry, config())
+                with pytest.raises(error):
+                    ss.batch_run(spec, strategy, registry, config(), 3)
 
 
 class TestStepRound:

@@ -21,7 +21,9 @@ from spidersim.errors import (
     UnknownField,
 )
 from spidersim.canonical import canonical_json
-from spidersim.model import Finding, ScenarioParameters, check_topology, scenario_node_ids
+from spidersim.model import (
+    MAX_RECIPE_WORK, Finding, ScenarioParameters, check_topology, scenario_node_ids,
+)
 
 from helpers import (
     builtin_reg,
@@ -601,11 +603,50 @@ class TestRecipeLayout:
                  for r in (laid_out, fresh)]
         assert ss.serialize_scenario(specs[0]) == ss.serialize_scenario(specs[1])
 
+    @given(counts=st.lists(st.integers(0, 40), min_size=len(ss.NodeClass),
+                           max_size=len(ss.NodeClass)),
+           zones=st.integers(1, 60), links=st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_work_counts_the_layout(self, counts, zones, links):
+        """``expansion_work`` follows from the fields alone, and equals
+        the count taken from the layout: nodes + zones + same-zone node
+        pairs + zone pairs × inter_zone_gateways."""
+        r = recipe(dict(zip(ss.NodeClass, counts)), zone_count=zones, gateways=links)
+        pairs = sum(len(ids) * (len(ids) - 1) // 2 for ids in r.layout.members.values())
+        assert r.expansion_work() == (len(r.layout.placements) + zones + pairs
+                                      + zones * (zones - 1) // 2 * links)
+
+    def test_a_recipe_over_the_bound_is_refused(self, marine_spec):
+        """A recipe may ask for MAX_RECIPE_WORK expansion steps, not one
+        more; the check builds no layout, so a huge count is refused at
+        once, by the constructor and by the reader."""
+        at_bound = recipe({ss.NodeClass.SENSOR: 1}, zone_count=MAX_RECIPE_WORK - 1)
+        assert at_bound.expansion_work() == MAX_RECIPE_WORK
+        roadmap_point = recipe({ss.NodeClass.SENSOR: 20_000}, zone_count=200, gateways=1)
+        assert roadmap_point.expansion_work() == 1_030_100
+        for over in ({"zone_count": MAX_RECIPE_WORK}, {"zone_count": 2 ** 64},
+                     {"zone_count": 2_000, "inter_zone_gateways": 1},
+                     {"node_counts": ((ss.NodeClass.SENSOR, 2 ** 64),)},
+                     {"node_counts": ((ss.NodeClass.SENSOR, 2_829),), "zone_count": 2}):
+            with pytest.raises(InvariantViolation, match=r"^recipe: asks for \d+ expansion steps, "
+                                                         rf"more than {MAX_RECIPE_WORK}$"):
+                dataclasses.replace(at_bound, **over)
+        data = json.loads(ss.serialize_scenario(marine_spec))
+        data["scenario_parameters"] = {"recipe": {
+            "node_counts": {"sensor": 1}, "zone_count": 2 ** 64, "intra_zone_density": 0.5,
+            "inter_zone_gateways": 1, "vuln_rate": 0.5, "credential_rate": 0.3}}
+        with pytest.raises(InvariantViolation, match="^recipe: asks for "):
+            ss.parse_scenario(json.dumps(data))
+
     def test_validation_does_not_grow_with_the_zone_count(self, registry):
         # The layout names only the zones that hold nodes, so checking a
-        # spec costs one step per node however many zones the recipe names.
+        # spec costs one step per node however many zones the recipe names,
+        # up to the most that MAX_RECIPE_WORK admits: one node per zone.
         one_zone = recipe(TestBuildTopology.COUNTS)
-        many_zones = dataclasses.replace(one_zone, zone_count=10 ** 12)
+        nodes = one_zone.total_nodes()
+        many_zones = dataclasses.replace(one_zone, zone_count=MAX_RECIPE_WORK - nodes)
+        assert many_zones.expansion_work() == MAX_RECIPE_WORK
+        assert len(many_zones.layout.members) == nodes
         objectives = (ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
                                    ss.TargetSelector(node_id="controller-0"), 1.0),)
         base = spec_around(make_topology([("a", ss.NodeClass.SENSOR)], []), objectives)

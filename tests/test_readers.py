@@ -228,11 +228,12 @@ def test_every_pair_of_fields_against_the_reference(name, doc, parse, reference)
 
 
 @st.composite
-def mutated_documents(draw):
-    """A base document with one to three mutations, each at a path of the
-    document as the ones before it left it."""
-    index = draw(st.integers(0, len(READERS) - 1))
-    doc = READERS[index][1]
+def mutated_documents(draw, readers=READERS):
+    """The index of one of ``readers`` and its base document with one to
+    three mutations, each at a path of the document as the ones before it
+    left it."""
+    index = draw(st.integers(0, len(readers) - 1))
+    doc = readers[index][1]
     value = st.one_of(st.sampled_from(VALUES), st.integers(), st.floats(),
                       st.text(max_size=4))
     for _ in range(draw(st.integers(1, 3))):
