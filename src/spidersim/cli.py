@@ -160,11 +160,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scenario(args) -> Tuple[CapabilityRegistry, ScenarioSpec]:
+    """The built-in registry and the parsed --scenario document."""
+    return built_in_registry(), parse_scenario(_read(args.scenario))
+
+
 def _run_inputs(args) -> Tuple[CapabilityRegistry, ScenarioSpec, DefenseStrategy]:
     """The registry, --scenario and --strategy of simulate and batch; the
     engine checks both, so no topology is built here."""
-    registry = built_in_registry()
-    spec = parse_scenario(_read(args.scenario))
+    registry, spec = _scenario(args)
     placements = parse_strategy(_read(args.strategy)) if args.strategy else ()
     return registry, spec, compose_strategy(registry, placements)
 
@@ -208,8 +212,7 @@ def _cmd_validate(args) -> int:
 def _checked_topology(args) -> Tuple[CapabilityRegistry, NetworkTopology]:
     """The built-in registry and the --scenario topology for --seed, once
     the document passes the check ``simulate`` and ``batch`` make."""
-    registry = built_in_registry()
-    spec = parse_scenario(_read(args.scenario))
+    registry, spec = _scenario(args)
     check_scenario(spec, registry)
     return registry, resolve_topology(spec, registry, args.seed)
 
@@ -241,11 +244,7 @@ def _sim_config(args) -> SimulationConfig:
 def _cmd_simulate(args) -> int:
     registry, spec, strategy = _run_inputs(args)
     trace, metrics = run_simulation(spec, strategy, registry, _sim_config(args))
-    payload = export_trace(trace)
-    if args.trace:
-        Path(args.trace).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    _emit(export_trace(trace), args.trace)
     sys.stderr.write(
         f"rounds={trace.final_state.round} "
         f"compromised_fraction={metrics.compromised_fraction:.3f} "

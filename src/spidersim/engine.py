@@ -1,9 +1,9 @@
 """Seeded round-based attack-defense simulation.
 
 Round order: reactive defender actions first, then one attacker action
-(skipped while trapped). A run ends early when every attacker objective
-is met or when no attack capability has been applicable for three
-consecutive rounds.
+(skipped while trapped). A run ends early when it is won (the scenario
+has an attacker objective and every one is met) or when no attack
+capability has been applicable for three consecutive rounds.
 """
 
 from __future__ import annotations
@@ -85,26 +85,25 @@ class SimulationTrace:
 
 @dataclass(frozen=True, slots=True)
 class Metrics:
+    """``detection_count`` counts every detected attack, failed ones too; a
+    detect objective needs a successful one (``_detected_attack``)."""
+
     objectives_met: Tuple[Tuple[int, bool], ...]
     time_to_first_objective: Optional[int]
     compromised_fraction: float
     detection_count: int
     attacker_cost_spent: int
 
-    def any_attacker_objective_met(self, objectives: Tuple[Objective, ...]) -> bool:
-        return any(
-            met for (i, met) in self.objectives_met
-            if objectives[i].actor == Actor.ATTACKER
-        )
+    def attacker_won(self, objectives: Tuple[Objective, ...]) -> bool:
+        """Whether the run is won (``_won``) on the objectives measured."""
+        return _won([met for i, met in self.objectives_met
+                     if objectives[i].actor == Actor.ATTACKER])
 
 
 @dataclass(frozen=True)
 class BatchResult:
-    """``attacker_success_rate`` is the share of runs in which *any*
-    attacker objective is met at the end. A run stops early only when
-    *every* attacker objective is met (``_play``); the two rules agree
-    whenever there is one attacker objective, as in every shipped
-    scenario."""
+    """``attacker_success_rate`` is the share of won runs
+    (``Metrics.attacker_won``): the rule that also stops a run early."""
 
     per_seed: Tuple[Metrics, ...]
     mean_compromised_fraction: float
@@ -121,6 +120,16 @@ def resolve_topology(spec: ScenarioSpec, registry: CapabilityRegistry,
     if spec.scenario_parameters.explicit_topology is not None:
         return spec.scenario_parameters.explicit_topology
     return build_topology(spec.scenario_parameters.recipe, registry, seed)
+
+
+def _won(attacker_met: List[bool]) -> bool:
+    """The win rule: there is an attacker objective, and every one is met."""
+    return bool(attacker_met) and all(attacker_met)
+
+
+def _detected_attack(event: SimEvent) -> bool:
+    """What a detect objective needs: a successful attack that was detected."""
+    return event.actor == Actor.ATTACKER and event.success and event.detected
 
 
 def _objective_met(objective: Objective, matched: int, hit: int,
@@ -193,14 +202,13 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     if config.defender_policy == DefenderPolicy.REACTIVE:
         alarmed = any(r == round_number - 1 for r, _ in state.alarms)
         if alarmed:
-            candidates = [
-                n for n in state.topology.nodes
-                if n.id not in state.compromise
-                and DefenseKind.PATCH not in state.defenses_on(n.id)
-            ]
-            candidates.sort(key=lambda n: (-n.asset_value, n.id))
-            if candidates:
-                node = candidates[0]
+            node = min(
+                (n for n in state.topology.nodes
+                 if n.id not in state.compromise
+                 and DefenseKind.PATCH not in state.defenses_on(n.id)),
+                key=lambda n: (-n.asset_value, n.id), default=None,
+            )
+            if node is not None:
                 state = state.with_defense(node.id, DefenseKind.PATCH)
                 events.append(SimEvent(
                     round=round_number, actor=Actor.DEFENDER,
@@ -269,11 +277,8 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
     """The rounds of one seeded run on checked inputs: its events and its
     final state.
 
-    The run stops early once *every* attacker objective is met (or the
-    attacker stalls). A batch counts a run as won when *any* attacker
-    objective is met (``BatchResult.attacker_success_rate``); the two
-    rules agree whenever there is one attacker objective, as in every
-    shipped scenario.
+    The run stops early once it is won (``_won``, the rule a batch counts
+    wins with) or the attacker stalls.
 
     Work is skipped where its inputs are the same objects as before: a
     round reuses the attacker's action list of the last round that
@@ -298,10 +303,7 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
         state, round_events = step_round(state, registry, config, rng, _last=last)
         events.extend(round_events)
         attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
-        detected_any = detected_any or any(
-            e.actor == Actor.ATTACKER and e.success and e.detected
-            for e in round_events
-        )
+        detected_any = detected_any or any(map(_detected_attack, round_events))
         if attacker_acted or trapped:
             idle_rounds = 0
         else:
@@ -312,11 +314,11 @@ def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
         if compromised is checked[0] and detected_any is checked[1]:
             continue  # the objectives read nothing else, so none is met yet
         checked = (compromised, detected_any)
-        if attacker_objectives and all(
+        if _won([
             _objective_met(o, len(matching), sum(nid in compromised for nid in matching),
                            detected_any)
             for o, matching in attacker_objectives
-        ):
+        ]):
             break
     return tuple(events), state
 
@@ -341,36 +343,33 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
     return trace, compute_metrics(trace, spec.objectives, registry)
 
 
-def _first_success_rounds(trace: SimulationTrace) -> Dict[str, int]:
-    """First round each finally-compromised node saw a successful attack.
-
-    Compromise never decreases under the shipped capability set, so the
-    first successful attack event on a node that ends up compromised is
-    the round it was compromised.
-    """
-    compromised = trace.final_state.compromise
-    rounds: Dict[str, int] = {}
-    for event in trace.events:
-        if event.actor != Actor.ATTACKER or not event.success:
-            continue
-        if event.target in compromised and event.target not in rounds:
-            rounds[event.target] = event.round
-    return rounds
-
-
 def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
                     registry: CapabilityRegistry) -> Metrics:
     """Objective-level outcome measures for one trace; ``attacker_cost_spent``
-    sums the registry's costs of the attacker's actions."""
+    sums the registry's costs of the attacker's actions. One pass over the
+    events reads what the objectives need: compromise never decreases under
+    the shipped capabilities, so a node's first successful attack is the
+    round it was compromised."""
     topology = trace.final_state.topology
     total_nodes = len(topology.nodes)
     compromised = trace.final_state.compromise
     compromised_fraction = len(compromised) / total_nodes if total_nodes else 0.0
 
-    detected_any = any(
-        e.actor == Actor.ATTACKER and e.success and e.detected for e in trace.events
-    )
-    first_rounds = _first_success_rounds(trace)
+    first_rounds: Dict[str, int] = {}
+    first_detected: Optional[int] = None
+    detection_count = 0
+    cost = 0
+    for event in trace.events:
+        if event.actor != Actor.ATTACKER:
+            continue
+        cost += registry.get(event.capability_id).cost_units
+        if event.detected:
+            detection_count += 1
+        if event.success:
+            first_rounds.setdefault(event.target, event.round)
+        if _detected_attack(event) and (first_detected is None or event.round < first_detected):
+            first_detected = event.round
+    detected_any = first_detected is not None
 
     met: List[Tuple[int, bool]] = []
     first_objective_round: Optional[int] = None
@@ -394,22 +393,13 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
             if not is_met:
                 met_round = None
             elif objective.kind == ObjectiveKind.DETECT:
-                met_round = min(e.round for e in trace.events
-                                if e.actor == Actor.ATTACKER and e.success and e.detected)
+                met_round = first_detected
             else:  # protect: monotone, so the final-state check covers all rounds
                 met_round = final_round if matching else 0
         met.append((i, is_met))
         if objective.actor == Actor.ATTACKER and is_met:
             if first_objective_round is None or met_round < first_objective_round:
                 first_objective_round = met_round
-
-    detection_count = sum(
-        1 for e in trace.events if e.actor == Actor.ATTACKER and e.detected
-    )
-    cost = sum(
-        registry.get(e.capability_id).cost_units
-        for e in trace.events if e.actor == Actor.ATTACKER
-    )
 
     return Metrics(
         objectives_met=tuple(met),
@@ -441,7 +431,7 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
                                      events=events, final_state=final_state)
         metrics = compute_metrics(undigested, spec.objectives, registry)
         per_seed.append(metrics)
-        if metrics.any_attacker_objective_met(spec.objectives):
+        if metrics.attacker_won(spec.objectives):
             successes += 1
     return BatchResult(
         per_seed=tuple(per_seed),

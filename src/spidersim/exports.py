@@ -71,17 +71,16 @@ def export_dot(topology: NetworkTopology,
     for identical inputs.
     """
     paths = list(highlighted_paths or [])
-    node_ids = {n.id for n in topology.nodes}
     hot: set = set()
     external_edges: set = set()
     for path in paths:
         for step in path.steps:
-            if step.target not in node_ids:
+            if topology.node_by_id(step.target) is None:
                 raise UnknownPathNode(f"path references unknown node {step.target!r}")
             if step.source == EXTERNAL:
                 external_edges.add((EXTERNAL, step.target))
             else:
-                if step.source not in node_ids:
+                if topology.node_by_id(step.source) is None:
                     raise UnknownPathNode(f"path references unknown node {step.source!r}")
                 hot.add((step.source, step.target))
 

@@ -20,7 +20,9 @@ add_vulnerability, add_edge, raise_node_budget).
 Attack paths are searched in one place: for each attacker objective
 whose draft has an entry node and a matching node, the validator asks
 whether any path reaches the objective (a ``k=1`` search), and its hints
-depend on that answer alone.
+depend on that answer alone. The entry classes and the exploit's access
+level are read from the binding rules the engine and the attack graph
+share (``registry.path_capabilities``).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .attackgraph import PathQuery, enumerate_attack_paths
-from .capabilities import CapabilityRegistry, ENTRY_CLASSES, select_vulnerability
+from .capabilities import CapabilityRegistry, select_vulnerability
 from .errors import (
     EmptyRequirement,
     GenerationFailed,
@@ -67,6 +69,8 @@ class AttackerProfile(str, Enum):
     OPPORTUNISTIC = "opportunistic"
     TARGETED = "targeted"
 
+
+_NODE_CLASSES = tuple(NodeClass)
 
 # vuln_rate derived from the attacker profile by the context analyst
 _PROFILE_VULN_RATE = {
@@ -178,15 +182,23 @@ def _check_requirement(requirement: Requirement) -> None:
         raise EmptyRequirement("requirement narrative is empty")
 
 
-def _preferred_entry_class(requirement: Requirement) -> NodeClass:
-    for cls in (NodeClass.MAINTENANCE_ENDPOINT, NodeClass.WORKSTATION):
-        if cls in requirement.constraints.required_classes:
-            return cls
-    return NodeClass.MAINTENANCE_ENDPOINT
+def _entry_classes(registry: CapabilityRegistry) -> Tuple[NodeClass, ...]:
+    """The classes the registry's entry capability targets, in ``NodeClass``
+    order; GenerationFailed names a registry without one."""
+    entry = registry.path_capabilities[2]
+    if entry is None:
+        raise GenerationFailed(
+            "the registry has no entry capability: no attack capability "
+            "compromises nodes of given classes without a foothold")
+    classes = entry._binding_rule.target_classes
+    return tuple([cls for cls in _NODE_CLASSES if cls in classes])
 
 
-def _entry_nodes(topology: NetworkTopology) -> Tuple[str, ...]:
-    return tuple(sorted(nid for cls in ENTRY_CLASSES for nid in topology.node_ids_of_class(cls)))
+def _preferred_entry_class(requirement: Requirement, registry: CapabilityRegistry) -> NodeClass:
+    """The first entry class the requirement asks for, else the first one."""
+    classes = _entry_classes(registry)
+    return next((cls for cls in classes if cls in requirement.constraints.required_classes),
+                classes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +213,7 @@ def _run_context_analyst(bb: Blackboard, registry: CapabilityRegistry, seed: int
     return ContextProfile(
         asset_classes=tuple(classes),
         vuln_rate=_PROFILE_VULN_RATE[constraints.attacker_profile],
-        entry_class=_preferred_entry_class(bb.requirement),
+        entry_class=_preferred_entry_class(bb.requirement, registry),
     )
 
 
@@ -252,15 +264,17 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
     """Check that every attacker objective is reachable; emit hints if not.
 
     An objective is reachable when a search from the draft's entry nodes
-    finds one attack path to it; only whether one exists matters. A
-    target counts as exploitable when an exploit at ADJACENT access, the
-    level of the built-in exploit and of the vulnerability the hint adds,
-    has a vulnerability to use on it."""
+    (those of the entry classes) finds one attack path to it; only whether one exists matters. A
+    target counts as exploitable when it has a vulnerability to use at
+    the access level of the registry's exploit capability, the level the
+    ADD_VULNERABILITY hint asks for; without an exploit capability no
+    such hint is given."""
     topology = bb.topology_draft
     errors: List[Finding] = []
     hints: List[RefinementHint] = []
 
-    entries = _entry_nodes(topology)
+    entries = tuple(sorted(nid for cls in _entry_classes(registry)
+                           for nid in topology.node_ids_of_class(cls)))
     if not entries:
         errors.append(Finding("NoAttackPath", "topology has no entry surface", "topology"))
         hints.append(RefinementHint(HintKind.ADD_ENTRY_SURFACE,
@@ -268,6 +282,8 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
         hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
         return errors, hints
 
+    exploit = registry.path_capabilities[0]
+    level = exploit._binding_rule.vuln_access if exploit else None
     for i, objective in enumerate(bb.threat_plan.objectives):
         if objective.actor != Actor.ATTACKER:
             continue
@@ -284,12 +300,11 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
         errors.append(Finding("NoAttackPath", "no attack path reaches the objective", f"objectives[{i}]"))
         unexploitable = [
             t for t in targets
-            if select_vulnerability(topology, t, AccessRequirement.ADJACENT) is None
+            if level is not None and select_vulnerability(topology, t, level) is None
         ]
         if unexploitable:
             hints.append(RefinementHint(
-                HintKind.ADD_VULNERABILITY, node_id=unexploitable[0],
-                access=AccessRequirement.ADJACENT,
+                HintKind.ADD_VULNERABILITY, node_id=unexploitable[0], access=level,
             ))
         hints.append(RefinementHint(HintKind.ADD_EDGE, src=entries[0], dst=targets[0]))
     return errors, hints
@@ -397,7 +412,7 @@ def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
         vuln = Vulnerability(
             id=f"vuln-forge-{len(topology.vulnerabilities)}",
             technique_tag="T1190",
-            access_requirement=hint.access or AccessRequirement.ADJACENT,
+            access_requirement=hint.access,
             success_prob=0.6,
             detection_prob=0.2,
             gained_privilege=Privilege.ADMIN,
@@ -431,6 +446,7 @@ def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
     _check_requirement(requirement)
     if max_iterations < 1:
         raise GenerationFailed("max_iterations must be >= 1")
+    _entry_classes(registry)  # refuse a registry without one before any role runs
 
     bb = Blackboard(requirement=requirement)
     reports: List[ValidationReport] = []

@@ -880,14 +880,12 @@ def check_topology(topo: NetworkTopology):
         if key in seen_edges:
             yield Finding("DuplicateEdge", f"duplicate edge {key!r}", loc)
         seen_edges.add(key)
-    vuln_ids = {v.id for v in topo.vulnerabilities}
-    cred_ids = {c.id for c in topo.credentials}
     for node in topo.nodes:
         for vid in node.vulnerability_ids:
-            if vid not in vuln_ids:
+            if topo.vulnerability_by_id(vid) is None:
                 yield Finding("UnknownVulnerabilityRef", f"node {node.id!r} references missing vulnerability {vid!r}", f"nodes.{node.id}")
         for cid in node.credential_ids:
-            if cid not in cred_ids:
+            if topo.credential_by_id(cid) is None:
                 yield Finding("UnknownCredentialRef", f"node {node.id!r} references missing credential {cid!r}", f"nodes.{node.id}")
     for cred in topo.credentials:
         if cred.stored_on not in node_ids:
@@ -933,9 +931,8 @@ def validate_spec(spec: ScenarioSpec, registry) -> ValidationReport:
     errors: List[Finding] = []
     warnings: List[Finding] = []
 
-    known_ids = {cap.id for cap in registry.capabilities()}
     for ref in spec.elements.capability_refs:
-        if ref not in known_ids:
+        if not registry.has(ref):
             errors.append(Finding("UnresolvedCapability", f"capability {ref!r} not in registry", "elements.capability_refs"))
 
     topo = spec.scenario_parameters.explicit_topology

@@ -63,6 +63,7 @@ from spidersim.errors import (
 )
 from spidersim.engine import (
     STALL_ROUNDS,
+    Metrics,
     SimEvent,
     _objective_met,
     resolve_topology,
@@ -1191,10 +1192,19 @@ def matching_nodes(topology: NetworkTopology, selector: TargetSelector) -> List[
 def reference_play(spec: ScenarioSpec, strategy: DefenseStrategy,
                    registry: CapabilityRegistry, config
                    ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
-    """What ``engine._play`` must return: the round loop that calls the
-    public ``step_round`` every round, so every round enumerates the
-    attacker's actions afresh, and checks the objectives after every
-    round."""
+    """What ``engine._play`` must return: the events and final state of
+    ``reference_rounds``."""
+    events, state, _ = reference_rounds(spec, strategy, registry, config)
+    return events, state
+
+
+def reference_rounds(spec: ScenarioSpec, strategy: DefenseStrategy,
+                     registry: CapabilityRegistry, config
+                     ) -> Tuple[Tuple[SimEvent, ...], SimulationState, bool]:
+    """The round loop that calls the public ``step_round`` every round, so
+    every round enumerates the attacker's actions afresh, and checks the
+    objectives after every round: its events, its final state, and
+    whether it stopped on that objective check."""
     topology = resolve_topology(spec, registry, config.seed)
     state = deploy_strategy(fresh_state(topology), strategy, registry)
     rng = substream(config.seed, "simulation")
@@ -1228,5 +1238,89 @@ def reference_play(spec: ScenarioSpec, strategy: DefenseStrategy,
                            detected_any)
             for o, matching in attacker_objectives
         ):
-            break
-    return tuple(events), state
+            return tuple(events), state, True
+    return tuple(events), state, False
+
+
+# ---------------------------------------------------------------------------
+# reference metrics: the two-rule, five-scan computation the engine's
+# one-pass ``compute_metrics`` replaced, kept as written
+# ---------------------------------------------------------------------------
+
+def _reference_first_success_rounds(trace) -> Dict[str, int]:
+    """First round each finally-compromised node saw a successful attack.
+
+    Compromise never decreases under the shipped capability set, so the
+    first successful attack event on a node that ends up compromised is
+    the round it was compromised.
+    """
+    compromised = trace.final_state.compromise
+    rounds: Dict[str, int] = {}
+    for event in trace.events:
+        if event.actor != Actor.ATTACKER or not event.success:
+            continue
+        if event.target in compromised and event.target not in rounds:
+            rounds[event.target] = event.round
+    return rounds
+
+
+def reference_compute_metrics(trace, objectives: Tuple[Objective, ...],
+                              registry: CapabilityRegistry) -> Metrics:
+    """Objective-level outcome measures for one trace; ``attacker_cost_spent``
+    sums the registry's costs of the attacker's actions."""
+    topology = trace.final_state.topology
+    total_nodes = len(topology.nodes)
+    compromised = trace.final_state.compromise
+    compromised_fraction = len(compromised) / total_nodes if total_nodes else 0.0
+
+    detected_any = any(
+        e.actor == Actor.ATTACKER and e.success and e.detected for e in trace.events
+    )
+    first_rounds = _reference_first_success_rounds(trace)
+
+    met: List[Tuple[int, bool]] = []
+    first_objective_round: Optional[int] = None
+    final_round = trace.final_state.round
+
+    for i, objective in enumerate(objectives):
+        matching = topology.select(objective.target)
+        if objective.kind == ObjectiveKind.COMPROMISE:
+            # Met in the round of the shortest prefix of the hit rounds that
+            # meets it; the empty prefix stands for round 0.
+            hit_rounds = sorted(first_rounds[nid] for nid in matching if nid in compromised)
+            met_round = next(
+                (r for hit, r in enumerate([0, *hit_rounds])
+                 if _objective_met(objective, len(matching), hit, detected_any)),
+                None,
+            )
+            is_met = met_round is not None
+        else:
+            hit = sum(nid in compromised for nid in matching)
+            is_met = _objective_met(objective, len(matching), hit, detected_any)
+            if not is_met:
+                met_round = None
+            elif objective.kind == ObjectiveKind.DETECT:
+                met_round = min(e.round for e in trace.events
+                                if e.actor == Actor.ATTACKER and e.success and e.detected)
+            else:  # protect: monotone, so the final-state check covers all rounds
+                met_round = final_round if matching else 0
+        met.append((i, is_met))
+        if objective.actor == Actor.ATTACKER and is_met:
+            if first_objective_round is None or met_round < first_objective_round:
+                first_objective_round = met_round
+
+    detection_count = sum(
+        1 for e in trace.events if e.actor == Actor.ATTACKER and e.detected
+    )
+    cost = sum(
+        registry.get(e.capability_id).cost_units
+        for e in trace.events if e.actor == Actor.ATTACKER
+    )
+
+    return Metrics(
+        objectives_met=tuple(met),
+        time_to_first_objective=first_objective_round,
+        compromised_fraction=compromised_fraction,
+        detection_count=detection_count,
+        attacker_cost_spent=cost,
+    )

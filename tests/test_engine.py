@@ -29,7 +29,9 @@ from helpers import (
     make_topology,
     make_vuln,
     random_topology,
+    reference_compute_metrics,
     reference_play,
+    reference_rounds,
     spec_around,
     sure_entry_reg,
     with_directed_edges,
@@ -112,7 +114,7 @@ class TestRunSimulation:
                                            registry, config(max_rounds=20))
         assert trace.events == ()
         assert trace.final_state.round == STALL_ROUNDS
-        assert not metrics.any_attacker_objective_met(spec.objectives)
+        assert not metrics.attacker_won(spec.objectives)
 
     def test_trap_soundness(self, marine_spec, marine_topology, registry):
         strategy = marine_strategy(registry, marine_topology)
@@ -523,6 +525,150 @@ class TestMetrics:
         metrics = ss.compute_metrics(trace, (detect,), registry)
         assert dict(metrics.objectives_met)[0]
         assert metrics.detection_count == 1
+
+
+def random_trace(rng, registry):
+    """A trace of random events on a random topology (none, now and then):
+    rounds out of order, defender events, repeated targets and targets no
+    node has. The final state compromises some of the topology's nodes
+    that a successful attack targeted."""
+    topo = (random_topology(rng, max_nodes=6) if rng.random() < 0.9 else
+            ss.NetworkTopology(nodes=(), edges=(), zones=(), vulnerabilities=(),
+                               credentials=()))
+    ids = [n.id for n in topo.nodes]
+    attacks = [cap.id for cap in registry.capabilities()
+               if cap.kind == ss.CapabilityKind.ATTACK]
+    events = []
+    for _ in range(rng.randint(0, 12)):
+        attacker = rng.random() < 0.8
+        events.append(ss.SimEvent(
+            round=rng.randint(1, 10),
+            actor=ss.Actor.ATTACKER if attacker else ss.Actor.DEFENDER,
+            capability_id=rng.choice(attacks) if attacker else "patch",
+            target=rng.choice(ids + ["ghost"]) if ids else "ghost",
+            success=rng.random() < 0.6, detected=rng.random() < 0.4,
+            trapped_for=rng.choice((0, 0, 2)),
+        ))
+    hit = sorted({e.target for e in events if e.actor == ss.Actor.ATTACKER
+                  and e.success and e.target in ids})
+    state = fresh_state(topo)
+    for node_id in rng.sample(hit, rng.randint(0, len(hit))):
+        state = state.with_compromise(node_id, ss.Privilege.USER)
+    state = state.with_round(max([e.round for e in events], default=0))
+    return SimulationTrace(config=config(), scenario_digest="x", events=tuple(events),
+                           final_state=state)
+
+
+def random_objectives(rng, topology, count):
+    selectors = [ss.TargetSelector(node_class=cls) for cls in ss.NodeClass]
+    selectors += [ss.TargetSelector(node_id=nid)
+                  for nid in [n.id for n in topology.nodes] + ["ghost"]]
+    return tuple(
+        ss.Objective(rng.choice(list(ss.Actor)), rng.choice(list(ss.ObjectiveKind)),
+                     rng.choice(selectors), rng.choice((0.0, 0.3, 0.5, 0.7, 1.0)))
+        for _ in range(count))
+
+
+class TestOnePassMetrics:
+    def test_equals_the_reference_on_random_traces(self, registry):
+        """``compute_metrics`` equals the five-scan reference computation
+        on 600 random traces, empty ones included."""
+        kinds = {"empty": 0, "out_of_order": 0, "defender": 0, "repeated": 0, "unknown": 0}
+        for seed in range(600):
+            rng = random.Random(seed)
+            trace = random_trace(rng, registry)
+            topology = trace.final_state.topology
+            objectives = random_objectives(rng, topology, rng.randint(0, 4))
+            assert (ss.compute_metrics(trace, objectives, registry)
+                    == reference_compute_metrics(trace, objectives, registry))
+            rounds = [e.round for e in trace.events]
+            targets = [e.target for e in trace.events]
+            kinds["empty"] += not trace.events
+            kinds["out_of_order"] += rounds != sorted(rounds)
+            kinds["defender"] += any(e.actor == ss.Actor.DEFENDER for e in trace.events)
+            kinds["repeated"] += len(set(targets)) < len(targets)
+            kinds["unknown"] += any(topology.node_by_id(t) is None for t in targets)
+        assert min(kinds.values()) >= 20, kinds
+
+    def test_unknown_capability_raises_as_the_reference(self, registry):
+        """An attacker event naming no capability of the registry raises
+        the reference's error; a defender event's id is not looked up."""
+        rng = random.Random(5)
+        checked = 0
+        for seed in range(60):
+            trace = random_trace(random.Random(seed), registry)
+            attacker = [i for i, e in enumerate(trace.events) if e.actor == ss.Actor.ATTACKER]
+            if not attacker:
+                continue
+            events = list(trace.events)
+            i = rng.choice(attacker)
+            events[i] = replace(events[i], capability_id="no_such_capability")
+            bad = replace(trace, events=tuple(events))
+            with pytest.raises(UnknownCapability) as reference:
+                reference_compute_metrics(bad, (), registry)
+            with pytest.raises(UnknownCapability) as one_pass:
+                ss.compute_metrics(bad, (), registry)
+            assert one_pass.value.message == reference.value.message
+            checked += 1
+        assert checked >= 30
+        topo = make_topology(nodes=[("w", ss.NodeClass.WORKSTATION)], edges=[])
+        defender = ss.SimEvent(1, ss.Actor.DEFENDER, "no_such_capability", "w",
+                               success=True, detected=False, trapped_for=0)
+        trace = SimulationTrace(config=config(), scenario_digest="x", events=(defender,),
+                                final_state=fresh_state(topo).with_round(1))
+        assert ss.compute_metrics(trace, (), registry).attacker_cost_spent == 0
+
+
+class TestWinRule:
+    def test_every_attacker_objective_must_hold(self, marine_spec, registry):
+        """An extra attacker objective on ``camera-0``, which no attack
+        path reaches, is never met: no run stops early and none counts as
+        won, though the controller objective alone is met in every run."""
+        camera = ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                              ss.TargetSelector(node_id="camera-0"), 1.0)
+        spec = replace(marine_spec, objectives=marine_spec.objectives + (camera,))
+        cfg = config(max_rounds=20)
+        batch = ss.batch_run(spec, ss.DefenseStrategy(), registry, cfg, 200)
+        assert batch.attacker_success_rate == 0.0
+        assert all(dict(m.objectives_met)[0] for m in batch.per_seed)
+        for seed in range(10):
+            trace, _ = ss.run_simulation(spec, ss.DefenseStrategy(), registry,
+                                         config(max_rounds=20, seed=seed))
+            assert trace.final_state.round == 20
+
+    def test_won_exactly_when_the_reference_loop_stops_on_its_objectives(self, registry):
+        """On random scenarios with one to three attacker objectives, a run
+        is won exactly when the reference round loop stopped on its
+        objective check, and a batch's success rate is the share of such
+        runs."""
+        outcomes = set()
+        split = 0  # runs where some but not every attacker objective is met
+        for seed in range(150):
+            rng = random.Random(seed)
+            topo = random_topology(rng, max_nodes=6)
+            attacker = tuple(replace(o, actor=ss.Actor.ATTACKER) for o in
+                             random_objectives(rng, topo, rng.randint(1, 3)))
+            objectives = attacker + random_objectives(rng, topo, rng.randint(0, 2))
+            objectives = tuple(o for o in objectives if topo.select(o.target))
+            if not any(o.actor == ss.Actor.ATTACKER for o in objectives):
+                continue
+            spec = spec_around(topo, objectives=objectives)
+            cfg = config(max_rounds=10, seed=seed,
+                         attacker_policy=rng.choice(list(ss.AttackerPolicy)))
+            batch = ss.batch_run(spec, ss.DefenseStrategy(), registry, cfg, 4)
+            wins = 0
+            for i, metrics in enumerate(batch.per_seed):
+                _, _, won = reference_rounds(spec, ss.DefenseStrategy(), registry,
+                                             replace(cfg, seed=seed + i))
+                assert metrics.attacker_won(objectives) == won, (seed, i)
+                wins += won
+                outcomes.add(won)
+                met = [m for j, m in metrics.objectives_met
+                       if objectives[j].actor == ss.Actor.ATTACKER]
+                split += any(met) and not all(met)
+            assert batch.attacker_success_rate == wins / 4
+        assert outcomes == {False, True}
+        assert split >= 10
 
 
 class TestBatch:

@@ -9,7 +9,7 @@ import pytest
 
 import spidersim as ss
 import spidersim.forge as forge
-from spidersim.capabilities import ENTRY_CLASSES
+from spidersim.capabilities import ENTRY_CLASSES, PredicateKind
 from spidersim.forge import (
     PIPELINE,
     SLOT_NAMES,
@@ -35,7 +35,7 @@ from spidersim.errors import (
 from spidersim.exports import parse_requirement
 from spidersim.model import ValidationReport
 
-from helpers import make_topology, make_vuln, selector_matches
+from helpers import builtin_reg, make_topology, make_vuln, selector_matches
 
 
 def requirement(max_nodes=10, required=(ss.NodeClass.SENSOR,
@@ -491,3 +491,122 @@ class TestConsumedSlots:
                        for bb, ran, seed in drafts if ran is role)
         ]
         assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# entry and exploit rules read from the registry
+# ---------------------------------------------------------------------------
+
+def registry_with(entry_classes=None, exploit_access=None, drop=()):
+    """The built-in set with phishing's ``node_class_is`` and the exploit's
+    access level replaced where given, and the ``drop`` ids left out."""
+    def amended(cap):
+        terms = []
+        for pred in cap.preconditions:
+            if cap.id == "phishing" and pred.kind == PredicateKind.NODE_CLASS_IS:
+                pred = replace(pred, node_classes=tuple(entry_classes or pred.node_classes))
+            elif pred.kind == PredicateKind.NODE_HAS_VULN_WITH_ACCESS:
+                pred = replace(pred, access=exploit_access or pred.access)
+            terms.append(pred)
+        return replace(cap, preconditions=tuple(terms))
+
+    registry = ss.CapabilityRegistry()
+    for cap in builtin_reg().capabilities():
+        if cap.id not in drop:
+            registry = ss.register_capability(registry, amended(cap))
+    return registry
+
+
+def entry_nodes(topology, registry):
+    """The nodes the registry's cheapest entry capability targets."""
+    rule = registry.path_capabilities[2]._binding_rule
+    return [n.id for n in topology.nodes if n.node_class in rule.target_classes]
+
+
+PROBE_SEEDS = range(40)
+
+
+class TestRegistryRules:
+    """The forge reads its entry classes and exploit access level from the
+    registry, as the engine and the attack graph do. The probe
+    requirement: six nodes, sensor, controller and maintenance endpoint
+    required, controller targeted."""
+
+    def test_workstation_only_phishing(self):
+        registry = registry_with(entry_classes=(ss.NodeClass.WORKSTATION,))
+        for seed in PROBE_SEEDS:
+            spec, _ = ss.run_pipeline(requirement(max_nodes=6), registry, seed)
+            topology = spec.scenario_parameters.explicit_topology
+            assert any(n.node_class == ss.NodeClass.WORKSTATION for n in topology.nodes)
+            batch = ss.batch_run(spec, ss.DefenseStrategy(), registry,
+                                 ss.SimulationConfig(seed=seed), 20)
+            assert any(m.compromised_fraction > 0 for m in batch.per_seed), seed
+
+    def test_network_access_exploit(self):
+        registry = registry_with(exploit_access=ss.AccessRequirement.NETWORK)
+        for seed in PROBE_SEEDS:
+            spec, _ = ss.run_pipeline(requirement(max_nodes=6), registry, seed)
+            assert ss.validate_spec(spec, registry).errors == ()
+
+    @pytest.mark.parametrize("registry", [
+        registry_with(drop=("phishing",)),
+        registry_with(drop=("phishing", "exploit_vuln", "lateral_move_with_cred")),
+        ss.CapabilityRegistry(tuple(
+            replace(cap, preconditions=tuple(p for p in cap.preconditions
+                                             if p.kind != PredicateKind.NODE_CLASS_IS))
+            for cap in builtin_reg().capabilities())),
+    ], ids=["no_phishing", "no_path_capability", "unlimited_phishing"])
+    def test_no_class_limited_entry_capability(self, registry, monkeypatch):
+        """Refused with the reason named, before the first role runs."""
+        steps = []
+        monkeypatch.setattr(forge, "agent_step", lambda *args: steps.append(args))
+        with pytest.raises(GenerationFailed, match="no entry capability"):
+            ss.run_pipeline(requirement(max_nodes=6), registry, seed=0)
+        assert steps == []
+
+    def test_no_exploit_capability_gets_no_vulnerability_hint(self, registry):
+        """Without an exploit capability no vulnerability can open a path,
+        so the validator asks for none."""
+        no_exploit = registry_with(drop=("exploit_vuln",))
+        req = requirement(required=(ss.NodeClass.MAINTENANCE_ENDPOINT, ss.NodeClass.CONTROLLER))
+        topology = make_topology(
+            nodes=[("m", ss.NodeClass.MAINTENANCE_ENDPOINT), ("c", ss.NodeClass.CONTROLLER)],
+            edges=[])
+        for reg, kinds in ((registry, [HintKind.ADD_VULNERABILITY, HintKind.ADD_EDGE]),
+                           (no_exploit, [HintKind.ADD_EDGE])):
+            bb = Blackboard(requirement=req, topology_draft=topology)
+            for role in PIPELINE:
+                if role.id != RoleId.TOPOLOGY_SYNTHESIZER:
+                    bb = agent_step(role, bb, reg, seed=0)
+            assert [h.kind for h in bb.validation_report.hints] == kinds
+
+    def test_random_registries(self):
+        """Phishing limited to a random non-empty set of classes and the
+        exploit at a random access level: in every scenario the pipeline
+        returns, the attacker's target is reachable from the nodes the
+        entry capability targets, and a batch of ten runs compromises a
+        node."""
+        classes = list(ss.NodeClass)
+        generated = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            registry = registry_with(
+                entry_classes=tuple(rng.sample(classes, rng.randint(1, len(classes)))),
+                exploit_access=rng.choice(list(ss.AccessRequirement)))
+            target = rng.choice(PIN_CLASSES)
+            required = rng.sample(PIN_CLASSES, rng.randint(1, 3))
+            req = requirement(max_nodes=len(set(required) | {target}) + rng.randint(1, 3),
+                              required=required, target=target)
+            try:
+                spec, _ = ss.run_pipeline(req, registry, seed)
+            except GenerationFailed:
+                continue
+            generated += 1
+            topology = spec.scenario_parameters.explicit_topology
+            reached = ss.reachable_set(topology, registry, entry_nodes(topology, registry))
+            objective = next(o for o in spec.objectives if o.actor == ss.Actor.ATTACKER)
+            assert reached & set(topology.select(objective.target)), seed
+            batch = ss.batch_run(spec, ss.DefenseStrategy(), registry,
+                                 ss.SimulationConfig(seed=seed), 10)
+            assert any(m.compromised_fraction > 0 for m in batch.per_seed), seed
+        assert generated >= 60
