@@ -4,12 +4,19 @@ Round order: reactive defender actions first, then one attacker action
 (skipped while trapped). A run ends early when it is won (the scenario
 has an attacker objective and every one is met) or when no attack
 capability has been applicable for three consecutive rounds.
+
+A run plays its rounds (``_play``) from a start (``_start``): the deployed
+state, and the attacker objectives with the nodes they match. A batch on
+an explicit topology builds the start once, since no seed changes it, and
+each run inherits the attacker action lists the run before it used
+(``_LastEnumeration``); a recipe batch builds one start per run and
+shares nothing across seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -149,21 +156,30 @@ def _objective_met(objective: Objective, matched: int, hit: int,
 
 
 class _LastEnumeration:
-    """The attacker's action list of the last round of one run that
-    enumerated, with the state it was enumerated on.
+    """The attacker's action lists of one run on one topology and registry:
+    the list of its last round, with the state it was taken on, and every
+    list the run used (``used``) or inherited from the run before it in
+    the batch (``inherited``), keyed by the value of the state fields
+    enumeration reads.
 
     ``applicable_capabilities`` reads only the ``compromise``,
-    ``deployed`` and ``credentials_held`` fields of the state, and a state
-    update keeps the very objects of the fields it does not change. So
-    while those three are the same objects as in ``state``, the list is
-    the one enumerating again would return.
+    ``deployed`` and ``credentials_held`` fields of the state, and returns
+    the list in an order those values fix. A state update keeps the very
+    objects of the fields it does not change, so while those three are
+    the same objects as in ``state`` the last list is reused as is. On a
+    miss the list is looked up by their value, and enumerated only when
+    neither this run nor the one before it holds it. A run inherits the
+    previous run's ``used`` alone, so a batch holds at most two runs'
+    lists.
     """
 
-    __slots__ = ("state", "actions")
+    __slots__ = ("state", "actions", "used", "inherited")
 
-    def __init__(self):
+    def __init__(self, inherited: Optional[Dict[tuple, list]] = None):
         self.state = None
         self.actions = []
+        self.used: Dict[tuple, list] = {}
+        self.inherited = inherited or {}
 
     def actions_on(self, state: SimulationState, registry: CapabilityRegistry
                    ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
@@ -171,8 +187,16 @@ class _LastEnumeration:
         if (last is None or state.compromise is not last.compromise
                 or state.deployed is not last.deployed
                 or state.credentials_held is not last.credentials_held):
+            key = (frozenset(state.compromise.items()), frozenset(state.deployed.items()),
+                   state.credentials_held)
+            actions = self.used.get(key)
+            if actions is None:
+                actions = self.inherited.get(key)
+                if actions is None:
+                    actions = applicable_capabilities(registry, state, "attacker")
+                self.used[key] = actions
             self.state = state
-            self.actions = applicable_capabilities(registry, state, "attacker")
+            self.actions = actions
         return self.actions
 
 
@@ -189,9 +213,10 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     draw before the apply draws.
 
     Called alone, it enumerates the attacker's actions afresh. ``_last``
-    is private to ``_play``: the action list of an earlier round of the
-    same run, reused while the state fields enumeration reads are the
-    same objects.
+    is private to ``_play``: the action lists of the run and of the run
+    before it in a batch (``_LastEnumeration``), reused while the state
+    fields enumeration reads are the same objects or hold the same
+    values. The attacker's event, if any, is the round's last.
     """
     if state.round >= config.max_rounds:
         raise RoundLimitExceeded(f"round {state.round} is already at max_rounds")
@@ -210,11 +235,8 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
             )
             if node is not None:
                 state = state.with_defense(node.id, DefenseKind.PATCH)
-                events.append(SimEvent(
-                    round=round_number, actor=Actor.DEFENDER,
-                    capability_id="patch", target=node.id,
-                    success=True, detected=False, trapped_for=0,
-                ))
+                events.append(SimEvent(round_number, Actor.DEFENDER, "patch", node.id,
+                                       True, False, 0))
 
     if state.trapped_until > round_number:
         return state, events
@@ -241,12 +263,8 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
 
     cap, binding = pick
     state, outcome = apply_capability(state, cap, binding, rng)
-    events.append(SimEvent(
-        round=round_number, actor=Actor.ATTACKER,
-        capability_id=cap.id, target=binding["target"],
-        success=outcome.success, detected=outcome.detected,
-        trapped_for=outcome.trapped_for,
-    ))
+    events.append(SimEvent(round_number, Actor.ATTACKER, cap.id, binding["target"],
+                           outcome.success, outcome.detected, outcome.trapped_for))
     return state, events
 
 
@@ -271,39 +289,44 @@ def _check_inputs(spec: ScenarioSpec, strategy: DefenseStrategy,
     check_placements(registry, strategy.capability_placements, scenario_node_ids(spec))
 
 
-def _play(spec: ScenarioSpec, strategy: DefenseStrategy,
-          registry: CapabilityRegistry, config: SimulationConfig
+def _start(spec: ScenarioSpec, strategy: DefenseStrategy, registry: CapabilityRegistry,
+           seed: int) -> Tuple[SimulationState, List[Tuple[Objective, Tuple[str, ...]]]]:
+    """What a run starts from on checked inputs: the deployed state on the
+    seed's topology, and the attacker objectives, each with the nodes its
+    target matches. Every part is immutable, so runs may share it."""
+    topology = resolve_topology(spec, registry, seed)
+    state = deploy_strategy(fresh_state(topology), strategy, registry)
+    return state, [(o, topology.select(o.target)) for o in spec.objectives
+                   if o.actor == Actor.ATTACKER]
+
+
+def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tuple[str, ...]]],
+          registry: CapabilityRegistry, config: SimulationConfig, last: _LastEnumeration
           ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
-    """The rounds of one seeded run on checked inputs: its events and its
-    final state.
+    """The rounds of one seeded run from a start (``_start``): its events
+    and its final state.
 
     The run stops early once it is won (``_won``, the rule a batch counts
     wins with) or the attacker stalls.
 
-    Work is skipped where its inputs are the same objects as before: a
-    round reuses the attacker's action list of the last round that
-    enumerated (``_LastEnumeration``), and the objectives are checked
-    again only when the compromise or ``detected_any`` changed."""
-    topology = resolve_topology(spec, registry, config.seed)
-    state = deploy_strategy(fresh_state(topology), strategy, registry)
+    Work is skipped where its inputs are the same as before: a round
+    reuses an attacker action list that ``last`` holds for the state
+    (``_LastEnumeration``), and the objectives are checked again only when
+    the compromise or ``detected_any`` changed."""
     rng = substream(config.seed, "simulation")
-
-    attacker_objectives = [
-        (o, topology.select(o.target)) for o in spec.objectives
-        if o.actor == Actor.ATTACKER
-    ]
     events: List[SimEvent] = []
     idle_rounds = 0
     detected_any = False
-    last = _LastEnumeration()
     checked = (None, None)  # compromise and detected_any at the last objective check
 
     for _ in range(config.max_rounds):
         trapped = state.trapped_until > state.round + 1
         state, round_events = step_round(state, registry, config, rng, _last=last)
         events.extend(round_events)
-        attacker_acted = any(e.actor == Actor.ATTACKER for e in round_events)
-        detected_any = detected_any or any(map(_detected_attack, round_events))
+        # step_round puts the attacker's event, if any, last.
+        attacker_acted = bool(round_events) and round_events[-1].actor == Actor.ATTACKER
+        if attacker_acted and not detected_any:
+            detected_any = _detected_attack(round_events[-1])
         if attacker_acted or trapped:
             idle_rounds = 0
         else:
@@ -333,7 +356,8 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
     traces.
     """
     _check_inputs(spec, strategy, registry)
-    events, final_state = _play(spec, strategy, registry, config)
+    events, final_state = _play(*_start(spec, strategy, registry, config.seed), registry,
+                                config, _LastEnumeration())
     trace = SimulationTrace(
         config=config,
         scenario_digest=scenario_digest(spec),
@@ -349,7 +373,9 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
     sums the registry's costs of the attacker's actions. One pass over the
     events reads what the objectives need: compromise never decreases under
     the shipped capabilities, so a node's first successful attack is the
-    round it was compromised."""
+    round it was compromised. A node the final state compromises that no
+    successful attack targeted was compromised before round 1, and counts
+    as compromised at round 0, the round of the empty prefix below."""
     topology = trace.final_state.topology
     total_nodes = len(topology.nodes)
     compromised = trace.final_state.compromise
@@ -380,7 +406,8 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
         if objective.kind == ObjectiveKind.COMPROMISE:
             # Met in the round of the shortest prefix of the hit rounds that
             # meets it; the empty prefix stands for round 0.
-            hit_rounds = sorted(first_rounds[nid] for nid in matching if nid in compromised)
+            hit_rounds = sorted(first_rounds.get(nid, 0) for nid in matching
+                                if nid in compromised)
             met_round = next(
                 (r for hit, r in enumerate([0, *hit_rounds])
                  if _objective_met(objective, len(matching), hit, detected_any)),
@@ -418,15 +445,30 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
     The inputs are checked once per batch. Each run's metrics equal those
     ``run_simulation`` returns for its seed, but no scenario digest is
     computed: the batch keeps no traces, and the digest lives only in one.
+
+    On an explicit topology no seed changes the start (``_start``), so it
+    is built once, and each run inherits the attacker action lists the
+    run before it used: the batch holds at most two runs' lists. A recipe
+    expands to one topology per seed, so each run builds its own start
+    and enumerates afresh.
     """
     if n < 1:
         raise InvalidScenario("batch size must be >= 1")
     _check_inputs(spec, strategy, registry)
+    explicit = spec.scenario_parameters.explicit_topology is not None
+    if explicit:
+        start = _start(spec, strategy, registry, config.seed)
+    last = _LastEnumeration()
     per_seed: List[Metrics] = []
     successes = 0
     for i in range(n):
-        run_config = replace(config, seed=(config.seed + i) & MASK64)
-        events, final_state = _play(spec, strategy, registry, run_config)
+        run_config = SimulationConfig(config.max_rounds, (config.seed + i) & MASK64,
+                                      config.attacker_policy, config.defender_policy)
+        if explicit:
+            last = _LastEnumeration(inherited=last.used)
+        else:
+            start, last = _start(spec, strategy, registry, run_config.seed), _LastEnumeration()
+        events, final_state = _play(*start, registry, run_config, last)
         undigested = SimulationTrace(config=run_config, scenario_digest="",
                                      events=events, final_state=final_state)
         metrics = compute_metrics(undigested, spec.objectives, registry)

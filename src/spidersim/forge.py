@@ -122,14 +122,30 @@ class HintKind(str, Enum):
     RAISE_NODE_BUDGET = "raise_node_budget"
 
 
+# The fields each hint kind needs; ``refine`` reads them as given.
+_HINT_FIELDS = {
+    HintKind.ADD_ENTRY_SURFACE: ("node_class",),
+    HintKind.ADD_VULNERABILITY: ("node_id", "access"),
+    HintKind.ADD_EDGE: ("src", "dst"),
+    HintKind.RAISE_NODE_BUDGET: (),
+}
+
+
 @dataclass(frozen=True)
 class RefinementHint:
+    """One refinement; a hint lacking a field its kind needs is refused."""
+
     kind: HintKind
     node_class: Optional[NodeClass] = None       # add_entry_surface
     node_id: Optional[str] = None                # add_vulnerability
     access: Optional[AccessRequirement] = None   # add_vulnerability
     src: Optional[str] = None                    # add_edge
     dst: Optional[str] = None                    # add_edge
+
+    def __post_init__(self):
+        for name in _HINT_FIELDS[self.kind]:
+            if getattr(self, name) is None:
+                raise InvariantViolation(f"hint.{name}", f"a {self.kind.value} hint needs it")
 
 
 @dataclass(frozen=True)

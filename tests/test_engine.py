@@ -231,6 +231,23 @@ def enumerations(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def run_lookups(monkeypatch):
+    """Every ``_LastEnumeration`` the engine makes, in order: a batch
+    makes one before its first run, then one per run."""
+    made = []
+
+    class Recording(engine._LastEnumeration):
+        __slots__ = ()
+
+        def __init__(self, inherited=None):
+            super().__init__(inherited)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "_LastEnumeration", Recording)
+    return made
+
+
 def random_scenarios(count):
     """(seed, spec, strategy) on random topologies of up to eight nodes,
     with one-way edges and a self-loop (a one-way edge that repeats an
@@ -315,8 +332,9 @@ class TestEnumerationReuse:
     def test_marine_batches_equal_the_reference_loop(self, marine_spec, marine_topology,
                                                      registry, enumerations):
         """The defended greedy attacker phishes the honeypot on maint-0
-        every round: the state it enumerates on never changes, so each run
-        enumerates once."""
+        every round: the state it enumerates on never changes, and each run
+        inherits the list the run before it used, so the batch enumerates
+        once."""
         strategy = marine_strategy(registry, marine_topology)
         for attacker in ss.AttackerPolicy:
             for defender in ss.DefenderPolicy:
@@ -332,7 +350,94 @@ class TestEnumerationReuse:
                         for i in range(8))
         enumerations.clear()
         ss.batch_run(marine_spec, strategy, registry, config(max_rounds=20, seed=7), 8)
-        assert len(enumerations) == 8
+        assert len(enumerations) == 1
+
+    def test_recipe_batches_equal_the_reference_loop(self, marine_spec, registry,
+                                                     enumerations, run_lookups):
+        """A recipe expands to one topology per seed, so a recipe batch
+        shares no start and no action list across runs: under every
+        attacker and defender policy, with and without decoys, each run's
+        metrics equal the reference loop's, every run enumerates on its
+        own topology at least once, and no run inherits a list."""
+        recipe = ss.TopologyRecipe(
+            ((ss.NodeClass.WORKSTATION, 2), (ss.NodeClass.MAINTENANCE_ENDPOINT, 1),
+             (ss.NodeClass.GATEWAY, 2), (ss.NodeClass.CONTROLLER, 2), (ss.NodeClass.SENSOR, 3)),
+            3, 0.6, 1, 0.6, 0.4)
+        spec = replace(marine_spec, scenario_parameters=replace(
+            marine_spec.scenario_parameters, explicit_topology=None, recipe=recipe))
+        decoys = ss.DefenseStrategy((ss.Placement("honeypot", "maintenance_endpoint-0"),
+                                     ss.Placement("shocktrap", "gateway-0")))
+        n = 4
+        for seed in range(3):
+            for attacker in ss.AttackerPolicy:
+                for defender in ss.DefenderPolicy:
+                    for strategy in (ss.DefenseStrategy(), decoys):
+                        cfg = config(max_rounds=15, seed=seed, attacker_policy=attacker,
+                                     defender_policy=defender)
+                        enumerations.clear()
+                        run_lookups.clear()
+                        batch = ss.batch_run(spec, strategy, registry, cfg, n)
+                        assert len({id(state.topology) for state, _, _ in enumerations}) == n
+                        assert len(run_lookups) == 1 + n
+                        assert all(not lookup.inherited for lookup in run_lookups)
+                        assert batch.per_seed == tuple(
+                            reference_metrics(spec, strategy, registry, replace(cfg, seed=seed + i))
+                            for i in range(n))
+
+    def test_diverging_explicit_batches_equal_the_reference_loop(
+            self, marine_spec, marine_topology, registry, enumerations, run_lookups):
+        """Runs of one explicit batch that take different paths (uniform
+        random attacker, reactive patches, honeypot and shocktrap hits)
+        share one start and inherit lists from the run before: metrics
+        still equal the reference loop's for batches of 1 to 8 runs, a
+        batch enumerates exactly the lists no run inherited, and some
+        batches reuse an inherited list."""
+        cases = list(random_scenarios(16))
+        cases += [(seed, marine_spec, defenses) for seed in range(4)
+                  for defenses in (ss.DefenseStrategy(), marine_strategy(registry, marine_topology))]
+        diverged = inherited_hits = 0
+        for i, (seed, spec, strategy) in enumerate(cases):
+            n = 1 + i % 8
+            for attacker in (ss.AttackerPolicy.UNIFORM_RANDOM, ss.AttackerPolicy.GREEDY_VALUE):
+                for defender in ss.DefenderPolicy:
+                    cfg = config(max_rounds=12, seed=seed, attacker_policy=attacker,
+                                 defender_policy=defender)
+                    enumerations.clear()
+                    run_lookups.clear()
+                    batch = ss.batch_run(spec, strategy, registry, cfg, n)
+                    runs = run_lookups[1:]
+                    assert len(runs) == n
+                    assert len(enumerations) == sum(
+                        len(run.used.keys() - run.inherited.keys()) for run in runs)
+                    inherited_hits += sum(
+                        len(run.used.keys() & run.inherited.keys()) for run in runs)
+                    plays = [reference_play(spec, strategy, registry, replace(cfg, seed=seed + j))
+                             for j in range(n)]
+                    assert batch.per_seed == tuple(
+                        reference_metrics(spec, strategy, registry, replace(cfg, seed=seed + j))
+                        for j in range(n))
+                    diverged += len({events for events, _ in plays}) > 1
+        assert diverged >= 80, diverged
+        assert inherited_hits >= 600, inherited_hits
+
+    def test_a_run_inherits_only_the_lists_the_run_before_used(
+            self, marine_spec, marine_topology, registry, run_lookups):
+        """Each run of an explicit batch inherits no more lists than the
+        run before it used, and the first inherits none: a batch holds at
+        most two runs' lists."""
+        strategy = marine_strategy(registry, marine_topology)
+        for attacker in ss.AttackerPolicy:
+            for defender in ss.DefenderPolicy:
+                for defenses in (ss.DefenseStrategy(), strategy):
+                    run_lookups.clear()
+                    ss.batch_run(marine_spec, defenses, registry,
+                                 config(max_rounds=20, seed=3, attacker_policy=attacker,
+                                        defender_policy=defender), 12)
+                    runs = run_lookups[1:]
+                    assert not runs[0].inherited
+                    for before, run in zip(runs, runs[1:]):
+                        assert len(run.inherited) <= len(before.used)
+                        assert run.inherited.keys() <= before.used.keys()
 
     def test_retheft_keeps_the_reused_list(self, marine_spec, registry, enumerations):
         """A uniform-random attacker steals the same credentials again and
@@ -480,6 +585,37 @@ class TestMetrics:
                             1.0)
         assert ss.compute_metrics(trace, (half,), registry).time_to_first_objective == 2
         assert ss.compute_metrics(trace, (full,), registry).time_to_first_objective == 4
+
+    def test_a_node_compromised_before_round_one_counts_at_round_zero(self, registry):
+        """``step_round`` plays from a state that already compromises c0,
+        which no attack can target afterwards (user privilege, asset value
+        0): c0 counts as compromised at round 0, and alone it meets half
+        of the controllers."""
+        topo = make_topology(
+            nodes=[("c0", ss.NodeClass.CONTROLLER), ("c1", ss.NodeClass.CONTROLLER),
+                   ("w", ss.NodeClass.WORKSTATION)],
+            edges=[], values={"c0": 0})
+        state = fresh_state(topo).with_compromise("c0", ss.Privilege.USER)
+        cfg = config(max_rounds=6)
+        rng = substream(cfg.seed, "simulation")
+        events = []
+        for _ in range(cfg.max_rounds):
+            state, round_events = step_round(state, registry, cfg, rng)
+            events.extend(round_events)
+        phished = [e.round for e in events if e.capability_id == "phishing" and e.success]
+        assert phished and all(e.target != "c0" for e in events)
+        trace = ss.SimulationTrace(config=cfg, scenario_digest="x", events=tuple(events),
+                                   final_state=state)
+        half, full, workstation = (
+            ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE, target, threshold)
+            for target, threshold in (
+                (ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER), 0.5),
+                (ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER), 1.0),
+                (ss.TargetSelector(node_id="w"), 1.0)))
+        assert ss.compute_metrics(trace, (half,), registry).time_to_first_objective == 0
+        metrics = ss.compute_metrics(trace, (full, workstation), registry)
+        assert metrics.objectives_met == ((0, False), (1, True))
+        assert metrics.time_to_first_objective == phished[0]
 
     def test_compromise_threshold_grid_matches_the_early_stop_rule(self, registry):
         """With h of n targets compromised, a compromise objective is met

@@ -267,6 +267,20 @@ class TestRefine:
         with pytest.raises(NoHintsAvailable):
             select_hint(self.validation())
 
+    @pytest.mark.parametrize("kind, fields, missing", [
+        (HintKind.ADD_ENTRY_SURFACE, {}, "node_class"),
+        (HintKind.ADD_VULNERABILITY, {"access": ss.AccessRequirement.ADJACENT}, "node_id"),
+        (HintKind.ADD_VULNERABILITY, {"node_id": "sensor-0"}, "access"),
+        (HintKind.ADD_EDGE, {"dst": "sensor-0"}, "src"),
+        (HintKind.ADD_EDGE, {"src": "maint-0"}, "dst"),
+    ])
+    def test_a_hint_lacking_a_field_its_kind_needs_is_refused(self, kind, fields,
+                                                              missing):
+        with pytest.raises(InvariantViolation) as err:
+            RefinementHint(kind, **fields)
+        assert err.value.path == f"hint.{missing}"
+        RefinementHint(HintKind.RAISE_NODE_BUDGET)
+
     def test_add_vulnerability_updates_draft_and_clears_downstream(
             self, marine_requirement, registry):
         bb = Blackboard(requirement=marine_requirement)
@@ -303,7 +317,8 @@ class TestRefine:
         (RefinementHint(HintKind.ADD_ENTRY_SURFACE, node_class=ss.NodeClass.WORKSTATION),
          "topology_draft"),
         (RefinementHint(HintKind.RAISE_NODE_BUDGET), "topology_draft"),
-        (RefinementHint(HintKind.ADD_VULNERABILITY, node_id="sensor-0"), "validation_report"),
+        (RefinementHint(HintKind.ADD_VULNERABILITY, node_id="sensor-0",
+                        access=ss.AccessRequirement.ADJACENT), "validation_report"),
         (RefinementHint(HintKind.ADD_EDGE, src="maint-0", dst="sensor-0"), "validation_report"),
     ])
     def test_clears_a_slot_and_every_later_one(self, marine_requirement, registry,
