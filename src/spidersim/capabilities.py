@@ -25,18 +25,8 @@ one reading of what it requires, is read from its terms.
 one place a precondition is evaluated.
 
 Action enumeration (``applicable_capabilities``) binds each slot only
-over the nodes the capability's own preconditions leave open. The actor's
-footholds are the compromised nodes. ``target`` is narrowed to the
-footholds by ``actor_has_foothold`` on target, to the nodes of the
-allowed classes by ``node_class_is`` on target, and to the out-neighbours
-of the footholds by ``edge_exists`` from source to target together with
-``actor_has_foothold`` on source. ``source`` is narrowed to the target's
-in-neighbours by ``edge_exists`` from source to target and to the
-footholds by ``actor_has_foothold`` on source. Every
-binding left is checked with ``evaluate_preconditions``. A round of the
-built-in attack set therefore costs one check per entry-class node
-(phishing), two per foothold (credential theft, exfiltration) and two per
-edge out of a foothold (exploit, lateral movement).
+over the nodes the capability's own preconditions leave open; its
+docstring states that narrowing rule and what a round costs.
 """
 
 from __future__ import annotations
@@ -52,6 +42,7 @@ from typing import (
 from .errors import (
     DuplicateId,
     DuplicatePlacement,
+    InvariantViolation,
     KindEffectMismatch,
     KindMismatch,
     PreconditionViolated,
@@ -63,8 +54,8 @@ from .errors import (
     UnsupportedInterfaceVersion,
 )
 from .model import (
-    AccessRequirement, NetworkTopology, NodeClass, Privilege, Vulnerability, fields_only_state,
-    index_by_id,
+    AccessRequirement, Actor, NetworkTopology, NodeClass, Privilege, Vulnerability,
+    fields_only_state, index_by_id,
 )
 from .state import _PRIV_RANK, DefenseKind, SimulationState
 
@@ -683,16 +674,18 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     return new_state, CapabilityOutcome(success, detected, trapped_for)
 
 
+# The capabilities each actor enumerates.
+_ACTOR_KINDS = {Actor.ATTACKER: CapabilityKind.ATTACK, Actor.DEFENDER: CapabilityKind.DEFENSE}
+
+
 def _candidate_bindings(rule: _BindingRule, topology: NetworkTopology,
                         domain: Tuple[str, ...], in_domain: Set[str],
                         footholds: Set[str]) -> Iterator[Dict[str, str]]:
-    """Bindings of ``rule.cap`` worth checking, in (target, source) order.
+    """Bindings of ``rule.cap`` worth checking, in (target, source) order,
+    under the narrowing rule ``applicable_capabilities`` states.
 
     ``domain`` is sorted and free of repeats, ``in_domain`` holds the same
-    ids, and ``footholds`` the actor's footholds among them. A node is
-    skipped only where one of the capability's own preconditions must fail
-    on it (see ``applicable_capabilities``); ``source`` never equals
-    ``target``.
+    ids, and ``footholds`` the actor's footholds among them.
     """
     sources = footholds if rule.source_footholds else in_domain
     targets: Optional[Set[str]] = None  # None: the whole domain
@@ -750,8 +743,13 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     ``credential_targets``). The engine relies on this: it reuses one
     returned list over the rounds of a run while those fields are
     unchanged. So callers must not mutate the list or its binding dicts.
+
+    ``actor`` is an ``Actor`` value; any other is refused
+    (InvariantViolation at ``actor``).
     """
-    kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
+    kind = _ACTOR_KINDS.get(actor)
+    if kind is None:
+        raise InvariantViolation("actor", f"must be 'attacker' or 'defender', not {actor!r}")
     topology = state.topology
     domain = topology.node_ids
     in_domain = set(domain)

@@ -17,12 +17,14 @@ When validation fails, one refinement hint is applied per iteration, in
 the declaration order of ``HintKind`` (add_entry_surface,
 add_vulnerability, add_edge, raise_node_budget).
 
-Attack paths are searched in one place: for each attacker objective
-whose draft has an entry node and a matching node, the validator asks
-whether any path reaches the objective (a ``k=1`` search), and its hints
-depend on that answer alone. The entry classes and the exploit's access
-level are read from the binding rules the engine and the attack graph
-share (``registry.path_capabilities``).
+Reachability is checked in one place: when the draft has an entry node,
+the validator walks the attack graph once from the entry nodes
+(``reachable_set``), and an attacker objective is reached when the walk
+meets one of its matching nodes. Every entry node has an entry hop, so
+the objectives the walk meets are exactly those an attack path reaches;
+the hints depend on that answer alone. The entry classes and the
+exploit's access level are read from the binding rules the engine and
+the attack graph share (``registry.path_capabilities``).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .attackgraph import PathQuery, enumerate_attack_paths
+from .attackgraph import reachable_set
 from .capabilities import CapabilityRegistry, select_vulnerability
 from .errors import (
     EmptyRequirement,
@@ -279,8 +281,8 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
                     ) -> Tuple[List[Finding], List[RefinementHint]]:
     """Check that every attacker objective is reachable; emit hints if not.
 
-    An objective is reachable when a search from the draft's entry nodes
-    (those of the entry classes) finds one attack path to it; only whether one exists matters. A
+    An objective is reachable when the walk from the draft's entry nodes
+    (those of the entry classes) meets one of its matching nodes. A
     target counts as exploitable when it has a vulnerability to use at
     the access level of the registry's exploit capability, the level the
     ADD_VULNERABILITY hint asks for; without an exploit capability no
@@ -298,6 +300,7 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
         hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
         return errors, hints
 
+    reached = reachable_set(topology, registry, entries)
     exploit = registry.path_capabilities[0]
     level = exploit._binding_rule.vuln_access if exploit else None
     for i, objective in enumerate(bb.threat_plan.objectives):
@@ -308,10 +311,7 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
             errors.append(Finding("NoAttackPath", "no node matches the attacker objective", f"objectives[{i}]"))
             hints.append(RefinementHint(HintKind.RAISE_NODE_BUDGET))
             continue
-        if enumerate_attack_paths(
-                topology, registry,
-                PathQuery(entries=entries, target=objective.target, k=1,
-                          max_len=max(1, len(topology.nodes)))):
+        if not reached.isdisjoint(targets):
             continue
         errors.append(Finding("NoAttackPath", "no attack path reaches the objective", f"objectives[{i}]"))
         unexploitable = [
@@ -444,7 +444,8 @@ def refine(bb: Blackboard, validation: ForgeValidation) -> Blackboard:
         )
     else:  # ADD_EDGE
         changes = _cleared_from("validation_report")
-        if not any({e.src, e.dst} == {hint.src, hint.dst} for e in topology.edges):
+        if (hint.src not in topology.in_neighbours(hint.dst)
+                and hint.dst not in topology.in_neighbours(hint.src)):
             changes["topology_draft"] = replace(
                 topology, edges=topology.edges + (Edge(src=hint.src, dst=hint.dst),))
 

@@ -436,10 +436,11 @@ class Finding:
 class ValidationReport:
     """Validation outcome: empty ``errors`` means the spec is valid.
 
-    Error codes: UnresolvedCapability, DuplicateNodeId, DanglingEdge,
-    ObjectiveTargetUnknown, UnknownVulnerabilityRef, UnknownCredentialRef,
-    BadCredentialHost, EmptyRecipe, InsufficientGateways, NoAttackPath
-    (emitted by the generation pipeline).
+    Error codes: UnresolvedCapability, DuplicateNodeId, DuplicateZoneId,
+    UnknownZone, DanglingEdge, DuplicateEdge, ObjectiveTargetUnknown,
+    UnknownVulnerabilityRef, UnknownCredentialRef, BadCredentialHost,
+    EmptyRecipe, InsufficientGateways, NoAttackPath (emitted by the
+    generation pipeline).
     Warning codes: DisconnectedTopology.
     """
 
@@ -896,19 +897,19 @@ def check_topology(topo: NetworkTopology):
 
 
 def _is_connected(topo: NetworkTopology) -> bool:
+    """Whether every node is reached from the first one when each edge
+    between two nodes of the topology counts in both directions. A
+    topology with a repeated node id has fewer ids than nodes, so it
+    never counts as connected."""
     if len(topo.nodes) <= 1:
         return True
-    adjacency: Dict[str, set] = {n.id: set() for n in topo.nodes}
-    for edge in topo.edges:
-        if edge.src in adjacency and edge.dst in adjacency:
-            adjacency[edge.src].add(edge.dst)
-            adjacency[edge.dst].add(edge.src)
     start = topo.nodes[0].id
     seen = {start}
     stack = [start]
     while stack:
-        for nbr in adjacency[stack.pop()]:
-            if nbr not in seen:
+        node = stack.pop()
+        for nbr in topo.in_neighbours(node).union(topo.out_neighbours(node)):
+            if nbr not in seen and topo.node_by_id(nbr) is not None:
                 seen.add(nbr)
                 stack.append(nbr)
     return len(seen) == len(topo.nodes)

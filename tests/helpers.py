@@ -33,6 +33,7 @@ from spidersim import (
     NodeClass,
     Objective,
     ObjectiveKind,
+    PathQuery,
     Privilege,
     Requirement,
     ScenarioSpec,
@@ -40,6 +41,7 @@ from spidersim import (
     TopologyRecipe,
     Vulnerability,
     built_in_registry,
+    enumerate_attack_paths,
 )
 from spidersim.capabilities import (
     INTERFACE_VERSION,
@@ -373,6 +375,48 @@ def path_to_oracle_steps(path) -> Tuple[OracleStep, ...]:
         (s.source, s.capability_id, s.target, s.step_prob, s.step_cost)
         for s in path.steps
     )
+
+
+# ---------------------------------------------------------------------------
+# reference graph walks over the edge list
+# ---------------------------------------------------------------------------
+
+def reference_objective_reached(topology: NetworkTopology, registry: CapabilityRegistry,
+                                entries: Tuple[str, ...], target: TargetSelector) -> bool:
+    """Whether a best-first search finds one attack path from ``entries``
+    to ``target``: the forge's reachability check before it became one
+    ``reachable_set`` walk per draft."""
+    return bool(enumerate_attack_paths(
+        topology, registry,
+        PathQuery(entries=entries, target=target, k=1,
+                  max_len=max(1, len(topology.nodes)))))
+
+
+def reference_is_connected(topo: NetworkTopology) -> bool:
+    """``model._is_connected`` with its own adjacency built from the edge
+    list."""
+    if len(topo.nodes) <= 1:
+        return True
+    adjacency: Dict[str, set] = {n.id: set() for n in topo.nodes}
+    for edge in topo.edges:
+        if edge.src in adjacency and edge.dst in adjacency:
+            adjacency[edge.src].add(edge.dst)
+            adjacency[edge.dst].add(edge.src)
+    start = topo.nodes[0].id
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nbr in adjacency[stack.pop()]:
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append(nbr)
+    return len(seen) == len(topo.nodes)
+
+
+def reference_edge_exists(topology: NetworkTopology, src: str, dst: str) -> bool:
+    """Whether ``refine`` finds an edge between ``src`` and ``dst`` (either
+    way) by a scan of the edge list, so that an ADD_EDGE hint adds none."""
+    return any({e.src, e.dst} == {src, dst} for e in topology.edges)
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,22 @@ class TestExamples:
                 chain_topology(), builtin_reg(),
                 query(["a"], ss.TargetSelector(node_id="nope")))
 
+    def test_query_without_entries(self):
+        with pytest.raises(TargetSelectorEmpty) as err:
+            query([], ss.TargetSelector(node_id="c"))
+        assert err.value.code == "TargetSelectorEmpty"
+
+    def test_without_an_entry_capability_paths_start_at_the_entry(self):
+        """With no entry capability there is no step from EXTERNAL: the
+        entry node is an assumed foothold and its path starts there."""
+        no_entry = ss.CapabilityRegistry(tuple(
+            cap for cap in builtin_reg().capabilities() if cap.id != "phishing"))
+        assert no_entry.path_capabilities[2] is None
+        paths = ss.enumerate_attack_paths(
+            chain_topology(), no_entry, query(["a"], ss.TargetSelector(node_id="c")))
+        assert [[(s.source, s.target) for s in p.steps] for p in paths] == [
+            [("a", "b"), ("b", "c")]]
+
     @pytest.mark.parametrize("bounds", [{"k": 0}, {"k": -1},
                                         {"max_len": 0}, {"max_len": -3}])
     def test_query_bound_below_one(self, bounds):

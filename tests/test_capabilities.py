@@ -20,6 +20,7 @@ from spidersim.capabilities import (
     PREDICATE_OPERANDS,
     SHOCKTRAP_TRAP_ROUNDS,
     CapabilityRegistry,
+    deploy_strategy,
     select_vulnerability,
 )
 from spidersim.engine import step_round
@@ -174,6 +175,24 @@ class TestRegistration:
     def test_probability_bounds_checked(self, registry):
         with pytest.raises(KindEffectMismatch):
             ss.register_capability(registry, bare_attack(prob=1.5))
+
+    @pytest.mark.parametrize("amend, error", [
+        (dict(cost_units=-1), KindEffectMismatch),
+        (dict(preconditions=(ss.Predicate("node_not_compromised"),)), UnknownPredicate),
+        (dict(effects=(ss.Effect("raise_alarm"),)), UnknownEffect),
+        (dict(effects=(ss.Effect(ss.EffectKind.TRAP_ACTOR, duration_rounds=0),)),
+         KindEffectMismatch),
+        (dict(kind=ss.CapabilityKind.DEFENSE,
+              effects=(ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.USER),)),
+         KindEffectMismatch),
+    ], ids=["negative_cost", "predicate_kind_not_an_enum", "effect_kind_not_an_enum",
+            "trap_of_no_rounds", "defense_that_compromises"])
+    def test_refuses_a_capability_built_in_code(self, registry, amend, error):
+        """What the cap-1 reader cannot produce, a capability built in code
+        can: register refuses it with a domain error."""
+        with pytest.raises(error) as err:
+            ss.register_capability(registry, replace(bare_attack(), **amend))
+        assert err.value.code == error.__name__
 
 
 # One cap-1 term of every kind, each with its operand key (where the kind
@@ -673,6 +692,20 @@ class TestApplication:
         )
         assert abs(hits / trials - p) < 0.015
 
+    def test_effects_on_the_actor_and_on_a_missing_node(self, ws_state):
+        """``raise_alarm`` records the target at the current round,
+        ``trap_actor`` traps for its duration, and ``gain_credentials`` on a
+        node the topology lacks gains nothing."""
+        def applied(effect, target):
+            cap = replace(bare_attack(prob=1.0), effects=(effect,))
+            return ss.apply_capability(ws_state, cap, {"target": target}, random.Random(0))[0]
+
+        alarmed = applied(ss.Effect(ss.EffectKind.RAISE_ALARM), "s")
+        assert alarmed.alarms == ws_state.alarms + ((ws_state.round, "s"),)
+        trapped = applied(ss.Effect(ss.EffectKind.TRAP_ACTOR, duration_rounds=3), "s")
+        assert trapped.trapped_until == ws_state.round + 3
+        assert applied(ss.Effect(ss.EffectKind.GAIN_CREDENTIALS), "ghost") == ws_state
+
     def test_draw_budget_plain_attack(self, ws_state):
         rng = CountingRandom(0)
         ss.apply_capability(ws_state, bare_attack(), {"target": "w"}, rng)
@@ -756,6 +789,30 @@ class TestApplicableAndStrategy:
                 for cap, b in entries]
         assert len(set(keys)) == len(keys)
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("actor", ["Attacker", "defence", ""])
+    def test_unknown_actor_is_refused(self, registry, marine_topology, actor):
+        """Only the ``Actor`` values name an actor: any other is refused,
+        not read as the defender."""
+        with pytest.raises(InvariantViolation) as err:
+            ss.applicable_capabilities(registry, fresh_state(marine_topology), actor)
+        assert err.value.path == "actor"
+        assert ss.applicable_capabilities(registry, fresh_state(marine_topology),
+                                          ss.Actor.DEFENDER)
+
+    def test_deploy_needs_every_effect_slot_bound(self, registry, ws_state):
+        """A placement binds only ``target``: a defense whose effect acts on
+        ``source`` cannot be deployed."""
+        watch = ss.AtomicCapability(
+            id="watch_source", kind=ss.CapabilityKind.DEFENSE, name="Watch source",
+            technique_tag="D3-NTA", preconditions=(),
+            effects=(ss.Effect(ss.EffectKind.DEPLOY, defense=DefenseKind.HONEYPOT,
+                               slot="source"),),
+            base_success_prob=1.0, detection_prob=0.0, cost_units=1)
+        registry = ss.register_capability(registry, watch)
+        strategy = ss.compose_strategy(registry, [("watch_source", "w")])
+        with pytest.raises(UnboundSlot):
+            deploy_strategy(ws_state, strategy, registry)
 
     def test_matches_exhaustive_oracle(self, registry):
         """Same ordered list as trying every (source, target) pair, for

@@ -161,6 +161,14 @@ class TestPaths:
         assert code == 0
         assert json.loads(out)["paths"]
 
+    def test_bare_node_id_selects_the_node(self, capsys):
+        """``--target gateway-0`` reads as ``node:gateway-0``."""
+        outputs = [run(capsys, "paths", "--scenario", SCENARIO, "--entry", "maint-0",
+                       "--target", target)
+                   for target in ("gateway-0", "node:gateway-0")]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]
+
     def test_unknown_target_class_is_usage_error(self, capsys):
         code, out, err = run(capsys, "paths", "--scenario", SCENARIO,
                              "--entry", "maint-0", "--target", "class:bogus")

@@ -138,6 +138,12 @@ class TestRunSimulation:
             assert seen <= state.compromise.keys()
             seen = frozenset(state.compromise)
 
+    @pytest.mark.parametrize("max_rounds", [0, -1])
+    def test_round_limit_below_one_is_refused(self, max_rounds):
+        with pytest.raises(InvalidScenario) as err:
+            ss.SimulationConfig(max_rounds=max_rounds)
+        assert err.value.code == "InvalidScenario"
+
     def test_invalid_scenario_rejected(self, marine_spec, registry):
         from dataclasses import replace
         elements = replace(marine_spec.elements, capability_refs=("ghost",))

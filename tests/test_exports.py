@@ -84,6 +84,13 @@ class TestDot:
         with pytest.raises(UnknownPathNode):
             export_dot(topo, highlighted_paths=[bad])
 
+    def test_unknown_path_source(self):
+        step = ss.AttackStep(source="ghost", capability_id="exploit_vuln",
+                             target="b", step_prob=0.5, step_cost=2)
+        bad = ss.AttackPath(steps=(step,), success_prob=0.5, total_cost=2)
+        with pytest.raises(UnknownPathNode, match="'ghost'"):
+            export_dot(chain_topology(), highlighted_paths=[bad])
+
     def test_bit_stability(self, marine_topology):
         assert export_dot(marine_topology) == export_dot(marine_topology)
 

@@ -1,6 +1,7 @@
 """Blackboard agent pipeline: generation, refinement, failure modes."""
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import fields, replace
@@ -8,6 +9,7 @@ from dataclasses import fields, replace
 import pytest
 
 import spidersim as ss
+import spidersim.attackgraph as attackgraph
 import spidersim.forge as forge
 from spidersim.capabilities import ENTRY_CLASSES, PredicateKind
 from spidersim.forge import (
@@ -35,7 +37,16 @@ from spidersim.errors import (
 from spidersim.exports import parse_requirement
 from spidersim.model import ValidationReport
 
-from helpers import builtin_reg, make_topology, make_vuln, selector_matches
+from helpers import (
+    builtin_reg,
+    make_topology,
+    make_vuln,
+    random_topology,
+    reference_edge_exists,
+    reference_objective_reached,
+    with_directed_edges,
+    with_vulnerabilities,
+)
 
 
 def requirement(max_nodes=10, required=(ss.NodeClass.SENSOR,
@@ -97,6 +108,13 @@ class TestPipeline:
         assert not report.final_valid
         assert report.iterations_used == 4
 
+    @pytest.mark.parametrize("max_iterations", [0, -1])
+    def test_iteration_limit_below_one_is_refused(self, marine_requirement, registry,
+                                                  max_iterations):
+        with pytest.raises(GenerationFailed, match="max_iterations"):
+            ss.run_pipeline(marine_requirement, registry, seed=7,
+                            max_iterations=max_iterations)
+
     def test_constraints_must_cover_required_classes(self):
         with pytest.raises(InvariantViolation):
             Constraints(max_nodes=1,
@@ -112,7 +130,7 @@ class TestPipeline:
         def broken(*args, **kwargs):
             raise RuntimeError("path search bug")
 
-        monkeypatch.setattr(forge, "enumerate_attack_paths", broken)
+        monkeypatch.setattr(forge, "reachable_set", broken)
         with pytest.raises(RuntimeError, match="path search bug"):
             ss.run_pipeline(marine_requirement, registry, seed=7)
 
@@ -313,6 +331,28 @@ class TestRefine:
         assert refined.topology_draft is None
         assert ss.NodeClass.WORKSTATION in refined.extra_entry_classes
 
+    def test_add_edge_adds_one_exactly_where_no_edge_joins_the_pair(
+            self, marine_requirement):
+        """On random drafts with one-way edges, self-loops and an edge to a
+        missing node, an ADD_EDGE hint adds ``src -> dst`` exactly when a
+        scan of the edge list finds no edge between the two, either way."""
+        outcomes = set()
+        for seed in range(100):
+            rng = random.Random(seed)
+            topology = with_directed_edges(random_topology(rng), rng)
+            ids = [n.id for n in topology.nodes] + ["ghost"]
+            topology = replace(topology, edges=topology.edges
+                               + (ss.Edge(src=rng.choice(ids[:-1]), dst="ghost"),))
+            bb = Blackboard(requirement=marine_requirement, topology_draft=topology)
+            for src, dst in itertools.product(ids, ids):
+                draft = refine(bb, self.validation(
+                    RefinementHint(HintKind.ADD_EDGE, src=src, dst=dst))).topology_draft
+                exists = reference_edge_exists(topology, src, dst)
+                assert draft.edges == topology.edges + (
+                    () if exists else (ss.Edge(src=src, dst=dst),)), (seed, src, dst)
+                outcomes.add(exists)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("hint, first_cleared", [
         (RefinementHint(HintKind.ADD_ENTRY_SURFACE, node_class=ss.NodeClass.WORKSTATION),
          "topology_draft"),
@@ -412,37 +452,105 @@ class TestOutputPin:
 
 
 class TestPathSearch:
-    def test_one_search_per_attacker_objective_per_draft(self, registry, monkeypatch):
-        """The validator searches once for each attacker objective whose
-        draft has an entry node and a matching node, asks for the first
-        path only, and no other role searches."""
-        searches = []
-        expected = [0]
-        running = [None]
-        search, step = forge.enumerate_attack_paths, forge.agent_step
+    """The validator answers reachability with one ``reachable_set`` walk
+    per step from the draft's entry nodes, and no role searches paths."""
 
-        def recording_search(topology, registry, query):
-            searches.append((running[0], query.k))
-            return search(topology, registry, query)
+    def test_one_walk_per_validator_step(self, registry, monkeypatch):
+        """Over the pin requirements, a walk runs once in each validator
+        step whose draft has an entry node, from those nodes, and nowhere
+        else; the path search never runs."""
+        walks = []
+        expected = []
+        running = [None]
+        walk, step = forge.reachable_set, forge.agent_step
+
+        def recording_walk(topology, registry, entries):
+            walks.append((running[0], tuple(entries)))
+            return walk(topology, registry, entries)
 
         def recording_step(role, bb, *args, **kwargs):
             running[0] = role.id
             bb = step(role, bb, *args, **kwargs)
             running[0] = None
             if role.id == RoleId.VALIDATOR:
-                nodes = bb.topology_draft.nodes
-                if any(n.node_class in ENTRY_CLASSES for n in nodes):
-                    expected[0] += sum(
-                        o.actor == ss.Actor.ATTACKER and any(selector_matches(o.target, n) for n in nodes)
-                        for o in bb.threat_plan.objectives)
+                entries = tuple(sorted(n.id for n in bb.topology_draft.nodes
+                                       if n.node_class in ENTRY_CLASSES))
+                if entries:
+                    expected.append((RoleId.VALIDATOR, entries))
             return bb
 
-        monkeypatch.setattr(forge, "enumerate_attack_paths", recording_search)
+        def no_search(*args, **kwargs):
+            raise AssertionError("a role searched for attack paths")
+
+        monkeypatch.setattr(forge, "reachable_set", recording_walk)
         monkeypatch.setattr(forge, "agent_step", recording_step)
+        monkeypatch.setattr(attackgraph, "enumerate_attack_paths", no_search)
         for req in pin_requirements():
             pin_outcome(req, registry, seed=0, max_iterations=5)
-        assert expected[0] > 0
-        assert searches == [(RoleId.VALIDATOR, 1)] * expected[0]
+        assert expected
+        assert walks == expected
+        assert not hasattr(forge, "enumerate_attack_paths")
+        assert not hasattr(forge, "PathQuery")
+
+    def test_the_walk_meets_a_target_exactly_when_a_path_reaches_it(self):
+        """On random topologies and registries, from entry nodes the entry
+        capability targets (so each has an entry hop): the walk meets a
+        selector's nodes exactly when a ``k=1`` search over paths as long
+        as the node count finds a path to them."""
+        classes = list(ss.NodeClass)
+        outcomes = set()
+        for seed in range(500):
+            rng = random.Random(seed)
+            registry = registry_with(
+                entry_classes=tuple(rng.sample(classes, rng.randint(1, len(classes)))),
+                exploit_access=rng.choice(list(ss.AccessRequirement)))
+            topology = random_topology(rng)
+            if rng.random() < 0.5:
+                topology = with_directed_edges(topology, rng)
+            if rng.random() < 0.5:
+                topology = with_vulnerabilities(topology, rng)
+            candidates = entry_nodes(topology, registry)
+            if not candidates:
+                continue
+            entries = tuple(sorted(rng.sample(candidates, rng.randint(1, len(candidates)))))
+            reached = ss.reachable_set(topology, registry, entries)
+            selectors = [ss.TargetSelector(node_class=cls) for cls in classes]
+            selectors += [ss.TargetSelector(node_id=n.id) for n in topology.nodes]
+            for selector in selectors:
+                targets = topology.select(selector)
+                if targets:
+                    met = not reached.isdisjoint(targets)
+                    assert met == reference_objective_reached(
+                        topology, registry, entries, selector), (seed, selector)
+                    outcomes.add(met)
+        assert outcomes == {True, False}
+
+    def test_a_large_draft_without_a_path_gets_its_hints(self, registry):
+        """A maintenance endpoint, a clique of 12 exploitable sensors and a
+        controller with no vulnerability: no attack path reaches the
+        controller, and proving that by listing the simple paths through
+        the clique grows about elevenfold per sensor. The walk answers in
+        one pass over the edges."""
+        sensors = [f"s{i:02d}" for i in range(12)]
+        topology = make_topology(
+            nodes=[("m", ss.NodeClass.MAINTENANCE_ENDPOINT)]
+            + [(s, ss.NodeClass.SENSOR) for s in sensors]
+            + [("c", ss.NodeClass.CONTROLLER)],
+            edges=[("m", s) for s in sensors] + list(itertools.combinations(sensors, 2))
+            + [(s, "c") for s in sensors],
+            vulns=[make_vuln(s, 0.5) for s in sensors],
+        )
+        req = requirement(max_nodes=len(topology.nodes))
+        bb = Blackboard(requirement=req, topology_draft=topology)
+        for role in PIPELINE:
+            if role.id != RoleId.TOPOLOGY_SYNTHESIZER:
+                bb = agent_step(role, bb, registry, seed=0)
+        assert [f.code for f in bb.validation_report.report.errors] == ["NoAttackPath"]
+        assert bb.validation_report.hints == (
+            RefinementHint(HintKind.ADD_VULNERABILITY, node_id="c",
+                           access=ss.AccessRequirement.ADJACENT),
+            RefinementHint(HintKind.ADD_EDGE, src="m", dst="c"),
+        )
 
 
 class TestRoleRuns:

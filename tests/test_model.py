@@ -22,7 +22,8 @@ from spidersim.errors import (
 )
 from spidersim.canonical import canonical_json
 from spidersim.model import (
-    MAX_RECIPE_WORK, Finding, ScenarioParameters, check_topology, scenario_node_ids,
+    MAX_RECIPE_WORK, Finding, ScenarioParameters, _is_connected, check_topology,
+    scenario_node_ids,
 )
 
 from helpers import (
@@ -32,6 +33,7 @@ from helpers import (
     matching_nodes,
     random_topology,
     reference_build_topology,
+    reference_is_connected,
     spec_around,
     with_directed_edges,
 )
@@ -246,6 +248,23 @@ class TestConstructorInvariants:
                 explicit_topology=marine_topology,
             )
 
+    @pytest.mark.parametrize("make, path", [
+        (lambda spec: ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                                   ss.TargetSelector(node_id="a"), 1.5),
+         "objective.threshold"),
+        (lambda spec: recipe({ss.NodeClass.SENSOR: 1}, density=1.5),
+         "recipe.intra_zone_density"),
+        (lambda spec: recipe({ss.NodeClass.SENSOR: 1}, vuln_rate=-0.1), "recipe.vuln_rate"),
+        (lambda spec: recipe({ss.NodeClass.SENSOR: 1}, credential_rate=2.0),
+         "recipe.credential_rate"),
+        (lambda spec: dataclasses.replace(spec, objectives=()), "objectives"),
+    ], ids=["threshold", "density", "vuln_rate", "credential_rate", "no_objectives"])
+    def test_record_refuses_a_value_out_of_range(self, marine_spec, make, path):
+        """Records built in code check what the reader checks for a document."""
+        with pytest.raises(InvariantViolation) as err:
+            make(marine_spec)
+        assert err.value.path == path
+
     def test_duplicate_subproblem_id(self, marine_spec):
         from dataclasses import replace
         dup = marine_spec.problem_decomposition[:1] * 2
@@ -385,6 +404,24 @@ class TestValidateSpec:
         report = ss.validate_spec(spec, registry)
         assert any(f.code == "ObjectiveTargetUnknown" for f in report.errors)
 
+    @pytest.mark.parametrize("amend, code", [
+        (lambda t: dataclasses.replace(t, zones=t.zones * 2), "DuplicateZoneId"),
+        (lambda t: dataclasses.replace(t, edges=t.edges + t.edges[:1]), "DuplicateEdge"),
+        (lambda t: dataclasses.replace(t, nodes=(dataclasses.replace(
+            t.nodes[0], credential_ids=("cred-ghost",)),) + t.nodes[1:]),
+         "UnknownCredentialRef"),
+        (lambda t: dataclasses.replace(t, credentials=(ss.Credential(
+            id="cred-a", stored_on="a", grants_access_to=("ghost",)),)),
+         "BadCredentialHost"),
+    ], ids=["zone", "edge", "credential_ref", "grant_to_missing_node"])
+    def test_topology_finding(self, registry, amend, code):
+        topo = make_topology(
+            nodes=[("a", ss.NodeClass.WORKSTATION), ("b", ss.NodeClass.SENSOR)],
+            edges=[("a", "b")])
+        assert ss.validate_spec(spec_around(topo), registry).errors == ()
+        report = ss.validate_spec(spec_around(amend(topo)), registry)
+        assert [f.code for f in report.errors] == [code]
+
     def test_disconnected_topology_warns(self, registry):
         topo = make_topology(
             nodes=[("a", ss.NodeClass.WORKSTATION), ("b", ss.NodeClass.SENSOR)],
@@ -393,6 +430,29 @@ class TestValidateSpec:
         report = ss.validate_spec(spec, registry)
         assert report.errors == ()
         assert any(f.code == "DisconnectedTopology" for f in report.warnings)
+
+    def test_connectivity_equals_a_walk_over_the_edge_list(self):
+        """On random topologies with one-way edges, self-loops, edges to a
+        missing node and repeated node ids, ``_is_connected`` answers as a
+        walk over an adjacency built from the edge list does."""
+        outcomes = set()
+        for seed in range(500):
+            rng = random.Random(seed)
+            topo = with_directed_edges(random_topology(rng, max_edges=6), rng)
+            nodes = topo.nodes
+            if rng.random() < 0.5:
+                ids = [n.id for n in nodes]
+                topo = dataclasses.replace(topo, edges=topo.edges + (
+                    ss.Edge(src=rng.choice(ids), dst="ghost"),
+                    ss.Edge(src="ghost", dst=rng.choice(ids), bidirectional=False)))
+            if rng.random() < 0.2:
+                twin = dataclasses.replace(rng.choice(nodes),
+                                           node_class=rng.choice(list(ss.NodeClass)))
+                topo = dataclasses.replace(topo, nodes=nodes + (twin,))
+            connected = _is_connected(topo)
+            assert connected == reference_is_connected(topo), seed
+            outcomes.add((connected, len(topo.nodes) > 1))
+        assert outcomes == {(True, False), (True, True), (False, True)}
 
 
     def test_recipe_findings_are_the_errors_expansion_raises(self, marine_spec, registry):
