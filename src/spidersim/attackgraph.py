@@ -32,6 +32,7 @@ from .errors import (
     UnknownEntryNode,
 )
 from .model import NetworkTopology, TargetSelector
+from .records import record
 from .state import DefenseKind
 
 EXTERNAL = "EXTERNAL"
@@ -39,7 +40,7 @@ EXTERNAL = "EXTERNAL"
 Hop = Tuple[str, str, float, int]  # (target, capability_id, step_prob, step_cost)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AttackStep:
     source: str  # node id or EXTERNAL
     capability_id: str
@@ -48,7 +49,7 @@ class AttackStep:
     step_cost: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AttackPath:
     steps: Tuple[AttackStep, ...]
     success_prob: float

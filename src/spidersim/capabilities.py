@@ -57,6 +57,7 @@ from .model import (
     AccessRequirement, Actor, NetworkTopology, NodeClass, Privilege, Vulnerability,
     fields_only_state, index_by_id,
 )
+from .records import record
 from .state import _PRIV_RANK, DefenseKind, SimulationState
 
 INTERFACE_VERSION = "cap-1"
@@ -170,7 +171,7 @@ class AtomicCapability:
         return _read_binding_rule(self)
 
 
-@dataclass(frozen=True)
+@record
 class CapabilityOutcome:
     success: bool
     detected: bool

@@ -42,6 +42,7 @@ from .model import (
     serialize_scenario,
     validate_spec,
 )
+from .records import record
 from .rng import MASK64, substream
 from .state import DefenseKind, SimulationState, fresh_state
 
@@ -71,7 +72,7 @@ class SimulationConfig:
             raise InvalidScenario("max_rounds must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SimEvent:
     round: int
     actor: Actor
@@ -90,7 +91,7 @@ class SimulationTrace:
     final_state: SimulationState
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Metrics:
     """``detection_count`` counts every detected attack, failed ones too; a
     detect objective needs a successful one (``_detected_attack``)."""
@@ -225,18 +226,16 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     events: List[SimEvent] = []
 
     if config.defender_policy == DefenderPolicy.REACTIVE:
-        alarmed = any(r == round_number - 1 for r, _ in state.alarms)
-        if alarmed:
-            node = min(
-                (n for n in state.topology.nodes
-                 if n.id not in state.compromise
-                 and DefenseKind.PATCH not in state.defenses_on(n.id)),
-                key=lambda n: (-n.asset_value, n.id), default=None,
-            )
-            if node is not None:
-                state = state.with_defense(node.id, DefenseKind.PATCH)
-                events.append(SimEvent(round_number, Actor.DEFENDER, "patch", node.id,
-                                       True, False, 0))
+        # Alarms are in round order, so the last one says whether any was
+        # raised last round.
+        if state.alarms and state.alarms[-1][0] == round_number - 1:
+            for node_id in state.topology.ids_by_asset_value:
+                if (node_id not in state.compromise
+                        and DefenseKind.PATCH not in state.defenses_on(node_id)):
+                    state = state.with_defense(node_id, DefenseKind.PATCH)
+                    events.append(SimEvent(round_number, Actor.DEFENDER, "patch", node_id,
+                                           True, False, 0))
+                    break
 
     if state.trapped_until > round_number:
         return state, events

@@ -27,6 +27,7 @@ from .errors import (
     SpiderSimError,
     UnknownField,
 )
+from .records import record
 from .rng import substream
 
 SCHEMA_VERSION = "1"
@@ -64,7 +65,7 @@ class Privilege(str, Enum):
     ADMIN = "admin"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Service:
     name: str
     port: int
@@ -93,7 +94,7 @@ _CLASS_ASSET_VALUE: Dict[NodeClass, int] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Node:
     id: str
     node_class: NodeClass
@@ -104,7 +105,7 @@ class Node:
     asset_value: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Edge:
     src: str
     dst: str
@@ -112,7 +113,7 @@ class Edge:
     bidirectional: bool = True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Vulnerability:
     """``detection_prob`` is informational: an exploit's detection rolls
     against the capability's own probability."""
@@ -125,7 +126,7 @@ class Vulnerability:
     gained_privilege: Privilege
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Credential:
     id: str
     stored_on: str
@@ -180,6 +181,12 @@ class NetworkTopology:
     def node_ids(self) -> Tuple[str, ...]:
         """Every node id once, in id order."""
         return tuple(sorted(self._nodes_by_id))
+
+    @cached_property
+    def ids_by_asset_value(self) -> Tuple[str, ...]:
+        """Node ids by descending asset value, then id: the order the
+        reactive defender patches in (a repeated id once per node)."""
+        return tuple(n.id for n in sorted(self.nodes, key=lambda n: (-n.asset_value, n.id)))
 
     @cached_property
     def _node_ids_by_class(self) -> Dict[NodeClass, Tuple[str, ...]]:
@@ -897,10 +904,10 @@ def check_topology(topo: NetworkTopology):
 
 
 def _is_connected(topo: NetworkTopology) -> bool:
-    """Whether every node is reached from the first one when each edge
-    between two nodes of the topology counts in both directions. A
-    topology with a repeated node id has fewer ids than nodes, so it
-    never counts as connected."""
+    """Whether every node id is reached from the first one when each edge
+    between two nodes of the topology counts in both directions. Each id
+    counts once, so a repeated id (an error ``check_topology`` reports)
+    does not by itself make a topology disconnected."""
     if len(topo.nodes) <= 1:
         return True
     start = topo.nodes[0].id
@@ -912,7 +919,7 @@ def _is_connected(topo: NetworkTopology) -> bool:
             if nbr not in seen and topo.node_by_id(nbr) is not None:
                 seen.add(nbr)
                 stack.append(nbr)
-    return len(seen) == len(topo.nodes)
+    return len(seen) == len(topo.node_ids)
 
 
 def scenario_node_ids(spec: ScenarioSpec) -> Set[str]:
@@ -1015,9 +1022,8 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     draw = substream(seed, "edges").random
     density = recipe.intra_zone_density
     for u, _, zone, position in by_id:
-        for v in members[zone][position + 1:]:
-            if draw() < density:
-                edges.append(Edge(u, v, "tcp", True))
+        edges.extend([Edge(u, v, "tcp", True)
+                      for v in members[zone][position + 1:] if draw() < density])
 
     # A link joins two zones, so it can only repeat another link.
     links = recipe.inter_zone_gateways

@@ -13,8 +13,12 @@ the keys of ``compromise``; no other field holds them. An update copies
 the fields and changes only what it names, without running the
 constructor. The nodes the held credentials grant access to
 (``credential_targets``) are derived once per state, on first use,
-whether the state came from an update or was built directly. Two states are equal when their fields are, and equal
-states hash alike.
+whether the state came from an update or was built directly. Two states
+are equal when their fields are, and equal states hash alike.
+
+``alarms`` are (round, node) pairs in round order, none after the
+state's round: an alarm is appended at the current round, which only
+grows, and the constructor refuses any other order.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import FrozenSet, Mapping, Tuple
 
+from .errors import InvariantViolation
 from .model import NetworkTopology, Privilege
 
 
@@ -54,12 +59,17 @@ class SimulationState:
     alarms: Tuple[Tuple[int, str], ...] = ()
 
     def __post_init__(self):
+        alarms = tuple(self.alarms)
+        rounds = [r for r, _ in alarms]
+        if rounds != sorted(rounds) or (rounds and rounds[-1] > self.round):
+            raise InvariantViolation(
+                "alarms", "must be in non-decreasing round order, none after the state's round")
         canonical = {
             "compromise": MappingProxyType(dict(self.compromise)),
             "deployed": MappingProxyType(
                 {nid: frozenset(kinds) for nid, kinds in dict(self.deployed).items()}),
             "credentials_held": frozenset(self.credentials_held),
-            "alarms": tuple(self.alarms),
+            "alarms": alarms,
         }
         self.__dict__.update(canonical)
 

@@ -410,7 +410,20 @@ def reference_is_connected(topo: NetworkTopology) -> bool:
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)
-    return len(seen) == len(topo.nodes)
+    return len(seen) == len(adjacency)
+
+
+def reference_reactive_pick(state: SimulationState) -> Optional[str]:
+    """The node the reactive defender patches in an alarmed round, as a
+    ``min`` over every node: not compromised and not patched, highest
+    asset value first, then lowest id; None when no node qualifies."""
+    node = min(
+        (n for n in state.topology.nodes
+         if n.id not in state.compromise
+         and DefenseKind.PATCH not in state.defenses_on(n.id)),
+        key=lambda n: (-n.asset_value, n.id), default=None,
+    )
+    return None if node is None else node.id
 
 
 def reference_edge_exists(topology: NetworkTopology, src: str, dst: str) -> bool:

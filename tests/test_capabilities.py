@@ -530,6 +530,21 @@ class TestCompiledChecks:
         assert one.compromise.get("b") is None and one.defenses_on("a") == frozenset()
         assert pickle.loads(pickle.dumps(one)) == copy.deepcopy(one) == one
 
+    @pytest.mark.parametrize("round_, alarms", [
+        (3, ((2, "a"), (1, "b"))),
+        (1, ((2, "a"),)),
+        (2, ((0, "a"), (3, "b"))),
+    ], ids=["out_of_order", "after_the_round", "last_after_the_round"])
+    def test_alarms_out_of_round_order_are_refused(self, round_, alarms):
+        """The reactive defender reads only the last alarm, which is exact
+        only when alarms are in round order and none is from a later round."""
+        with pytest.raises(InvariantViolation) as caught:
+            SimulationState(topology=chain_topology(), round=round_, alarms=alarms)
+        assert caught.value.path == "alarms"
+        state = SimulationState(topology=chain_topology(), round=3,
+                                alarms=((0, "a"), (2, "b"), (2, "a"), (3, "c")))
+        assert pickle.loads(pickle.dumps(state)).alarms == state.alarms
+
 
 class TestPickles:
     def test_used_values_pickle_as_fresh_ones(self):

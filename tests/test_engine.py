@@ -20,7 +20,7 @@ from spidersim.errors import (
 )
 from spidersim.exports import export_trace
 from spidersim.rng import substream
-from spidersim.state import DefenseKind, fresh_state
+from spidersim.state import DefenseKind, SimulationState, fresh_state
 
 from helpers import (
     CountingRandom,
@@ -31,6 +31,7 @@ from helpers import (
     random_topology,
     reference_compute_metrics,
     reference_play,
+    reference_reactive_pick,
     reference_rounds,
     spec_around,
     sure_entry_reg,
@@ -217,6 +218,39 @@ class TestStepRound:
         assert len(defender_events) == 1
         patched = defender_events[0].target
         assert DefenseKind.PATCH in new_state.defenses_on(patched)
+
+    def test_reactive_pick_equals_a_min_over_every_node(self, registry):
+        """On random states with compromises, patches, tied asset values,
+        shuffled node order and (sometimes) a repeated node id, the
+        reactive defender patches ``reference_reactive_pick`` exactly when
+        an alarm was raised the round before, and nothing otherwise."""
+        cfg = config(defender_policy=ss.DefenderPolicy.REACTIVE, max_rounds=20)
+        outcomes = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            topo = random_topology(rng, max_nodes=8)
+            nodes = [replace(n, asset_value=rng.choice((10, 20, 20, 50)))
+                     for n in topo.nodes]
+            if rng.random() < 0.2:
+                nodes.append(replace(rng.choice(nodes), asset_value=rng.choice((10, 90))))
+            rng.shuffle(nodes)
+            topo = replace(topo, nodes=tuple(nodes))
+            ids = [n.id for n in nodes]
+            current = rng.randint(1, 10)
+            rounds = sorted(rng.randint(0, current) for _ in range(rng.randint(0, 3)))
+            state = SimulationState(
+                topology=topo, round=current,
+                compromise={nid: ss.Privilege.USER for nid in ids if rng.random() < 0.3},
+                deployed={nid: {DefenseKind.PATCH} for nid in ids if rng.random() < 0.3},
+                alarms=tuple((r, rng.choice(ids)) for r in rounds))
+            expected = reference_reactive_pick(state) if current in rounds else None
+            new_state, events = step_round(state, registry, cfg, random.Random(seed))
+            patched = [e.target for e in events if e.actor == ss.Actor.DEFENDER]
+            assert patched == ([] if expected is None else [expected]), seed
+            if expected is not None:
+                assert DefenseKind.PATCH in new_state.defenses_on(expected)
+            outcomes.add((current in rounds, expected is not None))
+        assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 @pytest.fixture

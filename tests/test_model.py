@@ -431,6 +431,27 @@ class TestValidateSpec:
         assert report.errors == ()
         assert any(f.code == "DisconnectedTopology" for f in report.warnings)
 
+    def test_repeated_node_id_alone_does_not_warn(self, marine_spec, registry):
+        """The marine fixture with ``maint-0`` listed twice is an error, and
+        still connected: a repeat is one id, not an unreached node."""
+        topo = marine_spec.scenario_parameters.explicit_topology
+        twin = topo.node_by_id("maint-0")
+        spec = dataclasses.replace(marine_spec, scenario_parameters=ScenarioParameters(
+            explicit_topology=dataclasses.replace(topo, nodes=topo.nodes + (twin,))))
+        report = ss.validate_spec(spec, registry)
+        assert "DuplicateNodeId" in {f.code for f in report.errors}
+        assert "DisconnectedTopology" not in {f.code for f in report.warnings}
+
+    def test_repeated_node_id_keeps_a_disconnection(self, registry):
+        topo = make_topology(
+            nodes=[("a", ss.NodeClass.WORKSTATION), ("b", ss.NodeClass.SENSOR),
+                   ("c", ss.NodeClass.SENSOR)],
+            edges=[("a", "b")])
+        topo = dataclasses.replace(topo, nodes=topo.nodes + (topo.nodes[0],))
+        report = ss.validate_spec(spec_around(topo), registry)
+        assert "DuplicateNodeId" in {f.code for f in report.errors}
+        assert "DisconnectedTopology" in {f.code for f in report.warnings}
+
     def test_connectivity_equals_a_walk_over_the_edge_list(self):
         """On random topologies with one-way edges, self-loops, edges to a
         missing node and repeated node ids, ``_is_connected`` answers as a

@@ -1,16 +1,23 @@
-"""The bulk value records are frozen slotted dataclasses: no instance
-dict, no field assignment, and pickles, deep copies and ``replace`` give
-back an equal value with an equal hash."""
+"""The bulk value records are declared with ``records.record``: frozen
+slotted dataclasses with no instance dict and no field assignment, whose
+pickles, deep copies and ``replace`` give back an equal value with an
+equal hash, and whose constructor stores each field through its slot with
+the signature and results of the one ``dataclass`` generates."""
 
 import copy
+import dataclasses
+import inspect
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import KW_ONLY, MISSING, FrozenInstanceError, InitVar, field, fields, replace
+from pathlib import Path
 
 import pytest
 
 import spidersim as ss
+from spidersim.capabilities import CapabilityOutcome
 from spidersim.engine import Metrics, SimEvent
 from spidersim.model import Service
+from spidersim.records import record
 
 STEP = ss.AttackStep(source=ss.EXTERNAL, capability_id="phishing", target="ws-0",
                      step_prob=0.4, step_cost=1)
@@ -33,6 +40,7 @@ RECORDS = [
              target="ctl-0", success=True, detected=False, trapped_for=0),
     Metrics(objectives_met=((0, True), (1, False)), time_to_first_objective=4,
             compromised_fraction=0.25, detection_count=1, attacker_cost_spent=7),
+    CapabilityOutcome(success=True, detected=False, trapped_for=2),
 ]
 
 
@@ -62,3 +70,61 @@ class TestSlottedRecords:
         assert type(copied) is type(value)
         assert copied == value
         assert hash(copied) == hash(value)
+
+
+def plain_twin(cls):
+    """The plain ``@dataclass(frozen=True, slots=True)`` with the fields of
+    ``cls``: what ``record`` must construct like."""
+    return dataclasses.make_dataclass(
+        cls.__name__, [(f.name, f.type, field(default=f.default)) for f in fields(cls)],
+        frozen=True, slots=True)
+
+
+def field_values(value):
+    return tuple(getattr(value, f.name) for f in fields(value))
+
+
+@pytest.mark.parametrize("value", RECORDS, ids=record_id)
+class TestRecordConstructor:
+    def test_signature_is_the_generated_one(self, value):
+        cls = type(value)
+        assert inspect.signature(cls.__init__) == inspect.signature(plain_twin(cls).__init__)
+        assert inspect.signature(cls) == inspect.signature(plain_twin(cls))
+
+    def test_construction_matches_the_twin(self, value):
+        cls, twin = type(value), plain_twin(type(value))
+        values = field_values(value)
+        names = [f.name for f in fields(cls)]
+        required = [v for f, v in zip(fields(cls), values) if f.default is MISSING]
+        for args, kwargs in [(values, {}), ((), dict(zip(names, values))), (required, {})]:
+            built, plain = cls(*args, **kwargs), twin(*args, **kwargs)
+            assert field_values(built) == field_values(plain)
+            assert hash(built) == hash(plain)
+        assert cls(*values) == value
+
+    def test_init_stores_through_the_slots(self, value):
+        assert "__setattr__" not in type(value).__init__.__code__.co_names
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param({"__annotations__": {"a": list}, "a": field(default_factory=list)},
+                 id="default_factory"),
+    pytest.param({"__annotations__": {"a": int}, "a": field(default=0, init=False)},
+                 id="init_false"),
+    pytest.param({"__annotations__": {"a": int}, "a": field(kw_only=True)}, id="kw_only"),
+    pytest.param({"__annotations__": {"_": KW_ONLY, "a": int}}, id="kw_only_marker"),
+    pytest.param({"__annotations__": {"a": int, "b": InitVar[int]}}, id="init_var"),
+    pytest.param({"__annotations__": {"a": int}, "__post_init__": lambda self: None},
+                 id="post_init"),
+])
+def test_record_refuses_what_its_init_does_not_reproduce(body):
+    with pytest.raises(TypeError):
+        record(type("Unsupported", (), dict(body)))
+
+
+def test_every_frozen_slotted_dataclass_is_a_record():
+    """One construction path: no module declares a frozen slotted
+    dataclass around ``record``."""
+    src = Path(ss.__file__).parent
+    assert [p.name for p in src.glob("*.py")
+            if p.name != "records.py" and "slots=True" in p.read_text()] == []
