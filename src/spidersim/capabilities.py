@@ -96,6 +96,24 @@ class EffectKind(str, Enum):
     REVEAL_VULNERABILITIES = "reveal_vulnerabilities"
 
 
+# The members ``apply_capability`` and ``_apply_effect`` compare against,
+# bound once: on Python 3.10 and 3.11 each ``Enum.MEMBER`` lookup goes
+# through ``EnumType.__getattr__`` (from 3.12 on it is a plain class
+# attribute read).
+_ATTACK = CapabilityKind.ATTACK
+_HONEYPOT = DefenseKind.HONEYPOT
+_SHOCKTRAP = DefenseKind.SHOCKTRAP
+_ENCRYPTION = DefenseKind.ENCRYPTION
+_SCANNER = DefenseKind.SCANNER
+_COMPROMISE = EffectKind.COMPROMISE
+_GAIN_CREDENTIALS = EffectKind.GAIN_CREDENTIALS
+_DEPLOY = EffectKind.DEPLOY
+_RAISE_ALARM = EffectKind.RAISE_ALARM
+_TRAP_ACTOR = EffectKind.TRAP_ACTOR
+_NULLIFY_CREDENTIAL_THEFT = EffectKind.NULLIFY_CREDENTIAL_THEFT
+_REVEAL_VULNERABILITIES = EffectKind.REVEAL_VULNERABILITIES
+
+
 @dataclass(frozen=True)
 class Predicate:
     kind: PredicateKind
@@ -589,24 +607,25 @@ def evaluate_preconditions(cap: AtomicCapability, state: SimulationState,
 def _apply_effect(state: SimulationState, eff: Effect, binding: Dict[str, str],
                   cap_id: str, privilege_override: Optional[Privilege]) -> SimulationState:
     node_id = _bound(binding, eff.slot, cap_id)
-    if eff.kind == EffectKind.COMPROMISE:
+    kind = eff.kind
+    if kind == _COMPROMISE:
         return state.with_compromise(node_id, privilege_override or eff.privilege)
-    if eff.kind == EffectKind.GAIN_CREDENTIALS:
+    if kind == _GAIN_CREDENTIALS:
         node = state.topology.node_by_id(node_id)
         if node is None:
             return state
         return state.with_credentials(node.credential_ids)
-    if eff.kind == EffectKind.DEPLOY:
+    if kind == _DEPLOY:
         return state.with_defense(node_id, eff.defense)
-    if eff.kind == EffectKind.RAISE_ALARM:
+    if kind == _RAISE_ALARM:
         return state.with_alarm(node_id)
-    if eff.kind == EffectKind.TRAP_ACTOR:
+    if kind == _TRAP_ACTOR:
         return state.with_trap(eff.duration_rounds)
-    if eff.kind == EffectKind.NULLIFY_CREDENTIAL_THEFT:
-        return state.with_defense(node_id, DefenseKind.ENCRYPTION)
-    if eff.kind == EffectKind.REVEAL_VULNERABILITIES:
-        return state.with_defense(node_id, DefenseKind.SCANNER)
-    raise AssertionError(f"unreachable effect kind {eff.kind!r}")
+    if kind == _NULLIFY_CREDENTIAL_THEFT:
+        return state.with_defense(node_id, _ENCRYPTION)
+    if kind == _REVEAL_VULNERABILITIES:
+        return state.with_defense(node_id, _SCANNER)
+    raise AssertionError(f"unreachable effect kind {kind!r}")
 
 
 def deploy_strategy(state: SimulationState, strategy: DefenseStrategy,
@@ -644,9 +663,11 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     success = rng.random() < (cap.base_success_prob if vuln is None else vuln.success_prob)
     detected = rng.random() < cap.detection_prob
 
-    defenses = state.defenses_on(target)
-    honeypot = cap.kind == CapabilityKind.ATTACK and DefenseKind.HONEYPOT in defenses
-    shocktrap = cap.kind == CapabilityKind.ATTACK and DefenseKind.SHOCKTRAP in defenses
+    # Decoys act on attacks only.
+    attack = cap.kind == _ATTACK
+    defenses = state.deployed.get(target, ()) if attack else ()
+    honeypot = _HONEYPOT in defenses
+    shocktrap = _SHOCKTRAP in defenses
 
     trapped_for = 0
     new_state = state
@@ -669,7 +690,7 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
         for eff in cap.effects:
             new_state = _apply_effect(new_state, eff, binding, cap.id, privilege_override)
 
-    if cap.kind == CapabilityKind.ATTACK and detected:
+    if attack and detected:
         new_state = new_state.with_alarm(target)
 
     return new_state, CapabilityOutcome(success, detected, trapped_for)

@@ -48,6 +48,17 @@ from .state import DefenseKind, SimulationState, fresh_state
 
 STALL_ROUNDS = 3
 
+# The enum members the per-round, per-event and per-objective code compares
+# against, bound once: on Python 3.10 and 3.11 ``EnumType.__getattr__``
+# makes each ``Enum.MEMBER`` lookup several times slower than a global
+# read (from 3.12 on it costs what any class attribute does).
+_ATTACKER = Actor.ATTACKER
+_DEFENDER = Actor.DEFENDER
+_COMPROMISE = ObjectiveKind.COMPROMISE
+_PROTECT = ObjectiveKind.PROTECT
+_DETECT = ObjectiveKind.DETECT
+_PATCH = DefenseKind.PATCH
+
 
 class AttackerPolicy(str, Enum):
     GREEDY_VALUE = "greedy_value"
@@ -58,6 +69,12 @@ class AttackerPolicy(str, Enum):
 class DefenderPolicy(str, Enum):
     STATIC = "static"
     REACTIVE = "reactive"
+
+
+# Bound once, like the members above.
+_GREEDY_VALUE = AttackerPolicy.GREEDY_VALUE
+_CHEAPEST_STEP = AttackerPolicy.CHEAPEST_STEP
+_REACTIVE = DefenderPolicy.REACTIVE
 
 
 @dataclass(frozen=True)
@@ -105,7 +122,7 @@ class Metrics:
     def attacker_won(self, objectives: Tuple[Objective, ...]) -> bool:
         """Whether the run is won (``_won``) on the objectives measured."""
         return _won([met for i, met in self.objectives_met
-                     if objectives[i].actor == Actor.ATTACKER])
+                     if objectives[i].actor == _ATTACKER])
 
 
 @dataclass(frozen=True)
@@ -137,7 +154,7 @@ def _won(attacker_met: List[bool]) -> bool:
 
 def _detected_attack(event: SimEvent) -> bool:
     """What a detect objective needs: a successful attack that was detected."""
-    return event.actor == Actor.ATTACKER and event.success and event.detected
+    return event.actor == _ATTACKER and event.success and event.detected
 
 
 def _objective_met(objective: Objective, matched: int, hit: int,
@@ -147,11 +164,12 @@ def _objective_met(objective: Objective, matched: int, hit: int,
     and the metrics. A compromise objective needs ``hit / matched`` at or
     above its threshold, a protect objective the safe share; detect needs
     a detected attack."""
-    if objective.kind == ObjectiveKind.DETECT:
+    kind = objective.kind
+    if kind == _DETECT:
         return detected_any
     if not matched:
-        return objective.kind == ObjectiveKind.PROTECT
-    if objective.kind == ObjectiveKind.COMPROMISE:
+        return kind == _PROTECT
+    if kind == _COMPROMISE:
         return hit / matched >= objective.threshold
     return (matched - hit) / matched >= objective.threshold
 
@@ -225,15 +243,15 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     state = state.with_round(round_number)
     events: List[SimEvent] = []
 
-    if config.defender_policy == DefenderPolicy.REACTIVE:
+    if config.defender_policy == _REACTIVE:
         # Alarms are in round order, so the last one says whether any was
         # raised last round.
         if state.alarms and state.alarms[-1][0] == round_number - 1:
             for node_id in state.topology.ids_by_asset_value:
                 if (node_id not in state.compromise
-                        and DefenseKind.PATCH not in state.defenses_on(node_id)):
-                    state = state.with_defense(node_id, DefenseKind.PATCH)
-                    events.append(SimEvent(round_number, Actor.DEFENDER, "patch", node_id,
+                        and _PATCH not in state.defenses_on(node_id)):
+                    state = state.with_defense(node_id, _PATCH)
+                    events.append(SimEvent(round_number, _DEFENDER, "patch", node_id,
                                            True, False, 0))
                     break
 
@@ -246,7 +264,8 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     if not applicable:
         return state, events
 
-    if config.attacker_policy == AttackerPolicy.GREEDY_VALUE:
+    policy = config.attacker_policy
+    if policy == _GREEDY_VALUE:
         node_by_id = state.topology.node_by_id
         pick = applicable[0]
         best = node_by_id(pick[1]["target"]).asset_value
@@ -254,7 +273,7 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
             value = node_by_id(entry[1]["target"]).asset_value
             if value > best:
                 pick, best = entry, value
-    elif config.attacker_policy == AttackerPolicy.CHEAPEST_STEP:
+    elif policy == _CHEAPEST_STEP:
         pick = applicable[0]
     else:  # uniform_random
         draw = rng.random()
@@ -262,7 +281,7 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
 
     cap, binding = pick
     state, outcome = apply_capability(state, cap, binding, rng)
-    events.append(SimEvent(round_number, Actor.ATTACKER, cap.id, binding["target"],
+    events.append(SimEvent(round_number, _ATTACKER, cap.id, binding["target"],
                            outcome.success, outcome.detected, outcome.trapped_for))
     return state, events
 
@@ -296,7 +315,7 @@ def _start(spec: ScenarioSpec, strategy: DefenseStrategy, registry: CapabilityRe
     topology = resolve_topology(spec, registry, seed)
     state = deploy_strategy(fresh_state(topology), strategy, registry)
     return state, [(o, topology.select(o.target)) for o in spec.objectives
-                   if o.actor == Actor.ATTACKER]
+                   if o.actor == _ATTACKER]
 
 
 def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tuple[str, ...]]],
@@ -323,7 +342,7 @@ def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tup
         state, round_events = step_round(state, registry, config, rng, _last=last)
         events.extend(round_events)
         # step_round puts the attacker's event, if any, last.
-        attacker_acted = bool(round_events) and round_events[-1].actor == Actor.ATTACKER
+        attacker_acted = bool(round_events) and round_events[-1].actor == _ATTACKER
         if attacker_acted and not detected_any:
             detected_any = _detected_attack(round_events[-1])
         if attacker_acted or trapped:
@@ -385,7 +404,7 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
     detection_count = 0
     cost = 0
     for event in trace.events:
-        if event.actor != Actor.ATTACKER:
+        if event.actor != _ATTACKER:
             continue
         cost += registry.get(event.capability_id).cost_units
         if event.detected:
@@ -402,7 +421,7 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
 
     for i, objective in enumerate(objectives):
         matching = topology.select(objective.target)
-        if objective.kind == ObjectiveKind.COMPROMISE:
+        if objective.kind == _COMPROMISE:
             # Met in the round of the shortest prefix of the hit rounds that
             # meets it; the empty prefix stands for round 0.
             hit_rounds = sorted(first_rounds.get(nid, 0) for nid in matching
@@ -418,12 +437,12 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
             is_met = _objective_met(objective, len(matching), hit, detected_any)
             if not is_met:
                 met_round = None
-            elif objective.kind == ObjectiveKind.DETECT:
+            elif objective.kind == _DETECT:
                 met_round = first_detected
             else:  # protect: monotone, so the final-state check covers all rounds
                 met_round = final_round if matching else 0
         met.append((i, is_met))
-        if objective.actor == Actor.ATTACKER and is_met:
+        if objective.actor == _ATTACKER and is_met:
             if first_objective_round is None or met_round < first_objective_round:
                 first_objective_round = met_round
 
@@ -460,6 +479,10 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
     last = _LastEnumeration()
     per_seed: List[Metrics] = []
     successes = 0
+    # Added left to right, as ``sum`` adds floats before Python 3.12 (from
+    # 3.12 on it compensates rounding), so the mean has the same bytes on
+    # every version.
+    fraction_total = 0.0
     for i in range(n):
         run_config = SimulationConfig(config.max_rounds, (config.seed + i) & MASK64,
                                       config.attacker_policy, config.defender_policy)
@@ -472,11 +495,12 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
                                      events=events, final_state=final_state)
         metrics = compute_metrics(undigested, spec.objectives, registry)
         per_seed.append(metrics)
+        fraction_total += metrics.compromised_fraction
         if metrics.attacker_won(spec.objectives):
             successes += 1
     return BatchResult(
         per_seed=tuple(per_seed),
-        mean_compromised_fraction=sum(m.compromised_fraction for m in per_seed) / n,
+        mean_compromised_fraction=fraction_total / n,
         attacker_success_rate=successes / n,
         mean_detection_count=sum(m.detection_count for m in per_seed) / n,
     )

@@ -11,6 +11,7 @@ dangerous.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
@@ -63,6 +64,15 @@ class AccessRequirement(str, Enum):
 class Privilege(str, Enum):
     USER = "user"
     ADMIN = "admin"
+
+
+# The members ``build_topology`` reads per node and per vulnerability, bound
+# once: on Python 3.10 and 3.11 each ``Enum.MEMBER`` lookup goes through
+# ``EnumType.__getattr__`` (from 3.12 on it is a plain class attribute read).
+_GATEWAY = NodeClass.GATEWAY
+_ADJACENT = AccessRequirement.ADJACENT
+_USER = Privilege.USER
+_ADMIN = Privilege.ADMIN
 
 
 @record
@@ -197,22 +207,22 @@ class NetworkTopology:
 
     @cached_property
     def _in_neighbours(self) -> Dict[str, FrozenSet[str]]:
-        index: Dict[str, Set[str]] = {}
+        index: Dict[str, Set[str]] = defaultdict(set)
         for edge in self.edges:
-            index.setdefault(edge.dst, set()).add(edge.src)
+            index[edge.dst].add(edge.src)
             if edge.bidirectional:
-                index.setdefault(edge.src, set()).add(edge.dst)
+                index[edge.src].add(edge.dst)
         return {node_id: frozenset(srcs) for node_id, srcs in index.items()}
 
     @cached_property
     def _out_neighbours(self) -> Dict[str, Tuple[str, ...]]:
         # Sorted tuples: the path search walks them in id order, and a
         # tuple takes a fraction of a frozenset's memory.
-        index: Dict[str, Set[str]] = {}
+        index: Dict[str, Set[str]] = defaultdict(set)
         for edge in self.edges:
-            index.setdefault(edge.src, set()).add(edge.dst)
+            index[edge.src].add(edge.dst)
             if edge.bidirectional:
-                index.setdefault(edge.dst, set()).add(edge.src)
+                index[edge.dst].add(edge.src)
         return {node_id: tuple(sorted(dsts)) for node_id, dsts in index.items()}
 
     def node_by_id(self, node_id: str) -> Optional[Node]:
@@ -402,6 +412,11 @@ class ScenarioParameters:
 
 @dataclass(frozen=True)
 class Elements:
+    """``capability_refs`` is checked, not selecting: every ref must name a
+    registered capability (otherwise ``validate_spec`` reports
+    ``UnresolvedCapability``), but runs and path searches use every
+    registered capability, not only the listed ones."""
+
     asset_classes: Tuple[NodeClass, ...]
     threat_actors: Tuple[str, ...]
     capability_refs: Tuple[str, ...]
@@ -881,12 +896,12 @@ def check_topology(topo: NetworkTopology):
             yield Finding("UnknownZone", f"node {node.id!r} in undeclared zone {node.zone!r}", f"nodes.{node.id}")
     seen_edges = set()
     for edge in topo.edges:
-        loc = f"edges.{edge.src}->{edge.dst}"
         if edge.src not in node_ids or edge.dst not in node_ids:
-            yield Finding("DanglingEdge", f"edge {edge.src!r}->{edge.dst!r} references a missing node", loc)
+            yield Finding("DanglingEdge", f"edge {edge.src!r}->{edge.dst!r} references a missing node",
+                          f"edges.{edge.src}->{edge.dst}")
         key = (edge.src, edge.dst, edge.protocol_tag)
         if key in seen_edges:
-            yield Finding("DuplicateEdge", f"duplicate edge {key!r}", loc)
+            yield Finding("DuplicateEdge", f"duplicate edge {key!r}", f"edges.{edge.src}->{edge.dst}")
         seen_edges.add(key)
     for node in topo.nodes:
         for vid in node.vulnerability_ids:
@@ -1028,7 +1043,7 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     # A link joins two zones, so it can only repeat another link.
     links = recipe.inter_zone_gateways
     zones = tuple(f"zone-{i}" for i in range(recipe.zone_count))
-    gateways = [(nid, zone) for nid, cls, zone, _ in by_id if cls is NodeClass.GATEWAY]
+    gateways = [(nid, zone) for nid, cls, zone, _ in by_id if cls is _GATEWAY]
     if recipe.zone_count > 1 and links > 0 and gateways:
         linked = set()
         pair_index = 0
@@ -1051,15 +1066,15 @@ def build_topology(recipe: TopologyRecipe, registry, seed: int) -> NetworkTopolo
     vuln_on: Dict[str, Tuple[str, ...]] = {}
     draw = substream(seed, "vulns").random
     for nid, cls, _, _ in by_id:
-        if cls is NodeClass.GATEWAY:
+        if cls is _GATEWAY:
             continue
         if draw() < recipe.vuln_rate:
             tag = tags[min(int(draw() * len(tags)), len(tags) - 1)]
             success = round(0.4 + 0.5 * draw(), 2)
-            privilege = Privilege.ADMIN if draw() < 0.3 else Privilege.USER
+            privilege = _ADMIN if draw() < 0.3 else _USER
             vuln_id = f"vuln-{nid}"
             vulnerabilities.append(Vulnerability(
-                vuln_id, tag, AccessRequirement.ADJACENT, success, 0.2, privilege))
+                vuln_id, tag, _ADJACENT, success, 0.2, privilege))
             vuln_on[nid] = (vuln_id,)
 
     credentials: List[Credential] = []

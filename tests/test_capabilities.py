@@ -745,6 +745,27 @@ class TestApplication:
         ss.apply_capability(state, bare_attack(), {"target": "w"}, rng)
         assert rng.draws == 4
 
+    def test_decoys_act_on_attacks_only(self, ws_state):
+        """A defense applied to a node holding a honeypot and a shocktrap
+        rolls only its two draws, applies its effect, and is neither
+        trapped nor alarmed, though it is detected."""
+        state = (ws_state.with_defense("w", DefenseKind.HONEYPOT)
+                 .with_defense("w", DefenseKind.SHOCKTRAP))
+        cap = ss.AtomicCapability(
+            id="guard", kind=ss.CapabilityKind.DEFENSE, name="Guard",
+            technique_tag="T0000", preconditions=(),
+            effects=(ss.Effect(ss.EffectKind.DEPLOY, defense=DefenseKind.PATCH),),
+            base_success_prob=1.0, detection_prob=1.0, cost_units=1,
+        )
+        rng = CountingRandom(0)
+        new_state, outcome = ss.apply_capability(state, cap, {"target": "w"}, rng)
+        assert rng.draws == 2
+        assert outcome == ss.CapabilityOutcome(success=True, detected=True, trapped_for=0)
+        assert new_state.defenses_on("w") == {DefenseKind.HONEYPOT, DefenseKind.SHOCKTRAP,
+                                              DefenseKind.PATCH}
+        assert new_state.trapped_until == state.trapped_until
+        assert new_state.alarms == ()
+
     def test_honeypot_deceptive_success(self, registry, ws_state):
         state = ws_state.with_defense("w", DefenseKind.HONEYPOT)
         cap = registry.get("phishing")

@@ -436,6 +436,31 @@ class TestPayloadPins:
         assert sha256(out) == (
             "9fb485038a4a22e33f4213e032dd4782f34ec18c5440d8c619b306d5045f419c")
 
+    def test_batch_marine_reactive_uniform_random_with_readme_strategy(self, capsys, tmp_path):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(README_STRATEGY))
+        code, out, _ = run(capsys, "batch", "--scenario", SCENARIO, "--seed", "0", "-n", "20",
+                           "--attacker", "uniform_random", "--defender", "reactive",
+                           "--strategy", str(strategy))
+        assert code == 0
+        assert sha256(out) == (
+            "31c3114e743654ce1a10df7291043e703d6337b1db33ad82cef51e7f0c6db5f6")
+
+    def test_batch_marine_cheapest_step(self, capsys):
+        code, out, _ = run(capsys, "batch", "--scenario", SCENARIO, "--seed", "0", "-n", "20",
+                           "--attacker", "cheapest_step")
+        assert code == 0
+        assert sha256(out) == (
+            "89709fb919dd0f1e546ba07e7265bb579bfc13528686611ba223d3f2bec7c856")
+
+    def test_simulate_marine_trace_file(self, capsys, tmp_path):
+        trace = tmp_path / "trace.json"
+        code, _, _ = run(capsys, "simulate", "--scenario", SCENARIO, "--seed", "3",
+                         "--trace", str(trace))
+        assert code == 0
+        assert sha256(trace.read_text(encoding="utf-8")) == (
+            "0c610298843f05a986f90fb62463d1199aafe369e1e7d4ffd7e9d1ec02957da1")
+
     def test_paths_marine_with_dot(self, capsys, tmp_path):
         dot = tmp_path / "paths.dot"
         code, out, _ = run(capsys, "paths", "--scenario", SCENARIO, "--entry", "maint-0",
