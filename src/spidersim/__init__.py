@@ -14,7 +14,6 @@ from .attackgraph import (
     PathQuery,
     enumerate_attack_paths,
     reachable_set,
-    score_path,
     suggest_defense_placements,
 )
 from .capabilities import (

@@ -1,4 +1,4 @@
-"""Attack path enumeration, scoring, reachability, and greedy placement.
+"""Attack path enumeration, reachability, and greedy placement.
 
 Paths are a static, pre-simulation view: a hop is realizable when the
 topology alone supports it (an edge plus either an exploitable
@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from .capabilities import CapabilityRegistry, select_vulnerability
 from .errors import (
     InvalidQueryBound,
-    NonContiguousPath,
     TargetSelectorEmpty,
     UnknownEntryNode,
 )
@@ -102,7 +101,7 @@ class _HopTable:
         exploit = self._exploit
         if exploit is not None:
             vuln = select_vulnerability(self._topology, target,
-                                        exploit._binding_rule.vuln_access)
+                                        exploit.binding_rule.vuln_access)
             if vuln is not None:
                 options.append((vuln.success_prob, exploit.cost_units, exploit.id))
         lateral = self._lateral
@@ -131,7 +130,7 @@ class _HopTable:
         if cap is None:
             return None
         node = self._topology.node_by_id(entry)
-        if node is None or node.node_class not in cap._binding_rule.target_classes:
+        if node is None or node.node_class not in cap.binding_rule.target_classes:
             return None
         return entry, cap.id, cap.base_success_prob, cap.cost_units
 
@@ -210,19 +209,6 @@ def _attack_path(entry: str, hops: Tuple[Hop, ...], prob: float) -> AttackPath:
         source = target
     return AttackPath(steps=tuple(steps), success_prob=prob,
                       total_cost=sum(hop[3] for hop in hops))
-
-
-def score_path(steps: Iterable[AttackStep]) -> Tuple[float, int]:
-    """Recompute (success_prob, total_cost) for a step sequence."""
-    steps = tuple(steps)
-    if not steps:
-        raise NonContiguousPath("a path needs at least one step")
-    for prev, cur in zip(steps, steps[1:]):
-        if cur.source != prev.target:
-            raise NonContiguousPath(
-                f"step source {cur.source!r} does not follow target {prev.target!r}"
-            )
-    return math.prod(s.step_prob for s in steps), sum(s.step_cost for s in steps)
 
 
 def reachable_set(topology: NetworkTopology, registry: CapabilityRegistry,

@@ -19,7 +19,7 @@ informational.
 Each capability is compiled once, on first use, and keeps the result
 (``functools.cached_property`` on the capability, so every registry that
 holds it shares it, and pickles leave it out): each precondition becomes a check of (state,
-binding) with its slot and operands already read, and ``_BindingRule``, the
+binding) with its slot and operands already read, and ``BindingRule``, the
 one reading of what it requires, is read from its terms.
 ``evaluate_preconditions`` runs the checks in declaration order; it is the
 one place a precondition is evaluated.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from typing import (
-    Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set,
+    Callable, Container, Dict, Iterable, Iterator, List, Mapping, Optional, Set,
     Tuple,
 )
 
@@ -185,7 +185,8 @@ class AtomicCapability:
         return tuple((pred, _compile_predicate(pred)) for pred in self.preconditions)
 
     @cached_property
-    def _binding_rule(self) -> "_BindingRule":
+    def binding_rule(self) -> "BindingRule":
+        """What the capability's terms require (``BindingRule``)."""
         return _read_binding_rule(self)
 
 
@@ -214,9 +215,10 @@ class PreconditionResult:
 
 
 @dataclass(frozen=True)
-class _BindingRule:
+class BindingRule:
     """What a capability's terms require, read once per capability: the one
-    reading enumeration, ``apply_capability`` and ``path_capabilities`` share."""
+    reading enumeration, ``apply_capability``, ``path_capabilities`` and the
+    forge share."""
 
     cap: AtomicCapability
     # Some term reads the source slot, so every binding names a source.
@@ -224,8 +226,9 @@ class _BindingRule:
     # actor_has_foothold on target / on source
     target_footholds: bool
     source_footholds: bool
-    # The classes every node_class_is on target allows, or None without one.
-    target_classes: Optional[FrozenSet[NodeClass]]
+    # The classes every node_class_is on target allows, in ``NodeClass``
+    # order, or None without one.
+    target_classes: Optional[Tuple[NodeClass, ...]]
     # edge_exists from source to target
     source_edge: bool
     # The access level node_has_vuln_with_access on target needs, or None
@@ -245,18 +248,19 @@ def _named_slots(cap: AtomicCapability) -> List[str]:
             + [p.src_slot for p in cap.preconditions if p.src_slot is not None])
 
 
-def _read_binding_rule(cap: AtomicCapability) -> _BindingRule:
+def _read_binding_rule(cap: AtomicCapability) -> BindingRule:
     def on(kind: PredicateKind, slot: str) -> List[Predicate]:
         return [p for p in cap.preconditions if p.kind == kind and p.slot == slot]
 
+    class_terms = on(PredicateKind.NODE_CLASS_IS, "target")
     target_classes = None
-    for pred in on(PredicateKind.NODE_CLASS_IS, "target"):
-        classes = frozenset(pred.node_classes or ())
-        target_classes = classes if target_classes is None else target_classes & classes
+    if class_terms:
+        target_classes = tuple(cls for cls in NodeClass
+                               if all(cls in (p.node_classes or ()) for p in class_terms))
     slots = _named_slots(cap)
     needs_foothold = any(p.kind == PredicateKind.ACTOR_HAS_FOOTHOLD for p in cap.preconditions)
     compromises = any(e.kind == EffectKind.COMPROMISE for e in cap.effects)
-    return _BindingRule(
+    return BindingRule(
         cap=cap,
         binds_source="source" in slots,
         target_footholds=bool(on(PredicateKind.ACTOR_HAS_FOOTHOLD, "target")),
@@ -289,11 +293,11 @@ class CapabilityRegistry:
         return index_by_id(self._caps)
 
     @cached_property
-    def _binding_rules(self) -> Dict[CapabilityKind, Tuple[_BindingRule, ...]]:
+    def _binding_rules(self) -> Dict[CapabilityKind, Tuple[BindingRule, ...]]:
         """Attack and defense capabilities in (cost, id) order, each with
         its binding rule."""
         ordered = sorted(self._caps, key=lambda c: (c.cost_units, c.id))
-        return {kind: tuple(c._binding_rule for c in ordered if c.kind == kind)
+        return {kind: tuple(c.binding_rule for c in ordered if c.kind == kind)
                 for kind in CapabilityKind}
 
     @cached_property
@@ -304,7 +308,7 @@ class CapabilityRegistry:
         ``target_classes``; or None."""
         rules = self._binding_rules[CapabilityKind.ATTACK]
 
-        def cheapest(qualifies: Callable[[_BindingRule], bool]) -> Optional[AtomicCapability]:
+        def cheapest(qualifies: Callable[[BindingRule], bool]) -> Optional[AtomicCapability]:
             return next((rule.cap for rule in rules if qualifies(rule)), None)
 
         return (
@@ -657,7 +661,7 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
             f"capability {cap.id!r}: {result.first_failed.kind.value} does not hold"
         )
     target = _bound(binding, "target", cap.id)
-    level = cap._binding_rule.vuln_access
+    level = cap.binding_rule.vuln_access
     vuln = None if level is None else select_vulnerability(state.topology, target, level)
 
     success = rng.random() < (cap.base_success_prob if vuln is None else vuln.success_prob)
@@ -700,7 +704,7 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
 _ACTOR_KINDS = {Actor.ATTACKER: CapabilityKind.ATTACK, Actor.DEFENDER: CapabilityKind.DEFENSE}
 
 
-def _candidate_bindings(rule: _BindingRule, topology: NetworkTopology,
+def _candidate_bindings(rule: BindingRule, topology: NetworkTopology,
                         domain: Tuple[str, ...], in_domain: Set[str],
                         footholds: Set[str]) -> Iterator[Dict[str, str]]:
     """Bindings of ``rule.cap`` worth checking, in (target, source) order,

@@ -191,16 +191,8 @@ def _cmd_validate(args) -> int:
     registry = _load_registry(args.capability_file)
     spec = parse_scenario(_read(args.scenario))
     report = validate_spec(spec, registry)
-    doc = {
-        "errors": [
-            {"code": f.code, "message": f.message, "location": f.location}
-            for f in report.errors
-        ],
-        "warnings": [
-            {"code": f.code, "message": f.message, "location": f.location}
-            for f in report.warnings
-        ],
-    }
+    doc = {key: [{"code": f.code, "message": f.message, "location": f.location} for f in findings]
+           for key, findings in (("errors", report.errors), ("warnings", report.warnings))}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     if report.errors:
         for finding in report.errors:

@@ -338,14 +338,15 @@ def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tup
     checked = (None, None)  # compromise and detected_any at the last objective check
 
     for _ in range(config.max_rounds):
-        trapped = state.trapped_until > state.round + 1
         state, round_events = step_round(state, registry, config, rng, _last=last)
         events.extend(round_events)
         # step_round puts the attacker's event, if any, last.
         attacker_acted = bool(round_events) and round_events[-1].actor == _ATTACKER
         if attacker_acted and not detected_any:
             detected_any = _detected_attack(round_events[-1])
-        if attacker_acted or trapped:
+        # A trapped attacker is not idle. A trap set this round came from
+        # the attacker's own action, which resets the count anyway.
+        if attacker_acted or state.trapped_until > state.round:
             idle_rounds = 0
         else:
             idle_rounds += 1

@@ -117,10 +117,6 @@ class InvalidQueryBound(SpiderSimError):
     pass
 
 
-class NonContiguousPath(SpiderSimError):
-    pass
-
-
 class UnknownPathNode(SpiderSimError):
     pass
 

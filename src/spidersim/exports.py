@@ -57,10 +57,26 @@ from .state import DefenseKind, SimulationState
 # DOT export
 # ---------------------------------------------------------------------------
 
-def _cluster_id(zone: str) -> str:
-    # DOT bare identifiers cannot contain '-'; sanitize but keep the exact
-    # zone name in the label.
-    return "cluster_" + re.sub(r"[^0-9A-Za-z_]", "_", zone)
+def _escaped(text: str) -> str:
+    """``text`` for a DOT quoted string: its ``\\`` and ``"`` escaped."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _cluster_ids(zones: Iterable[str]) -> Dict[str, str]:
+    """One DOT cluster id per zone name: the name with every character a
+    bare id cannot hold (such as '-') turned to '_', and where an earlier
+    zone in name order holds that id, the first free ``_<n>`` suffix."""
+    ids: Dict[str, str] = {}
+    taken = set()
+    for zone in sorted(set(zones)):
+        base = cluster = "cluster_" + re.sub(r"[^0-9A-Za-z_]", "_", zone)
+        n = 0
+        while cluster in taken:
+            n += 1
+            cluster = f"{base}_{n}"
+        taken.add(cluster)
+        ids[zone] = cluster
+    return ids
 
 
 def export_dot(topology: NetworkTopology,
@@ -68,7 +84,7 @@ def export_dot(topology: NetworkTopology,
     """Render the topology as DOT, highlighting attack path edges in red.
 
     Statements are emitted in lexicographic order so output is byte-exact
-    for identical inputs.
+    for identical inputs. Every id and name is ``_escaped``.
     """
     paths = list(highlighted_paths or [])
     hot: set = set()
@@ -88,13 +104,17 @@ def export_dot(topology: NetworkTopology,
     if external_edges:
         lines.append('  "EXTERNAL" [shape=diamond]')
     members: Dict[str, List[Node]] = {}
+    escaped: Dict[str, str] = {}
     for node in topology.nodes:
         members.setdefault(node.zone, []).append(node)
+        escaped[node.id] = _escaped(node.id)
+    clusters = _cluster_ids(topology.zones)
     for zone in sorted(topology.zones):
-        lines.append(f"  subgraph {_cluster_id(zone)} {{")
-        lines.append(f'    label="{zone}"')
+        lines.append(f"  subgraph {clusters[zone]} {{")
+        lines.append(f'    label="{_escaped(zone)}"')
         for node in sorted(members.get(zone, ()), key=lambda n: n.id):
-            lines.append(f'    "{node.id}" [label="{node.id}\\n{node.node_class.value}"]')
+            name = escaped[node.id]
+            lines.append(f'    "{name}" [label="{name}\\n{node.node_class.value}"]')
         lines.append("  }")
 
     # Edge lines sort by (src, dst), topology edges by protocol tag and
@@ -106,10 +126,12 @@ def export_dot(topology: NetworkTopology,
             edge.bidirectional and (edge.dst, edge.src) in hot
         )
         suffix = ' [color="red", penwidth=2]' if highlighted else ""
-        edge_lines.append(((edge.src, edge.dst, 0, edge.protocol_tag),
-                           f'  "{edge.src}" -> "{edge.dst}"{suffix}'))
+        src = escaped.get(edge.src) or _escaped(edge.src)
+        dst = escaped.get(edge.dst) or _escaped(edge.dst)
+        edge_lines.append(((edge.src, edge.dst, 0, edge.protocol_tag), f'  "{src}" -> "{dst}"{suffix}'))
     for src, dst in external_edges:
-        edge_lines.append(((src, dst, 1, ""), f'  "{src}" -> "{dst}" [color="red", penwidth=2]'))
+        edge_lines.append(((src, dst, 1, ""),
+                           f'  "{src}" -> "{escaped[dst]}" [color="red", penwidth=2]'))
     edge_lines.sort(key=lambda item: item[0])
     lines.extend(text for _, text in edge_lines)
     lines.append("}")

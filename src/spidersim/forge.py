@@ -72,8 +72,6 @@ class AttackerProfile(str, Enum):
     TARGETED = "targeted"
 
 
-_NODE_CLASSES = tuple(NodeClass)
-
 # vuln_rate derived from the attacker profile by the context analyst
 _PROFILE_VULN_RATE = {
     AttackerProfile.OPPORTUNISTIC: 0.5,
@@ -208,8 +206,7 @@ def _entry_classes(registry: CapabilityRegistry) -> Tuple[NodeClass, ...]:
         raise GenerationFailed(
             "the registry has no entry capability: no attack capability "
             "compromises nodes of given classes without a foothold")
-    classes = entry._binding_rule.target_classes
-    return tuple([cls for cls in _NODE_CLASSES if cls in classes])
+    return entry.binding_rule.target_classes
 
 
 def _preferred_entry_class(requirement: Requirement, registry: CapabilityRegistry) -> NodeClass:
@@ -302,7 +299,7 @@ def _semantic_hints(bb: Blackboard, registry: CapabilityRegistry
 
     reached = reachable_set(topology, registry, entries)
     exploit = registry.path_capabilities[0]
-    level = exploit._binding_rule.vuln_access if exploit else None
+    level = exploit.binding_rule.vuln_access if exploit else None
     for i, objective in enumerate(bb.threat_plan.objectives):
         if objective.actor != Actor.ATTACKER:
             continue

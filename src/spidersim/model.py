@@ -330,11 +330,12 @@ class TopologyRecipe:
         ):
             if not 0.0 <= value <= 1.0:
                 raise InvariantViolation(f"recipe.{name}", "must be in [0,1]")
+        seen = set()
         for cls, count in self.node_counts:
-            if count < 0:
-                raise InvariantViolation(
-                    f"recipe.node_counts[{cls.value}]", "must be >= 0"
-                )
+            if count < 0 or cls in seen:
+                raise InvariantViolation(f"recipe.node_counts[{cls.value}]",
+                                         "must be >= 0" if count < 0 else "names the class twice")
+            seen.add(cls)
         if (work := self.expansion_work()) > MAX_RECIPE_WORK:
             raise InvariantViolation(
                 "recipe", f"asks for {work} expansion steps, more than {MAX_RECIPE_WORK}"
@@ -350,10 +351,7 @@ class TopologyRecipe:
         return nodes + zones + same_zone_pairs + zones * (zones - 1) // 2 * self.inter_zone_gateways
 
     def count(self, cls: NodeClass) -> int:
-        for c, n in self.node_counts:
-            if c == cls:
-                return n
-        return 0
+        return dict(self.node_counts).get(cls, 0)
 
     def total_nodes(self) -> int:
         return sum(n for _, n in self.node_counts)

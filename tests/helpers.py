@@ -370,6 +370,17 @@ def oracle_paths(topology: NetworkTopology, entries: Sequence[str],
     return results
 
 
+def score_path(steps: Sequence[AttackStep]) -> Tuple[float, int]:
+    """(success_prob, total_cost) of a step sequence, recomputed from its
+    steps: the product of the step probabilities left to right and the
+    sum of the step costs. The steps must chain, each source the target
+    before it."""
+    assert steps, "a path needs at least one step"
+    for prev, cur in zip(steps, steps[1:]):
+        assert cur.source == prev.target, (prev, cur)
+    return math.prod(s.step_prob for s in steps), sum(s.step_cost for s in steps)
+
+
 def path_to_oracle_steps(path) -> Tuple[OracleStep, ...]:
     return tuple(
         (s.source, s.capability_id, s.target, s.step_prob, s.step_cost)
@@ -1172,6 +1183,102 @@ def reference_parse_paths(document: str) -> List[AttackPath]:
             total_cost=_expect_int(_require(d, "total_cost", path), f"{path}.total_cost"),
         ))
     return paths
+
+
+# ---------------------------------------------------------------------------
+# DOT reader
+# ---------------------------------------------------------------------------
+
+# DOT's quoted-string rule: a backslash and the character after it are one
+# unit, so ``\"`` is a quote inside the string and ``\\`` cannot end it; a
+# bare ``"`` ends it. Inside, ``\"`` reads as ``"`` and every other character
+# stays as written.
+_DOT_TOKEN = re.compile(r'\s+|"((?:[^"\\]|\\.)*)"|->|[{}\[\]=;,]|[A-Za-z0-9_.]+', re.DOTALL)
+
+
+def _dot_tokens(text: str) -> List[Tuple[str, str]]:
+    """(kind, value) tokens: kind "id" for a bare or quoted id (a quoted one
+    unescaped by the rule above), else the punctuation itself."""
+    tokens, pos = [], 0
+    while pos < len(text):
+        match = _DOT_TOKEN.match(text, pos)
+        assert match, f"no DOT token at {text[pos:pos + 20]!r}"
+        pos = match.end()
+        if match.group(1) is not None:
+            tokens.append(("id", match.group(1).replace('\\"', '"')))
+        elif not match.group(0).isspace():
+            token = match.group(0)
+            tokens.append(("id", token) if token[0].isalnum() or token[0] in "_." else (token, token))
+    return tokens
+
+
+def label_text(label: str) -> str:
+    r"""What Graphviz draws for a label: ``\\`` is a backslash, ``\n`` a line
+    break."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n" else m.group(1), label)
+
+
+def read_dot(text: str) -> dict:
+    """The statements of a ``digraph`` as Graphviz reads them: its clusters
+    as (id, label, names of the nodes stated in it), its node statements as
+    (name, attributes) and its edge statements as (src, dst, attributes),
+    each in text order."""
+    tokens = _dot_tokens(text)
+    pos = 0
+
+    def take(kind: Optional[str] = None) -> str:
+        nonlocal pos
+        got_kind, value = tokens[pos]
+        assert kind is None or got_kind == kind, (kind, tokens[pos])
+        pos += 1
+        return value
+
+    def attributes() -> Dict[str, str]:
+        attrs: Dict[str, str] = {}
+        if pos < len(tokens) and tokens[pos][0] == "[":
+            take("[")
+            while tokens[pos][0] != "]":
+                key = take("id")
+                take("=")
+                attrs[key] = take("id")
+                if tokens[pos][0] == ",":
+                    take(",")
+            take("]")
+        return attrs
+
+    assert take("id") == "digraph"
+    graph: dict = {"name": take("id"), "clusters": [], "nodes": [], "edges": []}
+    take("{")
+    open_clusters: List[list] = []
+    while True:
+        kind, value = tokens[pos]
+        if kind == "}":
+            take("}")
+            if not open_clusters:
+                break
+            graph["clusters"].append(tuple(open_clusters.pop()))
+        elif kind == "id" and value == "subgraph":
+            take()
+            open_clusters.append([take("id"), None, []])
+            take("{")
+        elif kind == "id" and tokens[pos + 1][0] == "=":
+            key = take("id")
+            take("=")
+            value = take("id")
+            if key == "label" and open_clusters:
+                open_clusters[-1][1] = value
+        elif kind == "id" and tokens[pos + 1][0] == "->":
+            src = take("id")
+            take("->")
+            dst = take("id")
+            graph["edges"].append((src, dst, attributes()))
+        else:
+            name = take("id")
+            graph["nodes"].append((name, attributes()))
+            if open_clusters:
+                open_clusters[-1][2].append(name)
+    assert pos == len(tokens), f"text after the graph: {tokens[pos:pos + 5]}"
+    return graph
 
 
 # ---------------------------------------------------------------------------

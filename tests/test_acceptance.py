@@ -21,6 +21,7 @@ from helpers import (
     oracle_paths,
     path_to_oracle_steps,
     random_topology,
+    score_path,
     spec_around,
 )
 
@@ -206,7 +207,7 @@ def test_criterion_6_invariant_suites(marine_requirement):
             topo, registry, ss.PathQuery(entries=tuple(entries), target=target))
         reachable = ss.reachable_set(topo, registry, entries)
         for path in full:
-            prob, cost = ss.score_path(path.steps)
+            prob, cost = score_path(path.steps)
             targets = [s.target for s in path.steps]
             if (prob != path.success_prob or cost != path.total_cost
                     or len(set(targets)) != len(targets)

@@ -12,7 +12,6 @@ import spidersim.attackgraph as attackgraph
 from spidersim.attackgraph import hop_option
 from spidersim.errors import (
     InvalidQueryBound,
-    NonContiguousPath,
     TargetSelectorEmpty,
     UnknownEntryNode,
 )
@@ -28,6 +27,7 @@ from helpers import (
     oracle_paths,
     path_to_oracle_steps,
     random_topology,
+    score_path,
     sure_entry_reg,
 )
 
@@ -238,7 +238,7 @@ class TestProperties:
                                          query(entries, target, max_len=max_len))
         reachable = ss.reachable_set(topo, builtin_reg(), entries)
         for path in full:
-            prob, cost = ss.score_path(path.steps)
+            prob, cost = score_path(path.steps)
             assert prob == path.success_prob
             assert cost == path.total_cost
             targets = [s.target for s in path.steps]
@@ -332,16 +332,6 @@ class TestProperties:
                         assert (first.capability_id, first.target) in actions, (seed, first)
                         external["phishing" if first.capability_id == "phishing" else "extra"] += 1
         assert all(external.values()), external
-
-    def test_score_path_rejects_gaps(self):
-        paths = ss.enumerate_attack_paths(
-            chain_topology(), sure_entry_reg(),
-            query(["a"], ss.TargetSelector(node_id="c")))
-        steps = paths[0].steps
-        with pytest.raises(NonContiguousPath):
-            ss.score_path((steps[0], steps[2]))
-        with pytest.raises(NonContiguousPath):
-            ss.score_path(())
 
 
 class TestPlacements:

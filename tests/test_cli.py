@@ -8,12 +8,25 @@ import pytest
 from spidersim.cli import main
 from spidersim.data import marine_ranch_requirement_path, marine_ranch_scenario_path
 
+from helpers import read_dot
+
 SCENARIO = str(marine_ranch_scenario_path())
 REQUIREMENT = str(marine_ranch_requirement_path())
 README_STRATEGY = {"capability_placements": [
     {"capability_id": "honeypot", "target_node": "maint-0"},
     {"capability_id": "shocktrap", "target_node": "gateway-0"},
 ]}
+
+
+# The cap-1 file of README's capability section.
+USB_DROP = {
+    "interface_version": "cap-1", "id": "usb_drop", "kind": "attack", "name": "USB drop",
+    "technique_tag": "T1091",
+    "preconditions": [{"predicate": "node_class_is", "node_classes": ["workstation"]},
+                      {"predicate": "node_not_compromised"}],
+    "effects": [{"effect": "compromise", "privilege": "user"}],
+    "base_success_prob": 0.3, "detection_prob": 0.1, "cost_units": 2,
+}
 
 
 def _marine_with_huge_threshold() -> bytes:
@@ -55,6 +68,21 @@ def broken_scenario(tmp_path):
     nodes = data["scenario_parameters"]["explicit_topology"]["nodes"]
     nodes.append(dict(nodes[0]))  # duplicate node id
     path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.fixture
+def zones50_scenario(tmp_path):
+    """The bundled scenario with a 250-node recipe over 50 zones."""
+    data = json.loads(marine_ranch_scenario_path().read_text())
+    data["scenario_parameters"] = {"recipe": {
+        "node_counts": {"sensor": 120, "controller": 30, "gateway": 60,
+                        "maintenance_endpoint": 20, "workstation": 20},
+        "zone_count": 50, "intra_zone_density": 0.3, "inter_zone_gateways": 1,
+        "vuln_rate": 0.5, "credential_rate": 0.3,
+    }}
+    path = tmp_path / "zones50.json"
     path.write_text(json.dumps(data))
     return str(path)
 
@@ -303,6 +331,34 @@ class TestGenerate:
         assert "GenerationFailed" in err
 
 
+    def test_starved_budget_exits_one(self, capsys, tmp_path):
+        """Two nodes for two required classes leave none for the target."""
+        req = tmp_path / "starved.json"
+        req.write_text(json.dumps({
+            "domain_tag": "starved", "narrative": "No room for the target.",
+            "constraints": {"max_nodes": 2, "required_classes": ["sensor", "maintenance_endpoint"],
+                            "attacker_profile": "targeted", "target_class": "controller"},
+        }))
+        code, out, err = run(capsys, "generate", "--requirement", str(req), "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("GenerationFailed: ")
+
+    def test_generated_scenario_runs_through_every_command(self, capsys, tmp_path):
+        """What ``generate --seed 0`` writes simulates, batches and renders,
+        and its one best path to a controller is entered from outside."""
+        generated = tmp_path / "generated.json"
+        assert run(capsys, "generate", "--requirement", REQUIREMENT, "--seed", "0",
+                   "--out", str(generated))[0] == 0
+        scenario = ["--scenario", str(generated)]
+        for argv in (["simulate", "--seed", "0"], ["batch", "--seed", "0", "-n", "20"],
+                     ["export-dot"]):
+            assert run(capsys, *argv, *scenario)[0] == 0, argv
+        code, out, _ = run(capsys, "paths", *scenario, "--entry", "maintenance_endpoint-0",
+                           "--target", "class:controller", "-k", "1")
+        assert code == 0
+        (path,) = json.loads(out)["paths"]
+        assert path["steps"][0]["source"] == "EXTERNAL"
+
     def test_max_iterations_below_one_is_usage_error(self, capsys):
         code, out, err = run(capsys, "generate", "--requirement", REQUIREMENT,
                              "--seed", "1", "--max-iterations", "0")
@@ -348,6 +404,27 @@ class TestCapabilities:
             code, out, err = run(capsys, *argv)
             assert (code, out, err) == (1, "", expected)
 
+    def test_capability_file_leaves_validate_output_alone(self, capsys, tmp_path):
+        cap_file = tmp_path / "usb_drop.json"
+        cap_file.write_text(json.dumps(USB_DROP))
+        assert run(capsys, "capabilities", "load", str(cap_file)) == (
+            0, "loaded usb_drop (attack, T1091)\n", "")
+        plain = run(capsys, "validate", "--scenario", SCENARIO)
+        assert plain[0] == 0
+        assert run(capsys, "validate", "--scenario", SCENARIO,
+                   "--capability-file", str(cap_file)) == plain
+
+    def test_edge_exists_without_src_slot_exits_one(self, capsys, tmp_path):
+        cap_file = tmp_path / "hop.json"
+        cap_file.write_text(json.dumps({
+            "interface_version": "cap-1", "id": "hop", "kind": "attack", "name": "Hop",
+            "technique_tag": "T0001", "preconditions": [{"predicate": "edge_exists"}],
+            "effects": [{"effect": "compromise", "privilege": "user"}],
+            "base_success_prob": 0.5, "detection_prob": 0.1, "cost_units": 1,
+        }))
+        assert run(capsys, "capabilities", "load", str(cap_file)) == (
+            1, "", "InvariantViolation: preconditions[0].src_slot: missing required field\n")
+
     def test_load_without_file_is_usage_error(self, capsys):
         assert run(capsys, "capabilities", "load")[0] == 2
 
@@ -366,6 +443,30 @@ class TestExportDot:
         assert code == 0
         assert out.startswith("digraph spidersim {")
         assert err == ""
+
+
+    def test_quotes_and_backslashes_in_ids(self, capsys, tmp_path):
+        """``ws-0`` renamed ``ws"0`` passes ``validate``; ``export-dot`` and
+        ``paths --dot`` then keep one statement per node and per edge."""
+        text = marine_ranch_scenario_path().read_text()
+        renamed = tmp_path / "quoted.json"
+        renamed.write_text(text.replace('"ws-0"', json.dumps('ws"0')))
+        doc = json.loads(renamed.read_text())
+        topology = doc["scenario_parameters"]["explicit_topology"]
+        node_ids = sorted(node["id"] for node in topology["nodes"])
+        assert 'ws"0' in node_ids
+        assert run(capsys, "validate", "--scenario", str(renamed))[0] == 0
+        code, out, _ = run(capsys, "export-dot", "--scenario", str(renamed))
+        assert code == 0
+        graph = read_dot(out)
+        assert sorted(name for name, _ in graph["nodes"]) == node_ids
+        assert len(graph["edges"]) == len(topology["edges"])
+        dot = tmp_path / "paths.dot"
+        code, _, _ = run(capsys, "paths", "--scenario", str(renamed), "--entry", 'ws"0',
+                         "--target", "class:controller", "-k", "5", "--dot", str(dot))
+        assert code == 0
+        graph = read_dot(dot.read_text())
+        assert ("EXTERNAL", 'ws"0') in {(src, dst) for src, dst, _ in graph["edges"]}
 
 
 class TestInternalErrors:
@@ -470,6 +571,27 @@ class TestPayloadPins:
             "a5060c108c6fbd030f747c33b3f3558108f8e03940cd6ac05680d968299773a4")
         assert sha256(dot.read_text(encoding="utf-8")) == (
             "63ba972cdbd78572701e74fe131b2dac9521398669e9e9cd8fdcf162877c8bc2")
+
+    def test_simulate_recipe_50_zones_trace_file(self, capsys, tmp_path, zones50_scenario):
+        trace = tmp_path / "trace.json"
+        code, _, _ = run(capsys, "simulate", "--scenario", zones50_scenario, "--seed", "0",
+                         "--trace", str(trace))
+        assert code == 0
+        assert sha256(trace.read_text(encoding="utf-8")) == (
+            "395e1384c8b9b3131a7be866a58bd063acbc6bb59e9288afcc045f30bac436bb")
+
+    def test_batch_recipe_50_zones(self, capsys, zones50_scenario):
+        code, out, _ = run(capsys, "batch", "--scenario", zones50_scenario, "--seed", "0",
+                           "-n", "20")
+        assert code == 0
+        assert sha256(out) == (
+            "81a77ef6946ca77bdef1a1e4f485ce512c685859363d350536482f43235248b8")
+
+    def test_export_dot_recipe_50_zones(self, capsys, zones50_scenario):
+        code, out, _ = run(capsys, "export-dot", "--scenario", zones50_scenario, "--seed", "0")
+        assert code == 0
+        assert sha256(out) == (
+            "bde029689eec5d14d89a2ea9ae16481005e481230784af9df8a6d3a5f72107ab")
 
     def test_simulate_recipe(self, capsys, recipe_scenario):
         code, out, _ = run(capsys, "simulate", "--scenario", recipe_scenario, "--seed", "0")

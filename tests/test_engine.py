@@ -117,6 +117,24 @@ class TestRunSimulation:
         assert trace.final_state.round == STALL_ROUNDS
         assert not metrics.attacker_won(spec.objectives)
 
+    def test_trapped_rounds_are_not_idle(self, registry):
+        """An attacker trapped from round 0 to 4 by a placed defense skips
+        rounds 1 to 3 without stalling; the stall count starts after."""
+        lockdown = ss.AtomicCapability(
+            id="lockdown", kind=ss.CapabilityKind.DEFENSE, name="Lockdown",
+            technique_tag="D0001", preconditions=(),
+            effects=(ss.Effect(ss.EffectKind.TRAP_ACTOR, duration_rounds=4),),
+            base_success_prob=1.0, detection_prob=0.0, cost_units=1)
+        registry = ss.register_capability(registry, lockdown)
+        topo = make_topology(nodes=[("s0", ss.NodeClass.SENSOR),
+                                    ("s1", ss.NodeClass.SENSOR)],
+                             edges=[("s0", "s1")])
+        strategy = ss.compose_strategy(registry, [("lockdown", "s0")])
+        trace, _ = ss.run_simulation(spec_around(topo), strategy, registry,
+                                     config(max_rounds=20))
+        assert trace.events == ()
+        assert trace.final_state.round == 3 + STALL_ROUNDS
+
     def test_trap_soundness(self, marine_spec, marine_topology, registry):
         strategy = marine_strategy(registry, marine_topology)
         for seed in range(30):

@@ -26,8 +26,11 @@ from spidersim.exports import (
 from helpers import (
     builtin_reg,
     chain_topology,
+    label_text,
     make_topology,
+    make_vuln,
     random_topology,
+    read_dot,
     reference_export_dot,
     sure_entry_reg,
     with_directed_edges,
@@ -93,6 +96,69 @@ class TestDot:
 
     def test_bit_stability(self, marine_topology):
         assert export_dot(marine_topology) == export_dot(marine_topology)
+
+
+def _graphviz_name(node_id):
+    r"""The name Graphviz gives a node whose id the export escaped: a quoted
+    string keeps ``\\`` as written and reads ``\"`` as ``"``."""
+    return node_id.replace("\\", "\\\\")
+
+
+class TestDotEscaping:
+    """Ids and zone names holding ``"`` and ``\\`` stay inside their quoted
+    strings, and zones whose names sanitize alike get clusters of their own."""
+
+    ZONES = {'ws"0': "z-1", "back\\slash": "z_1", "trail\\": 'quote"zone\\', 'esc\\"': "z-1"}
+
+    def _topology(self):
+        ids = list(self.ZONES)
+        topology = make_topology(
+            nodes=[(ids[0], ss.NodeClass.WORKSTATION), (ids[1], ss.NodeClass.DATA_SERVER),
+                   (ids[2], ss.NodeClass.CONTROLLER), (ids[3], ss.NodeClass.SENSOR)],
+            edges=[(ids[0], ids[1]), (ids[1], ids[2]), (ids[3], ids[2])],
+            vulns=[make_vuln(ids[1], 0.5), make_vuln(ids[2], 0.5)])
+        return replace(topology,
+                       nodes=tuple(replace(n, zone=self.ZONES[n.id]) for n in topology.nodes),
+                       zones=tuple(sorted(set(self.ZONES.values()))))
+
+    def test_one_statement_per_node_edge_and_zone(self):
+        topology = self._topology()
+        paths = ss.enumerate_attack_paths(
+            topology, sure_entry_reg(),
+            ss.PathQuery(entries=('ws"0',), target=ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER)))
+        assert paths and paths[0].steps[0].source == ss.EXTERNAL
+        graph = read_dot(export_dot(topology, paths))
+
+        names = {_graphviz_name(n.id): n for n in topology.nodes}
+        stated = [name for name, _ in graph["nodes"]]
+        assert sorted(stated) == sorted([*names, "EXTERNAL"])
+        for name, attrs in graph["nodes"]:
+            if name != "EXTERNAL":
+                node = names[name]
+                assert label_text(attrs["label"]) == f"{node.id}\n{node.node_class.value}"
+
+        expected_edges = [(_graphviz_name(e.src), _graphviz_name(e.dst)) for e in topology.edges]
+        expected_edges.append(("EXTERNAL", _graphviz_name('ws"0')))
+        assert sorted((src, dst) for src, dst, _ in graph["edges"]) == sorted(expected_edges)
+        red = {(src, dst) for src, dst, attrs in graph["edges"] if attrs.get("color") == "red"}
+        assert ("EXTERNAL", _graphviz_name('ws"0')) in red
+
+        clusters = graph["clusters"]
+        assert len({cluster for cluster, _, _ in clusters}) == len(clusters) == len(topology.zones)
+        assert sorted(label_text(label) for _, label, _ in clusters) == sorted(topology.zones)
+        for _, label, members in clusters:
+            assert sorted(members) == sorted(
+                _graphviz_name(n.id) for n in topology.nodes if n.zone == label_text(label))
+
+    def test_colliding_zones_take_the_first_free_suffix(self):
+        topology = replace(chain_topology(), zones=("z_1", "z-1", "z.1", "z_1_1"))
+        topology = replace(topology, nodes=tuple(
+            replace(n, zone=zone) for n, zone in zip(topology.nodes, ("z-1", "z_1", "z.1"))))
+        clusters = [(cluster, label) for cluster, label, _ in read_dot(export_dot(topology))["clusters"]]
+        # In name order: "z-1" keeps its id, and each later zone takes the
+        # first suffix its id leaves free.
+        assert clusters == [("cluster_z_1", "z-1"), ("cluster_z_1_1", "z.1"),
+                            ("cluster_z_1_2", "z_1"), ("cluster_z_1_1_1", "z_1_1")]
 
 
 def _renamed(topology, old, new):

@@ -642,7 +642,7 @@ def registry_with(entry_classes=None, exploit_access=None, drop=()):
 
 def entry_nodes(topology, registry):
     """The nodes the registry's cheapest entry capability targets."""
-    rule = registry.path_capabilities[2]._binding_rule
+    rule = registry.path_capabilities[2].binding_rule
     return [n.id for n in topology.nodes if n.node_class in rule.target_classes]
 
 

@@ -265,6 +265,17 @@ class TestConstructorInvariants:
             make(marine_spec)
         assert err.value.path == path
 
+    def test_recipe_refuses_a_repeated_node_class(self):
+        """A class named twice would count twice in ``total_nodes`` and
+        ``expansion_work`` but be built once."""
+        with pytest.raises(InvariantViolation) as err:
+            ss.TopologyRecipe(
+                node_counts=((ss.NodeClass.SENSOR, 1), (ss.NodeClass.CONTROLLER, 1),
+                             (ss.NodeClass.SENSOR, 2)),
+                zone_count=1, intra_zone_density=0.5, inter_zone_gateways=0,
+                vuln_rate=0.5, credential_rate=0.3)
+        assert err.value.path == "recipe.node_counts[sensor]"
+
     def test_duplicate_subproblem_id(self, marine_spec):
         from dataclasses import replace
         dup = marine_spec.problem_decomposition[:1] * 2
