@@ -30,11 +30,9 @@ from .errors import (
     TargetSelectorEmpty,
     UnknownEntryNode,
 )
-from .model import NetworkTopology, TargetSelector
+from .model import EXTERNAL, NetworkTopology, TargetSelector
 from .records import record
 from .state import DefenseKind
-
-EXTERNAL = "EXTERNAL"
 
 Hop = Tuple[str, str, float, int]  # (target, capability_id, step_prob, step_cost)
 

@@ -728,7 +728,7 @@ def _candidate_bindings(rule: BindingRule, topology: NetworkTopology,
         for target in ordered:
             yield {"target": target}
         return
-    every_source = sorted(sources)
+    every_source = None if rule.source_edge else sorted(sources)
     for target in ordered:
         if rule.source_edge:
             candidates = sorted(sources & topology.in_neighbours(target))
@@ -758,10 +758,11 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
       on source; otherwise the whole domain. Never equal to ``target``.
 
     Each binding left is checked with ``evaluate_preconditions``. The
-    rules are read once per registry and the node ids once per topology,
-    so a round costs one check per binding left: for the built-in attack
-    set, one per entry-class node, two per foothold and two per edge out
-    of a foothold.
+    rules are read once per registry, the node ids once per topology and
+    a node's neighbour sets on the first read of that node, so a round
+    costs one check per binding left: for the built-in attack set, one
+    per entry-class node, two per foothold and two per edge out of a
+    foothold.
 
     The actor's footholds are the compromised nodes of the domain, the
     keys of ``compromise``. Of the state it reads only the topology,

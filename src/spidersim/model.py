@@ -33,6 +33,10 @@ from .rng import substream
 
 SCHEMA_VERSION = "1"
 
+# The source of an attack path's entry step, which lies outside the
+# topology: no node may take this id (ReservedNodeId).
+EXTERNAL = "EXTERNAL"
+
 
 class NodeClass(str, Enum):
     SENSOR = "sensor"
@@ -163,7 +167,9 @@ def index_by_id(items: Iterable) -> dict:
 class NetworkTopology:
     """A concrete network. Lookups go through indexes built on first use
     and kept on the instance (the value is immutable, so they never go
-    stale, and pickles leave them out)."""
+    stale, and pickles leave them out). A node's neighbour sets are built
+    on their first read, per node, from one pass over the edges that
+    serves every node and both directions."""
 
     nodes: Tuple[Node, ...]
     edges: Tuple[Edge, ...]
@@ -206,24 +212,32 @@ class NetworkTopology:
         return {cls: tuple(ids) for cls, ids in index.items()}
 
     @cached_property
-    def _in_neighbours(self) -> Dict[str, FrozenSet[str]]:
-        index: Dict[str, Set[str]] = defaultdict(set)
+    def _adjacency(self) -> Tuple[Dict[str, List[str]], ...]:
+        # One pass over the edges. Per node: its bidirectional neighbours,
+        # which serve both directions, then the dsts of its directed edges
+        # out and the srcs of its directed edges in. Lists may name an id
+        # twice (the read that builds a node's set drops repeats), and take
+        # a fraction of a set's memory for the nodes that are never read.
+        both: Dict[str, List[str]] = defaultdict(list)
+        outs: Dict[str, List[str]] = defaultdict(list)
+        ins: Dict[str, List[str]] = defaultdict(list)
         for edge in self.edges:
-            index[edge.dst].add(edge.src)
+            src, dst = edge.src, edge.dst
             if edge.bidirectional:
-                index[edge.src].add(edge.dst)
-        return {node_id: frozenset(srcs) for node_id, srcs in index.items()}
+                both[src].append(dst)
+                both[dst].append(src)
+            else:
+                outs[src].append(dst)
+                ins[dst].append(src)
+        return both, outs, ins
 
     @cached_property
-    def _out_neighbours(self) -> Dict[str, Tuple[str, ...]]:
-        # Sorted tuples: the path search walks them in id order, and a
-        # tuple takes a fraction of a frozenset's memory.
-        index: Dict[str, Set[str]] = defaultdict(set)
-        for edge in self.edges:
-            index[edge.src].add(edge.dst)
-            if edge.bidirectional:
-                index[edge.dst].add(edge.src)
-        return {node_id: tuple(sorted(dsts)) for node_id, dsts in index.items()}
+    def _in_sets(self) -> Dict[str, FrozenSet[str]]:
+        return {}
+
+    @cached_property
+    def _out_tuples(self) -> Dict[str, Tuple[str, ...]]:
+        return {}
 
     def node_by_id(self, node_id: str) -> Optional[Node]:
         return self._nodes_by_id.get(node_id)
@@ -251,12 +265,31 @@ class NetworkTopology:
         """Every ``src`` with an edge ``src -> node_id``: a bidirectional
         edge counts in both directions, a directed one only from its
         ``src``."""
-        return self._in_neighbours.get(node_id, frozenset())
+        found = self._in_sets.get(node_id)
+        if found is None:
+            both, _, ins = self._adjacency
+            found = frozenset(both.get(node_id, ()))
+            if node_id in ins:
+                found = found.union(ins[node_id])
+            self._in_sets[node_id] = found
+        return found
 
     def out_neighbours(self, node_id: str) -> Tuple[str, ...]:
         """Every ``dst`` with an edge ``node_id -> dst``, under the same
         direction rule as ``in_neighbours``, in id order."""
-        return self._out_neighbours.get(node_id, ())
+        found = self._out_tuples.get(node_id)
+        if found is None:
+            both, outs, _ = self._adjacency
+            ends = set(both.get(node_id, ()))
+            if node_id in outs:
+                ends.update(outs[node_id])
+            # A sorted tuple: the path search walks it in id order.
+            found = self._out_tuples[node_id] = tuple(sorted(ends))
+            if node_id not in outs:
+                # The tuple holds the ids of the node's list and takes its
+                # place, so a node that was read keeps one copy of them.
+                both[node_id] = found
+        return found
 
 
 @dataclass(frozen=True)
@@ -883,6 +916,9 @@ def check_topology(topo: NetworkTopology):
     for node in topo.nodes:
         if node.id in node_ids:
             yield Finding("DuplicateNodeId", f"duplicate node id {node.id!r}", f"nodes.{node.id}")
+        if node.id == EXTERNAL:
+            yield Finding("ReservedNodeId", f"node id {EXTERNAL!r} names the source of entry steps",
+                          f"nodes.{node.id}")
         node_ids.add(node.id)
     zone_ids = set()
     for zone in topo.zones:

@@ -13,7 +13,7 @@ import random
 import re
 from dataclasses import replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from spidersim import (
     AccessRequirement,
@@ -441,6 +441,22 @@ def reference_edge_exists(topology: NetworkTopology, src: str, dst: str) -> bool
     """Whether ``refine`` finds an edge between ``src`` and ``dst`` (either
     way) by a scan of the edge list, so that an ADD_EDGE hint adds none."""
     return any({e.src, e.dst} == {src, dst} for e in topology.edges)
+
+
+def reference_in_neighbours(topology: NetworkTopology, node_id: str) -> FrozenSet[str]:
+    """``in_neighbours`` by a scan of the edge list: every ``src`` of an
+    edge into ``node_id``, and every ``dst`` of a bidirectional edge out
+    of it."""
+    return frozenset({e.src for e in topology.edges if e.dst == node_id}
+                     | {e.dst for e in topology.edges if e.bidirectional and e.src == node_id})
+
+
+def reference_out_neighbours(topology: NetworkTopology, node_id: str) -> Tuple[str, ...]:
+    """``out_neighbours`` by a scan of the edge list: every ``dst`` of an
+    edge out of ``node_id``, and every ``src`` of a bidirectional edge
+    into it, in id order."""
+    return tuple(sorted({e.dst for e in topology.edges if e.src == node_id}
+                        | {e.src for e in topology.edges if e.bidirectional and e.dst == node_id}))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,26 @@ def test_recipe_without_gateways_fails_every_command(capsys, tmp_path):
         assert err.startswith("InsufficientGateways: ")
 
 
+def test_external_node_id_fails_every_command(capsys, tmp_path):
+    """A node may not take the id ``EXTERNAL``, the source of an entry
+    step in ``paths`` and its DOT: the marine fixture with ``maint-0``
+    renamed so is refused by ``validate`` (ReservedNodeId) and by every
+    command that runs it (exit 1 each); ``validate`` exited 0 on it
+    before."""
+    path = tmp_path / "external.json"
+    path.write_text(marine_ranch_scenario_path().read_text().replace('"maint-0"', '"EXTERNAL"'))
+    code, out, err = run(capsys, "validate", "--scenario", str(path))
+    assert code == 1
+    assert [f["code"] for f in json.loads(out)["errors"]] == ["ReservedNodeId"]
+    assert err.startswith("ReservedNodeId: ")
+    for argv in (["simulate", "--seed", "0"], ["batch", "--seed", "0", "-n", "2"],
+                 ["paths", "--entry", "EXTERNAL", "--target", "class:controller", "-k", "1"],
+                 ["export-dot", "--seed", "0"]):
+        code, out, err = run(capsys, *argv, "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("InvalidScenario: ReservedNodeId: ")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -100,6 +100,10 @@ def _objective_on_unknown_node() -> dict:
     return doc
 
 
+def _external_node_id() -> dict:
+    return json.loads(json.dumps(_marine()).replace('"maint-0"', '"EXTERNAL"'))
+
+
 def _recipe_over_the_bound() -> dict:
     doc = json.loads(json.dumps(SCENARIO_READERS[1][1]))
     doc["scenario_parameters"]["recipe"]["zone_count"] = 2 ** 64
@@ -111,6 +115,7 @@ def _recipe_over_the_bound() -> dict:
 @example(case=(0, _unknown_capability_ref()))
 @example(case=(0, _dangling_edge()))
 @example(case=(0, _objective_on_unknown_node()))
+@example(case=(0, _external_node_id()))
 @example(case=(1, _recipe_over_the_bound()))
 @settings(max_examples=200, deadline=None)
 def test_run_commands_accept_what_validate_accepts(case):

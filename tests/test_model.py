@@ -21,8 +21,9 @@ from spidersim.errors import (
     UnknownField,
 )
 from spidersim.canonical import canonical_json
+from spidersim import attackgraph
 from spidersim.model import (
-    MAX_RECIPE_WORK, Finding, ScenarioParameters, _is_connected, check_topology,
+    EXTERNAL, MAX_RECIPE_WORK, Finding, ScenarioParameters, _is_connected, check_topology,
     scenario_node_ids,
 )
 
@@ -33,7 +34,9 @@ from helpers import (
     matching_nodes,
     random_topology,
     reference_build_topology,
+    reference_in_neighbours,
     reference_is_connected,
+    reference_out_neighbours,
     spec_around,
     with_directed_edges,
 )
@@ -355,14 +358,16 @@ class TestCheckTopology:
             rng = random.Random(seed)
             topo = with_directed_edges(random_topology(rng), rng)
             for node_id in [n.id for n in topo.nodes] + ["ghost"]:
-                want = {e.src for e in topo.edges if e.dst == node_id}
-                want |= {e.dst for e in topo.edges
-                         if e.bidirectional and e.src == node_id}
-                assert topo.in_neighbours(node_id) == want
-                want_out = {e.dst for e in topo.edges if e.src == node_id}
-                want_out |= {e.src for e in topo.edges
-                             if e.bidirectional and e.dst == node_id}
-                assert topo.out_neighbours(node_id) == tuple(sorted(want_out))
+                assert topo.in_neighbours(node_id) == reference_in_neighbours(topo, node_id)
+                assert topo.out_neighbours(node_id) == reference_out_neighbours(topo, node_id)
+
+    def test_reserved_node_id(self):
+        """``EXTERNAL`` names the source of entry steps, so no node may
+        take it; the package and ``attackgraph`` re-export the constant."""
+        topo = make_topology(nodes=[("EXTERNAL", ss.NodeClass.GATEWAY),
+                                    ("a", ss.NodeClass.SENSOR)], edges=[("EXTERNAL", "a")])
+        assert self.codes(topo) == ["ReservedNodeId"]
+        assert ss.EXTERNAL == attackgraph.EXTERNAL == EXTERNAL == "EXTERNAL"
 
     def test_dangling_edge(self):
         topo = make_topology(nodes=[("a", ss.NodeClass.SENSOR)],
@@ -391,6 +396,64 @@ class TestCheckTopology:
         topo = make_topology(nodes=[("a", ss.NodeClass.SENSOR)],
                              edges=[("a", "ghost")])
         assert [f.code for f in check_topology(topo)] == ["DanglingEdge"]
+
+
+class TestNeighbourSets:
+    @staticmethod
+    def topology(seed: int) -> ss.NetworkTopology:
+        """A random topology with one-way edges and a self-loop, plus
+        repeated edges (some reversed or one-way) and edges to ids that
+        are not nodes."""
+        rng = random.Random(seed)
+        topo = with_directed_edges(random_topology(rng), rng)
+        repeated = tuple(
+            ss.Edge(edge.dst, edge.src, bidirectional=rng.random() < 0.5)
+            if rng.random() < 0.5 else edge
+            for edge in rng.sample(topo.edges, min(3, len(topo.edges))))
+        dangling = (ss.Edge(topo.nodes[0].id, "ghost"),
+                    ss.Edge("phantom", topo.nodes[-1].id, bidirectional=False))
+        return dataclasses.replace(topo, edges=topo.edges + repeated + dangling)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_each_read_matches_a_scan_of_the_edges(self, seed):
+        """``in_neighbours`` and ``out_neighbours`` equal a scan of the
+        edge list, with their types, whatever the order of the reads:
+        nodes in random order, each read in one direction, the other,
+        or both, some twice, and ids that are not nodes."""
+        topo = self.topology(seed)
+        rng = random.Random(seed)
+        reads = [(node_id, direction)
+                 for node_id in [n.id for n in topo.nodes] + ["ghost", "phantom", "absent"]
+                 for direction in ("in", "out") if rng.random() < 0.7]
+        reads += rng.sample(reads, len(reads) // 3)
+        rng.shuffle(reads)
+        for node_id, direction in reads:
+            if direction == "in":
+                got = topo.in_neighbours(node_id)
+                assert type(got) is frozenset
+                assert got == reference_in_neighbours(topo, node_id)
+            else:
+                got = topo.out_neighbours(node_id)
+                assert type(got) is tuple
+                assert got == reference_out_neighbours(topo, node_id)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_reads_leave_the_value_alone(self, seed):
+        """A topology whose neighbour sets were read equals, hashes and
+        pickles like a fresh one with the same fields."""
+        topo = self.topology(seed)
+        fresh = ss.NetworkTopology(*(getattr(topo, f.name) for f in dataclasses.fields(topo)))
+        for node_id in topo.node_ids[::2]:
+            topo.out_neighbours(node_id)
+        for node_id in topo.node_ids[::3]:
+            topo.in_neighbours(node_id)
+        assert topo == fresh and hash(topo) == hash(fresh)
+        assert pickle.dumps(topo) == pickle.dumps(fresh)
+        copy = pickle.loads(pickle.dumps(topo))
+        assert [copy.out_neighbours(n) for n in copy.node_ids] == [
+            reference_out_neighbours(topo, n) for n in topo.node_ids]
 
 
 class TestValidateSpec:
