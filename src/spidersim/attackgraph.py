@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .capabilities import CapabilityRegistry, select_vulnerability
@@ -53,7 +52,7 @@ class AttackPath:
     total_cost: int
 
 
-@dataclass(frozen=True)
+@record
 class PathQuery:
     entries: Tuple[str, ...]
     target: TargetSelector

@@ -31,7 +31,6 @@ docstring states that narrowing rule and what a round costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from typing import (
@@ -55,7 +54,7 @@ from .errors import (
 )
 from .model import (
     AccessRequirement, Actor, NetworkTopology, NodeClass, Privilege, Vulnerability,
-    fields_only_state, index_by_id,
+    index_by_id,
 )
 from .records import record
 from .state import _PRIV_RANK, DefenseKind, SimulationState
@@ -114,7 +113,7 @@ _NULLIFY_CREDENTIAL_THEFT = EffectKind.NULLIFY_CREDENTIAL_THEFT
 _REVEAL_VULNERABILITIES = EffectKind.REVEAL_VULNERABILITIES
 
 
-@dataclass(frozen=True)
+@record
 class Predicate:
     kind: PredicateKind
     slot: str = "target"
@@ -126,7 +125,7 @@ class Predicate:
     min_asset_value: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class Effect:
     kind: EffectKind
     slot: str = "target"
@@ -164,7 +163,7 @@ EFFECT_OPERANDS: Dict[EffectKind, Optional[str]] = {
 SLOTLESS_EFFECTS = frozenset({EffectKind.TRAP_ACTOR})
 
 
-@dataclass(frozen=True)
+@record
 class AtomicCapability:
     id: str
     kind: CapabilityKind
@@ -176,8 +175,6 @@ class AtomicCapability:
     detection_prob: float
     cost_units: int
     interface_version: str = INTERFACE_VERSION
-
-    __getstate__ = fields_only_state
 
     @cached_property
     def _checks(self) -> Tuple[Tuple[Predicate, Callable[..., bool]], ...]:
@@ -197,24 +194,24 @@ class CapabilityOutcome:
     trapped_for: int
 
 
-@dataclass(frozen=True)
+@record
 class Placement:
     capability_id: str
     target_node: str
 
 
-@dataclass(frozen=True)
+@record
 class DefenseStrategy:
     capability_placements: Tuple[Placement, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class PreconditionResult:
     holds: bool
     first_failed: Optional[Predicate] = None
 
 
-@dataclass(frozen=True)
+@record
 class BindingRule:
     """What a capability's terms require, read once per capability: the one
     reading enumeration, ``apply_capability``, ``path_capabilities`` and the
@@ -276,11 +273,9 @@ def _read_binding_rule(cap: AtomicCapability) -> BindingRule:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CapabilityRegistry:
     _caps: Tuple[AtomicCapability, ...] = ()
-
-    __getstate__ = fields_only_state
 
     def capabilities(self) -> Tuple[AtomicCapability, ...]:
         return self._caps

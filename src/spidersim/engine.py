@@ -16,7 +16,6 @@ shares nothing across seeds.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -77,7 +76,7 @@ _CHEAPEST_STEP = AttackerPolicy.CHEAPEST_STEP
 _REACTIVE = DefenderPolicy.REACTIVE
 
 
-@dataclass(frozen=True)
+@record
 class SimulationConfig:
     max_rounds: int = 20
     seed: int = 0
@@ -100,7 +99,7 @@ class SimEvent:
     trapped_for: int
 
 
-@dataclass(frozen=True)
+@record
 class SimulationTrace:
     config: SimulationConfig
     scenario_digest: str
@@ -125,7 +124,7 @@ class Metrics:
                      if objectives[i].actor == _ATTACKER])
 
 
-@dataclass(frozen=True)
+@record
 class BatchResult:
     """``attacker_success_rate`` is the share of won runs
     (``Metrics.attacker_won``): the rule that also stops a run early."""

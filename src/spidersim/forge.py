@@ -29,7 +29,7 @@ the attack graph share (``registry.path_capabilities``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -64,6 +64,7 @@ from .model import (
     build_topology,
     validate_spec,
 )
+from .records import record
 from .rng import derive_seed
 
 
@@ -79,7 +80,7 @@ _PROFILE_VULN_RATE = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Constraints:
     max_nodes: int
     required_classes: Tuple[NodeClass, ...]
@@ -87,27 +88,29 @@ class Constraints:
     target_class: NodeClass
 
     def __post_init__(self):
+        if self.max_nodes < 1:
+            raise InvariantViolation("constraints.max_nodes", "must be >= 1")
         if self.max_nodes < len(set(self.required_classes)):
             raise InvariantViolation(
                 "constraints.max_nodes", "must cover every required class"
             )
 
 
-@dataclass(frozen=True)
+@record
 class Requirement:
     domain_tag: str
     narrative: str
     constraints: Constraints
 
 
-@dataclass(frozen=True)
+@record
 class ContextProfile:
     asset_classes: Tuple[NodeClass, ...]
     vuln_rate: float
     entry_class: NodeClass
 
 
-@dataclass(frozen=True)
+@record
 class ThreatPlan:
     objectives: Tuple[Objective, ...]
     capability_refs: Tuple[str, ...]
@@ -131,7 +134,7 @@ _HINT_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class RefinementHint:
     """One refinement; a hint lacking a field its kind needs is refused."""
 
@@ -148,7 +151,7 @@ class RefinementHint:
                 raise InvariantViolation(f"hint.{name}", f"a {self.kind.value} hint needs it")
 
 
-@dataclass(frozen=True)
+@record
 class ForgeValidation:
     report: ValidationReport
     hints: Tuple[RefinementHint, ...]
@@ -161,7 +164,7 @@ class RoleId(str, Enum):
     VALIDATOR = "validator"
 
 
-@dataclass(frozen=True)
+@record
 class AgentRole:
     id: RoleId
     consumes: Tuple[str, ...]
@@ -170,7 +173,7 @@ class AgentRole:
     run: Callable
 
 
-@dataclass(frozen=True)
+@record
 class Blackboard:
     """The requirement, one slot per role in pipeline order (None while
     empty), the count of steps and refinements applied (``revision``), and
@@ -185,7 +188,7 @@ class Blackboard:
     extra_node_budget: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class GenerationReport:
     iterations_used: int
     per_iteration_reports: Tuple[ValidationReport, ...]

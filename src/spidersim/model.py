@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -147,14 +146,6 @@ class Credential:
     grants_access_to: Tuple[str, ...]
 
 
-def fields_only_state(value) -> dict:
-    """``__getstate__`` for a frozen dataclass that keeps values derived
-    from its fields (``cached_property``) in its ``__dict__``: pickles and
-    copies carry the fields alone, so a used value pickles to the same
-    bytes as a fresh one."""
-    return {f.name: value.__dict__[f.name] for f in fields(value)}
-
-
 def index_by_id(items: Iterable) -> dict:
     """Index items by ``id``; where ids repeat, the first item wins."""
     index: dict = {}
@@ -163,7 +154,7 @@ def index_by_id(items: Iterable) -> dict:
     return index
 
 
-@dataclass(frozen=True)
+@record
 class NetworkTopology:
     """A concrete network. Lookups go through indexes built on first use
     and kept on the instance (the value is immutable, so they never go
@@ -178,8 +169,6 @@ class NetworkTopology:
     # node list so predicates can resolve them without a second lookup table.
     vulnerabilities: Tuple[Vulnerability, ...] = ()
     credentials: Tuple[Credential, ...] = ()
-
-    __getstate__ = fields_only_state
 
     @cached_property
     def _nodes_by_id(self) -> Dict[str, Node]:
@@ -292,7 +281,7 @@ class NetworkTopology:
         return found
 
 
-@dataclass(frozen=True)
+@record
 class TargetSelector:
     """Either a concrete node id or a whole node class."""
 
@@ -306,7 +295,7 @@ class TargetSelector:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Objective:
     actor: Actor
     kind: ObjectiveKind
@@ -318,7 +307,7 @@ class Objective:
             raise InvariantViolation("objective.threshold", "must be in [0,1]")
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class RecipeLayout:
     """Where each node of a recipe goes, which no seed changes.
 
@@ -342,7 +331,7 @@ class RecipeLayout:
 MAX_RECIPE_WORK = 2_000_000
 
 
-@dataclass(frozen=True)
+@record
 class TopologyRecipe:
     node_counts: Tuple[Tuple[NodeClass, int], ...]
     zone_count: int
@@ -412,23 +401,21 @@ class TopologyRecipe:
             MappingProxyType({zone: tuple(zone_ids) for zone, zone_ids in members.items()}),
         )
 
-    __getstate__ = fields_only_state
 
-
-@dataclass(frozen=True)
+@record
 class SubProblem:
     id: str
     description: str
     related_asset_classes: Tuple[NodeClass, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DomainContext:
     domain_tag: str
     narrative: str
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioParameters:
     recipe: Optional[TopologyRecipe] = None
     explicit_topology: Optional[NetworkTopology] = None
@@ -441,7 +428,7 @@ class ScenarioParameters:
             )
 
 
-@dataclass(frozen=True)
+@record
 class Elements:
     """``capability_refs`` is checked, not selecting: every ref must name a
     registered capability (otherwise ``validate_spec`` reports
@@ -453,7 +440,7 @@ class Elements:
     capability_refs: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioSpec:
     schema_version: str
     domain_context: DomainContext
@@ -478,14 +465,14 @@ class ScenarioSpec:
             _check_identifier(ref, "elements.capability_refs")
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     code: str
     message: str
     location: str
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     """Validation outcome: empty ``errors`` means the spec is valid.
 

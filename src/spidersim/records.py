@@ -1,32 +1,40 @@
-"""The one way to declare a frozen value record.
+"""The one way to declare a frozen value class.
 
-``record`` makes a class a frozen slotted dataclass, then swaps the
-``__init__`` that ``dataclass`` generates for one that stores each
-argument through its slot's member descriptor. The generated one calls
-``object.__setattr__`` once per field, which costs most of building a
-small record; storing through the descriptor skips the attribute lookup
-and the frozen check, and nothing else changes: the signature (names,
-order, defaults, annotations) is the same, assignment still raises
-``FrozenInstanceError``, and equality, hashing, ``repr``, ``replace``,
-pickles and copies are the ones ``dataclass`` made.
+``record`` makes a class a frozen dataclass. A class whose body holds a
+``functools.cached_property`` keeps its instance dict for the cached
+values and the ``__init__`` that ``dataclass`` generates; unless it brings
+its own pickling, its pickles and copies carry the fields alone.
 
-Only what that ``__init__`` reproduces is accepted: a field with a
-``default_factory``, ``init=False`` or ``kw_only``, an ``InitVar``, or a
-``__post_init__`` is refused with ``TypeError`` when the class is created.
+Every other record is slotted, and ``dataclass`` generates all but its
+``__init__``. That one stores each argument through its slot's member
+descriptor, then calls ``__post_init__`` if the class has one; the one
+``dataclass`` generates calls ``object.__setattr__`` per field, which
+costs most of building a small record. Nothing else changes: the
+signature, ``FrozenInstanceError`` on assignment, equality, hashing,
+``repr``, ``replace``, pickles and copies are the ones ``dataclass``
+makes. What that ``__init__`` does not reproduce is refused with
+``TypeError``: a field with a ``default_factory``, ``init=False`` or
+``kw_only``, or an ``InitVar`` or ``ClassVar``.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
 
 def record(cls):
     """``@dataclass(frozen=True, slots=True)`` with an ``__init__`` that
-    stores each field through its slot."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    if hasattr(cls, "__post_init__"):
-        raise TypeError(f"record {cls.__name__} cannot have a __post_init__")
+    stores each field through its slot or, for a class with a
+    ``cached_property``, ``@dataclass(frozen=True)`` that pickles its fields."""
+    body = vars(cls)
+    if any(isinstance(value, cached_property) for value in body.values()):
+        if not {"__getstate__", "__reduce__", "__reduce_ex__"} & body.keys():
+            cls.__getstate__ = fields_only_state
+        return dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    if len(cls.__dataclass_fields__) > len(fields(cls)):
+        raise TypeError(f"record {cls.__name__} cannot have an InitVar or ClassVar field")
     for f in fields(cls):
         if f.default_factory is not MISSING:
             raise TypeError(f"record field {cls.__name__}.{f.name} cannot have a default_factory")
@@ -34,19 +42,21 @@ def record(cls):
             raise TypeError(f"record field {cls.__name__}.{f.name} cannot be init=False")
         if f.kw_only:
             raise TypeError(f"record field {cls.__name__}.{f.name} cannot be kw_only")
-    generated = cls.__init__
-    init = _slot_init(cls)
-    if inspect.signature(init) != inspect.signature(generated):
-        # ``fields`` leaves out an InitVar, so one shows up here.
-        raise TypeError(f"record {cls.__name__} has an init parameter that is not a field: "
-                        f"{inspect.signature(generated)}")
-    cls.__init__ = init
+    cls.__init__ = _slot_init(cls)
     return cls
+
+
+def fields_only_state(value) -> dict:
+    """``__getstate__`` for a record that keeps values derived from its
+    fields in its ``__dict__``: pickles and copies carry the fields alone,
+    so a used value pickles to the same bytes as a fresh one."""
+    return {f.name: value.__dict__[f.name] for f in fields(value)}
 
 
 def _slot_init(cls):
     """An ``__init__`` for ``cls`` that calls each field's member
-    descriptor's ``__set__``, built once from ``fields(cls)``."""
+    descriptor's ``__set__``, then ``__post_init__`` if ``cls`` has one,
+    built once from ``fields(cls)``."""
     namespace = {}
     params = []
     stores = []
@@ -58,6 +68,8 @@ def _slot_init(cls):
             namespace[f"_default_{i}"] = f.default
             params.append(f"{f.name}=_default_{i}")
         stores.append(f"_set_{i}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        stores.append("self.__post_init__()")
     body = "\n".join(f"    {line}" for line in stores or ["pass"])
     source = (f"def __make_init__({', '.join(namespace)}):\n"
               f"  def __init__(self, {', '.join(params)}):\n"

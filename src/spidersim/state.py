@@ -23,7 +23,7 @@ grows, and the constructor refuses any other order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -31,6 +31,7 @@ from typing import FrozenSet, Mapping, Tuple
 
 from .errors import InvariantViolation
 from .model import NetworkTopology, Privilege
+from .records import record
 
 
 class DefenseKind(str, Enum):
@@ -44,7 +45,7 @@ class DefenseKind(str, Enum):
 _PRIV_RANK = {None: 0, Privilege.USER: 1, Privilege.ADMIN: 2}
 
 
-@dataclass(frozen=True)
+@record
 class SimulationState:
     """``compromise`` and ``deployed`` accept any mapping or iterable of
     (node, value) pairs; the stored values are read-only mappings, with

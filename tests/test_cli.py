@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spidersim
 from spidersim.cli import main
 from spidersim.data import marine_ranch_requirement_path, marine_ranch_scenario_path
 
@@ -363,6 +368,20 @@ class TestGenerate:
         assert (code, out) == (1, "")
         assert err.startswith("GenerationFailed: ")
 
+    def test_zero_node_budget_exits_one(self, capsys, tmp_path):
+        """The error names the requirement's field, not a recipe the user
+        never wrote."""
+        req = tmp_path / "zero.json"
+        req.write_text(json.dumps({
+            "domain_tag": "zero", "narrative": "No nodes at all.",
+            "constraints": {"max_nodes": 0, "required_classes": [],
+                            "attacker_profile": "targeted", "target_class": "controller"},
+        }))
+        code, out, err = run(capsys, "generate", "--requirement", str(req), "--seed", "0")
+        assert (code, out) == (1, "")
+        assert err.startswith("InvariantViolation: constraints.max_nodes: ")
+        assert "EmptyRecipe" not in err
+
     def test_generated_scenario_runs_through_every_command(self, capsys, tmp_path):
         """What ``generate --seed 0`` writes simulates, batches and renders,
         and its one best path to a controller is entered from outside."""
@@ -618,3 +637,41 @@ class TestPayloadPins:
         assert code == 0
         assert sha256(out) == (
             "656d9611806bbea845531d28ed0546d2f9b1605115d5a379892157532e84b524")
+
+
+# Each command with the files it writes, relative to its working directory.
+HASH_SEED_COMMANDS = {
+    "generate": (["generate", "--requirement", REQUIREMENT, "--seed", "0"], []),
+    "paths": (["paths", "--scenario", SCENARIO, "--entry", "maint-0",
+               "--target", "class:controller", "-k", "5", "--dot", "paths.dot"], ["paths.dot"]),
+    "simulate": (["simulate", "--scenario", SCENARIO, "--seed", "3",
+                  "--attacker", "uniform_random", "--defender", "reactive"], []),
+    "batch": (["batch", "--scenario", SCENARIO, "--seed", "0", "-n", "50"], []),
+}
+
+
+def run_process(argv, cwd, hash_seed):
+    """Run ``python -m spidersim`` in a fresh interpreter with one
+    string-hash seed: its exit code, stdout bytes and the files it wrote."""
+    src = str(Path(spidersim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-m", "spidersim", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+    return done.returncode, done.stdout
+
+
+@pytest.mark.parametrize("name", HASH_SEED_COMMANDS)
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, name):
+    """Every payload pin runs in one process with one string-hash seed;
+    this runs a few commands as processes under two seeds and compares
+    their bytes."""
+    argv, written = HASH_SEED_COMMANDS[name]
+    outputs = []
+    for hash_seed in (0, 12345):
+        cwd = tmp_path / str(hash_seed)
+        cwd.mkdir()
+        code, out = run_process(argv, cwd, hash_seed)
+        assert code == 0
+        outputs.append([out, *((cwd / f).read_bytes() for f in written)])
+    assert all(outputs[0]) and outputs[0] == outputs[1]

@@ -123,6 +123,16 @@ class TestPipeline:
                         attacker_profile=AttackerProfile.TARGETED,
                         target_class=ss.NodeClass.CONTROLLER)
 
+    @pytest.mark.parametrize("max_nodes", [0, -1])
+    def test_constraints_need_a_node(self, max_nodes):
+        """A budget below one node is refused by the requirement itself,
+        not later by the synthesizer as an empty recipe."""
+        with pytest.raises(InvariantViolation) as err:
+            Constraints(max_nodes=max_nodes, required_classes=(),
+                        attacker_profile=AttackerProfile.TARGETED,
+                        target_class=ss.NodeClass.CONTROLLER)
+        assert err.value.path == "constraints.max_nodes"
+
     def test_path_search_bug_propagates(self, marine_requirement, registry,
                                         monkeypatch):
         import spidersim.forge as forge
