@@ -24,9 +24,9 @@ one reading of what it requires, is read from its terms.
 ``evaluate_preconditions`` runs the checks in declaration order; it is the
 one place a precondition is evaluated.
 
-Action enumeration (``applicable_capabilities``) binds each slot only
-over the nodes the capability's own preconditions leave open; its
-docstring states that narrowing rule and what a round costs.
+Action enumeration (``applicable_capabilities``) lists the attacker's
+actions, binding each slot only over the nodes its preconditions leave
+open; its docstring states that narrowing rule and what a round costs.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from typing import (
 from .errors import (
     DuplicateId,
     DuplicatePlacement,
-    InvariantViolation,
     KindEffectMismatch,
     KindMismatch,
     PreconditionViolated,
@@ -50,16 +49,13 @@ from .errors import (
     UnknownEffect,
     UnknownNode,
     UnknownPredicate,
-    UnsupportedInterfaceVersion,
 )
 from .model import (
-    AccessRequirement, Actor, NetworkTopology, NodeClass, Privilege, Vulnerability,
+    AccessRequirement, NetworkTopology, NodeClass, Privilege, Vulnerability,
     index_by_id,
 )
 from .records import record
 from .state import _PRIV_RANK, DefenseKind, SimulationState
-
-INTERFACE_VERSION = "cap-1"
 
 HONEYPOT_ALARM_PROB = 0.9
 SHOCKTRAP_TRAP_ROUNDS = 2
@@ -174,7 +170,6 @@ class AtomicCapability:
     base_success_prob: float
     detection_prob: float
     cost_units: int
-    interface_version: str = INTERFACE_VERSION
 
     @cached_property
     def _checks(self) -> Tuple[Tuple[Predicate, Callable[..., bool]], ...]:
@@ -206,12 +201,6 @@ class DefenseStrategy:
 
 
 @record
-class PreconditionResult:
-    holds: bool
-    first_failed: Optional[Predicate] = None
-
-
-@record
 class BindingRule:
     """What a capability's terms require, read once per capability: the one
     reading enumeration, ``apply_capability``, ``path_capabilities`` and the
@@ -234,8 +223,8 @@ class BindingRule:
     vuln_access: Optional[AccessRequirement]
     # credential_held on target
     needs_credential: bool
-    # Launchable from outside: an attack that compromises, needs no
-    # foothold and binds no source.
+    # Launchable from outside: it compromises (which only an attack may),
+    # needs no foothold and binds no source.
     is_entry: bool
 
 
@@ -268,8 +257,7 @@ def _read_binding_rule(cap: AtomicCapability) -> BindingRule:
         vuln_access=min((p.access for p in on(PredicateKind.NODE_HAS_VULN_WITH_ACCESS, "target")),
                         key=_ACCESS_RANK.__getitem__, default=None),
         needs_credential=bool(on(PredicateKind.CREDENTIAL_HELD, "target")),
-        is_entry=(cap.kind == CapabilityKind.ATTACK and compromises
-                  and not needs_foothold and "source" not in slots),
+        is_entry=compromises and not needs_foothold and "source" not in slots,
     )
 
 
@@ -288,12 +276,10 @@ class CapabilityRegistry:
         return index_by_id(self._caps)
 
     @cached_property
-    def _binding_rules(self) -> Dict[CapabilityKind, Tuple[BindingRule, ...]]:
-        """Attack and defense capabilities in (cost, id) order, each with
-        its binding rule."""
+    def _attack_rules(self) -> Tuple[BindingRule, ...]:
+        """The attack capabilities' binding rules, in (cost, id) order."""
         ordered = sorted(self._caps, key=lambda c: (c.cost_units, c.id))
-        return {kind: tuple(c.binding_rule for c in ordered if c.kind == kind)
-                for kind in CapabilityKind}
+        return tuple(c.binding_rule for c in ordered if c.kind == CapabilityKind.ATTACK)
 
     @cached_property
     def path_capabilities(self) -> Tuple[Optional[AtomicCapability], ...]:
@@ -301,7 +287,7 @@ class CapabilityRegistry:
         entry), each the cheapest by (cost, id) whose binding rule has a
         ``vuln_access``, ``needs_credential``, or ``is_entry`` with
         ``target_classes``; or None."""
-        rules = self._binding_rules[CapabilityKind.ATTACK]
+        rules = self._attack_rules
 
         def cheapest(qualifies: Callable[[BindingRule], bool]) -> Optional[AtomicCapability]:
             return next((rule.cap for rule in rules if qualifies(rule)), None)
@@ -323,11 +309,6 @@ class CapabilityRegistry:
 
 
 def _check_capability(cap: AtomicCapability) -> None:
-    if cap.interface_version != INTERFACE_VERSION:
-        raise UnsupportedInterfaceVersion(
-            f"capability {cap.id!r} declares {cap.interface_version!r}, "
-            f"expected {INTERFACE_VERSION!r}"
-        )
     if not 0.0 <= cap.base_success_prob <= 1.0 or not 0.0 <= cap.detection_prob <= 1.0:
         raise KindEffectMismatch(f"capability {cap.id!r}: probabilities must be in [0,1]")
     if cap.cost_units < 0:
@@ -577,22 +558,18 @@ def _compile_predicate(pred: Predicate) -> Callable[[SimulationState, Mapping[st
     return check
 
 
-_HOLDS = PreconditionResult(holds=True)
-
-
 def evaluate_preconditions(cap: AtomicCapability, state: SimulationState,
-                           binding: Dict[str, str]) -> PreconditionResult:
-    """Evaluate preconditions in declaration order; report the first failure.
+                           binding: Dict[str, str]) -> Optional[Predicate]:
+    """Evaluate preconditions in declaration order: the first that fails,
+    or None when every one holds.
 
     Runs the capability's compiled checks. A slot the binding lacks raises
     ``UnboundSlot`` when the first predicate that reads it is reached.
-    Every result that holds is the same shared value.
     """
-    checks = cap._checks
     try:
-        for pred, check in checks:
+        for pred, check in cap._checks:
             if not check(state, binding):
-                return PreconditionResult(False, pred)
+                return pred
     except KeyError as exc:
         # Only a slot this predicate reads and the binding lacks is unbound;
         # any other KeyError is not about the binding.
@@ -600,7 +577,7 @@ def evaluate_preconditions(cap: AtomicCapability, state: SimulationState,
         if isinstance(slot, str) and slot in (pred.slot, pred.src_slot) and slot not in binding:
             raise UnboundSlot(f"capability {cap.id!r}: slot {slot!r} not bound") from None
         raise
-    return _HOLDS
+    return None
 
 
 def _apply_effect(state: SimulationState, eff: Effect, binding: Dict[str, str],
@@ -650,11 +627,9 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     PreconditionViolated rather than counting as a failed roll. See the
     module docstring for the rng draw budget.
     """
-    result = evaluate_preconditions(cap, state, binding)
-    if not result.holds:
-        raise PreconditionViolated(
-            f"capability {cap.id!r}: {result.first_failed.kind.value} does not hold"
-        )
+    failed = evaluate_preconditions(cap, state, binding)
+    if failed is not None:
+        raise PreconditionViolated(f"capability {cap.id!r}: {failed.kind.value} does not hold")
     target = _bound(binding, "target", cap.id)
     level = cap.binding_rule.vuln_access
     vuln = None if level is None else select_vulnerability(state.topology, target, level)
@@ -695,10 +670,6 @@ def apply_capability(state: SimulationState, cap: AtomicCapability,
     return new_state, CapabilityOutcome(success, detected, trapped_for)
 
 
-# The capabilities each actor enumerates.
-_ACTOR_KINDS = {Actor.ATTACKER: CapabilityKind.ATTACK, Actor.DEFENDER: CapabilityKind.DEFENSE}
-
-
 def _candidate_bindings(rule: BindingRule, topology: NetworkTopology,
                         domain: Tuple[str, ...], in_domain: Set[str],
                         footholds: Set[str]) -> Iterator[Dict[str, str]]:
@@ -706,7 +677,7 @@ def _candidate_bindings(rule: BindingRule, topology: NetworkTopology,
     under the narrowing rule ``applicable_capabilities`` states.
 
     ``domain`` is sorted and free of repeats, ``in_domain`` holds the same
-    ids, and ``footholds`` the actor's footholds among them.
+    ids, and ``footholds`` the attacker's footholds among them.
     """
     sources = footholds if rule.source_footholds else in_domain
     targets: Optional[Set[str]] = None  # None: the whole domain
@@ -734,19 +705,19 @@ def _candidate_bindings(rule: BindingRule, topology: NetworkTopology,
                 yield {"target": target, "source": source}
 
 
-def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState,
-                            actor: str) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
-    """Every (capability, binding) whose preconditions hold, in the
-    engine-wide tie-break order: cost ascending, then capability id, then
-    target id, then source id.
+def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
+                            ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
+    """Every (attack capability, binding) whose preconditions hold, in
+    the engine-wide tie-break order: cost ascending, then capability id,
+    then target id, then source id.
 
     Bindings range over every node of the state's topology. The
     capability's own preconditions narrow them:
 
-    - ``target``: to the actor's footholds under ``actor_has_foothold`` on
-      target; to the nodes of the allowed classes under ``node_class_is``
-      on target; to the out-neighbours of the footholds under
-      ``edge_exists`` from source to target together with
+    - ``target``: to the attacker's footholds under ``actor_has_foothold``
+      on target; to the nodes of the allowed classes under
+      ``node_class_is`` on target; to the out-neighbours of the footholds
+      under ``edge_exists`` from source to target together with
       ``actor_has_foothold`` on source. Otherwise the whole domain.
     - ``source``: to the target's in-neighbours under ``edge_exists`` from
       source to target, and to the footholds under ``actor_has_foothold``
@@ -759,27 +730,21 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     per entry-class node, two per foothold and two per edge out of a
     foothold.
 
-    The actor's footholds are the compromised nodes of the domain, the
+    The attacker's footholds are the compromised nodes of the domain, the
     keys of ``compromise``. Of the state it reads only the topology,
     ``compromise``, ``deployed`` and ``credentials_held`` (through
     ``credential_targets``). The engine relies on this: it reuses one
     returned list over the rounds of a run while those fields are
     unchanged. So callers must not mutate the list or its binding dicts.
-
-    ``actor`` is an ``Actor`` value; any other is refused
-    (InvariantViolation at ``actor``).
     """
-    kind = _ACTOR_KINDS.get(actor)
-    if kind is None:
-        raise InvariantViolation("actor", f"must be 'attacker' or 'defender', not {actor!r}")
     topology = state.topology
     domain = topology.node_ids
     in_domain = set(domain)
     footholds = state.compromise.keys() & in_domain
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
-    for rule in registry._binding_rules[kind]:
+    for rule in registry._attack_rules:
         for binding in _candidate_bindings(rule, topology, domain, in_domain, footholds):
-            if evaluate_preconditions(rule.cap, state, binding).holds:
+            if evaluate_preconditions(rule.cap, state, binding) is None:
                 out.append((rule.cap, binding))
     return out
 

@@ -211,7 +211,7 @@ class _LastEnumeration:
             if actions is None:
                 actions = self.inherited.get(key)
                 if actions is None:
-                    actions = applicable_capabilities(registry, state, "attacker")
+                    actions = applicable_capabilities(registry, state)
                 self.used[key] = actions
             self.state = state
             self.actions = actions

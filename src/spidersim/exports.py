@@ -16,7 +16,6 @@ from .attackgraph import EXTERNAL, AttackPath, AttackStep
 from .canonical import canonical_json
 from .capabilities import (
     EFFECT_OPERANDS,
-    INTERFACE_VERSION,
     PREDICATE_OPERANDS,
     SLOTLESS_EFFECTS,
     AtomicCapability,
@@ -221,6 +220,7 @@ def parse_requirement(document: str) -> Requirement:
 # capability files (interface "cap-1")
 # ---------------------------------------------------------------------------
 
+INTERFACE_VERSION = "cap-1"
 _CAPABILITY_FIELDS = frozenset({"id", "kind", "name", "technique_tag", "preconditions", "effects",
                                 "base_success_prob", "detection_prob", "cost_units",
                                 "interface_version"})
@@ -297,7 +297,6 @@ def parse_capability(document: str) -> AtomicCapability:
         base_success_prob=_expect_fraction(raw.get("base_success_prob", MISSING), "", "base_success_prob"),
         detection_prob=_expect_fraction(raw.get("detection_prob", MISSING), "", "detection_prob"),
         cost_units=_expect_int(raw.get("cost_units", MISSING), "", "cost_units"),
-        interface_version=version,
     )
 
 

@@ -168,7 +168,7 @@ class RoleId(str, Enum):
 class AgentRole:
     id: RoleId
     consumes: Tuple[str, ...]
-    produces: Tuple[str, ...]
+    produces: str  # the one slot a step of the role writes
     # (blackboard, registry, seed) -> value of the produced slot
     run: Callable
 
@@ -338,17 +338,17 @@ def _run_validator(bb: Blackboard, registry: CapabilityRegistry, seed: int):
 
 
 PIPELINE: Tuple[AgentRole, ...] = (
-    AgentRole(RoleId.CONTEXT_ANALYST, consumes=(), produces=("context_profile",),
+    AgentRole(RoleId.CONTEXT_ANALYST, consumes=(), produces="context_profile",
               run=_run_context_analyst),
-    AgentRole(RoleId.THREAT_PLANNER, consumes=(), produces=("threat_plan",),
+    AgentRole(RoleId.THREAT_PLANNER, consumes=(), produces="threat_plan",
               run=_run_threat_planner),
     AgentRole(RoleId.TOPOLOGY_SYNTHESIZER, consumes=("context_profile",),
-              produces=("topology_draft",), run=_run_topology_synthesizer),
+              produces="topology_draft", run=_run_topology_synthesizer),
     AgentRole(RoleId.VALIDATOR, consumes=("context_profile", "threat_plan", "topology_draft"),
-              produces=("validation_report",), run=_run_validator),
+              produces="validation_report", run=_run_validator),
 )
 
-SLOT_NAMES: Tuple[str, ...] = tuple(role.produces[0] for role in PIPELINE)
+SLOT_NAMES: Tuple[str, ...] = tuple(role.produces for role in PIPELINE)
 
 
 def agent_step(role: AgentRole, bb: Blackboard, registry: CapabilityRegistry,
@@ -359,7 +359,7 @@ def agent_step(role: AgentRole, bb: Blackboard, registry: CapabilityRegistry,
         if getattr(bb, name) is None:
             raise MissingConsumedSlot(f"role {role.id.value} needs slot {name!r}")
     return replace(bb, revision=bb.revision + 1,
-                   **{role.produces[0]: role.run(bb, registry, seed)})
+                   **{role.produces: role.run(bb, registry, seed)})
 
 
 def assemble_spec(bb: Blackboard) -> ScenarioSpec:
@@ -470,7 +470,7 @@ def run_pipeline(requirement: Requirement, registry: CapabilityRegistry,
     refinements: List[RefinementHint] = []
     while True:
         for role in PIPELINE:
-            if getattr(bb, role.produces[0]) is None:
+            if getattr(bb, role.produces) is None:
                 bb = agent_step(role, bb, registry, seed)
         validation = bb.validation_report
         reports.append(validation.report)

@@ -476,11 +476,11 @@ class Finding:
 class ValidationReport:
     """Validation outcome: empty ``errors`` means the spec is valid.
 
-    Error codes: UnresolvedCapability, DuplicateNodeId, DuplicateZoneId,
-    UnknownZone, DanglingEdge, DuplicateEdge, ObjectiveTargetUnknown,
-    UnknownVulnerabilityRef, UnknownCredentialRef, BadCredentialHost,
-    EmptyRecipe, InsufficientGateways, NoAttackPath (emitted by the
-    generation pipeline).
+    Error codes: UnresolvedCapability, DuplicateNodeId, ReservedNodeId,
+    DuplicateZoneId, UnknownZone, DanglingEdge, DuplicateEdge,
+    ObjectiveTargetUnknown, UnknownVulnerabilityRef, UnknownCredentialRef,
+    BadCredentialHost, EmptyRecipe, InsufficientGateways, NoAttackPath
+    (emitted by the generation pipeline).
     Warning codes: DisconnectedTopology.
     """
 

@@ -45,11 +45,18 @@ class DefenseKind(str, Enum):
 _PRIV_RANK = {None: 0, Privilege.USER: 1, Privilege.ADMIN: 2}
 
 
+def _checked(field_name: str, kind: type, node_id: str, value):
+    if not isinstance(value, kind):
+        raise InvariantViolation(field_name, f"node {node_id!r}: {value!r} is not a {kind.__name__}")
+    return value
+
+
 @record
 class SimulationState:
     """``compromise`` and ``deployed`` accept any mapping or iterable of
     (node, value) pairs; the stored values are read-only mappings, with
-    each node's defenses as a frozenset."""
+    each node's defenses as a frozenset. A privilege that is not a
+    ``Privilege``, or a defense not a ``DefenseKind``, is refused."""
 
     topology: NetworkTopology
     round: int = 0
@@ -66,9 +73,11 @@ class SimulationState:
             raise InvariantViolation(
                 "alarms", "must be in non-decreasing round order, none after the state's round")
         canonical = {
-            "compromise": MappingProxyType(dict(self.compromise)),
+            "compromise": MappingProxyType({nid: _checked("compromise", Privilege, nid, priv)
+                                            for nid, priv in dict(self.compromise).items()}),
             "deployed": MappingProxyType(
-                {nid: frozenset(kinds) for nid, kinds in dict(self.deployed).items()}),
+                {nid: frozenset(_checked("deployed", DefenseKind, nid, kind) for kind in kinds)
+                 for nid, kinds in dict(self.deployed).items()}),
             "credentials_held": frozenset(self.credentials_held),
             "alarms": alarms,
         }
@@ -112,12 +121,14 @@ class SimulationState:
         return self.deployed.get(node_id, frozenset())
 
     def with_compromise(self, node_id: str, privilege: Privilege) -> "SimulationState":
+        _checked("compromise", Privilege, node_id, privilege)
         current = self.compromise.get(node_id)
         entries = dict(self.compromise)
         entries[node_id] = current if _PRIV_RANK[current] >= _PRIV_RANK[privilege] else privilege
         return self._evolve(compromise=MappingProxyType(entries))
 
     def with_defense(self, node_id: str, kind: DefenseKind) -> "SimulationState":
+        _checked("deployed", DefenseKind, node_id, kind)
         entries = dict(self.deployed)
         entries[node_id] = entries.get(node_id, frozenset()) | {kind}
         return self._evolve(deployed=MappingProxyType(entries))

@@ -44,12 +44,10 @@ from spidersim import (
     enumerate_attack_paths,
 )
 from spidersim.capabilities import (
-    INTERFACE_VERSION,
     CapabilityRegistry,
     DefenseStrategy,
     Predicate,
     PredicateKind,
-    PreconditionResult,
     deploy_strategy,
 )
 from spidersim.errors import (
@@ -71,6 +69,7 @@ from spidersim.engine import (
     resolve_topology,
     step_round,
 )
+from spidersim.exports import INTERFACE_VERSION
 from spidersim.state import DefenseKind, SimulationState, fresh_state
 from spidersim.model import DomainContext, Elements, ScenarioParameters, Service, SubProblem
 from spidersim.rng import substream
@@ -518,14 +517,15 @@ def _reference_predicate(pred: Predicate, state: SimulationState,
 
 
 def reference_evaluate_preconditions(cap: AtomicCapability, state: SimulationState,
-                                     binding: Dict[str, str]) -> PreconditionResult:
+                                     binding: Dict[str, str]) -> Optional[Predicate]:
     """What ``evaluate_preconditions`` must return: the preconditions in
-    declaration order, the first that fails reported, and ``UnboundSlot``
-    for a slot the binding lacks once a predicate reading it is reached."""
+    declaration order, the first that fails (None when all hold), and
+    ``UnboundSlot`` for a slot the binding lacks once a predicate reading
+    it is reached."""
     for pred in cap.preconditions:
         if not _reference_predicate(pred, state, binding, cap.id):
-            return PreconditionResult(holds=False, first_failed=pred)
-    return PreconditionResult(holds=True)
+            return pred
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -545,17 +545,15 @@ def _slots(cap: AtomicCapability) -> Tuple[str, ...]:
 
 
 def oracle_applicable_capabilities(registry: CapabilityRegistry,
-                                   state: SimulationState, actor: str,
-                                   binding_domain: Iterable[str]
+                                   state: SimulationState, binding_domain: Iterable[str]
                                    ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
-    """Every (capability, binding) whose preconditions hold, found by
-    trying every (source, target) pair of the domain with the reference
+    """Every (attack capability, binding) whose preconditions hold, found
+    by trying every (source, target) pair of the domain with the reference
     interpreter, sorted by cost, capability id, target id, then source
     id."""
-    kind = CapabilityKind.ATTACK if actor == "attacker" else CapabilityKind.DEFENSE
     domain = sorted(set(binding_domain))
     out: List[Tuple[AtomicCapability, Dict[str, str]]] = []
-    caps = sorted((c for c in registry.capabilities() if c.kind == kind),
+    caps = sorted((c for c in registry.capabilities() if c.kind == CapabilityKind.ATTACK),
                   key=lambda c: (c.cost_units, c.id))
     for cap in caps:
         needs_source = "source" in _slots(cap)
@@ -565,11 +563,11 @@ def oracle_applicable_capabilities(registry: CapabilityRegistry,
                     if source == target:
                         continue
                     binding = {"target": target, "source": source}
-                    if reference_evaluate_preconditions(cap, state, binding).holds:
+                    if reference_evaluate_preconditions(cap, state, binding) is None:
                         out.append((cap, binding))
             else:
                 binding = {"target": target}
-                if reference_evaluate_preconditions(cap, state, binding).holds:
+                if reference_evaluate_preconditions(cap, state, binding) is None:
                     out.append((cap, binding))
     out.sort(key=lambda item: (
         item[0].cost_units, item[0].id,
@@ -1152,7 +1150,6 @@ def reference_parse_capability(document: str) -> AtomicCapability:
         base_success_prob=_expect_fraction(_require(raw, "base_success_prob", ""), "base_success_prob"),
         detection_prob=_expect_fraction(_require(raw, "detection_prob", ""), "detection_prob"),
         cost_units=_expect_int(_require(raw, "cost_units", ""), "cost_units"),
-        interface_version=_expect_text(_require(raw, "interface_version", ""), "interface_version"),
     )
 
 

@@ -264,7 +264,7 @@ def test_criterion_6_invariant_suites(marine_requirement):
 
     # pipeline progress and slot ownership (50 cases)
     from spidersim.forge import PIPELINE, SLOT_NAMES, Blackboard, agent_step
-    owner = {slot: role.id.value for role in PIPELINE for slot in role.produces}
+    owner = {role.produces: role.id.value for role in PIPELINE}
     for seed in range(50):
         bb = Blackboard(requirement=marine_requirement)
         for i, role in enumerate(PIPELINE, start=1):

@@ -322,7 +322,7 @@ class TestProperties:
                     effects=(ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.USER),),
                     base_success_prob=0.9, detection_prob=0.1, cost_units=0))
             actions = {(cap.id, binding["target"]) for cap, binding
-                       in ss.applicable_capabilities(registry, ss.fresh_state(topo), "attacker")}
+                       in ss.applicable_capabilities(registry, ss.fresh_state(topo))}
             for node in topo.nodes:
                 paths = ss.enumerate_attack_paths(topo, registry, query(
                     [n.id for n in topo.nodes], ss.TargetSelector(node_id=node.id), max_len=2))

@@ -37,7 +37,6 @@ from spidersim.errors import (
     UnknownField,
     UnknownNode,
     UnknownPredicate,
-    UnsupportedInterfaceVersion,
 )
 from spidersim.exports import parse_capability
 from spidersim.state import DefenseKind, SimulationState, fresh_state
@@ -160,11 +159,6 @@ class TestRegistration:
     def test_duplicate_id_rejected(self, registry):
         with pytest.raises(DuplicateId):
             ss.register_capability(registry, bare_attack(cap_id="phishing"))
-
-    def test_bad_interface_version(self, registry):
-        cap = replace(bare_attack(), interface_version="cap-99")
-        with pytest.raises(UnsupportedInterfaceVersion):
-            ss.register_capability(registry, cap)
 
     def test_attack_must_not_deploy(self, registry):
         cap = replace(bare_attack(), effects=(
@@ -334,23 +328,19 @@ class TestSharedBuiltInRegistry:
 class TestPreconditions:
     def test_phishing_on_workstation_holds(self, registry, ws_state):
         cap = registry.get("phishing")
-        result = ss.evaluate_preconditions(cap, ws_state, {"target": "w"})
-        assert result.holds
+        assert ss.evaluate_preconditions(cap, ws_state, {"target": "w"}) is None
 
     def test_phishing_on_sensor_fails_on_class(self, registry, ws_state):
         cap = registry.get("phishing")
-        result = ss.evaluate_preconditions(cap, ws_state, {"target": "s"})
-        assert not result.holds
-        assert result.first_failed.kind == ss.PredicateKind.NODE_CLASS_IS
+        failed = ss.evaluate_preconditions(cap, ws_state, {"target": "s"})
+        assert failed.kind == ss.PredicateKind.NODE_CLASS_IS
 
     def test_exploit_needs_foothold_first(self, registry):
         topo = chain_topology()
         state = fresh_state(topo)
         cap = registry.get("exploit_vuln")
-        result = ss.evaluate_preconditions(
-            cap, state, {"target": "b", "source": "a"})
-        assert not result.holds
-        assert result.first_failed.kind == ss.PredicateKind.ACTOR_HAS_FOOTHOLD
+        failed = ss.evaluate_preconditions(cap, state, {"target": "b", "source": "a"})
+        assert failed.kind == ss.PredicateKind.ACTOR_HAS_FOOTHOLD
 
     def test_apply_rejects_violated_preconditions(self, registry, ws_state):
         cap = registry.get("phishing")
@@ -363,8 +353,8 @@ class TestPreconditions:
         cap = registry.get("credential_theft")
         user = fresh_state(topo).with_compromise("a", ss.Privilege.USER)
         admin = fresh_state(topo).with_compromise("a", ss.Privilege.ADMIN)
-        assert not ss.evaluate_preconditions(cap, user, {"target": "a"}).holds
-        assert ss.evaluate_preconditions(cap, admin, {"target": "a"}).holds
+        assert ss.evaluate_preconditions(cap, user, {"target": "a"}) is not None
+        assert ss.evaluate_preconditions(cap, admin, {"target": "a"}) is None
 
 
 def random_predicate(rng: random.Random) -> ss.Predicate:
@@ -403,7 +393,7 @@ def random_state(rng: random.Random, topo) -> SimulationState:
 class TestCompiledChecks:
     def test_match_reference_interpreter(self):
         """``evaluate_preconditions`` against the reference interpreter in
-        tests/helpers.py: same ``holds``, same ``first_failed``, and
+        tests/helpers.py: the same first failing predicate (or None), and
         ``UnboundSlot`` (same message) for the same inputs, and a KeyError
         that is not about the binding stays a KeyError. Random
         capabilities of one to four predicates over all nine kinds, each
@@ -434,17 +424,17 @@ class TestCompiledChecks:
                     except KeyError:
                         outcomes.append(("KeyError",))
                 assert outcomes[0] == outcomes[1], (seed, cap.preconditions, binding)
-                want = outcomes[1]
-                if isinstance(want, tuple):
-                    errors[want[0]] += 1
+                failed = outcomes[1]
+                if isinstance(failed, tuple):
+                    errors[failed[0]] += 1
                     continue
                 # Record, per kind, the truth values seen on the predicates
                 # the evaluation reached.
                 reached = cap.preconditions
-                if not want.holds:
-                    reached = reached[:reached.index(want.first_failed) + 1]
+                if failed is not None:
+                    reached = reached[:reached.index(failed) + 1]
                 for pred in reached:
-                    held[pred.kind].add(pred is not want.first_failed)
+                    held[pred.kind].add(pred is not failed)
         assert all(values == {True, False} for values in held.values()), held
         assert all(errors.values()), errors
 
@@ -475,10 +465,10 @@ class TestCompiledChecks:
         )
         state = SimulationState(topology=topo, compromise={"a": ss.Privilege.USER},
                                 credentials_held=frozenset({"cred-b"}))
-        found = ss.applicable_capabilities(registry, state, "attacker")
+        found = ss.applicable_capabilities(registry, state)
         lateral = [b for cap, b in found if cap.id == "lateral_move_with_cred"]
         assert lateral == [{"target": "b", "source": "a"}]
-        assert found == oracle_applicable_capabilities(registry, state, "attacker", "abc")
+        assert found == oracle_applicable_capabilities(registry, state, "abc")
         assert state == fresh_state(topo).with_credentials(["cred-b"]).with_compromise(
             "a", ss.Privilege.USER)
 
@@ -544,6 +534,25 @@ class TestCompiledChecks:
         state = SimulationState(topology=chain_topology(), round=3,
                                 alarms=((0, "a"), (2, "b"), (2, "a"), (3, "c")))
         assert pickle.loads(pickle.dumps(state)).alarms == state.alarms
+
+    @pytest.mark.parametrize("field_name, bad", [
+        ("compromise", None), ("compromise", "user"), ("deployed", "patch"), ("deployed", None),
+    ])
+    def test_values_that_are_not_members_are_refused(self, field_name, bad):
+        """A compromised node holds a ``Privilege`` and a defense is a
+        ``DefenseKind``: anything else (a None that ``node_not_compromised``
+        would read as not compromised, or the text of a member) is refused
+        by the constructor and by the update of that field."""
+        if field_name == "compromise":
+            entries, update = {"a": bad}, "with_compromise"
+        else:
+            entries, update = {"a": [DefenseKind.PATCH, bad]}, "with_defense"
+        with pytest.raises(InvariantViolation) as caught:
+            SimulationState(topology=chain_topology(), **{field_name: entries})
+        assert caught.value.path == field_name
+        with pytest.raises(InvariantViolation) as caught:
+            getattr(fresh_state(chain_topology()), update)("a", bad)
+        assert caught.value.path == field_name and "'a'" in caught.value.detail
 
 
 class TestPickles:
@@ -666,17 +675,19 @@ class TestVulnerabilityMatching:
         state = fresh_state(topo).with_compromise("a", ss.Privilege.USER)
         cap = registry.get("exploit_vuln")
         binding = {"target": "b", "source": "a"}
-        assert ss.evaluate_preconditions(cap, state, binding).holds
+        assert ss.evaluate_preconditions(cap, state, binding) is None
         patched = state.with_defense("b", DefenseKind.PATCH)
-        assert not ss.evaluate_preconditions(cap, patched, binding).holds
+        assert (ss.evaluate_preconditions(cap, patched, binding).kind
+                == ss.PredicateKind.DEFENSE_ABSENT)
 
     def test_encryption_gates_credential_theft(self, registry):
         topo = chain_topology()
         state = fresh_state(topo).with_compromise("a", ss.Privilege.ADMIN)
         cap = registry.get("credential_theft")
-        assert ss.evaluate_preconditions(cap, state, {"target": "a"}).holds
+        assert ss.evaluate_preconditions(cap, state, {"target": "a"}) is None
         encrypted = state.with_defense("a", DefenseKind.ENCRYPTION)
-        assert not ss.evaluate_preconditions(cap, encrypted, {"target": "a"}).holds
+        assert (ss.evaluate_preconditions(cap, encrypted, {"target": "a"}).kind
+                == ss.PredicateKind.DEFENSE_ABSENT)
 
 
 class TestApplication:
@@ -820,21 +831,11 @@ class TestApplicableAndStrategy:
     def test_order_is_total(self, registry, marine_topology):
         state = fresh_state(marine_topology).with_compromise(
             "maint-0", ss.Privilege.ADMIN)
-        entries = ss.applicable_capabilities(registry, state, "attacker")
+        entries = ss.applicable_capabilities(registry, state)
         keys = [(cap.cost_units, cap.id, b["target"], b.get("source", ""))
                 for cap, b in entries]
         assert len(set(keys)) == len(keys)
         assert keys == sorted(keys)
-
-    @pytest.mark.parametrize("actor", ["Attacker", "defence", ""])
-    def test_unknown_actor_is_refused(self, registry, marine_topology, actor):
-        """Only the ``Actor`` values name an actor: any other is refused,
-        not read as the defender."""
-        with pytest.raises(InvariantViolation) as err:
-            ss.applicable_capabilities(registry, fresh_state(marine_topology), actor)
-        assert err.value.path == "actor"
-        assert ss.applicable_capabilities(registry, fresh_state(marine_topology),
-                                          ss.Actor.DEFENDER)
 
     def test_deploy_needs_every_effect_slot_bound(self, registry, ws_state):
         """A placement binds only ``target``: a defense whose effect acts on
@@ -851,15 +852,20 @@ class TestApplicableAndStrategy:
             deploy_strategy(ws_state, strategy, registry)
 
     def test_matches_exhaustive_oracle(self, registry):
-        """Same ordered list as trying every (source, target) pair, for
-        the attacker and the defender, on random topologies with directed
-        edges and a self-loop, in states reached by random capability
-        applications.
+        """Same ordered list as trying every (source, target) pair, on
+        random topologies with directed edges and a self-loop, in states
+        reached by random defenses and by random attacks that have an
+        effect.
         Third-party capabilities: an edge running target->source; source
         bound through neither an edge nor a foothold, or only through a
         class; an edge from a source without a foothold predicate; a
-        foothold and two overlapping class predicates on target."""
+        foothold and two overlapping class predicates on target. The
+        narrowing rule does not read a capability's kind, so each
+        third-party defense takes part as an attack with its
+        preconditions and no effects."""
         for cap in THIRD_PARTY:
+            if cap.kind == ss.CapabilityKind.DEFENSE:
+                cap = replace(cap, kind=ss.CapabilityKind.ATTACK, effects=())
             registry = ss.register_capability(registry, cap)
         found = set()
         for seed in range(150):
@@ -871,15 +877,14 @@ class TestApplicableAndStrategy:
             state = fresh_state(topo).with_credentials(
                 c.id for c in topo.credentials if rng.random() < 0.5)
             for _ in range(8):
-                wants = []
-                for actor in ("attacker", "defender"):
-                    want = oracle_applicable_capabilities(registry, state, actor, ids)
-                    assert ss.applicable_capabilities(registry, state, actor) == want
-                    found.update(cap.id for cap, _ in want)
-                    wants.append(want)
-                want = rng.choice(wants)
-                if want:
-                    cap, binding = rng.choice(want)
+                want = oracle_applicable_capabilities(registry, state, ids)
+                assert ss.applicable_capabilities(registry, state) == want
+                found.update(cap.id for cap, _ in want)
+                moves = [action for action in want if action[0].effects]
+                if rng.random() < 0.5:
+                    state = state.with_defense(rng.choice(ids), rng.choice(list(DefenseKind)))
+                elif moves:
+                    cap, binding = rng.choice(moves)
                     state, _ = ss.apply_capability(state, cap, binding, rng)
         assert {"exploit_vuln", "lateral_move_with_cred"} <= found
         assert {cap.id for cap in THIRD_PARTY} <= found
@@ -888,8 +893,7 @@ class TestApplicableAndStrategy:
     def test_matches_oracle_every_round(self, registry, policy):
         """Runs driven by ``step_round`` under each attacker policy and the
         reactive defender, from random round-0 deployments and one admin
-        foothold: after every round the list equals the oracle's for both
-        actors. The runs
+        foothold: after every round the list equals the oracle's. The runs
         raise alarms, patch nodes, trap the attacker and steal
         credentials mid-run."""
         seen = {"alarm": 0, "patch": 0, "trap": 0, "credentials": 0}
@@ -911,9 +915,8 @@ class TestApplicableAndStrategy:
             for _ in range(config.max_rounds):
                 before = state
                 state, events = step_round(state, registry, config, sim_rng)
-                for actor in ("attacker", "defender"):
-                    assert (ss.applicable_capabilities(registry, state, actor)
-                            == oracle_applicable_capabilities(registry, state, actor, ids))
+                assert (ss.applicable_capabilities(registry, state)
+                        == oracle_applicable_capabilities(registry, state, ids))
                 seen["alarm"] += len(state.alarms) > len(before.alarms)
                 seen["patch"] += any(e.capability_id == "patch" for e in events)
                 seen["trap"] += state.trapped_until > before.trapped_until

@@ -280,8 +280,8 @@ def enumerations(monkeypatch):
     calls = []
     enumerate_actions = engine.applicable_capabilities
 
-    def recording(registry, state, actor, *args):
-        found = enumerate_actions(registry, state, actor, *args)
+    def recording(registry, state):
+        found = enumerate_actions(registry, state)
         calls.append((state, found, [(cap, dict(binding)) for cap, binding in found]))
         return found
 

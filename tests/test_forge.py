@@ -185,12 +185,11 @@ class TestAgentStep:
     def test_slots_are_the_pipeline_outputs_in_order(self):
         """The roles' outputs name the blackboard's slot fields, in order,
         and each role consumes only slots written before its own."""
-        assert SLOT_NAMES == tuple(role.produces[0] for role in PIPELINE)
-        assert all(len(role.produces) == 1 for role in PIPELINE)
+        assert SLOT_NAMES == tuple(role.produces for role in PIPELINE)
         blackboard_fields = [f.name for f in fields(Blackboard)]
         assert blackboard_fields[1:1 + len(SLOT_NAMES)] == list(SLOT_NAMES)
         for role in PIPELINE:
-            assert set(role.consumes) <= set(SLOT_NAMES[:SLOT_NAMES.index(role.produces[0])])
+            assert set(role.consumes) <= set(SLOT_NAMES[:SLOT_NAMES.index(role.produces)])
 
     def test_validator_needs_the_context_profile(self, registry):
         """The validator reads the profile's entry class when the draft has
@@ -246,8 +245,7 @@ class TestAgentStep:
     def test_slot_ownership_from_log(self, marine_requirement, registry, monkeypatch):
         """Each step writes only its own role's slot and runs exactly that
         role, once: the roles run in the order they are stepped."""
-        owner = {slot: role.id.value for role in PIPELINE
-                 for slot in role.produces}
+        owner = {role.produces: role.id.value for role in PIPELINE}
         ran = []
 
         def recording(role):

@@ -212,9 +212,6 @@ def sample_roots():
         config = ss.SimulationConfig(seed=3, defender_policy=policy)
         roots += [ss.run_simulation(spec, plan, registry, config),
                   ss.batch_run(spec, plan, registry, config, 2)]
-    state = ss.fresh_state(topology)
-    roots += [ss.evaluate_preconditions(cap, state, {"target": "maint-0", "source": "maint-0"})
-              for cap in registry.capabilities()]
     controllers = ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER)
     # A repeated entry: ``PathQuery.__post_init__`` drops it.
     for entries, target in ((("maint-0", "maint-0"), controllers),

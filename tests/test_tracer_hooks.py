@@ -12,8 +12,6 @@ import importlib.util
 import types
 from pathlib import Path
 
-import pytest
-
 import spidersim as ss
 from spidersim import capabilities
 from spidersim.state import fresh_state
@@ -58,7 +56,7 @@ def test_tracer_installs_and_uninstalls(marine_topology, registry):
         for (module, name), original in originals.items():
             assert getattr(lib, module).__dict__[name] is not original, f"{module}.{name}"
         state = fresh_state(marine_topology).with_compromise("maint-0", ss.Privilege.USER)
-        found = lib.capabilities.applicable_capabilities(registry, state, ss.Actor.ATTACKER)
+        found = lib.capabilities.applicable_capabilities(registry, state)
     finally:
         tracer.uninstall()
     for (module, name), original in originals.items():
@@ -67,9 +65,7 @@ def test_tracer_installs_and_uninstalls(marine_topology, registry):
     assert tracer.counts["capabilities.bindings_tried"] >= len(found)
 
 
-@pytest.mark.parametrize("actor", [ss.Actor.ATTACKER, ss.Actor.DEFENDER])
-def test_enumeration_checks_each_binding_it_returns(monkeypatch, marine_topology, registry,
-                                                    actor):
+def test_enumeration_checks_each_binding_it_returns(monkeypatch, marine_topology, registry):
     """``applicable_capabilities`` calls ``capabilities.evaluate_preconditions``
     (through the module global the tracer replaces) on every binding it
     returns, so the tracer's ``bindings_tried`` cannot read 0 while actions
@@ -85,7 +81,7 @@ def test_enumeration_checks_each_binding_it_returns(monkeypatch, marine_topology
     state = (fresh_state(marine_topology)
              .with_compromise("maint-0", ss.Privilege.USER)
              .with_compromise("ws-0", ss.Privilege.ADMIN))
-    found = capabilities.applicable_capabilities(registry, state, actor)
+    found = capabilities.applicable_capabilities(registry, state)
     assert found
     for cap, binding in found:
         assert (cap.id, binding) in checked, (cap.id, binding)
