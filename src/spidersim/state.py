@@ -23,7 +23,6 @@ grows, and the constructor refuses any other order.
 
 from __future__ import annotations
 
-from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -51,34 +50,54 @@ def _checked(field_name: str, kind: type, node_id: str, value):
     return value
 
 
+def _checked_id(field_name: str, value):
+    if not isinstance(value, str):
+        raise InvariantViolation(field_name, f"{value!r} is not an id")
+    return value
+
+
 @record
 class SimulationState:
     """``compromise`` and ``deployed`` accept any mapping or iterable of
     (node, value) pairs; the stored values are read-only mappings, with
     each node's defenses as a frozenset. A privilege that is not a
-    ``Privilege``, or a defense not a ``DefenseKind``, is refused."""
+    ``Privilege``, a defense not a ``DefenseKind``, a node or credential
+    id that is not a string, a ``round`` or ``trapped_until`` that is not
+    a non-negative int, and an alarm that is not a (round, node id) pair
+    of those are refused. The updates check only what they add."""
 
     topology: NetworkTopology
     round: int = 0
-    compromise: Mapping[str, Privilege] = field(default_factory=dict)
-    deployed: Mapping[str, FrozenSet[DefenseKind]] = field(default_factory=dict)
+    compromise: Mapping[str, Privilege] = ()
+    deployed: Mapping[str, FrozenSet[DefenseKind]] = ()
     credentials_held: FrozenSet[str] = frozenset()
     trapped_until: int = 0
     alarms: Tuple[Tuple[int, str], ...] = ()
 
     def __post_init__(self):
+        for field_name in ("round", "trapped_until"):
+            value = getattr(self, field_name)
+            if not isinstance(value, int) or value < 0:
+                raise InvariantViolation(field_name, f"{value!r} is not a non-negative int")
         alarms = tuple(self.alarms)
+        for alarm in alarms:
+            if not (isinstance(alarm, tuple) and len(alarm) == 2 and isinstance(alarm[0], int)
+                    and alarm[0] >= 0 and isinstance(alarm[1], str)):
+                raise InvariantViolation("alarms", f"{alarm!r} is not a (round, node id) pair")
         rounds = [r for r, _ in alarms]
         if rounds != sorted(rounds) or (rounds and rounds[-1] > self.round):
             raise InvariantViolation(
                 "alarms", "must be in non-decreasing round order, none after the state's round")
         canonical = {
-            "compromise": MappingProxyType({nid: _checked("compromise", Privilege, nid, priv)
-                                            for nid, priv in dict(self.compromise).items()}),
+            "compromise": MappingProxyType(
+                {_checked_id("compromise", nid): _checked("compromise", Privilege, nid, priv)
+                 for nid, priv in dict(self.compromise).items()}),
             "deployed": MappingProxyType(
-                {nid: frozenset(_checked("deployed", DefenseKind, nid, kind) for kind in kinds)
+                {_checked_id("deployed", nid):
+                 frozenset(_checked("deployed", DefenseKind, nid, kind) for kind in kinds)
                  for nid, kinds in dict(self.deployed).items()}),
-            "credentials_held": frozenset(self.credentials_held),
+            "credentials_held": frozenset(_checked_id("credentials_held", cred_id)
+                                          for cred_id in self.credentials_held),
             "alarms": alarms,
         }
         self.__dict__.update(canonical)

@@ -38,7 +38,7 @@ from spidersim.errors import (
     UnknownNode,
     UnknownPredicate,
 )
-from spidersim.exports import parse_capability
+from spidersim.exports import _state_to_dict, parse_capability
 from spidersim.state import DefenseKind, SimulationState, fresh_state
 
 from helpers import (
@@ -553,6 +553,25 @@ class TestCompiledChecks:
         with pytest.raises(InvariantViolation) as caught:
             getattr(fresh_state(chain_topology()), update)("a", bad)
         assert caught.value.path == field_name and "'a'" in caught.value.detail
+
+    @pytest.mark.parametrize("field_name, bad", [
+        ("credentials_held", {"cred-x", None}), ("credentials_held", [3]),
+        ("compromise", {None: ss.Privilege.USER}), ("deployed", {3: [DefenseKind.PATCH]}),
+        ("round", -3), ("round", None), ("round", "2"), ("trapped_until", -5),
+        ("alarms", ((1, None),)), ("alarms", ((-1, "a"),)), ("alarms", ([0, "a"],)),
+        ("alarms", ((0,),)), ("alarms", ((0, "a", "b"),)),
+    ])
+    def test_other_malformed_values_are_refused(self, field_name, bad):
+        """Node and credential ids are strings, a round counter is a
+        non-negative int and an alarm a (round, node id) pair: the trace
+        export sorts the ids and writes the rest, so anything else would
+        fail there, or write a value no run can produce."""
+        with pytest.raises(InvariantViolation) as caught:
+            SimulationState(topology=chain_topology(), **{"round": 3, field_name: bad})
+        assert caught.value.path == field_name
+        state = SimulationState(topology=chain_topology(), round=3, credentials_held={"x"},
+                                trapped_until=5, alarms=((0, "a"), (3, "b")))
+        assert _state_to_dict(state)["alarms"] == [[0, "a"], [3, "b"]]
 
 
 class TestPickles:

@@ -6,15 +6,20 @@ give back an equal value with an equal hash, and whose constructor stores
 each field through its slot with the signature and results of the one
 ``dataclass`` generates. The classes that cache derived values keep an
 instance dict and pickle their fields only. Every value class behaves as
-a plain ``make_dataclass(..., frozen=True)`` twin of it does."""
+a plain ``make_dataclass(..., frozen=True)`` twin of it does, and
+``record`` compiles each class's methods in one step."""
 
 import ast
 import copy
 import dataclasses
+import functools
 import importlib
 import inspect
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from collections.abc import Mapping
 from dataclasses import KW_ONLY, MISSING, FrozenInstanceError, InitVar, field, fields, replace
 from pathlib import Path
@@ -22,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import spidersim as ss
-from spidersim import forge
+from spidersim import forge, records
 from spidersim.capabilities import CapabilityOutcome
 from spidersim.data import marine_ranch_requirement_text, marine_ranch_scenario_text
 from spidersim.engine import Metrics, SimEvent
@@ -126,10 +131,38 @@ class TestRecordConstructor:
     pytest.param({"__annotations__": {"a": int}, "a": field(kw_only=True)}, id="kw_only"),
     pytest.param({"__annotations__": {"_": KW_ONLY, "a": int}}, id="kw_only_marker"),
     pytest.param({"__annotations__": {"a": int, "b": InitVar[int]}}, id="init_var"),
+    pytest.param({"__annotations__": {"a": int, "b": int}, "a": 0}, id="default_before_required"),
+    pytest.param({"__annotations__": {"a": int}, "__setattr__": object.__setattr__},
+                 id="own_setattr"),
+    pytest.param({"__annotations__": {"a": int}, "__delattr__": object.__delattr__},
+                 id="own_delattr"),
 ])
 def test_record_refuses_what_its_init_does_not_reproduce(body):
     with pytest.raises(TypeError):
         record(type("Unsupported", (), dict(body)))
+
+
+def test_record_refuses_a_base_class():
+    base = record(type("Base", (), {"__annotations__": {"a": int}}))
+    with pytest.raises(TypeError):
+        record(type("Derived", (base,), {"__annotations__": {"b": int}}))
+
+
+def test_record_keeps_the_field_options_of_dataclass():
+    """``repr=False`` leaves a field out of ``repr``, ``compare=False``
+    out of equality and hashing, and ``hash=False`` out of hashing alone,
+    as in the generated methods of ``dataclass(frozen=True)``."""
+    annotations = {"a": int, "b": int, "c": int, "d": int}
+    spec = {"b": field(default=2, repr=False), "c": field(default=3, compare=False),
+            "d": field(default=4, hash=False)}
+    built = record(type("Options", (), {"__annotations__": annotations, **spec}))
+    twin = dataclasses.make_dataclass(
+        "Options", [(name, int, spec.get(name, field())) for name in annotations], frozen=True)
+    for args in [(1,), (1, 5), (1, 2, 6), (1, 2, 3, 7)]:
+        assert repr(built(*args)) == repr(twin(*args))
+        assert hash(built(*args)) == hash(twin(*args))
+        for other in [(1,), (1, 5), (1, 2, 6), (1, 2, 3, 7)]:
+            assert (built(*args) == built(*other)) == (twin(*args) == twin(*other))
 
 
 def test_record_runs_post_init_after_storing_the_fields():
@@ -269,9 +302,11 @@ def frozen_twin(cls):
     """``make_dataclass(..., frozen=True)`` with the fields of ``cls`` and
     every method and cached property its source defines: the class the
     generated ``dataclass`` code alone makes of the same body."""
+    module_file = sys.modules[cls.__module__].__file__
+
     def from_source(member):
         code = getattr(getattr(member, "func", member), "__code__", None)
-        return code is not None and code.co_filename.endswith(".py")
+        return code is not None and code.co_filename == module_file
 
     return dataclasses.make_dataclass(
         cls.__name__,
@@ -287,6 +322,19 @@ def outcome(make):
         return "ok", make()
     except Exception as exc:  # the twin must raise the same type
         return "raised", type(exc)
+
+
+@functools.cache
+def source_docstrings(module_name):
+    """The docstring each class of the module's source declares, by
+    name (None for a class without one)."""
+    tree = ast.parse(Path(sys.modules[module_name].__file__).read_text(encoding="utf-8"))
+    return {node.name: ast.get_docstring(node)
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+# What ``record`` writes in place of ``dataclass``'s generated code.
+GENERATED = ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__")
 
 
 def field_spec(f):
@@ -331,9 +379,54 @@ class TestValueClass:
             # A used value pickles to the bytes of a fresh one.
             assert pickle.dumps(value) == pickle.dumps(type(value)(*field_values(value)))
 
+    def test_dataclass_api_matches_the_twin(self, name, samples):
+        cls, twin = VALUE_CLASSES[name], frozen_twin(VALUE_CLASSES[name])
+        assert dataclasses.is_dataclass(cls) and cls.__match_args__ == twin.__match_args__
+        options = ("init", "repr", "eq", "order", "unsafe_hash", "frozen")
+        assert ([getattr(cls.__dataclass_params__, option) for option in options]
+                == [getattr(twin.__dataclass_params__, option) for option in options])
+        for value in samples[name]:
+            plain = twin(*field_values(value))
+            assert dataclasses.is_dataclass(value)
+            for convert in (dataclasses.asdict, dataclasses.astuple):
+                # A read-only mapping field (RecipeLayout, SimulationState)
+                # deep-copies in neither.
+                assert outcome(lambda: convert(value)) == outcome(lambda: convert(plain))
+
+    def test_docstring_matches_the_twin(self, name):
+        """A class keeps its own docstring; one without gets the text of
+        its signature that ``dataclass`` writes."""
+        cls = VALUE_CLASSES[name]
+        written = source_docstrings(cls.__module__)[name]
+        assert inspect.cleandoc(cls.__doc__) == (written or frozen_twin(cls).__doc__)
+
+    def test_generated_methods_share_one_compile(self, name):
+        """The methods ``record`` compiles for a class all come from one
+        source named after the class; the rest are its shared closures or
+        the class's own. Code ``dataclass`` generates has another name."""
+        cls = VALUE_CLASSES[name]
+        own_sources = {sys.modules[cls.__module__].__file__, records.__file__}
+        files = {method: vars(cls)[method].__code__.co_filename for method in GENERATED}
+        compiled = {method for method, filename in files.items() if filename not in own_sources}
+        assert {"__init__", "__eq__"} <= compiled
+        assert {files[method] for method in compiled} == {
+            f"<record {cls.__module__}.{cls.__qualname__}>"}
+
     def test_frozen_and_slotted(self, name, samples):
         for value in samples[name]:
             for f in fields(value):
                 with pytest.raises(FrozenInstanceError):
                     setattr(value, f.name, getattr(value, f.name))
             assert hasattr(value, "__dict__") == (name in DICT_BACKED)
+
+
+def test_import_raises_no_warning():
+    """A fresh interpreter imports the CLI with every warning an error, so
+    the source ``record`` compiles raises no SyntaxWarning or
+    DeprecationWarning."""
+    src = str(Path(ss.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", "import spidersim.cli"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
