@@ -27,6 +27,9 @@ one place a precondition is evaluated.
 Action enumeration (``applicable_capabilities``) lists the attacker's
 actions, binding each slot only over the nodes its preconditions leave
 open; its docstring states that narrowing rule and what a round costs.
+``LastEnumeration`` reuses a run's lists while the state fields
+enumeration reads are unchanged, and ``deploy`` applies a defense's
+effects without a draw, for a strategy and for the reactive defender.
 """
 
 from __future__ import annotations
@@ -132,8 +135,9 @@ class Effect:
 
 # The one operand each kind of term takes, by field name (None: it takes
 # none). The cap-1 reader reads these keys, and ``register_capability``
-# refuses a term whose operand is None. Every term names a ``slot`` except
-# the kinds in SLOTLESS_EFFECTS, which act on the actor.
+# refuses a term whose operand is None or not of its type
+# (``OPERAND_TYPES``), or that sets another operand field. Every term names
+# a ``slot`` except the kinds in SLOTLESS_EFFECTS, which act on the actor.
 PREDICATE_OPERANDS: Dict[PredicateKind, Optional[str]] = {
     PredicateKind.ACTOR_HAS_FOOTHOLD: "min_privilege",
     PredicateKind.EDGE_EXISTS: "src_slot",
@@ -157,6 +161,15 @@ EFFECT_OPERANDS: Dict[EffectKind, Optional[str]] = {
 }
 
 SLOTLESS_EFFECTS = frozenset({EffectKind.TRAP_ACTOR})
+
+# The type of every operand field of a term, by record; a one-item tuple
+# stands for a tuple of that type. An int is never a bool.
+OPERAND_TYPES: Dict[type, Dict[str, object]] = {
+    Predicate: {"src_slot": str, "access": AccessRequirement, "defense": DefenseKind,
+                "node_classes": (NodeClass,), "min_privilege": Privilege,
+                "min_asset_value": int},
+    Effect: {"privilege": Privilege, "defense": DefenseKind, "duration_rounds": int},
+}
 
 
 @record
@@ -223,8 +236,12 @@ class BindingRule:
     vuln_access: Optional[AccessRequirement]
     # credential_held on target
     needs_credential: bool
-    # Launchable from outside: it compromises (which only an attack may),
-    # needs no foothold and binds no source.
+    # A compromise effect on target (which only an attack may have): a
+    # successful use compromises its target, the round ``compute_metrics``
+    # dates the target by.
+    compromises: bool
+    # Launchable from outside: it compromises, needs no foothold and binds
+    # no source.
     is_entry: bool
 
 
@@ -245,7 +262,7 @@ def _read_binding_rule(cap: AtomicCapability) -> BindingRule:
                                if all(cls in (p.node_classes or ()) for p in class_terms))
     slots = _named_slots(cap)
     needs_foothold = any(p.kind == PredicateKind.ACTOR_HAS_FOOTHOLD for p in cap.preconditions)
-    compromises = any(e.kind == EffectKind.COMPROMISE for e in cap.effects)
+    compromises = any(e.kind == EffectKind.COMPROMISE and e.slot == "target" for e in cap.effects)
     return BindingRule(
         cap=cap,
         binds_source="source" in slots,
@@ -257,6 +274,7 @@ def _read_binding_rule(cap: AtomicCapability) -> BindingRule:
         vuln_access=min((p.access for p in on(PredicateKind.NODE_HAS_VULN_WITH_ACCESS, "target")),
                         key=_ACCESS_RANK.__getitem__, default=None),
         needs_credential=bool(on(PredicateKind.CREDENTIAL_HELD, "target")),
+        compromises=compromises,
         is_entry=compromises and not needs_foothold and "source" not in slots,
     )
 
@@ -316,11 +334,11 @@ def _check_capability(cap: AtomicCapability) -> None:
     for pred in cap.preconditions:
         if not isinstance(pred.kind, PredicateKind):
             raise UnknownPredicate(f"capability {cap.id!r}: {pred.kind!r}")
-        _check_operand(cap, pred, PREDICATE_OPERANDS[pred.kind], UnknownPredicate)
+        _check_operands(cap, pred, PREDICATE_OPERANDS[pred.kind], UnknownPredicate)
     for eff in cap.effects:
         if not isinstance(eff.kind, EffectKind):
             raise UnknownEffect(f"capability {cap.id!r}: {eff.kind!r}")
-        _check_operand(cap, eff, EFFECT_OPERANDS[eff.kind], UnknownEffect)
+        _check_operands(cap, eff, EFFECT_OPERANDS[eff.kind], UnknownEffect)
         if eff.kind == EffectKind.TRAP_ACTOR and eff.duration_rounds < 1:
             raise KindEffectMismatch(f"capability {cap.id!r}: trap duration must be >= 1")
         if cap.kind == CapabilityKind.ATTACK and eff.kind == EffectKind.DEPLOY:
@@ -332,10 +350,28 @@ def _check_capability(cap: AtomicCapability) -> None:
             raise UnboundSlot(f"capability {cap.id!r}: slot {slot!r} is not target or source")
 
 
-def _check_operand(cap: AtomicCapability, term: Predicate | Effect, operand: Optional[str],
-                   error: Callable[[str], Exception]) -> None:
-    if operand is not None and getattr(term, operand) is None:
-        raise error(f"capability {cap.id!r}: {term.kind.value} needs {operand}")
+def _of_type(value, kind) -> bool:
+    if isinstance(kind, tuple):
+        return isinstance(value, tuple) and all(_of_type(item, kind[0]) for item in value)
+    return type(value) is int if kind is int else isinstance(value, kind)
+
+
+def _check_operands(cap: AtomicCapability, term: Predicate | Effect, operand: Optional[str],
+                    error: Callable[[str], Exception]) -> None:
+    """``operand`` is set and of its type; every other operand field is at
+    its default, so no value is kept that the term's kind ignores."""
+    default = type(term)(term.kind)
+    for name, kind in OPERAND_TYPES[type(term)].items():
+        value = getattr(term, name)
+        if name != operand:
+            if value != getattr(default, name):
+                raise error(f"capability {cap.id!r}: {term.kind.value} takes no {name}")
+        elif value is None:
+            raise error(f"capability {cap.id!r}: {term.kind.value} needs {operand}")
+        elif not _of_type(value, kind):
+            wanted = f"tuple[{kind[0].__name__}]" if isinstance(kind, tuple) else kind.__name__
+            raise error(f"capability {cap.id!r}: {term.kind.value} {operand} must be of "
+                        f"type {wanted}, not {value!r}")
 
 
 def register_capability(registry: CapabilityRegistry, cap: AtomicCapability) -> CapabilityRegistry:
@@ -604,18 +640,22 @@ def _apply_effect(state: SimulationState, eff: Effect, binding: Dict[str, str],
     raise AssertionError(f"unreachable effect kind {kind!r}")
 
 
+def deploy(state: SimulationState, cap: AtomicCapability, node_id: str) -> SimulationState:
+    """``cap``'s effects on ``node_id``, unconditionally and without an rng
+    draw: how a strategy deploys at round 0 and the reactive defender
+    patches, each once it has checked what it deploys."""
+    binding = {"target": node_id}
+    for eff in cap.effects:
+        state = _apply_effect(state, eff, binding, cap.id, None)
+    return state
+
+
 def deploy_strategy(state: SimulationState, strategy: DefenseStrategy,
                     registry: CapabilityRegistry) -> SimulationState:
-    """Round-0 deployment: apply every placement's effects to the state.
-
-    Deployment is unconditional, since strategy composition already
-    checked validity, and consumes no rng draws.
-    """
-    for placement in strategy.capability_placements:
-        cap = registry.get(placement.capability_id)
-        binding = {"target": placement.target_node}
-        for eff in cap.effects:
-            state = _apply_effect(state, eff, binding, cap.id, None)
+    """Round-0 deployment: every placement's effects (``deploy``), since
+    strategy composition already checked the placements."""
+    for p in strategy.capability_placements:
+        state = deploy(state, registry.get(p.capability_id), p.target_node)
     return state
 
 
@@ -733,9 +773,9 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
     The attacker's footholds are the compromised nodes of the domain, the
     keys of ``compromise``. Of the state it reads only the topology,
     ``compromise``, ``deployed`` and ``credentials_held`` (through
-    ``credential_targets``). The engine relies on this: it reuses one
-    returned list over the rounds of a run while those fields are
-    unchanged. So callers must not mutate the list or its binding dicts.
+    ``credential_targets``). ``LastEnumeration`` relies on this: it reuses
+    one returned list while those fields are unchanged. So callers must
+    not mutate the list or its binding dicts.
     """
     topology = state.topology
     domain = topology.node_ids
@@ -747,6 +787,49 @@ def applicable_capabilities(registry: CapabilityRegistry, state: SimulationState
             if evaluate_preconditions(rule.cap, state, binding) is None:
                 out.append((rule.cap, binding))
     return out
+
+
+class LastEnumeration:
+    """The attacker's action lists of one run on one topology and registry:
+    the list of its last round, with the state it was taken on, and every
+    list the run used (``used``) or inherited from the run before it in
+    the batch (``inherited``), keyed by the value of the state fields
+    ``applicable_capabilities`` reads, which fix the list and its order.
+
+    A state update keeps the very objects of the fields it does not
+    change, so while ``compromise``, ``deployed`` and ``credentials_held``
+    are the same objects as in ``state`` the last list is reused as is. On
+    a miss the list is looked up by their value, and enumerated only when
+    neither this run nor the one before it holds it. A run inherits the
+    previous run's ``used`` alone, so a batch holds at most two runs'
+    lists. Enumeration goes through this module's ``applicable_capabilities``,
+    so a wrapper set there sees every list enumerated and no reuse.
+    """
+
+    __slots__ = ("state", "actions", "used", "inherited")
+
+    def __init__(self, inherited: Optional[Dict[tuple, list]] = None):
+        self.state = None
+        self.used: Dict[tuple, list] = {}
+        self.inherited = inherited or {}
+
+    def actions_on(self, state: SimulationState, registry: CapabilityRegistry
+                   ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
+        last = self.state
+        if (last is None or state.compromise is not last.compromise
+                or state.deployed is not last.deployed
+                or state.credentials_held is not last.credentials_held):
+            key = (frozenset(state.compromise.items()), frozenset(state.deployed.items()),
+                   state.credentials_held)
+            actions = self.used.get(key)
+            if actions is None:
+                actions = self.inherited.get(key)
+                if actions is None:
+                    actions = applicable_capabilities(registry, state)
+                self.used[key] = actions
+            self.state = state
+            self.actions = actions
+        return self.actions
 
 
 def check_placements(registry: CapabilityRegistry, placements: Iterable[Placement],

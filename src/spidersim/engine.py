@@ -9,8 +9,13 @@ A run plays its rounds (``_play``) from a start (``_start``): the deployed
 state, and the attacker objectives with the nodes they match. A batch on
 an explicit topology builds the start once, since no seed changes it, and
 each run inherits the attacker action lists the run before it used
-(``_LastEnumeration``); a recipe batch builds one start per run and
-shares nothing across seeds.
+(``capabilities.LastEnumeration``); a recipe batch builds one start per
+run and shares nothing across seeds.
+
+The engine schedules and does not restate a capability rule: the reactive
+defender plays the registry's ``patch``, the metrics date a compromise by
+the capability's compromise effect (``BindingRule.compromises``), and an
+action list is reused by what enumeration reads.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .capabilities import (
-    AtomicCapability,
     CapabilityRegistry,
     DefenseStrategy,
+    LastEnumeration,
     apply_capability,
-    applicable_capabilities,
     check_placements,
+    deploy,
     deploy_strategy,
+    evaluate_preconditions,
 )
 from .errors import InvalidScenario, RoundLimitExceeded
 from .model import (
@@ -43,7 +49,7 @@ from .model import (
 )
 from .records import record
 from .rng import MASK64, substream
-from .state import DefenseKind, SimulationState, fresh_state
+from .state import SimulationState, fresh_state
 
 STALL_ROUNDS = 3
 
@@ -56,7 +62,6 @@ _DEFENDER = Actor.DEFENDER
 _COMPROMISE = ObjectiveKind.COMPROMISE
 _PROTECT = ObjectiveKind.PROTECT
 _DETECT = ObjectiveKind.DETECT
-_PATCH = DefenseKind.PATCH
 
 
 class AttackerPolicy(str, Enum):
@@ -173,54 +178,9 @@ def _objective_met(objective: Objective, matched: int, hit: int,
     return (matched - hit) / matched >= objective.threshold
 
 
-class _LastEnumeration:
-    """The attacker's action lists of one run on one topology and registry:
-    the list of its last round, with the state it was taken on, and every
-    list the run used (``used``) or inherited from the run before it in
-    the batch (``inherited``), keyed by the value of the state fields
-    enumeration reads.
-
-    ``applicable_capabilities`` reads only the ``compromise``,
-    ``deployed`` and ``credentials_held`` fields of the state, and returns
-    the list in an order those values fix. A state update keeps the very
-    objects of the fields it does not change, so while those three are
-    the same objects as in ``state`` the last list is reused as is. On a
-    miss the list is looked up by their value, and enumerated only when
-    neither this run nor the one before it holds it. A run inherits the
-    previous run's ``used`` alone, so a batch holds at most two runs'
-    lists.
-    """
-
-    __slots__ = ("state", "actions", "used", "inherited")
-
-    def __init__(self, inherited: Optional[Dict[tuple, list]] = None):
-        self.state = None
-        self.actions = []
-        self.used: Dict[tuple, list] = {}
-        self.inherited = inherited or {}
-
-    def actions_on(self, state: SimulationState, registry: CapabilityRegistry
-                   ) -> List[Tuple[AtomicCapability, Dict[str, str]]]:
-        last = self.state
-        if (last is None or state.compromise is not last.compromise
-                or state.deployed is not last.deployed
-                or state.credentials_held is not last.credentials_held):
-            key = (frozenset(state.compromise.items()), frozenset(state.deployed.items()),
-                   state.credentials_held)
-            actions = self.used.get(key)
-            if actions is None:
-                actions = self.inherited.get(key)
-                if actions is None:
-                    actions = applicable_capabilities(registry, state)
-                self.used[key] = actions
-            self.state = state
-            self.actions = actions
-        return self.actions
-
-
 def step_round(state: SimulationState, registry: CapabilityRegistry,
                config: SimulationConfig, rng, *,
-               _last: Optional[_LastEnumeration] = None
+               _last: Optional[LastEnumeration] = None
                ) -> Tuple[SimulationState, List[SimEvent]]:
     """Advance the simulation by exactly one round on the state's own
     topology (``state.topology``).
@@ -230,11 +190,16 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     trapped. The uniform_random policy consumes exactly one selection
     draw before the apply draws.
 
+    After a round that raised an alarm, the reactive defender plays the
+    registry's ``patch`` on the most valuable node that is not compromised
+    and meets its preconditions: it applies the effects with no draw
+    (``capabilities.deploy``). A reactive round on a registry without
+    ``patch`` raises UnknownCapability.
+
     Called alone, it enumerates the attacker's actions afresh. ``_last``
     is private to ``_play``: the action lists of the run and of the run
-    before it in a batch (``_LastEnumeration``), reused while the state
-    fields enumeration reads are the same objects or hold the same
-    values. The attacker's event, if any, is the round's last.
+    before it in a batch (``LastEnumeration``). The attacker's event, if
+    any, is the round's last.
     """
     if state.round >= config.max_rounds:
         raise RoundLimitExceeded(f"round {state.round} is already at max_rounds")
@@ -243,23 +208,22 @@ def step_round(state: SimulationState, registry: CapabilityRegistry,
     events: List[SimEvent] = []
 
     if config.defender_policy == _REACTIVE:
+        patch = registry.get("patch")
         # Alarms are in round order, so the last one says whether any was
         # raised last round.
         if state.alarms and state.alarms[-1][0] == round_number - 1:
             for node_id in state.topology.ids_by_asset_value:
                 if (node_id not in state.compromise
-                        and _PATCH not in state.defenses_on(node_id)):
-                    state = state.with_defense(node_id, _PATCH)
-                    events.append(SimEvent(round_number, _DEFENDER, "patch", node_id,
+                        and evaluate_preconditions(patch, state, {"target": node_id}) is None):
+                    state = deploy(state, patch, node_id)
+                    events.append(SimEvent(round_number, _DEFENDER, patch.id, node_id,
                                            True, False, 0))
                     break
 
     if state.trapped_until > round_number:
         return state, events
 
-    if _last is None:
-        _last = _LastEnumeration()
-    applicable = _last.actions_on(state, registry)
+    applicable = (_last or LastEnumeration()).actions_on(state, registry)
     if not applicable:
         return state, events
 
@@ -318,7 +282,7 @@ def _start(spec: ScenarioSpec, strategy: DefenseStrategy, registry: CapabilityRe
 
 
 def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tuple[str, ...]]],
-          registry: CapabilityRegistry, config: SimulationConfig, last: _LastEnumeration
+          registry: CapabilityRegistry, config: SimulationConfig, last: LastEnumeration
           ) -> Tuple[Tuple[SimEvent, ...], SimulationState]:
     """The rounds of one seeded run from a start (``_start``): its events
     and its final state.
@@ -328,13 +292,14 @@ def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tup
 
     Work is skipped where its inputs are the same as before: a round
     reuses an attacker action list that ``last`` holds for the state
-    (``_LastEnumeration``), and the objectives are checked again only when
-    the compromise or ``detected_any`` changed."""
+    (``LastEnumeration``), and the objectives are checked again only when
+    a node was compromised or ``detected_any`` changed. No update removes
+    a compromised node, so the count of them says whether one was."""
     rng = substream(config.seed, "simulation")
     events: List[SimEvent] = []
     idle_rounds = 0
     detected_any = False
-    checked = (None, None)  # compromise and detected_any at the last objective check
+    checked = (-1, False)  # compromised count and detected_any at the last objective check
 
     for _ in range(config.max_rounds):
         state, round_events = step_round(state, registry, config, rng, _last=last)
@@ -352,9 +317,9 @@ def _play(state: SimulationState, attacker_objectives: List[Tuple[Objective, Tup
             if idle_rounds >= STALL_ROUNDS:
                 break
         compromised = state.compromise
-        if compromised is checked[0] and detected_any is checked[1]:
+        if len(compromised) == checked[0] and detected_any == checked[1]:
             continue  # the objectives read nothing else, so none is met yet
-        checked = (compromised, detected_any)
+        checked = (len(compromised), detected_any)
         if _won([
             _objective_met(o, len(matching), sum(nid in compromised for nid in matching),
                            detected_any)
@@ -375,7 +340,7 @@ def run_simulation(spec: ScenarioSpec, strategy: DefenseStrategy,
     """
     _check_inputs(spec, strategy, registry)
     events, final_state = _play(*_start(spec, strategy, registry, config.seed), registry,
-                                config, _LastEnumeration())
+                                config, LastEnumeration())
     trace = SimulationTrace(
         config=config,
         scenario_digest=scenario_digest(spec),
@@ -389,11 +354,14 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
                     registry: CapabilityRegistry) -> Metrics:
     """Objective-level outcome measures for one trace; ``attacker_cost_spent``
     sums the registry's costs of the attacker's actions. One pass over the
-    events reads what the objectives need: compromise never decreases under
-    the shipped capabilities, so a node's first successful attack is the
-    round it was compromised. A node the final state compromises that no
-    successful attack targeted was compromised before round 1, and counts
-    as compromised at round 0, the round of the empty prefix below."""
+    events reads what the objectives need: a node is dated by its first
+    successful attack with a capability that compromises its target
+    (``BindingRule.compromises``). A node the final state compromises that
+    no such attack targeted was compromised before round 1, and counts as
+    compromised at round 0, the round of the empty prefix below. This
+    holds for a capability that refuses a compromised target, as every
+    built-in compromising one does; one that compromises a node again
+    dates it by that later attack."""
     topology = trace.final_state.topology
     total_nodes = len(topology.nodes)
     compromised = trace.final_state.compromise
@@ -406,10 +374,10 @@ def compute_metrics(trace: SimulationTrace, objectives: Tuple[Objective, ...],
     for event in trace.events:
         if event.actor != _ATTACKER:
             continue
-        cost += registry.get(event.capability_id).cost_units
-        if event.detected:
-            detection_count += 1
-        if event.success:
+        cap = registry.get(event.capability_id)
+        cost += cap.cost_units
+        detection_count += event.detected
+        if event.success and cap.binding_rule.compromises:
             first_rounds.setdefault(event.target, event.round)
         if _detected_attack(event) and (first_detected is None or event.round < first_detected):
             first_detected = event.round
@@ -476,7 +444,7 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
     explicit = spec.scenario_parameters.explicit_topology is not None
     if explicit:
         start = _start(spec, strategy, registry, config.seed)
-    last = _LastEnumeration()
+    last = LastEnumeration()
     per_seed: List[Metrics] = []
     successes = 0
     # Added left to right, as ``sum`` adds floats before Python 3.12 (from
@@ -487,9 +455,9 @@ def batch_run(spec: ScenarioSpec, strategy: DefenseStrategy,
         run_config = SimulationConfig(config.max_rounds, (config.seed + i) & MASK64,
                                       config.attacker_policy, config.defender_policy)
         if explicit:
-            last = _LastEnumeration(inherited=last.used)
+            last = LastEnumeration(inherited=last.used)
         else:
-            start, last = _start(spec, strategy, registry, run_config.seed), _LastEnumeration()
+            start, last = _start(spec, strategy, registry, run_config.seed), LastEnumeration()
         events, final_state = _play(*start, registry, run_config, last)
         undigested = SimulationTrace(config=run_config, scenario_digest="",
                                      events=events, final_state=final_state)

@@ -37,11 +37,9 @@ from .model import (
     _PRIVILEGES,
     _check_identifier,
     _enum_values,
-    _expect_dict,
+    _expect,
     _expect_fraction,
     _expect_int,
-    _expect_list,
-    _expect_text,
     _parse_enum,
     _parse_enums,
     _path,
@@ -198,7 +196,7 @@ _CONSTRAINT_FIELDS = frozenset({"max_nodes", "required_classes", "attacker_profi
 def parse_requirement(document: str) -> Requirement:
     raw = load_json_object(document)
     _reject_unknown(raw, _REQUIREMENT_FIELDS, "")
-    cd = _expect_dict(raw.get("constraints", MISSING), "", "constraints")
+    cd = _expect(dict, raw.get("constraints", MISSING), "", "constraints")
     _reject_unknown(cd, _CONSTRAINT_FIELDS, "constraints")
     constraints = Constraints(
         max_nodes=_expect_int(cd.get("max_nodes", MISSING), "constraints", "max_nodes"),
@@ -211,7 +209,7 @@ def parse_requirement(document: str) -> Requirement:
     )
     return Requirement(
         domain_tag=_check_identifier(raw.get("domain_tag", MISSING), "", "domain_tag"),
-        narrative=_expect_text(raw.get("narrative", MISSING), "", "narrative"),
+        narrative=_expect(str, raw.get("narrative", MISSING), "", "narrative"),
         constraints=constraints,
     )
 
@@ -256,7 +254,7 @@ _OPTIONAL_OPERANDS = frozenset({"min_privilege"})
 def _parse_term(raw, path, kind_key: str, kinds: dict, operands: dict, record: type):
     """A precondition (``kind_key`` "predicate") or an effect ("effect"):
     its kind, the keys that kind takes, its ``slot``, then its operand."""
-    d = _expect_dict(raw, path)
+    d = _expect(dict, raw, path)
     kind = _parse_enum(kinds, d.get(kind_key, MISSING), path, kind_key)
     operand = operands[kind]
     allowed = {kind_key} if kind in SLOTLESS_EFFECTS else {kind_key, "slot"}
@@ -274,7 +272,7 @@ def _parse_term(raw, path, kind_key: str, kinds: dict, operands: dict, record: t
 def parse_capability(document: str) -> AtomicCapability:
     raw = load_json_object(document)
     _reject_unknown(raw, _CAPABILITY_FIELDS, "")
-    version = _expect_text(raw.get("interface_version", MISSING), "", "interface_version")
+    version = _expect(str, raw.get("interface_version", MISSING), "", "interface_version")
     if version != INTERFACE_VERSION:
         raise UnsupportedInterfaceVersion(
             f"capability file declares {version!r}, expected {INTERFACE_VERSION!r}"
@@ -282,17 +280,17 @@ def parse_capability(document: str) -> AtomicCapability:
     return AtomicCapability(
         id=_check_identifier(raw.get("id", MISSING), "", "id"),
         kind=_parse_enum(_CAPABILITY_KINDS, raw.get("kind", MISSING), "", "kind"),
-        name=_expect_text(raw.get("name", MISSING), "", "name"),
+        name=_expect(str, raw.get("name", MISSING), "", "name"),
         technique_tag=_check_identifier(raw.get("technique_tag", MISSING), "", "technique_tag"),
         preconditions=tuple(
             _parse_term(p, ("preconditions", None, i), "predicate", _PREDICATE_KINDS,
                         PREDICATE_OPERANDS, Predicate)
-            for i, p in enumerate(_expect_list(raw.get("preconditions", []), "preconditions"))
+            for i, p in enumerate(_expect(list, raw.get("preconditions", []), "preconditions"))
         ),
         effects=tuple(
             _parse_term(e, ("effects", None, i), "effect", _EFFECT_KINDS,
                         EFFECT_OPERANDS, Effect)
-            for i, e in enumerate(_expect_list(raw.get("effects", []), "effects"))
+            for i, e in enumerate(_expect(list, raw.get("effects", []), "effects"))
         ),
         base_success_prob=_expect_fraction(raw.get("base_success_prob", MISSING), "", "base_success_prob"),
         detection_prob=_expect_fraction(raw.get("detection_prob", MISSING), "", "detection_prob"),
@@ -317,8 +315,8 @@ def parse_strategy(document: str) -> List[Tuple[str, str]]:
     raw = load_json_object(document)
     _reject_unknown(raw, _STRATEGY_FIELDS, "")
     pairs: List[Tuple[str, str]] = []
-    for i, item in enumerate(_expect_list(raw.get("capability_placements", MISSING),
-                                          "", "capability_placements")):
+    for i, item in enumerate(_expect(list, raw.get("capability_placements", MISSING),
+                                     "", "capability_placements")):
         path = ("capability_placements", None, i)
         d = _record(item, _PLACEMENT_FIELDS, path)
         pairs.append((
@@ -356,11 +354,11 @@ def parse_paths(document: str) -> List[AttackPath]:
     raw = load_json_object(document)
     _reject_unknown(raw, _PATHS_FIELDS, "")
     paths: List[AttackPath] = []
-    for i, item in enumerate(_expect_list(raw.get("paths", MISSING), "", "paths")):
+    for i, item in enumerate(_expect(list, raw.get("paths", MISSING), "", "paths")):
         path = ("paths", None, i)
         d = _record(item, _PATH_FIELDS, path)
         steps = []
-        for j, raw_step in enumerate(_expect_list(d.get("steps", MISSING), path, "steps")):
+        for j, raw_step in enumerate(_expect(list, d.get("steps", MISSING), path, "steps")):
             sp = (path, "steps", j)
             sd = _record(raw_step, _STEP_FIELDS, sp)
             steps.append(AttackStep(

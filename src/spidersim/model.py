@@ -535,22 +535,15 @@ def _check_identifier(value, path, key: Optional[str] = None) -> str:
     raise _fail(value, path, key, "must be a non-empty identifier")
 
 
-def _expect_dict(value, path, key: Optional[str] = None) -> dict:
-    if isinstance(value, dict):
+# What ``_expect`` says a value of each JSON type must be.
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
+
+
+def _expect(kind: type, value, path, key: Optional[str] = None):
+    """``value`` when it is a ``kind`` (one of ``_JSON_TYPES``)."""
+    if isinstance(value, kind):
         return value
-    raise _fail(value, path, key, "must be an object")
-
-
-def _expect_list(value, path, key: Optional[str] = None) -> list:
-    if isinstance(value, list):
-        return value
-    raise _fail(value, path, key, "must be a list")
-
-
-def _expect_text(value, path, key: Optional[str] = None) -> str:
-    if isinstance(value, str):
-        return value
-    raise _fail(value, path, key, "must be a string")
+    raise _fail(value, path, key, f"must be {_JSON_TYPES[kind]}")
 
 
 def _expect_int(value, path, key: Optional[str] = None) -> int:
@@ -567,15 +560,9 @@ def _expect_fraction(value, path, key: Optional[str] = None) -> float:
     raise InvariantViolation(_path(path, key), "must be in [0,1]")
 
 
-def _expect_bool(value, path, key: Optional[str] = None) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise _fail(value, path, key, "must be a boolean")
-
-
 def _identifiers(value, path, key: str) -> Tuple[str, ...]:
     """A list of identifiers; an element's error names the list's path."""
-    for v in _expect_list(value, path, key):
+    for v in _expect(list, value, path, key):
         _check_identifier(v, path, key)
     return tuple(value)
 
@@ -586,9 +573,9 @@ def _reject_unknown(d: dict, allowed: FrozenSet[str], path) -> None:
 
 
 def _record(value, allowed: FrozenSet[str], path) -> dict:
-    """``_expect_dict`` then ``_reject_unknown``, in one step when both pass."""
+    """``_expect(dict, ...)`` then ``_reject_unknown``, in one step when both pass."""
     if not (isinstance(value, dict) and allowed.issuperset(value)):
-        _reject_unknown(_expect_dict(value, path), allowed, path)
+        _reject_unknown(_expect(dict, value, path), allowed, path)
     return value
 
 
@@ -606,7 +593,7 @@ def _parse_enum(members: Dict[str, Enum], value, path, key: Optional[str] = None
 
 def _parse_enums(members: Dict[str, Enum], value, path, key: str) -> tuple:
     """A list of enum values; an element's error names the list's path."""
-    return tuple([_parse_enum(members, v, path, key) for v in _expect_list(value, path, key)])
+    return tuple([_parse_enum(members, v, path, key) for v in _expect(list, value, path, key)])
 
 
 _NODE_CLASSES = _enum_values(NodeClass)
@@ -649,7 +636,7 @@ def _parse_selector(raw, path) -> TargetSelector:
 def _parse_node(raw, path) -> Node:
     d = _record(raw, _KEYS["node"], path)
     services = []
-    for i, raw_svc in enumerate(_expect_list(d.get("services", []), path, "services")):
+    for i, raw_svc in enumerate(_expect(list, d.get("services", []), path, "services")):
         sp = (path, "services", i)
         sd = _record(raw_svc, _KEYS["service"], sp)
         port = _expect_int(sd.get("port", MISSING), sp, "port")
@@ -673,9 +660,9 @@ def _parse_node(raw, path) -> Node:
 def _parse_topology(raw, path: str) -> NetworkTopology:
     d = _record(raw, _KEYS["topology"], path)
     nodes = tuple([_parse_node(n, (path, "nodes", i))
-                   for i, n in enumerate(_expect_list(d.get("nodes", MISSING), path, "nodes"))])
+                   for i, n in enumerate(_expect(list, d.get("nodes", MISSING), path, "nodes"))])
     edges = []
-    for i, raw_edge in enumerate(_expect_list(d.get("edges", []), path, "edges")):
+    for i, raw_edge in enumerate(_expect(list, d.get("edges", []), path, "edges")):
         ep = (path, "edges", i)
         ed = _record(raw_edge, _KEYS["edge"], ep)
         src = _check_identifier(ed.get("src", MISSING), ep, "src")
@@ -683,9 +670,9 @@ def _parse_topology(raw, path: str) -> NetworkTopology:
         if src == dst:
             raise InvariantViolation(_path(ep), "self-loop edges are not allowed")
         edges.append(Edge(src, dst, _check_identifier(ed.get("protocol_tag", "tcp"), ep, "protocol_tag"),
-                          _expect_bool(ed.get("bidirectional", True), ep, "bidirectional")))
+                          _expect(bool, ed.get("bidirectional", True), ep, "bidirectional")))
     vulns = []
-    for i, raw_vuln in enumerate(_expect_list(d.get("vulnerabilities", []), path, "vulnerabilities")):
+    for i, raw_vuln in enumerate(_expect(list, d.get("vulnerabilities", []), path, "vulnerabilities")):
         vp = (path, "vulnerabilities", i)
         vd = _record(raw_vuln, _KEYS["vulnerability"], vp)
         vulns.append(Vulnerability(
@@ -697,7 +684,7 @@ def _parse_topology(raw, path: str) -> NetworkTopology:
             _parse_enum(_PRIVILEGES, vd.get("gained_privilege", MISSING), vp, "gained_privilege"),
         ))
     creds = []
-    for i, raw_cred in enumerate(_expect_list(d.get("credentials", []), path, "credentials")):
+    for i, raw_cred in enumerate(_expect(list, d.get("credentials", []), path, "credentials")):
         cp = (path, "credentials", i)
         cd = _record(raw_cred, _KEYS["credential"], cp)
         grants = _identifiers(cd.get("grants_access_to", MISSING), cp, "grants_access_to")
@@ -712,7 +699,7 @@ def _parse_topology(raw, path: str) -> NetworkTopology:
 def _parse_recipe(raw, path: str) -> TopologyRecipe:
     d = _record(raw, _KEYS["recipe"], path)
     counts = []
-    for key, value in _expect_dict(d.get("node_counts", MISSING), path, "node_counts").items():
+    for key, value in _expect(dict, d.get("node_counts", MISSING), path, "node_counts").items():
         cls = _parse_enum(_NODE_CLASSES, key, path, "node_counts")
         counts.append((cls, _expect_int(value, (path, "node_counts"), key)))
     counts.sort(key=lambda pair: pair[0].value)
@@ -737,21 +724,21 @@ def parse_scenario(document: str) -> ScenarioSpec:
         if section not in raw:
             raise MissingSection(section)
 
-    version = _expect_text(raw["schema_version"], "schema_version")
+    version = _expect(str, raw["schema_version"], "schema_version")
 
     ctx_raw = _record(raw["domain_context"], _KEYS["context"], "domain_context")
     context = DomainContext(
         _check_identifier(ctx_raw.get("domain_tag", MISSING), "domain_context", "domain_tag"),
-        _expect_text(ctx_raw.get("narrative", MISSING), "domain_context", "narrative"),
+        _expect(str, ctx_raw.get("narrative", MISSING), "domain_context", "narrative"),
     )
 
     subs = []
-    for i, raw_sub in enumerate(_expect_list(raw["problem_decomposition"], "problem_decomposition")):
+    for i, raw_sub in enumerate(_expect(list, raw["problem_decomposition"], "problem_decomposition")):
         sp = ("problem_decomposition", None, i)
         sd = _record(raw_sub, _KEYS["subproblem"], sp)
         subs.append(SubProblem(
             _check_identifier(sd.get("id", MISSING), sp, "id"),
-            _expect_text(sd.get("description", MISSING), sp, "description"),
+            _expect(str, sd.get("description", MISSING), sp, "description"),
             _parse_enums(_NODE_CLASSES, sd.get("related_asset_classes", MISSING), sp, "related_asset_classes"),
         ))
 
@@ -768,7 +755,7 @@ def parse_scenario(document: str) -> ScenarioSpec:
         )
 
     objectives = []
-    for i, raw_obj in enumerate(_expect_list(raw["objectives"], "objectives")):
+    for i, raw_obj in enumerate(_expect(list, raw["objectives"], "objectives")):
         op = ("objectives", None, i)
         od = _record(raw_obj, _KEYS["objective"], op)
         objectives.append(Objective(
@@ -929,11 +916,16 @@ def check_topology(topo: NetworkTopology):
             if topo.vulnerability_by_id(vid) is None:
                 yield Finding("UnknownVulnerabilityRef", f"node {node.id!r} references missing vulnerability {vid!r}", f"nodes.{node.id}")
         for cid in node.credential_ids:
-            if topo.credential_by_id(cid) is None:
+            cred = topo.credential_by_id(cid)
+            if cred is None:
                 yield Finding("UnknownCredentialRef", f"node {node.id!r} references missing credential {cid!r}", f"nodes.{node.id}")
+            elif cred.stored_on != node.id:
+                yield Finding("BadCredentialHost", f"node {node.id!r} lists credential {cid!r} stored on {cred.stored_on!r}", f"nodes.{node.id}")
     for cred in topo.credentials:
         if cred.stored_on not in node_ids:
             yield Finding("BadCredentialHost", f"credential {cred.id!r} stored on missing node {cred.stored_on!r}", f"credentials.{cred.id}")
+        elif cred.id not in topo.node_by_id(cred.stored_on).credential_ids:
+            yield Finding("BadCredentialHost", f"credential {cred.id!r} is not listed by its host {cred.stored_on!r}", f"credentials.{cred.id}")
         for target in cred.grants_access_to:
             if target not in node_ids:
                 yield Finding("BadCredentialHost", f"credential {cred.id!r} grants access to missing node {target!r}", f"credentials.{cred.id}")

@@ -136,9 +136,6 @@ class SimulationState:
                 targets.update(cred.grants_access_to)
         return frozenset(targets)
 
-    def defenses_on(self, node_id: str) -> FrozenSet[DefenseKind]:
-        return self.deployed.get(node_id, frozenset())
-
     def with_compromise(self, node_id: str, privilege: Privilege) -> "SimulationState":
         _checked("compromise", Privilege, node_id, privilege)
         current = self.compromise.get(node_id)

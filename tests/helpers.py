@@ -430,7 +430,7 @@ def reference_reactive_pick(state: SimulationState) -> Optional[str]:
     node = min(
         (n for n in state.topology.nodes
          if n.id not in state.compromise
-         and DefenseKind.PATCH not in state.defenses_on(n.id)),
+         and DefenseKind.PATCH not in state.deployed.get(n.id, ())),
         key=lambda n: (-n.asset_value, n.id), default=None,
     )
     return None if node is None else node.id
@@ -502,9 +502,9 @@ def _reference_predicate(pred: Predicate, state: SimulationState,
                 return True
         return False
     if pred.kind == PredicateKind.DEFENSE_ABSENT:
-        return pred.defense not in state.defenses_on(node_id)
+        return pred.defense not in state.deployed.get(node_id, ())
     if pred.kind == PredicateKind.DEFENSE_PRESENT:
-        return pred.defense in state.defenses_on(node_id)
+        return pred.defense in state.deployed.get(node_id, ())
     if pred.kind == PredicateKind.NODE_CLASS_IS:
         node = topo.node_by_id(node_id)
         return node is not None and node.node_class in (pred.node_classes or ())
@@ -1424,21 +1424,23 @@ def reference_rounds(spec: ScenarioSpec, strategy: DefenseStrategy,
 # one-pass ``compute_metrics`` replaced, kept as written
 # ---------------------------------------------------------------------------
 
-def _reference_first_success_rounds(trace) -> Dict[str, int]:
-    """First round each finally-compromised node saw a successful attack.
-
-    Compromise never decreases under the shipped capability set, so the
-    first successful attack event on a node that ends up compromised is
-    the round it was compromised.
+def _reference_compromise_rounds(trace, registry: CapabilityRegistry) -> Dict[str, int]:
+    """The round each finally-compromised node was compromised: the first
+    successful attack on it whose capability has a compromise effect on
+    target, or round 0 when none targeted it (it was compromised before
+    round 1). Every built-in compromising capability refuses a
+    compromised target, so no later attack re-dates a node.
     """
     compromised = trace.final_state.compromise
     rounds: Dict[str, int] = {}
     for event in trace.events:
         if event.actor != Actor.ATTACKER or not event.success:
             continue
-        if event.target in compromised and event.target not in rounds:
+        compromising = any(eff.kind == EffectKind.COMPROMISE and eff.slot == "target"
+                           for eff in registry.get(event.capability_id).effects)
+        if compromising and event.target in compromised and event.target not in rounds:
             rounds[event.target] = event.round
-    return rounds
+    return {nid: rounds.get(nid, 0) for nid in compromised}
 
 
 def reference_compute_metrics(trace, objectives: Tuple[Objective, ...],
@@ -1453,7 +1455,7 @@ def reference_compute_metrics(trace, objectives: Tuple[Objective, ...],
     detected_any = any(
         e.actor == Actor.ATTACKER and e.success and e.detected for e in trace.events
     )
-    first_rounds = _reference_first_success_rounds(trace)
+    first_rounds = _reference_compromise_rounds(trace, registry)
 
     met: List[Tuple[int, bool]] = []
     first_objective_round: Optional[int] = None

@@ -17,6 +17,7 @@ from spidersim.attackgraph import hop_option
 from spidersim.capabilities import (
     EFFECT_OPERANDS,
     HONEYPOT_ALARM_PROB,
+    OPERAND_TYPES,
     PREDICATE_OPERANDS,
     SHOCKTRAP_TRAP_ROUNDS,
     CapabilityRegistry,
@@ -273,6 +274,60 @@ class TestTermOperands:
         assert refused == {kind for operands in (PREDICATE_OPERANDS, EFFECT_OPERANDS)
                            for kind, operand in operands.items() if operand is not None}
 
+    @pytest.mark.parametrize("term, error, message", [
+        (ss.Effect(ss.EffectKind.DEPLOY, defense="patch"), UnknownEffect,
+         "deploy defense must be of type DefenseKind, not 'patch'$"),
+        (ss.Predicate(ss.PredicateKind.NODE_CLASS_IS, node_classes="camera_server sensor"),
+         UnknownPredicate, r"node_class_is node_classes must be of type tuple\[NodeClass\]"),
+        (ss.Predicate(ss.PredicateKind.NODE_CLASS_IS, node_classes=(ss.NodeClass.SENSOR, "x")),
+         UnknownPredicate, r"node_classes must be of type tuple\[NodeClass\]"),
+        (ss.Predicate(ss.PredicateKind.NODE_ASSET_VALUE_AT_LEAST, min_asset_value=True),
+         UnknownPredicate, "min_asset_value must be of type int, not True$"),
+        (ss.Predicate(ss.PredicateKind.NODE_NOT_COMPROMISED,
+                      access=ss.AccessRequirement.LOCAL),
+         UnknownPredicate, "node_not_compromised takes no access$"),
+        (ss.Effect(ss.EffectKind.COMPROMISE, privilege=ss.Privilege.USER, duration_rounds=3),
+         UnknownEffect, "compromise takes no duration_rounds$"),
+    ], ids=["defense_as_text", "classes_as_text", "class_as_text", "value_as_bool",
+            "access_on_not_compromised", "duration_on_compromise"])
+    def test_register_refuses_an_operand_no_file_gives(self, registry, term, error, message):
+        """A term built in code may hold an operand of the wrong type, or an
+        operand its kind ignores; register refuses both with the error a
+        missing operand gets, before any run reads the term."""
+        section = "preconditions" if isinstance(term, ss.Predicate) else "effects"
+        kind = (ss.CapabilityKind.DEFENSE if term.kind == ss.EffectKind.DEPLOY
+                else ss.CapabilityKind.ATTACK)
+        cap = replace(bare_attack(), kind=kind, **{section: (term,)})
+        with pytest.raises(error, match=message):
+            ss.register_capability(registry, cap)
+
+    def test_register_refuses_every_operand_the_kind_does_not_take(self, registry):
+        """Each file term of every kind registers; with any other operand
+        field set off its default, or its own operand set to a value of
+        another type, it is refused."""
+        other = {"src_slot": "source", "access": ss.AccessRequirement.LOCAL,
+                 "defense": DefenseKind.SCANNER, "node_classes": (ss.NodeClass.SENSOR,),
+                 "min_privilege": ss.Privilege.ADMIN, "min_asset_value": 7,
+                 "privilege": ss.Privilege.ADMIN, "duration_rounds": 5}
+        refused = 0
+        for term in CAP1_TERMS:
+            is_predicate = "predicate" in term
+            cap = parse_capability(one_term_document(term))
+            record = (cap.preconditions if is_predicate else cap.effects)[0]
+            operand = (PREDICATE_OPERANDS if is_predicate else EFFECT_OPERANDS)[record.kind]
+            error = UnknownPredicate if is_predicate else UnknownEffect
+            for name in OPERAND_TYPES[type(record)]:
+                if name == operand:
+                    broken = replace(record, **{name: 1.5})
+                else:
+                    broken = replace(record, **{name: other[name]})
+                broken_cap = (replace(cap, preconditions=(broken,)) if is_predicate
+                              else replace(cap, effects=(broken,)))
+                with pytest.raises(error, match=f"(takes no {name}|{name} must be of type .*)$"):
+                    ss.register_capability(registry, broken_cap)
+                refused += 1
+        assert refused == 9 * 6 + 7 * 3
+
     def test_register_refuses_a_slot_enumeration_never_binds(self, registry):
         """Action enumeration binds ``target`` and ``source`` only, so a
         ``slot`` or ``src_slot`` naming any other is refused with
@@ -517,7 +572,7 @@ class TestCompiledChecks:
             one.compromise["b"] = ss.Privilege.USER
         with pytest.raises(TypeError):
             one.deployed["a"] = frozenset()
-        assert one.compromise.get("b") is None and one.defenses_on("a") == frozenset()
+        assert one.compromise.get("b") is None and "a" not in one.deployed
         assert pickle.loads(pickle.dumps(one)) == copy.deepcopy(one) == one
 
     @pytest.mark.parametrize("round_, alarms", [
@@ -791,8 +846,8 @@ class TestApplication:
         new_state, outcome = ss.apply_capability(state, cap, {"target": "w"}, rng)
         assert rng.draws == 2
         assert outcome == ss.CapabilityOutcome(success=True, detected=True, trapped_for=0)
-        assert new_state.defenses_on("w") == {DefenseKind.HONEYPOT, DefenseKind.SHOCKTRAP,
-                                              DefenseKind.PATCH}
+        assert new_state.deployed["w"] == {DefenseKind.HONEYPOT, DefenseKind.SHOCKTRAP,
+                                           DefenseKind.PATCH}
         assert new_state.trapped_until == state.trapped_until
         assert new_state.alarms == ()
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spidersim as ss
+import spidersim.capabilities as capabilities
 import spidersim.engine as engine
 from spidersim.engine import STALL_ROUNDS, SimulationTrace, scenario_digest, step_round
 from spidersim.errors import (
@@ -235,7 +236,7 @@ class TestStepRound:
         defender_events = [e for e in events if e.actor == ss.Actor.DEFENDER]
         assert len(defender_events) == 1
         patched = defender_events[0].target
-        assert DefenseKind.PATCH in new_state.defenses_on(patched)
+        assert DefenseKind.PATCH in new_state.deployed[patched]
 
     def test_reactive_pick_equals_a_min_over_every_node(self, registry):
         """On random states with compromises, patches, tied asset values,
@@ -266,43 +267,86 @@ class TestStepRound:
             patched = [e.target for e in events if e.actor == ss.Actor.DEFENDER]
             assert patched == ([] if expected is None else [expected]), seed
             if expected is not None:
-                assert DefenseKind.PATCH in new_state.defenses_on(expected)
+                assert DefenseKind.PATCH in new_state.deployed[expected]
             outcomes.add((current in rounds, expected is not None))
         assert outcomes == {(False, False), (True, False), (True, True)}
+
+    def test_reactive_defender_plays_the_registrys_patch(self, registry):
+        """A registry whose ``patch`` also needs an asset value of 50 and
+        deploys a scanner too: the defender skips the nodes below 50 and
+        deploys both, with no draw (the attacker is trapped); once every
+        node of 50 or more is patched or compromised, it patches nothing."""
+        patch = registry.get("patch")
+        strict = replace(patch, preconditions=patch.preconditions + (
+            ss.Predicate(ss.PredicateKind.NODE_ASSET_VALUE_AT_LEAST, min_asset_value=50),),
+            effects=patch.effects + (ss.Effect(ss.EffectKind.DEPLOY, defense=DefenseKind.SCANNER),))
+        custom = ss.CapabilityRegistry()
+        for cap in registry.capabilities():
+            custom = ss.register_capability(custom, strict if cap.id == "patch" else cap)
+        topo = make_topology(
+            nodes=[(nid, ss.NodeClass.SENSOR) for nid in ("a", "b", "c", "d")], edges=[],
+            values={"a": 90, "b": 70, "c": 45, "d": 55})
+        state = SimulationState(topology=topo, round=1, compromise={"a": ss.Privilege.USER},
+                                alarms=((1, "a"),), trapped_until=10)
+        cfg = config(defender_policy=ss.DefenderPolicy.REACTIVE)
+        rng = CountingRandom(0)
+        patched, events = step_round(state, custom, cfg, rng)
+        assert [(e.actor, e.capability_id, e.target) for e in events] == [
+            (ss.Actor.DEFENDER, "patch", "b")]
+        assert patched.deployed["b"] == {DefenseKind.PATCH, DefenseKind.SCANNER}
+        assert rng.draws == 0
+        again, events = step_round(patched.with_alarm("a"), custom, cfg, rng)
+        assert [e.target for e in events] == ["d"]
+        last, events = step_round(again.with_alarm("a"), custom, cfg, rng)
+        assert events == [] and last.deployed == again.deployed
+        assert reference_reactive_pick(again) == "c"  # the built-in patch takes c
+
+    def test_reactive_defender_needs_a_patch(self, registry):
+        """A reactive round on a registry without ``patch`` fails, alarm or
+        not; the static defender never reads it."""
+        custom = ss.CapabilityRegistry()
+        for cap in registry.capabilities():
+            if cap.id != "patch":
+                custom = ss.register_capability(custom, cap)
+        state = fresh_state(chain_topology())
+        with pytest.raises(UnknownCapability, match="'patch'"):
+            step_round(state, custom, config(defender_policy=ss.DefenderPolicy.REACTIVE),
+                       random.Random(0))
+        step_round(state, custom, config(), random.Random(0))
 
 
 @pytest.fixture
 def enumerations(monkeypatch):
     """Every attacker action list the engine enumerates, in call order, as
     (state, list, a copy of its entries taken when it was returned).
-    ``step_round`` looks the function up through the module, so the
+    ``LastEnumeration`` looks the function up through its module, so the
     wrapper sees every real enumeration and no reuse."""
     calls = []
-    enumerate_actions = engine.applicable_capabilities
+    enumerate_actions = capabilities.applicable_capabilities
 
     def recording(registry, state):
         found = enumerate_actions(registry, state)
         calls.append((state, found, [(cap, dict(binding)) for cap, binding in found]))
         return found
 
-    monkeypatch.setattr(engine, "applicable_capabilities", recording)
+    monkeypatch.setattr(capabilities, "applicable_capabilities", recording)
     return calls
 
 
 @pytest.fixture
 def run_lookups(monkeypatch):
-    """Every ``_LastEnumeration`` the engine makes, in order: a batch
-    makes one before its first run, then one per run."""
+    """Every ``capabilities.LastEnumeration`` the engine makes, in order: a
+    batch makes one before its first run, then one per run."""
     made = []
 
-    class Recording(engine._LastEnumeration):
+    class Recording(capabilities.LastEnumeration):
         __slots__ = ()
 
         def __init__(self, inherited=None):
             super().__init__(inherited)
             made.append(self)
 
-    monkeypatch.setattr(engine, "_LastEnumeration", Recording)
+    monkeypatch.setattr(engine, "LastEnumeration", Recording)
     return made
 
 
@@ -674,6 +718,33 @@ class TestMetrics:
         metrics = ss.compute_metrics(trace, (full, workstation), registry)
         assert metrics.objectives_met == ((0, False), (1, True))
         assert metrics.time_to_first_objective == phished[0]
+
+    def test_a_node_compromised_before_round_one_and_then_attacked(self, registry):
+        """``step_round`` plays from a state that already compromises c0
+        (asset value 10), and a certain exfiltration of c0 succeeds in
+        round 1. Exfiltration compromises nothing, so c0 still counts as
+        compromised at round 0, and alone it meets half of the
+        controllers at round 0."""
+        custom = ss.CapabilityRegistry()
+        for cap in registry.capabilities():
+            if cap.id == "exfiltrate":
+                cap = replace(cap, base_success_prob=1.0)
+            custom = ss.register_capability(custom, cap)
+        topo = make_topology(
+            nodes=[("c0", ss.NodeClass.CONTROLLER), ("c1", ss.NodeClass.CONTROLLER)],
+            edges=[], values={"c0": 10})
+        state = fresh_state(topo).with_compromise("c0", ss.Privilege.USER)
+        cfg = config(max_rounds=1)
+        state, events = step_round(state, custom, cfg, substream(cfg.seed, "simulation"))
+        assert [(e.round, e.capability_id, e.target, e.success) for e in events] == [
+            (1, "exfiltrate", "c0", True)]
+        trace = ss.SimulationTrace(config=cfg, scenario_digest="x", events=tuple(events),
+                                   final_state=state)
+        half = ss.Objective(ss.Actor.ATTACKER, ss.ObjectiveKind.COMPROMISE,
+                            ss.TargetSelector(node_class=ss.NodeClass.CONTROLLER), 0.5)
+        metrics = ss.compute_metrics(trace, (half,), custom)
+        assert metrics.objectives_met == ((0, True),)
+        assert metrics.time_to_first_objective == 0
 
     def test_compromise_threshold_grid_matches_the_early_stop_rule(self, registry):
         """With h of n targets compromised, a compromise objective is met

@@ -484,10 +484,19 @@ class TestValidateSpec:
         (lambda t: dataclasses.replace(t, nodes=(dataclasses.replace(
             t.nodes[0], credential_ids=("cred-ghost",)),) + t.nodes[1:]),
          "UnknownCredentialRef"),
-        (lambda t: dataclasses.replace(t, credentials=(ss.Credential(
-            id="cred-a", stored_on="a", grants_access_to=("ghost",)),)),
+        (lambda t: dataclasses.replace(t, nodes=(dataclasses.replace(
+            t.nodes[0], credential_ids=("cred-a",)),) + t.nodes[1:], credentials=(ss.Credential(
+                id="cred-a", stored_on="a", grants_access_to=("ghost",)),)),
          "BadCredentialHost"),
-    ], ids=["zone", "edge", "credential_ref", "grant_to_missing_node"])
+        (lambda t: dataclasses.replace(t, credentials=(ss.Credential(
+            id="cred-a", stored_on="a", grants_access_to=("b",)),)),
+         "BadCredentialHost"),
+        (lambda t: dataclasses.replace(t, nodes=tuple(
+            dataclasses.replace(n, credential_ids=("cred-b",)) for n in t.nodes),
+            credentials=(ss.Credential(id="cred-b", stored_on="b", grants_access_to=("a",)),)),
+         "BadCredentialHost"),
+    ], ids=["zone", "edge", "credential_ref", "grant_to_missing_node", "host_does_not_list",
+            "listed_off_its_host"])
     def test_topology_finding(self, registry, amend, code):
         topo = make_topology(
             nodes=[("a", ss.NodeClass.WORKSTATION), ("b", ss.NodeClass.SENSOR)],
